@@ -16,11 +16,20 @@ two-branch product structure is preserved by every protocol operation, so a
 factored representation (per-branch, per-cavity Fock columns) evolves
 exactly at linear cost; it is cross-checked against the dense route in the
 test-suite.
+
+Cost of the factored route for k cavities of dimension d: an operation on
+one cavity (loss, parity projection, repump) is O(d); drift, a jump (flux
+of every channel) and a parity round are O(kd), plus O(k^2) scalar products
+that keep the float results of a from-scratch evaluation bit for bit.  The
+fixed matrices are memoised per process in bounded caches that fill on first
+use: the nominal code columns per (alpha, n_max) and the repump isometry per
+(spec, decayed amplitude).
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -28,6 +37,7 @@ from scipy.optimize import brentq
 from .errors import (
     ChainFormError,
     CodeSubspaceError,
+    ConvergenceError,
     LayoutError,
     NullStateError,
     TruncationError,
@@ -185,7 +195,7 @@ def _gram_schmidt_complete(fixed: list[np.ndarray], dim: int) -> list[np.ndarray
         if len(basis) == dim:
             break
     if len(basis) != dim:
-        raise RuntimeError("orthonormal completion failed")
+        raise ConvergenceError("orthonormal completion failed")
     return basis
 
 
@@ -195,7 +205,7 @@ def _lowdin(columns: list[np.ndarray]) -> list[np.ndarray]:
     overlap = m.conj().T @ m
     evals, evecs = np.linalg.eigh(overlap)
     if np.min(evals) < 1e-12:
-        raise ValueError("columns are numerically dependent")
+        raise ConvergenceError("columns are numerically dependent")
     inv_sqrt = (evecs * (evals**-0.5)) @ evecs.conj().T
     out = m @ inv_sqrt
     return [out[:, i] for i in range(out.shape[1])]
@@ -552,6 +562,7 @@ def loss_trajectory(
 
 # ---------------------------------------------------------------- recovery
 
+@functools.lru_cache(maxsize=32)
 def recovery_matrix(spec: CavitySpec, decayed_alpha: complex) -> np.ndarray:
     """Ideal repump isometry for a cavity with confirmed odd parity.
 
@@ -562,6 +573,9 @@ def recovery_matrix(spec: CavitySpec, decayed_alpha: complex) -> np.ndarray:
     loss channel on both logical branches without reading the branch.
     Sources and targets are symmetrically orthonormalized and completed to
     full unitaries by deterministic Gram-Schmidt.
+
+    Memoised: a repeat call returns the same read-only array.  The decayed
+    amplitudes of a run take few distinct values (one per repump interval).
     """
     n_max = spec.n_max
     s0 = cat_column(decayed_alpha, -1, n_max)
@@ -572,7 +586,9 @@ def recovery_matrix(spec: CavitySpec, decayed_alpha: complex) -> np.ndarray:
     tgt = _lowdin([t0, t1])
     full_s = _gram_schmidt_complete(src, n_max + 1)
     full_t = _gram_schmidt_complete(tgt, n_max + 1)
-    return np.stack(full_t, axis=1) @ np.stack(full_s, axis=1).conj().T
+    out = np.stack(full_t, axis=1) @ np.stack(full_s, axis=1).conj().T
+    out.flags.writeable = False
+    return out
 
 
 def repump_correct(
@@ -596,6 +612,31 @@ def repump_correct(
 
 # --------------------------------------------------------- factored chains
 
+@functools.lru_cache(maxsize=8)
+def _code_columns(alpha: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nominal code columns (|C_a+>, |C_ia+>) as read-only arrays, memoised."""
+    plus = cat_column(alpha, 1, n_max)
+    rot = cat_column(1j * alpha, 1, n_max)
+    plus.flags.writeable = False
+    rot.flags.writeable = False
+    return plus, rot
+
+
+def _squared_norms(columns: tuple[np.ndarray, ...]) -> tuple[float, ...]:
+    return tuple(np.linalg.norm(c) ** 2 for c in columns)
+
+
+def _lower(col: np.ndarray) -> np.ndarray:
+    """Annihilation operator on one Fock column as a shifted multiply.
+
+    Equal, bit for bit, to ``annihilation(d) @ col``: each output entry of
+    the dense product has one nonzero term.
+    """
+    out = np.zeros(col.shape, dtype=np.complex128)
+    out[:-1] = np.sqrt(np.arange(1, col.shape[0], dtype=float)) * col[1:]
+    return out
+
+
 @dataclass(frozen=True)
 class FactoredChain:
     """Two-branch product chain: w0|0> prod u_j + w1|1> prod v_j.
@@ -604,6 +645,16 @@ class FactoredChain:
     so norms, parities, losses, drift, repump and overlaps with product
     targets all reduce to per-cavity vector work.  Protocol operations keep
     the form closed, which is what makes long chains tractable.
+
+    ``sq_norms0``/``sq_norms1`` hold ``np.linalg.norm(col) ** 2`` of every
+    column; ``None`` (the default) computes them from the columns.  The
+    ``fc_*`` operations keep them current: one touching cavity j recomputes
+    only j's entries, O(d); drift recomputes all of them, O(kd).  Norms,
+    parity probabilities and jump fluxes then multiply stored values left to
+    right, as ``np.prod`` over freshly computed norms would, so the results
+    are bit-identical to a from-scratch evaluation.  Code that swaps columns
+    through ``dataclasses.replace`` must pass ``sq_norms0=None,
+    sq_norms1=None`` with them.
     """
 
     weight0: complex
@@ -611,19 +662,30 @@ class FactoredChain:
     branch0: tuple[np.ndarray, ...]
     branch1: tuple[np.ndarray, ...]
     spec: CavitySpec
+    sq_norms0: tuple[float, ...] | None = None
+    sq_norms1: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        if self.sq_norms0 is None:
+            object.__setattr__(self, "sq_norms0", _squared_norms(self.branch0))
+        if self.sq_norms1 is None:
+            object.__setattr__(self, "sq_norms1", _squared_norms(self.branch1))
 
     @property
     def k(self) -> int:
         return len(self.branch0)
 
     def norm_squared(self) -> float:
-        p0 = np.prod([np.linalg.norm(u) ** 2 for u in self.branch0]) if self.k else 1.0
-        p1 = np.prod([np.linalg.norm(v) ** 2 for v in self.branch1]) if self.k else 1.0
+        p0 = math.prod(self.sq_norms0)
+        p1 = math.prod(self.sq_norms1)
         return float(abs(self.weight0) ** 2 * p0 + abs(self.weight1) ** 2 * p1)
 
     def normalized(self) -> "FactoredChain":
         scale = 1.0 / np.sqrt(self.norm_squared())
-        return replace(self, weight0=self.weight0 * scale, weight1=self.weight1 * scale)
+        return FactoredChain(
+            self.weight0 * scale, self.weight1 * scale, self.branch0, self.branch1,
+            self.spec, self.sq_norms0, self.sq_norms1,
+        )
 
     def state_vector(self) -> StateVector:
         d = self.spec.dim
@@ -636,8 +698,7 @@ class FactoredChain:
         return StateVector.from_amplitudes(amps, SubsystemLayout((2,) + (d,) * self.k))
 
     def logical_fidelity(self) -> float:
-        plus = cat_column(self.spec.alpha, 1, self.spec.n_max)
-        rot = cat_column(1j * self.spec.alpha, 1, self.spec.n_max)
+        plus, rot = _code_columns(self.spec.alpha, self.spec.n_max)
         nrm = np.sqrt(self.norm_squared())
         ov0 = np.prod([np.vdot(plus, u) for u in self.branch0]) if self.k else 1.0
         ov1 = np.prod([np.vdot(rot, v) for v in self.branch1]) if self.k else 1.0
@@ -651,8 +712,7 @@ def fc_logical_amplitudes(fc: FactoredChain) -> tuple[complex, complex]:
     The squared moduli sum to at most one; the deficit is weight that has
     leaked out of the cat code space.
     """
-    plus = cat_column(fc.spec.alpha, 1, fc.spec.n_max)
-    rot = cat_column(1j * fc.spec.alpha, 1, fc.spec.n_max)
+    plus, rot = _code_columns(fc.spec.alpha, fc.spec.n_max)
     nrm = np.sqrt(fc.norm_squared())
     ov0 = np.prod([np.vdot(plus, u) for u in fc.branch0]) if fc.k else 1.0
     ov1 = np.prod([np.vdot(rot, v) for v in fc.branch1]) if fc.k else 1.0
@@ -660,8 +720,7 @@ def fc_logical_amplitudes(fc: FactoredChain) -> tuple[complex, complex]:
 
 
 def factored_chain(spec: CavitySpec, k: int) -> FactoredChain:
-    plus = cat_column(spec.alpha, 1, spec.n_max)
-    rot = cat_column(1j * spec.alpha, 1, spec.n_max)
+    plus, rot = _code_columns(spec.alpha, spec.n_max)
     return FactoredChain(
         weight0=2**-0.5,
         weight1=2**-0.5,
@@ -671,36 +730,37 @@ def factored_chain(spec: CavitySpec, k: int) -> FactoredChain:
     )
 
 
+def _with_cavity(fc: FactoredChain, j: int, u: np.ndarray, v: np.ndarray) -> FactoredChain:
+    """``fc`` with cavity j's columns set to (u, v); only j's norms are recomputed."""
+    b0, b1 = list(fc.branch0), list(fc.branch1)
+    s0, s1 = list(fc.sq_norms0), list(fc.sq_norms1)
+    b0[j], b1[j] = u, v
+    s0[j], s1[j] = np.linalg.norm(u) ** 2, np.linalg.norm(v) ** 2
+    return FactoredChain(fc.weight0, fc.weight1, tuple(b0), tuple(b1), fc.spec, tuple(s0), tuple(s1))
+
+
 def fc_drift(fc: FactoredChain, tau: float) -> FactoredChain:
     decay = np.exp(-fc.spec.kappa * tau * np.arange(fc.spec.dim) / 2)
-    return replace(
-        fc,
-        branch0=tuple(u * decay for u in fc.branch0),
-        branch1=tuple(v * decay for v in fc.branch1),
+    return FactoredChain(
+        fc.weight0,
+        fc.weight1,
+        tuple(u * decay for u in fc.branch0),
+        tuple(v * decay for v in fc.branch1),
+        fc.spec,
     ).normalized()
 
 
 def fc_apply_loss(fc: FactoredChain, j: int) -> FactoredChain:
-    a = annihilation(fc.spec.dim)
-    b0 = list(fc.branch0)
-    b1 = list(fc.branch1)
-    b0[j] = a @ b0[j]
-    b1[j] = a @ b1[j]
-    return replace(fc, branch0=tuple(b0), branch1=tuple(b1)).normalized()
+    return _with_cavity(fc, j, _lower(fc.branch0[j]), _lower(fc.branch1[j])).normalized()
 
 
 def fc_parity_probability(fc: FactoredChain, j: int) -> float:
     """Probability of outcome +1 on cavity j."""
-    even = np.arange(fc.spec.dim) % 2 == 0
     n2 = fc.norm_squared()
-    p0 = abs(fc.weight0) ** 2 * np.prod(
-        [np.linalg.norm(u) ** 2 for i, u in enumerate(fc.branch0) if i != j]
-    )
-    p1 = abs(fc.weight1) ** 2 * np.prod(
-        [np.linalg.norm(v) ** 2 for i, v in enumerate(fc.branch1) if i != j]
-    )
-    w = p0 * np.linalg.norm(fc.branch0[j][even]) ** 2 + p1 * np.linalg.norm(
-        fc.branch1[j][even]
+    p0 = abs(fc.weight0) ** 2 * math.prod(fc.sq_norms0[:j] + fc.sq_norms0[j + 1 :])
+    p1 = abs(fc.weight1) ** 2 * math.prod(fc.sq_norms1[:j] + fc.sq_norms1[j + 1 :])
+    w = p0 * np.linalg.norm(fc.branch0[j][::2]) ** 2 + p1 * np.linalg.norm(
+        fc.branch1[j][::2]
     ) ** 2
     return float(w / n2)
 
@@ -709,31 +769,45 @@ def fc_project_parity(fc: FactoredChain, j: int, outcome: int) -> FactoredChain:
     mask = (np.arange(fc.spec.dim) % 2 == 0) if outcome == 1 else (
         np.arange(fc.spec.dim) % 2 == 1
     )
-    b0 = list(fc.branch0)
-    b1 = list(fc.branch1)
-    b0[j] = np.where(mask, b0[j], 0.0)
-    b1[j] = np.where(mask, b1[j], 0.0)
-    return replace(fc, branch0=tuple(b0), branch1=tuple(b1)).normalized()
+    return _with_cavity(
+        fc, j, np.where(mask, fc.branch0[j], 0.0), np.where(mask, fc.branch1[j], 0.0)
+    ).normalized()
 
 
 def fc_repump(fc: FactoredChain, j: int, decayed_alpha: complex) -> FactoredChain:
     r = recovery_matrix(fc.spec, decayed_alpha)
-    b0 = list(fc.branch0)
-    b1 = list(fc.branch1)
-    b0[j] = r @ b0[j]
-    b1[j] = r @ b1[j]
-    return replace(fc, branch0=tuple(b0), branch1=tuple(b1)).normalized()
+    return _with_cavity(fc, j, r @ fc.branch0[j], r @ fc.branch1[j]).normalized()
 
 
-def _fc_survival(fc: FactoredChain, tau: float) -> float:
-    decay = np.exp(-fc.spec.kappa * tau * np.arange(fc.spec.dim))
-    p0 = abs(fc.weight0) ** 2 * np.prod(
-        [float(np.sum(np.abs(u) ** 2 * decay)) for u in fc.branch0]
-    )
-    p1 = abs(fc.weight1) ** 2 * np.prod(
-        [float(np.sum(np.abs(v) ** 2 * decay)) for v in fc.branch1]
-    )
-    return float(p0 + p1)
+def _fc_survival(fc: FactoredChain):
+    """No-jump probability tau -> ||exp(-kappa tau n/2) psi||^2 of a normalized chain.
+
+    |u|^2 of all 2k columns is stacked once, so an evaluation is one
+    exponential, one row-sum and two products.
+    """
+    k = fc.k
+    weights = np.abs(np.stack(fc.branch0 + fc.branch1)) ** 2
+    n = np.arange(fc.spec.dim)
+    w0, w1 = abs(fc.weight0) ** 2, abs(fc.weight1) ** 2
+
+    def survival(tau: float) -> float:
+        sums = (weights * np.exp(-fc.spec.kappa * tau * n)).sum(axis=1).tolist()
+        return float(w0 * math.prod(sums[:k]) + w1 * math.prod(sums[k:]))
+
+    return survival
+
+
+def _fc_jump_flux(fc: FactoredChain) -> np.ndarray:
+    """Loss flux kappa <a^dag a> of every cavity, from the stored norms."""
+    n2 = fc.norm_squared()
+    w0, w1 = abs(fc.weight0) ** 2, abs(fc.weight1) ** 2
+    flux = np.empty(fc.k)
+    for j in range(fc.k):
+        s0, s1 = list(fc.sq_norms0), list(fc.sq_norms1)
+        s0[j] = np.linalg.norm(_lower(fc.branch0[j])) ** 2
+        s1[j] = np.linalg.norm(_lower(fc.branch1[j])) ** 2
+        flux[j] = fc.spec.kappa * (w0 * math.prod(s0) + w1 * math.prod(s1)) / n2
+    return flux
 
 
 def fc_loss_segment(
@@ -745,29 +819,17 @@ def fc_loss_segment(
     jumps: list[list[float]] = [[] for _ in range(fc.k)]
     if fc.spec.kappa == 0 or fc.k == 0:
         return fc, jumps
-    a = annihilation(fc.spec.dim)
     while t < duration:
         r = rng.random()
         remaining = duration - t
-        if _fc_survival(fc, remaining) >= r:
+        survival = _fc_survival(fc)
+        if survival(remaining) >= r:
             fc = fc_drift(fc, remaining)
             break
-        tau_star = brentq(
-            lambda x: _fc_survival(fc, x) - r, 0.0, remaining, xtol=1e-16, rtol=1e-14
-        )
+        tau_star = brentq(lambda x: survival(x) - r, 0.0, remaining, xtol=1e-16, rtol=1e-14)
         fc = fc_drift(fc, tau_star)
         t += tau_star
-        n2 = fc.norm_squared()
-        flux = np.empty(fc.k)
-        for j in range(fc.k):
-            b0 = list(fc.branch0)
-            b1 = list(fc.branch1)
-            b0[j] = a @ b0[j]
-            b1[j] = a @ b1[j]
-            num = abs(fc.weight0) ** 2 * np.prod([np.linalg.norm(u) ** 2 for u in b0]) + abs(
-                fc.weight1
-            ) ** 2 * np.prod([np.linalg.norm(v) ** 2 for v in b1])
-            flux[j] = fc.spec.kappa * num / n2
+        flux = _fc_jump_flux(fc)
         j = int(rng.choice(fc.k, p=flux / flux.sum()))
         fc = fc_apply_loss(fc, j)
         jumps[j].append(t_offset + t)

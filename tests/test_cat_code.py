@@ -7,7 +7,10 @@ against the dense state-vector route operation by operation.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entpipe import cat_code
 from entpipe.cat_code import (
     CavitySpec,
     DispersiveCoupling,
@@ -50,6 +53,7 @@ from entpipe.cat_code import (
 from entpipe.errors import (
     ChainFormError,
     CodeSubspaceError,
+    ConvergenceError,
     LayoutError,
     NullStateError,
     TruncationError,
@@ -342,6 +346,33 @@ def test_trajectory_determinism():
 def test_recovery_matrix_unitary():
     r = recovery_matrix(SPEC, ALPHA * np.exp(-0.025))
     assert np.max(np.abs(r @ r.conj().T - np.eye(NMAX + 1))) < 1e-12
+    # memoised: the repeat call hands back the same read-only array
+    assert recovery_matrix(SPEC, ALPHA * np.exp(-0.025)) is r
+    with pytest.raises(ValueError):
+        r[0, 0] = 0.0
+
+
+def test_gram_schmidt_completion_failure_is_convergence_error():
+    fixed = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0]) / np.sqrt(2)]
+    with pytest.raises(ConvergenceError):
+        cat_code._gram_schmidt_complete(fixed, 2)
+
+
+def test_lowdin_dependent_columns_is_convergence_error():
+    v = cat_column(ALPHA, 1, NMAX)
+    with pytest.raises(ConvergenceError):
+        cat_code._lowdin([v, v])
+
+
+def test_failed_recovery_matrix_call_is_not_cached():
+    # at |alpha| = 1e-4 both decayed odd cats are |1> up to O(alpha^4)
+    before = recovery_matrix.cache_info()
+    for _ in range(2):
+        with pytest.raises(ConvergenceError):
+            recovery_matrix(SPEC, 1e-4)
+    after = recovery_matrix.cache_info()
+    assert after.currsize == before.currsize
+    assert after.misses == before.misses + 2
 
 
 def test_repump_identity_on_clean_syndrome():
@@ -448,3 +479,94 @@ def test_protected_scales_to_seven_cavities():
     res = run_protected(SPEC, 7, 0.1, 0.05, 42, correct=True)
     assert 0.5 < res.final_logical_fidelity <= 1.0
     assert isinstance(res.record.final_state, FactoredChain)
+
+
+# ------------------------------------------- factored chain bookkeeping
+
+# From-scratch evaluations: every column norm recomputed, dense annihilation.
+
+def _scratch_norm_squared(fc, b0=None, b1=None):
+    b0 = fc.branch0 if b0 is None else b0
+    b1 = fc.branch1 if b1 is None else b1
+    return abs(fc.weight0) ** 2 * np.prod([np.linalg.norm(u) ** 2 for u in b0]) + abs(
+        fc.weight1
+    ) ** 2 * np.prod([np.linalg.norm(v) ** 2 for v in b1])
+
+
+def _scratch_flux(fc):
+    a = annihilation(fc.spec.dim)
+    n2 = _scratch_norm_squared(fc)
+    flux = np.empty(fc.k)
+    for j in range(fc.k):
+        b0, b1 = list(fc.branch0), list(fc.branch1)
+        b0[j], b1[j] = a @ b0[j], a @ b1[j]
+        flux[j] = fc.spec.kappa * _scratch_norm_squared(fc, b0, b1) / n2
+    return flux
+
+
+def _scratch_parity_probability(fc, j):
+    even = np.arange(fc.spec.dim) % 2 == 0
+    p0 = abs(fc.weight0) ** 2 * np.prod(
+        [np.linalg.norm(u) ** 2 for i, u in enumerate(fc.branch0) if i != j]
+    )
+    p1 = abs(fc.weight1) ** 2 * np.prod(
+        [np.linalg.norm(v) ** 2 for i, v in enumerate(fc.branch1) if i != j]
+    )
+    w = p0 * np.linalg.norm(fc.branch0[j][even]) ** 2 + p1 * np.linalg.norm(
+        fc.branch1[j][even]
+    ) ** 2
+    return float(w / _scratch_norm_squared(fc))
+
+
+def _scratch_survival(fc, tau):
+    decay = np.exp(-fc.spec.kappa * tau * np.arange(fc.spec.dim))
+    p0 = abs(fc.weight0) ** 2 * np.prod([float(np.sum(np.abs(u) ** 2 * decay)) for u in fc.branch0])
+    p1 = abs(fc.weight1) ** 2 * np.prod([float(np.sum(np.abs(v) ** 2 * decay)) for v in fc.branch1])
+    return float(p0 + p1)
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("drift"), st.floats(0.0, 0.3)),
+    st.tuples(st.just("loss"), st.integers(0, 3)),
+    st.tuples(st.just("parity"), st.integers(0, 3), st.booleans()),
+    st.tuples(st.just("repump"), st.integers(0, 3), st.sampled_from([0.0, 0.01, 0.025, 0.05])),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 4), ops=st.lists(_OPS, min_size=1, max_size=12))
+def test_factored_chain_stored_norms_track_columns(k, ops):
+    fc = factored_chain(SPEC, k)
+    for op in ops:
+        if op[0] == "drift":
+            fc = fc_drift(fc, op[1])
+        elif op[0] == "loss":
+            fc = fc_apply_loss(fc, op[1] % k)
+        elif op[0] == "parity":
+            j = op[1] % k
+            p_even = fc_parity_probability(fc, j)
+            outcome = 1 if op[2] else -1
+            if (p_even if outcome == 1 else 1 - p_even) < 1e-6:
+                outcome = -outcome
+            fc = fc_project_parity(fc, j, outcome)
+        else:
+            decayed = ALPHA * np.exp(-op[2])
+            r = recovery_matrix(SPEC, decayed)
+            assert np.max(np.abs(r @ r.conj().T - np.eye(NMAX + 1))) < 1e-12
+            assert not r.flags.writeable
+            with pytest.raises(ValueError):
+                r[0, 0] = 1.0
+            assert recovery_matrix(SPEC, decayed) is r
+            fc = fc_repump(fc, op[1] % k, decayed)
+        for cols, sq in ((fc.branch0, fc.sq_norms0), (fc.branch1, fc.sq_norms1)):
+            assert all(s == np.linalg.norm(c) ** 2 for c, s in zip(cols, sq))
+        assert abs(fc.normalized().norm_squared() - 1.0) <= 1e-12
+        # the incremental arithmetic repeats a from-scratch evaluation bit for bit
+        assert fc.norm_squared() == _scratch_norm_squared(fc)
+        assert all(
+            fc_parity_probability(fc, j) == _scratch_parity_probability(fc, j) for j in range(k)
+        )
+        assert np.array_equal(cat_code._fc_jump_flux(fc), _scratch_flux(fc))
+        survival = cat_code._fc_survival(fc)
+        for tau in (0.0, 0.01, 0.2):
+            assert survival(tau) == _scratch_survival(fc, tau)

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: exit codes, artifacts, determinism."""
 import csv
+import hashlib
 import json
 import os
 from dataclasses import replace
@@ -122,6 +123,44 @@ def test_seed_flag_changes_trajectories(tmp_path):
     rows_a = read_csv(out_a / "protect_trajectories.csv")
     rows_b = read_csv(out_b / "protect_trajectories.csv")
     assert [r["seed"] for r in rows_a] != [r["seed"] for r in rows_b]
+
+
+# ----------------------------------------------------------- golden pins
+# Pinned from the storage route as it stood before its incremental rewrite
+# (memoised repump isometry, stored per-cavity norms).  Rerun tests compare
+# one commit with itself; these catch drift across commits.
+
+def test_protect_trajectories_golden_digest(tmp_path):
+    cfg = write_cfg(tmp_path, register={"n_dots": 8}, storage={"kappa": 25000.0, "trajectories": 24})
+    out = tmp_path / "out"
+    assert main(["protect", "--config", str(cfg), "--out", str(out), "--seed", "2718"]) == 0
+    digest = hashlib.sha256((out / "protect_trajectories.csv").read_bytes()).hexdigest()
+    assert digest == "6e6a4c95dc047883f280a6004192a70a9bd8761cc6d9362154b4e95def3791e5"
+
+
+def test_pipeline_report_golden_values(tmp_path):
+    cfg = write_cfg(
+        tmp_path, register={"n_dots": 10}, storage={"kappa": 25000.0}, swap={"p_success": 0.95}
+    )
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = json.load(open(out / "pipeline_report.json"))
+    assert rep["fidelities"] == {
+        "final_polarization": 0.9252139446595612,
+        "ghz": 0.9999999999999991,
+        "storage_logical": 0.9252139446595615,
+    }
+    assert rep["heralds"] == {
+        "conversion": 0.3486784401000001,
+        "swap": 0.5987369392383786,
+        "total": 0.20876666200388638,
+    }
+    assert rep["stats"] == {
+        "code_weight": 0.9252139446595616,
+        "n_dots": 10,
+        "per_dot_success": 0.95,
+        "polarization_photons": 5,
+    }
 
 
 # ------------------------------------------------------------------ swap
