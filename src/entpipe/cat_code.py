@@ -11,11 +11,13 @@ idealized repump isometry.  Trajectory evolution uses exact waiting-time
 sampling of jump times (no time grid): between jumps the no-jump drift
 exp(-kappa*t*n/2) acts, at a jump the annihilation operator acts.
 
-Full state vectors are practical for a few cavities.  For longer chains the
-two-branch product structure is preserved by every protocol operation, so a
-factored representation (per-branch, per-cavity Fock columns) evolves
-exactly at linear cost; it is cross-checked against the dense route in the
-test-suite.
+The two-branch product structure is preserved by every protocol operation,
+so the chain is stored factored (per-branch, per-cavity Fock columns) and
+evolves exactly at linear cost in the number of cavities.  This is the only
+storage route in the package.  The dense state-vector route (encode/decode,
+chain growth, parity measurement, loss and repump on full state vectors)
+is kept in ``tests/oracle_storage.py`` as the cross-check for the factored
+one; it is practical for a few cavities only.
 
 Cost of the factored route for k cavities of dimension d: an operation on
 one cavity (loss, parity projection, repump) is O(d); drift, a jump (flux
@@ -34,17 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import (
-    ChainFormError,
-    CodeSubspaceError,
-    ConvergenceError,
-    LayoutError,
-    NullStateError,
-    TruncationError,
-)
-from .hilbert import StateVector, SubsystemLayout, apply_local, fidelity, tensor_states
+from .errors import ConvergenceError, NullStateError, TruncationError
+from .hilbert import StateVector, SubsystemLayout
 
-_SUBSPACE_TOL = 1e-6
 _GS_TOL = 1e-7
 
 
@@ -74,19 +68,6 @@ class CavitySpec:
         return self.n_max + 1
 
 
-@dataclass(frozen=True)
-class DispersiveCoupling:
-    g: float
-    delta: float
-
-    def __post_init__(self):
-        if self.delta == 0:
-            raise ValueError("dispersive coupling requires nonzero detuning")
-
-    def phase_angle(self, t: float) -> float:
-        return self.g**2 * t / self.delta
-
-
 # ------------------------------------------------------------- Fock builders
 
 def coherent_column(alpha: complex, n_max: int) -> np.ndarray:
@@ -96,16 +77,6 @@ def coherent_column(alpha: complex, n_max: int) -> np.ndarray:
     for n in range(1, n_max + 1):
         out[n] = out[n - 1] * alpha / np.sqrt(n)
     return out
-
-
-def coherent(alpha: complex, n_max: int) -> StateVector:
-    col = coherent_column(alpha, n_max)
-    defect = abs(1.0 - np.linalg.norm(col) ** 2)
-    if defect > 1e-10:
-        raise TruncationError(
-            f"truncated tail mass {defect:.2e} of |alpha|={abs(alpha):.3f} exceeds 1e-10"
-        )
-    return StateVector.from_amplitudes(col, SubsystemLayout((n_max + 1,)))
 
 
 def cat_column(alpha: complex, sign: int, n_max: int) -> np.ndarray:
@@ -119,66 +90,7 @@ def cat_column(alpha: complex, sign: int, n_max: int) -> np.ndarray:
     return col / norm
 
 
-def cat(alpha: complex, sign: int, n_max: int) -> StateVector:
-    if n_max < required_levels(alpha):
-        raise TruncationError(f"n_max={n_max} too small for |alpha|={abs(alpha):.3f}")
-    return StateVector(cat_column(alpha, sign, n_max), SubsystemLayout((n_max + 1,)))
-
-
-def vacuum(n_max: int) -> StateVector:
-    return StateVector.basis(SubsystemLayout((n_max + 1,)), 0)
-
-
-def coherent_overlap(a: complex, b: complex) -> complex:
-    """Closed form <a|b> = exp(-|a|^2/2 - |b|^2/2 + conj(a) b)."""
-    return np.exp(-(abs(a) ** 2 + abs(b) ** 2) / 2 + np.conj(a) * b)
-
-
-def cat_normalization(alpha: complex, sign: int) -> float:
-    """Closed-form prefactor 1/sqrt(2(1 + sign e^{-2|a|^2}))."""
-    return 1.0 / np.sqrt(2 * (1 + sign * np.exp(-2 * abs(alpha) ** 2)))
-
-
-def cat_overlap(a: complex, b: complex) -> complex:
-    """Closed-form overlap of two even cats <C_a+|C_b+>."""
-    na, nb = cat_normalization(a, 1), cat_normalization(b, 1)
-    return 2 * na * nb * (coherent_overlap(a, b) + coherent_overlap(a, -b))
-
-
-def annihilation(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(np.complex128)
-
-
-def parity_operator(dim: int) -> np.ndarray:
-    return np.diag((-1.0 + 0j) ** np.arange(dim))
-
-
-def mean_photon(state: StateVector) -> float:
-    if state.layout.n_subsystems != 1:
-        raise LayoutError("mean_photon expects a single-cavity state")
-    n = np.arange(state.layout.total_dim)
-    return float(np.sum(n * np.abs(state.amplitudes) ** 2))
-
-
-# --------------------------------------------------------------- dispersive
-
-def dispersive_rotation(state: StateVector, coupling: DispersiveCoupling, t: float) -> StateVector:
-    """Conditional cavity rotation |0><0| x e^{-i theta n} + |1><1| x 1.
-
-    theta = g^2 t / delta; the branch-|0> cavity amplitude turns by e^{-i theta}.
-    """
-    dims = state.layout.dims
-    if len(dims) != 2 or dims[0] != 2:
-        raise LayoutError("dispersive rotation expects layout (qubit, cavity)")
-    theta = coupling.phase_angle(t)
-    rot = np.exp(-1j * theta * np.arange(dims[1]))
-    u = np.zeros((2 * dims[1], 2 * dims[1]), dtype=np.complex128)
-    u[: dims[1], : dims[1]] = np.diag(rot)
-    u[dims[1] :, dims[1] :] = np.eye(dims[1])
-    return apply_local(state, u, (0, 1))
-
-
-# ----------------------------------------------------------- encode / decode
+# ------------------------------------------------------ orthonormalization
 
 def _gram_schmidt_complete(fixed: list[np.ndarray], dim: int) -> list[np.ndarray]:
     """Extend fixed orthonormal columns to a full basis, deterministically."""
@@ -209,239 +121,6 @@ def _lowdin(columns: list[np.ndarray]) -> list[np.ndarray]:
     inv_sqrt = (evecs * (evals**-0.5)) @ evecs.conj().T
     out = m @ inv_sqrt
     return [out[:, i] for i in range(out.shape[1])]
-
-
-def encode_unitary(spec: CavitySpec) -> np.ndarray:
-    """Unitary on (qubit, qubit, cavity) storing a shared bit in a cat axis.
-
-    On the code subspace: |0,0,vac> -> |0,0,C_a+> and |1,1,vac> -> |0,1,C_ia+>
-    (first qubit freed); the orthogonal complement is completed by
-    deterministic Gram-Schmidt.
-    """
-    d = spec.dim
-    total = 4 * d
-    e00 = np.zeros(total, dtype=np.complex128)
-    e00[0] = 1.0  # |0,0,vac>
-    e11 = np.zeros(total, dtype=np.complex128)
-    e11[3 * d] = 1.0  # |1,1,vac>
-    t00 = np.zeros(total, dtype=np.complex128)
-    t00[0:d] = cat_column(spec.alpha, 1, spec.n_max)  # |0,0,C+>
-    t11 = np.zeros(total, dtype=np.complex128)
-    t11[d : 2 * d] = cat_column(1j * spec.alpha, 1, spec.n_max)  # |0,1,C'>
-    sources = [e00, e11]
-    targets = [t00, t11]  # exactly orthonormal (second qubit differs)
-    full_s = _gram_schmidt_complete(sources, total)
-    full_t = _gram_schmidt_complete(targets, total)
-    s_mat = np.stack(full_s, axis=1)
-    t_mat = np.stack(full_t, axis=1)
-    return t_mat @ s_mat.conj().T
-
-
-def _code_subspace_weight(state: StateVector, sites: tuple[int, int, int]) -> float:
-    """Weight of the state in span{|00>,|11>} x vacuum on the given sites."""
-    dims = state.layout.dims
-    d = dims[sites[2]]
-    arr = state.amplitudes.reshape(dims)
-    arr = np.moveaxis(arr, sites, (0, 1, 2))
-    w = np.linalg.norm(arr[0, 0, 0]) ** 2 + np.linalg.norm(arr[1, 1, 0]) ** 2
-    return float(w)
-
-
-def encode(
-    state: StateVector, spec: CavitySpec, sites: tuple[int, int, int] = (0, 1, 2)
-) -> StateVector:
-    """Store the shared bit of a dot pair into a fresh cavity's cat axis.
-
-    ``sites`` = (freed dot, kept dot, cavity).  The input must live in the
-    code subspace a|00,vac> + b|11,vac> on those sites (entangled bystanders
-    are fine).
-    """
-    dims = state.layout.dims
-    if dims[sites[0]] != 2 or dims[sites[1]] != 2 or dims[sites[2]] != spec.dim:
-        raise LayoutError("encode sites must be (qubit, qubit, cavity of spec dimension)")
-    if _code_subspace_weight(state, sites) < 1 - _SUBSPACE_TOL:
-        raise CodeSubspaceError("input is not a|00,vac> + b|11,vac> on the encode sites")
-    return apply_local(state, encode_unitary(spec), sites)
-
-
-def decode(
-    state: StateVector, spec: CavitySpec, sites: tuple[int, int, int] = (0, 1, 2)
-) -> StateVector:
-    """Inverse of ``encode`` on the given sites."""
-    return apply_local(state, encode_unitary(spec).conj().T, sites)
-
-
-# ------------------------------------------------------------- chain states
-
-def chain_state(
-    spec: CavitySpec, k: int, weights: tuple[complex, complex] = None
-) -> StateVector:
-    """Explicit chain target: w0|0>|C_a+>^k + w1|1>|C_ia+>^k."""
-    if weights is None:
-        weights = (2**-0.5, 2**-0.5)
-    plus = cat_column(spec.alpha, 1, spec.n_max)
-    rot = cat_column(1j * spec.alpha, 1, spec.n_max)
-    b0 = np.array([1.0], dtype=np.complex128)
-    b1 = np.array([1.0], dtype=np.complex128)
-    for _ in range(k):
-        b0 = np.kron(b0, plus)
-        b1 = np.kron(b1, rot)
-    amps = np.concatenate([weights[0] * b0, weights[1] * b1])
-    layout = SubsystemLayout((2,) + (spec.dim,) * k)
-    return StateVector.from_amplitudes(amps, layout)
-
-
-def chain_weights(state: StateVector, spec: CavitySpec) -> tuple[complex, complex, float]:
-    """Project onto the two chain branches; returns (w0, w1, residual)."""
-    dims = state.layout.dims
-    if dims[0] != 2 or any(d != spec.dim for d in dims[1:]):
-        raise ChainFormError("layout is not (qubit, cavities...) at the configured cavity dimension")
-    k = len(dims) - 1
-    plus = cat_column(spec.alpha, 1, spec.n_max)
-    rot = cat_column(1j * spec.alpha, 1, spec.n_max)
-    arr = state.amplitudes.reshape(2, -1)
-    v0 = np.array([1.0], dtype=np.complex128)
-    v1 = np.array([1.0], dtype=np.complex128)
-    for _ in range(k):
-        v0 = np.kron(v0, plus)
-        v1 = np.kron(v1, rot)
-    w0 = complex(np.vdot(v0, arr[0]))
-    w1 = complex(np.vdot(v1, arr[1]))
-    residual = 1.0 - abs(w0) ** 2 - abs(w1) ** 2
-    return w0, w1, float(max(residual, 0.0))
-
-
-def _drop_zero_qubit(state: StateVector, site: int) -> StateVector:
-    """Remove a qubit subsystem known to sit in |0> (weight >= 1 - 1e-9)."""
-    dims = state.layout.dims
-    arr = state.amplitudes.reshape(dims)
-    taken = np.moveaxis(arr, site, 0)[0]
-    nrm = np.linalg.norm(taken)
-    if nrm < 1 - 1e-9:
-        raise ChainFormError(f"subsystem {site} is not in |0>")
-    new_dims = tuple(d for i, d in enumerate(dims) if i != site)
-    return StateVector.from_amplitudes(taken.reshape(-1), SubsystemLayout(new_dims))
-
-
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128
-)
-
-
-def extend_chain(state: StateVector, fresh_bell: StateVector, spec: CavitySpec) -> StateVector:
-    """Grow a k-cavity chain to k+1 using a fresh Bell pair and cavity.
-
-    The Bell pair is absorbed into the chain qubit with the register merge
-    recipe, the aligned pair is encoded into the new cavity, the leftover
-    correlation is cleared with a controlled flip, and the two freed qubits
-    (both in |0>) are dropped.
-    """
-    from .spin_register import merge_blocks
-
-    dims = state.layout.dims
-    if dims[0] != 2 or any(d != spec.dim for d in dims[1:]):
-        raise ChainFormError("state is not (qubit, cavities...) at the configured cavity dimension")
-    k = len(dims) - 1
-    if k > 0:
-        _, _, residual = chain_weights(state, spec)
-        if residual > _SUBSPACE_TOL:
-            raise ChainFormError(f"chain-form residual {residual:.2e} too large")
-    bell_target = StateVector.from_amplitudes(
-        np.array([1, 0, 0, 1], dtype=np.complex128), SubsystemLayout((2, 2))
-    )
-    if fidelity(fresh_bell, bell_target) < 1 - _SUBSPACE_TOL:
-        raise ChainFormError("fresh_bell is not a (|00>+|11>)/sqrt(2) pair")
-    big = tensor_states(state, fresh_bell, vacuum(spec.n_max))
-    q2, q3, cav = k + 1, k + 2, k + 3
-    big = merge_blocks(big, 0, q2, 1.0, 1.0, canonicalize=True)
-    big = encode(big, spec, (q2, q3, cav))
-    big = apply_local(big, _CNOT, (0, q3))
-    big = _drop_zero_qubit(big, q3)
-    big = _drop_zero_qubit(big, q2)
-    target = chain_state(spec, k + 1)
-    if fidelity(big, target) < 1 - _SUBSPACE_TOL:
-        raise ChainFormError("extension did not reach the expected chain form")
-    return big
-
-
-def logical_fidelity(state: StateVector, spec: CavitySpec) -> float:
-    """Overlap squared with the nominal balanced chain at the configured amplitude."""
-    k = state.layout.n_subsystems - 1
-    return fidelity(state, chain_state(spec, k))
-
-
-# -------------------------------------------------------- cavity bookkeeping
-
-def _cavity_sites(layout: SubsystemLayout) -> tuple[int, ...]:
-    return tuple(i for i, d in enumerate(layout.dims) if d > 2)
-
-
-def _site_of_cavity(state: StateVector, j: int) -> int:
-    cavs = _cavity_sites(state.layout)
-    if not 0 <= j < len(cavs):
-        raise LayoutError(f"cavity index {j} out of range (state has {len(cavs)} cavities)")
-    return cavs[j]
-
-
-def parity_measure(
-    state: StateVector, j: int, rng: np.random.Generator | None = None
-) -> tuple[int, StateVector, float]:
-    """QND photon-number parity measurement of cavity j.
-
-    Returns (outcome, collapsed state, probability of that outcome).  The
-    outcome is sampled when an ``rng`` is supplied; without one the call only
-    succeeds if the outcome is deterministic to 1e-9.
-    """
-    site = _site_of_cavity(state, j)
-    dims = state.layout.dims
-    arr = np.moveaxis(state.amplitudes.reshape(dims), site, 0)
-    even_mask = (np.arange(dims[site]) % 2 == 0)
-    p_even = float(np.linalg.norm(arr[even_mask]) ** 2)
-    p_even = min(max(p_even, 0.0), 1.0)
-    if rng is not None:
-        outcome = 1 if rng.random() < p_even else -1
-    elif p_even >= 1 - 1e-9:
-        outcome = 1
-    elif p_even <= 1e-9:
-        outcome = -1
-    else:
-        raise ValueError("parity outcome is stochastic; supply an rng to sample it")
-    keep = even_mask if outcome == 1 else ~even_mask
-    prob = p_even if outcome == 1 else 1 - p_even
-    collapsed = arr.copy()
-    collapsed[~keep] = 0.0
-    collapsed = np.moveaxis(collapsed, 0, site).reshape(-1)
-    collapsed_state = StateVector.from_amplitudes(collapsed, state.layout)
-    return outcome, collapsed_state, prob
-
-
-def _site_matrix(amps: np.ndarray, dims: tuple[int, ...], mat: np.ndarray, site: int) -> np.ndarray:
-    """Apply a (possibly non-unitary) matrix to one subsystem; raw amplitudes."""
-    arr = np.moveaxis(amps.reshape(dims), site, 0)
-    out = np.tensordot(mat, arr, axes=([1], [0]))
-    return np.moveaxis(out, 0, site).reshape(-1)
-
-
-def apply_loss(state: StateVector, j: int) -> StateVector:
-    """Apply the annihilation operator to cavity j and renormalize."""
-    site = _site_of_cavity(state, j)
-    raw = _site_matrix(state.amplitudes, state.layout.dims, annihilation(state.layout.dims[site]), site)
-    return StateVector.from_amplitudes(raw, state.layout)
-
-
-def no_jump_drift(state: StateVector, kappas: list[float], tau: float) -> StateVector:
-    """Deterministic between-jump evolution exp(-kappa tau n/2), renormalized."""
-    dims = state.layout.dims
-    cavs = _cavity_sites(state.layout)
-    if len(kappas) != len(cavs):
-        raise LayoutError("one kappa per cavity required")
-    arr = state.amplitudes.reshape(dims)
-    for site, kap in zip(cavs, kappas):
-        decay = np.exp(-kap * tau * np.arange(dims[site]) / 2)
-        shape = [1] * len(dims)
-        shape[site] = dims[site]
-        arr = arr * decay.reshape(shape)
-    return StateVector.from_amplitudes(arr.reshape(-1), state.layout)
 
 
 # ------------------------------------------------------------- trajectories
@@ -484,82 +163,6 @@ def _rng_from_seed(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(int(seed)))
 
 
-def _rate_vector(layout: SubsystemLayout, kappas: list[float]) -> np.ndarray:
-    """Total decay rate kappa_j * n_j summed over cavities, per basis index."""
-    dims = layout.dims
-    rates = np.zeros(dims, dtype=float)
-    for site, kap in zip(_cavity_sites(layout), kappas):
-        shape = [1] * len(dims)
-        shape[site] = dims[site]
-        rates = rates + kap * np.arange(dims[site]).reshape(shape)
-    return rates.reshape(-1)
-
-
-def loss_trajectory(
-    state: StateVector, duration: float, specs: list[CavitySpec], seed
-) -> TrajectoryRecord:
-    """Sample one photon-loss trajectory over ``duration``.
-
-    Waiting times are drawn exactly by solving the survival equation
-    ||exp(-sum kappa n t/2) psi||^2 = r; each jump applies one annihilation
-    operator to a cavity chosen with probability proportional to its loss
-    flux kappa_j <n_j>.
-    """
-    if duration < 0:
-        raise ValueError("duration must be nonnegative")
-    cavs = _cavity_sites(state.layout)
-    if len(specs) != len(cavs):
-        raise LayoutError("one CavitySpec per cavity required")
-    for site, spec in zip(cavs, specs):
-        if state.layout.dims[site] != spec.dim:
-            raise LayoutError("CavitySpec dimension mismatch")
-    kappas = [s.kappa for s in specs]
-    rng = _rng_from_seed(seed)
-    rates = _rate_vector(state.layout, kappas)
-    amps = state.amplitudes.copy()
-    t = 0.0
-    jumps: list[list[float]] = [[] for _ in cavs]
-    while t < duration:
-        r = rng.random()
-        weights = np.abs(amps) ** 2
-
-        def survival(tau):
-            return float(np.sum(weights * np.exp(-rates * tau)))
-
-        remaining = duration - t
-        if survival(remaining) >= r:
-            amps = amps * np.exp(-rates * remaining / 2)
-            amps /= np.linalg.norm(amps)
-            break
-        tau_star = brentq(lambda x: survival(x) - r, 0.0, remaining, xtol=1e-16, rtol=1e-14)
-        amps = amps * np.exp(-rates * tau_star / 2)
-        amps /= np.linalg.norm(amps)
-        t += tau_star
-        # channel choice by loss flux at the jump moment
-        flux = np.array(
-            [
-                kap
-                * np.linalg.norm(
-                    _site_matrix(amps, state.layout.dims, annihilation(state.layout.dims[site]), site)
-                )
-                ** 2
-                for site, kap in zip(cavs, kappas)
-            ]
-        )
-        j = int(rng.choice(len(cavs), p=flux / flux.sum()))
-        amps = _site_matrix(amps, state.layout.dims, annihilation(state.layout.dims[cavs[j]]), cavs[j])
-        amps /= np.linalg.norm(amps)
-        jumps[j].append(t)
-    final = StateVector.from_amplitudes(amps, state.layout)
-    return TrajectoryRecord(
-        jump_times=tuple(tuple(js) for js in jumps),
-        parity_outcomes=tuple(() for _ in cavs),
-        measurement_times=(),
-        seed=seed if isinstance(seed, int) else -1,
-        final_state=final,
-    )
-
-
 # ---------------------------------------------------------------- recovery
 
 @functools.lru_cache(maxsize=32)
@@ -591,25 +194,6 @@ def recovery_matrix(spec: CavitySpec, decayed_alpha: complex) -> np.ndarray:
     return out
 
 
-def repump_correct(
-    state: StateVector,
-    syndrome: list[int],
-    spec: CavitySpec,
-    decayed_alphas: list[complex],
-) -> StateVector:
-    """Apply the repump isometry to every cavity with a -1 syndrome."""
-    cavs = _cavity_sites(state.layout)
-    if len(syndrome) != len(cavs):
-        raise LayoutError("syndrome length must match the number of cavities")
-    if len(decayed_alphas) != len(cavs):
-        raise LayoutError("one decayed amplitude per cavity required")
-    out = state
-    for j, (s, a_dec) in enumerate(zip(syndrome, decayed_alphas)):
-        if s == -1:
-            out = apply_local(out, recovery_matrix(spec, a_dec), (cavs[j],))
-    return out
-
-
 # --------------------------------------------------------- factored chains
 
 @functools.lru_cache(maxsize=8)
@@ -629,15 +213,15 @@ def _squared_norms(columns: tuple[np.ndarray, ...]) -> tuple[float, ...]:
 def _lower(col: np.ndarray) -> np.ndarray:
     """Annihilation operator on one Fock column as a shifted multiply.
 
-    Equal, bit for bit, to ``annihilation(d) @ col``: each output entry of
-    the dense product has one nonzero term.
+    Equal, bit for bit, to the dense annihilation matrix times ``col``: each
+    output entry of that product has one nonzero term.
     """
     out = np.zeros(col.shape, dtype=np.complex128)
     out[:-1] = np.sqrt(np.arange(1, col.shape[0], dtype=float)) * col[1:]
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactoredChain:
     """Two-branch product chain: w0|0> prod u_j + w1|1> prod v_j.
 
@@ -655,6 +239,9 @@ class FactoredChain:
     are bit-identical to a from-scratch evaluation.  Code that swaps columns
     through ``dataclasses.replace`` must pass ``sq_norms0=None,
     sq_norms1=None`` with them.
+
+    Equality and hashing are by identity: the array fields have no single
+    truth value, so a field-wise ``==`` could not answer.
     """
 
     weight0: complex
@@ -698,12 +285,18 @@ class FactoredChain:
         return StateVector.from_amplitudes(amps, SubsystemLayout((2,) + (d,) * self.k))
 
     def logical_fidelity(self) -> float:
-        plus, rot = _code_columns(self.spec.alpha, self.spec.n_max)
-        nrm = np.sqrt(self.norm_squared())
-        ov0 = np.prod([np.vdot(plus, u) for u in self.branch0]) if self.k else 1.0
-        ov1 = np.prod([np.vdot(rot, v) for v in self.branch1]) if self.k else 1.0
+        ov0, ov1, nrm = _code_overlaps(self)
         amp = (self.weight0 * ov0 + self.weight1 * ov1) / (np.sqrt(2) * nrm)
         return float(abs(amp) ** 2)
+
+
+def _code_overlaps(fc: FactoredChain) -> tuple[complex, complex, float]:
+    """Each branch's overlap with its nominal code product, and the chain norm."""
+    plus, rot = _code_columns(fc.spec.alpha, fc.spec.n_max)
+    nrm = np.sqrt(fc.norm_squared())
+    ov0 = np.prod([np.vdot(plus, u) for u in fc.branch0]) if fc.k else 1.0
+    ov1 = np.prod([np.vdot(rot, v) for v in fc.branch1]) if fc.k else 1.0
+    return ov0, ov1, nrm
 
 
 def fc_logical_amplitudes(fc: FactoredChain) -> tuple[complex, complex]:
@@ -712,10 +305,7 @@ def fc_logical_amplitudes(fc: FactoredChain) -> tuple[complex, complex]:
     The squared moduli sum to at most one; the deficit is weight that has
     leaked out of the cat code space.
     """
-    plus, rot = _code_columns(fc.spec.alpha, fc.spec.n_max)
-    nrm = np.sqrt(fc.norm_squared())
-    ov0 = np.prod([np.vdot(plus, u) for u in fc.branch0]) if fc.k else 1.0
-    ov1 = np.prod([np.vdot(rot, v) for v in fc.branch1]) if fc.k else 1.0
+    ov0, ov1, nrm = _code_overlaps(fc)
     return complex(fc.weight0 * ov0 / nrm), complex(fc.weight1 * ov1 / nrm)
 
 

@@ -5,18 +5,20 @@ decay channels (rates gamma1 back to the input transition, gamma2 to the
 lower transition), converting it to the shifted frequency rail with
 probability P(t) = integral |g2(k)|^2 dk.  The continuum is discretized on a
 uniform frequency grid with trapezoid weights and all 2 n_k + 1 amplitudes
-are co-integrated.
+are propagated together.
 
-Two equivalent routes are implemented: the rotating-frame equations with
-explicitly time-dependent phase factors (adaptive integrator), and the
-static-coefficient form obtained by folding the phases into the amplitudes,
-which is a sparse time-independent generator suitable for Krylov
-propagation.  The parameter sweep uses the static route; the two are
-cross-checked in the test-suite.
+The amplitudes are propagated in the static-coefficient form obtained by
+folding the time-dependent phase factors of the rotating-frame equations
+into the amplitudes: a sparse time-independent generator, applied by Krylov
+propagation (``propagate_static``).  This is the only dynamics route in the
+package; the swap series, the sweep and both comparison reports use it.
+The adaptive-integrator routes (rotating frame and static form, both with
+``scipy.integrate``) are kept in ``tests/oracle_swap.py`` as the oracles it
+is cross-checked against.
 
 The printed closed-form emission probability is also evaluated verbatim for
 comparison reports; it contains a growing exponential and is never used as a
-reference, the integrated dynamics are the ground truth.
+reference, the propagated dynamics are the ground truth.
 """
 from __future__ import annotations
 
@@ -28,10 +30,11 @@ import scipy.integrate
 import scipy.sparse
 from scipy.sparse.linalg import expm_multiply
 
-from .errors import GridError, LayoutError, NotGhzClassError, StepSizeError
+from .errors import GridError, LayoutError, NotGhzClassError
 from .hilbert import StateVector, qubits
 
-_NORM_DRIFT_HARD = 1e-4
+_PLATEAU_TOL = 1e-3  # |P(t_end) - P(0.9 t_end)| that counts as converged
+_MAX_EXTENSIONS = 6  # sweep attempts, each 1.5x longer than the last
 
 
 @dataclass(frozen=True)
@@ -76,12 +79,6 @@ class SpectralGrid:
     def span(self) -> float:
         return self.k_max - self.k_min
 
-    @classmethod
-    def for_dot(cls, dot: ThreeLevelDot, mode: "GaussianMode", n_k: int = 1024) -> "SpectralGrid":
-        """Default window: centered on the mode, wide enough for mode and lines."""
-        half = max(6 * mode.d, 20 * (dot.gamma1 + dot.gamma2))
-        return cls(mode.center - half, mode.center + half, n_k)
-
 
 @dataclass(frozen=True)
 class GaussianMode:
@@ -91,47 +88,6 @@ class GaussianMode:
     def __post_init__(self):
         if self.d <= 0:
             raise ValueError("bandwidth must be positive")
-
-
-@dataclass(frozen=True)
-class AmplitudeState:
-    """Joint photon-emitter amplitudes at one time.
-
-    g1[k]: photon at k, emitter on the input transition; g2[k]: photon at k,
-    emitter on the shifted transition; g3: excited emitter, no photon.
-    """
-
-    g1: np.ndarray
-    g2: np.ndarray
-    g3: complex
-    t: float
-
-    def norm_squared(self, grid: SpectralGrid) -> float:
-        w = grid.weights
-        return float(
-            np.sum(w * (np.abs(self.g1) ** 2 + np.abs(self.g2) ** 2)) + abs(self.g3) ** 2
-        )
-
-
-@dataclass(frozen=True)
-class SwapTrajectory:
-    times: np.ndarray
-    g1: np.ndarray  # shape (n_times, n_k)
-    g2: np.ndarray
-    g3: np.ndarray  # shape (n_times,)
-    dot: ThreeLevelDot
-    mode: GaussianMode
-    grid: SpectralGrid
-
-    def state_at(self, i: int) -> AmplitudeState:
-        return AmplitudeState(self.g1[i], self.g2[i], complex(self.g3[i]), float(self.times[i]))
-
-    def norm_squared(self) -> np.ndarray:
-        w = self.grid.weights
-        return (
-            np.sum(w * (np.abs(self.g1) ** 2 + np.abs(self.g2) ** 2), axis=1)
-            + np.abs(self.g3) ** 2
-        )
 
 
 def gaussian_mode(mode: GaussianMode, grid: SpectralGrid) -> np.ndarray:
@@ -146,16 +102,6 @@ def gaussian_mode(mode: GaussianMode, grid: SpectralGrid) -> np.ndarray:
     return f.astype(np.complex128)
 
 
-def _validate_step(dot: ThreeLevelDot, mode: GaussianMode, grid: SpectralGrid, dt: float):
-    """Require >= 20 steps per fastest timescale (decay, bandwidth, grid phases)."""
-    rates = [dot.gamma1 + dot.gamma2, mode.d, grid.span / (2 * math.pi)]
-    fastest = max(r for r in rates if r > 0)
-    if dt > 1.0 / (20 * fastest):
-        raise StepSizeError(
-            f"dt={dt:.3e} too coarse; fastest rate {fastest:.3e} needs dt <= {1/(20*fastest):.3e}"
-        )
-
-
 def _validate_recurrence(grid: SpectralGrid, t_end: float):
     """A uniform grid echoes at 2 pi / dk; stay well inside that horizon."""
     dk = grid.span / (grid.n_k - 1)
@@ -166,67 +112,19 @@ def _validate_recurrence(grid: SpectralGrid, t_end: float):
         )
 
 
+def grid_points_for(t_end: float, half: float) -> int:
+    """Grid size for a window of half-width ``half`` that is run to ``t_end``.
+
+    The smallest multiple of 256 (at least 1024) whose recurrence time
+    2 pi / dk is at least 2.2 t_end, so ``t_end`` stays inside the
+    recurrence guard of ``propagate_static`` with a 10% margin.
+    """
+    return max(1024, 256 * math.ceil(2.2 * t_end * half / math.pi / 256))
+
+
 def detunings(dot: ThreeLevelDot, grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
     k = grid.points
     return dot.w1 - k, dot.w1 - dot.w2 - k
-
-
-def integrate_dynamics(
-    dot: ThreeLevelDot,
-    mode: GaussianMode,
-    grid: SpectralGrid,
-    t_end: float,
-    dt: float,
-    n_samples: int = 201,
-) -> SwapTrajectory:
-    """Integrate the rotating-frame amplitude equations from the bare photon.
-
-    The equations carry explicit phase factors exp(-+ i t delta_k); they are
-    integrated with an adaptive solver whose maximum step is ``dt`` after the
-    step-size and grid-recurrence guards pass.
-    """
-    _validate_step(dot, mode, grid, dt)
-    _validate_recurrence(grid, t_end)
-    f = gaussian_mode(mode, grid)
-    n = grid.n_k
-    w = grid.weights
-    delta, delta_p = detunings(dot, grid)
-    b1 = math.sqrt(dot.gamma1 / (2 * math.pi))
-    b2 = math.sqrt(dot.gamma2 / (2 * math.pi))
-
-    def rhs(t, y):
-        g1 = y[:n]
-        g2 = y[n : 2 * n]
-        g3 = y[2 * n]
-        ph1 = np.exp(-1j * t * delta)
-        ph2 = np.exp(-1j * t * delta_p)
-        d1 = -b1 * g3 * ph1
-        d2 = -b2 * g3 * ph2
-        d3 = np.sum(w * (b1 * g1 * np.conj(ph1) + b2 * g2 * np.conj(ph2)))
-        return np.concatenate([d1, d2, [d3]])
-
-    y0 = np.concatenate([f, np.zeros(n, dtype=np.complex128), [0.0 + 0.0j]])
-    t_eval = np.linspace(0.0, t_end, n_samples)
-    sol = scipy.integrate.solve_ivp(
-        rhs, (0.0, t_end), y0, t_eval=t_eval, max_step=dt, rtol=1e-10, atol=1e-12
-    )
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
-    g1 = sol.y[:n].T
-    g2 = sol.y[n : 2 * n].T
-    g3 = sol.y[2 * n]
-    traj = SwapTrajectory(sol.t, g1, g2, g3, dot, mode, grid)
-    drift = float(np.max(np.abs(traj.norm_squared() - 1.0)))
-    if drift > _NORM_DRIFT_HARD:
-        raise GridError(f"norm drift {drift:.2e} indicates grid aliasing")
-    return traj
-
-
-def swap_probability(traj: SwapTrajectory) -> np.ndarray:
-    """P(t): weight on the shifted-frequency rail at every stored sample."""
-    w = traj.grid.weights
-    p = np.sum(w * np.abs(traj.g2) ** 2, axis=1)
-    return np.clip(p.real, 0.0, 1.0)
 
 
 # ----------------------------------------------------------- static route
@@ -256,7 +154,12 @@ def static_generator(dot: ThreeLevelDot, grid: SpectralGrid) -> scipy.sparse.csr
 def propagate_static(
     dot: ThreeLevelDot, mode: GaussianMode, grid: SpectralGrid, times: np.ndarray
 ) -> np.ndarray:
-    """Phase-folded amplitudes at the requested times (Krylov propagation)."""
+    """Phase-folded amplitudes at the requested times (Krylov propagation).
+
+    Raises ``GridError`` when the last time lies beyond half the grid's
+    recurrence time.
+    """
+    _validate_recurrence(grid, max(times, default=0.0))
     f = gaussian_mode(mode, grid)
     n = grid.n_k
     y0 = np.concatenate([f, np.zeros(n, dtype=np.complex128), [0.0 + 0.0j]])
@@ -274,38 +177,14 @@ def propagate_static(
     return out
 
 
-def integrate_lab_frame(
-    dot: ThreeLevelDot,
-    mode: GaussianMode,
-    grid: SpectralGrid,
-    t_end: float,
-    dt: float,
-    n_samples: int = 201,
-) -> SwapTrajectory:
-    """Integrate the static-coefficient form with the same adaptive solver.
+def conversion_probability(grid: SpectralGrid, amps: np.ndarray) -> np.ndarray:
+    """P = sum_k w_k |g2(k)|^2, the shifted-rail weight, per row of ``amps``.
 
-    Amplitude moduli coincide with the rotating frame, so this provides the
-    frame-invariance check for P(t).
+    Phase folding keeps moduli, so rows from ``propagate_static`` give the
+    rotating-frame probability.
     """
-    _validate_step(dot, mode, grid, dt)
-    _validate_recurrence(grid, t_end)
-    f = gaussian_mode(mode, grid)
     n = grid.n_k
-    m = static_generator(dot, grid)
-    y0 = np.concatenate([f, np.zeros(n, dtype=np.complex128), [0.0 + 0.0j]])
-    t_eval = np.linspace(0.0, t_end, n_samples)
-    sol = scipy.integrate.solve_ivp(
-        lambda t, y: m @ y, (0.0, t_end), y0, t_eval=t_eval, max_step=dt, rtol=1e-10, atol=1e-12
-    )
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
-    traj = SwapTrajectory(
-        sol.t, sol.y[:n].T, sol.y[n : 2 * n].T, sol.y[2 * n], dot, mode, grid
-    )
-    drift = float(np.max(np.abs(traj.norm_squared() - 1.0)))
-    if drift > _NORM_DRIFT_HARD:
-        raise GridError(f"norm drift {drift:.2e} indicates grid aliasing")
-    return traj
+    return np.sum(grid.weights * np.abs(amps[:, n : 2 * n]) ** 2, axis=1)
 
 
 # ------------------------------------------------------- printed closed form
@@ -337,11 +216,13 @@ def closed_form_emission(
 
 
 def closed_form_report(
-    dot: ThreeLevelDot, mode: GaussianMode, grid: SpectralGrid, t: float, dt: float
+    dot: ThreeLevelDot, mode: GaussianMode, grid: SpectralGrid, t: float, p_ode: float
 ) -> dict:
-    """ODE vs printed-formula comparison as plain data (never a pass/fail)."""
-    traj = integrate_dynamics(dot, mode, grid, t, dt)
-    p_ode = float(swap_probability(traj)[-1])
+    """Dynamics vs printed-formula comparison as plain data (never a pass/fail).
+
+    ``p_ode`` is the conversion probability at ``t`` that the caller has
+    already propagated on ``grid``.
+    """
     _, p_closed = closed_form_emission(dot, mode, grid, t)
     return {
         "params": {
@@ -358,18 +239,7 @@ def closed_form_report(
 
 # ------------------------------------------------------------------- sweep
 
-def _round_up(x: float, quantum: int = 256) -> int:
-    return quantum * math.ceil(x / quantum)
-
-
-def sweep_point(
-    d: float,
-    gamma: float,
-    n_k: int | None = None,
-    t_end: float | None = None,
-    plateau_tol: float = 1e-3,
-    max_extensions: int = 6,
-) -> dict:
+def sweep_point(d: float, gamma: float) -> dict:
     """Long-time conversion probability for one (bandwidth, rate) pair.
 
     Dimensionless convention: gamma1 = gamma2 = gamma, frequencies in the
@@ -377,8 +247,9 @@ def sweep_point(
     linewidths (or six bandwidths, whichever is wider); the plateau and
     grid-convergence checks all operate at fixed window.  The run is
     extended (x1.5, regridding as needed) until P plateaus:
-    |P(t_end) - P(0.9 t_end)| <= plateau_tol.  Rows that never plateau are
-    flagged, not dropped.
+    |P(t_end) - P(0.9 t_end)| <= ``_PLATEAU_TOL``, for at most
+    ``_MAX_EXTENSIONS`` attempts.  Rows that never plateau are flagged, not
+    dropped.
     """
     if d <= 0 or gamma <= 0:
         raise ValueError("sweep parameters must be positive")
@@ -387,23 +258,16 @@ def sweep_point(
     center = 10 * half  # keep w1 > w2 = 0 with the window far from zero
     dot = ThreeLevelDot(w1=center, w2=0.0, gamma1=gamma, gamma2=gamma)
     mode = GaussianMode(d=d, center=center)
-    t_cur = t_end if t_end is not None else 6.0 / d + 8.0 / g_tot
-    fixed_nk = n_k
+    t_cur = 6.0 / d + 8.0 / g_tot
     converged = False
     p_end = math.nan
     used_nk = 0
-    for _ in range(max_extensions):
-        used_nk = fixed_nk if fixed_nk is not None else max(
-            1024, _round_up(2.2 * t_cur * half / math.pi)
-        )
+    for _ in range(_MAX_EXTENSIONS):
+        used_nk = grid_points_for(t_cur, half)
         grid = SpectralGrid(center - half, center + half, used_nk)
-        _validate_recurrence(grid, t_cur)
         amps = propagate_static(dot, mode, grid, np.array([0.9 * t_cur, t_cur]))
-        w = grid.weights
-        p_late, p_end = (
-            float(np.sum(w * np.abs(a[grid.n_k : 2 * grid.n_k]) ** 2)) for a in amps
-        )
-        if abs(p_end - p_late) <= plateau_tol:
+        p_late, p_end = (float(p) for p in conversion_probability(grid, amps))
+        if abs(p_end - p_late) <= _PLATEAU_TOL:
             converged = True
             break
         t_cur *= 1.5
@@ -417,26 +281,18 @@ def sweep_point(
     }
 
 
-def sweep_surface(
-    d_values: np.ndarray,
-    gamma_values: np.ndarray,
-    n_k: int | None = None,
-    t_end: float | None = None,
-    map_fn=map,
-) -> list[dict]:
+def sweep_surface(d_values: np.ndarray, gamma_values: np.ndarray, map_fn=map) -> list[dict]:
     """Conversion-probability surface over a (d, gamma) box.
 
     ``map_fn`` lets callers supply a parallel mapper; results keep row order
     (d outer, gamma inner) regardless of execution order.
     """
     points = [(float(d), float(g)) for d in d_values for g in gamma_values]
-    rows = list(map_fn(_sweep_point_star, [(d, g, n_k, t_end) for d, g in points]))
-    return rows
+    return list(map_fn(_sweep_point_star, points))
 
 
 def _sweep_point_star(args) -> dict:
-    d, g, n_k, t_end = args
-    return sweep_point(d, g, n_k=n_k, t_end=t_end)
+    return sweep_point(*args)
 
 
 # ---------------------------------------------------------- register swap

@@ -29,6 +29,8 @@ from .photon_swap import (
     SpectralGrid,
     ThreeLevelDot,
     closed_form_report,
+    conversion_probability,
+    grid_points_for,
     propagate_static,
     register_swap,
     sweep_surface,
@@ -258,8 +260,7 @@ def _swap_setup(cfg: PipelineConfig):
     g_tot = sw.gamma1 + sw.gamma2
     half = max(6 * sw.d, 20 * g_tot, sw.w2 + 6 * sw.d)
     t_end = 6.0 / sw.d + (8.0 / g_tot if g_tot > 0 else 0.0)
-    n_k = max(1024, 256 * math.ceil(2.2 * t_end * half / math.pi / 256))
-    grid = SpectralGrid(sw.w1 - half, sw.w1 + half, n_k)
+    grid = SpectralGrid(sw.w1 - half, sw.w1 + half, grid_points_for(t_end, half))
     return dot, mode, grid, t_end
 
 
@@ -267,19 +268,15 @@ def _longtime_success(cfg: PipelineConfig) -> float:
     """Simulated per-dot conversion success: long-time rail-2 weight."""
     dot, mode, grid, t_end = _swap_setup(cfg)
     amps = propagate_static(dot, mode, grid, np.array([t_end]))
-    n = grid.n_k
-    return float(np.sum(grid.weights * np.abs(amps[0, n : 2 * n]) ** 2))
+    return float(conversion_probability(grid, amps)[0])
 
 
 def run_swap(cfg: PipelineConfig) -> StageResult:
     dot, mode, grid, t_end = _swap_setup(cfg)
     times = np.linspace(0.0, t_end, 101)
-    amps = propagate_static(dot, mode, grid, times)
-    n = grid.n_k
-    p = np.sum(grid.weights * np.abs(amps[:, n : 2 * n]) ** 2, axis=1)
+    p = conversion_probability(grid, propagate_static(dot, mode, grid, times))
     rows = [{"t": float(t), "p": float(pv)} for t, pv in zip(times, p)]
-    dt = 0.9 / (20 * max(dot.gamma1 + dot.gamma2, mode.d, grid.span / (2 * math.pi)))
-    discrepancy = closed_form_report(dot, mode, grid, t_end, dt)
+    discrepancy = closed_form_report(dot, mode, grid, t_end, float(p[-1]))
     report = RunReport(
         stage="swap",
         heralds={"p_longtime": float(p[-1])},
@@ -294,12 +291,13 @@ def run_swap(cfg: PipelineConfig) -> StageResult:
 # ------------------------------------------------------------ sweep stage
 
 def _dimensionless_reference() -> tuple:
+    """Fixed point (d = gamma = 1, t = 6) of the sweep's closed-form comparison."""
     half = 24.0
     center = 10 * half
     dot = ThreeLevelDot(w1=center, w2=0.0, gamma1=1.0, gamma2=1.0)
     mode = GaussianMode(d=1.0, center=center)
     grid = SpectralGrid(center - half, center + half, 1025)
-    return dot, mode, grid
+    return dot, mode, grid, 6.0
 
 
 def run_sweep(cfg: PipelineConfig) -> StageResult:
@@ -311,9 +309,9 @@ def run_sweep(cfg: PipelineConfig) -> StageResult:
     )
     all_converged = all(r["converged"] for r in rows)
     surface_max = max(r["p_longtime"] for r in rows)
-    dot, mode, grid = _dimensionless_reference()
-    dt = 0.9 / (20 * grid.span / (2 * math.pi))
-    discrepancy = closed_form_report(dot, mode, grid, 6.0, dt)
+    dot, mode, grid, t = _dimensionless_reference()
+    p_ref = conversion_probability(grid, propagate_static(dot, mode, grid, np.array([t])))
+    discrepancy = closed_form_report(dot, mode, grid, t, float(p_ref[0]))
     report = RunReport(
         stage="sweep",
         heralds={"surface_max": surface_max},

@@ -1,0 +1,179 @@
+"""Adaptive-integrator conversion routes: the test oracles for the Krylov route.
+
+The package computes the conversion probability only by Krylov propagation
+of the static-coefficient generator (``entpipe.photon_swap``).  This module
+keeps two independent integrations of the same amplitude equations with
+``scipy.integrate.solve_ivp``: the rotating frame with explicit phase
+factors, and the static-coefficient (lab) frame.  Acceptance 07, the
+frame-invariance tests and the reference-point check of the sweep report
+compare against them.  Only tests import it.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+import scipy.integrate
+
+from entpipe.errors import GridError, StepSizeError
+from entpipe.photon_swap import (
+    GaussianMode,
+    SpectralGrid,
+    ThreeLevelDot,
+    _validate_recurrence,
+    detunings,
+    gaussian_mode,
+    static_generator,
+)
+
+_NORM_DRIFT_HARD = 1e-4
+
+
+def grid_for_dot(dot: ThreeLevelDot, mode: GaussianMode, n_k: int = 1024) -> SpectralGrid:
+    """Default window: centered on the mode, wide enough for mode and lines."""
+    half = max(6 * mode.d, 20 * (dot.gamma1 + dot.gamma2))
+    return SpectralGrid(mode.center - half, mode.center + half, n_k)
+
+
+@dataclass(frozen=True)
+class AmplitudeState:
+    """Joint photon-emitter amplitudes at one time.
+
+    g1[k]: photon at k, emitter on the input transition; g2[k]: photon at k,
+    emitter on the shifted transition; g3: excited emitter, no photon.
+    """
+
+    g1: np.ndarray
+    g2: np.ndarray
+    g3: complex
+    t: float
+
+    def norm_squared(self, grid: SpectralGrid) -> float:
+        w = grid.weights
+        return float(
+            np.sum(w * (np.abs(self.g1) ** 2 + np.abs(self.g2) ** 2)) + abs(self.g3) ** 2
+        )
+
+
+@dataclass(frozen=True)
+class SwapTrajectory:
+    times: np.ndarray
+    g1: np.ndarray  # shape (n_times, n_k)
+    g2: np.ndarray
+    g3: np.ndarray  # shape (n_times,)
+    dot: ThreeLevelDot
+    mode: GaussianMode
+    grid: SpectralGrid
+
+    def state_at(self, i: int) -> AmplitudeState:
+        return AmplitudeState(self.g1[i], self.g2[i], complex(self.g3[i]), float(self.times[i]))
+
+    def norm_squared(self) -> np.ndarray:
+        w = self.grid.weights
+        return (
+            np.sum(w * (np.abs(self.g1) ** 2 + np.abs(self.g2) ** 2), axis=1)
+            + np.abs(self.g3) ** 2
+        )
+
+
+def _validate_step(dot: ThreeLevelDot, mode: GaussianMode, grid: SpectralGrid, dt: float):
+    """Require >= 20 steps per fastest timescale (decay, bandwidth, grid phases)."""
+    rates = [dot.gamma1 + dot.gamma2, mode.d, grid.span / (2 * math.pi)]
+    fastest = max(r for r in rates if r > 0)
+    if dt > 1.0 / (20 * fastest):
+        raise StepSizeError(
+            f"dt={dt:.3e} too coarse; fastest rate {fastest:.3e} needs dt <= {1/(20*fastest):.3e}"
+        )
+
+
+def integrate_dynamics(
+    dot: ThreeLevelDot,
+    mode: GaussianMode,
+    grid: SpectralGrid,
+    t_end: float,
+    dt: float,
+    n_samples: int = 201,
+) -> SwapTrajectory:
+    """Integrate the rotating-frame amplitude equations from the bare photon.
+
+    The equations carry explicit phase factors exp(-+ i t delta_k); they are
+    integrated with an adaptive solver whose maximum step is ``dt`` after the
+    step-size and grid-recurrence guards pass.
+    """
+    _validate_step(dot, mode, grid, dt)
+    _validate_recurrence(grid, t_end)
+    f = gaussian_mode(mode, grid)
+    n = grid.n_k
+    w = grid.weights
+    delta, delta_p = detunings(dot, grid)
+    b1 = math.sqrt(dot.gamma1 / (2 * math.pi))
+    b2 = math.sqrt(dot.gamma2 / (2 * math.pi))
+
+    def rhs(t, y):
+        g1 = y[:n]
+        g2 = y[n : 2 * n]
+        g3 = y[2 * n]
+        ph1 = np.exp(-1j * t * delta)
+        ph2 = np.exp(-1j * t * delta_p)
+        d1 = -b1 * g3 * ph1
+        d2 = -b2 * g3 * ph2
+        d3 = np.sum(w * (b1 * g1 * np.conj(ph1) + b2 * g2 * np.conj(ph2)))
+        return np.concatenate([d1, d2, [d3]])
+
+    y0 = np.concatenate([f, np.zeros(n, dtype=np.complex128), [0.0 + 0.0j]])
+    t_eval = np.linspace(0.0, t_end, n_samples)
+    sol = scipy.integrate.solve_ivp(
+        rhs, (0.0, t_end), y0, t_eval=t_eval, max_step=dt, rtol=1e-10, atol=1e-12
+    )
+    if not sol.success:
+        raise RuntimeError(f"integration failed: {sol.message}")
+    g1 = sol.y[:n].T
+    g2 = sol.y[n : 2 * n].T
+    g3 = sol.y[2 * n]
+    traj = SwapTrajectory(sol.t, g1, g2, g3, dot, mode, grid)
+    drift = float(np.max(np.abs(traj.norm_squared() - 1.0)))
+    if drift > _NORM_DRIFT_HARD:
+        raise GridError(f"norm drift {drift:.2e} indicates grid aliasing")
+    return traj
+
+
+def swap_probability(traj: SwapTrajectory) -> np.ndarray:
+    """P(t): weight on the shifted-frequency rail at every stored sample."""
+    w = traj.grid.weights
+    p = np.sum(w * np.abs(traj.g2) ** 2, axis=1)
+    return np.clip(p.real, 0.0, 1.0)
+
+
+def integrate_lab_frame(
+    dot: ThreeLevelDot,
+    mode: GaussianMode,
+    grid: SpectralGrid,
+    t_end: float,
+    dt: float,
+    n_samples: int = 201,
+) -> SwapTrajectory:
+    """Integrate the static-coefficient form with the same adaptive solver.
+
+    Amplitude moduli coincide with the rotating frame, so this provides the
+    frame-invariance check for P(t).
+    """
+    _validate_step(dot, mode, grid, dt)
+    _validate_recurrence(grid, t_end)
+    f = gaussian_mode(mode, grid)
+    n = grid.n_k
+    m = static_generator(dot, grid)
+    y0 = np.concatenate([f, np.zeros(n, dtype=np.complex128), [0.0 + 0.0j]])
+    t_eval = np.linspace(0.0, t_end, n_samples)
+    sol = scipy.integrate.solve_ivp(
+        lambda t, y: m @ y, (0.0, t_end), y0, t_eval=t_eval, max_step=dt, rtol=1e-10, atol=1e-12
+    )
+    if not sol.success:
+        raise RuntimeError(f"integration failed: {sol.message}")
+    traj = SwapTrajectory(
+        sol.t, sol.y[:n].T, sol.y[n : 2 * n].T, sol.y[2 * n], dot, mode, grid
+    )
+    drift = float(np.max(np.abs(traj.norm_squared() - 1.0)))
+    if drift > _NORM_DRIFT_HARD:
+        raise GridError(f"norm drift {drift:.2e} indicates grid aliasing")
+    return traj

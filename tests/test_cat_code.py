@@ -3,7 +3,8 @@
 Overlap values are frozen from closed-form coherent-state algebra and
 cross-checked against direct Fock sums; trajectory statistics are checked
 against Poisson loss expectations; the factored chain engine is validated
-against the dense state-vector route operation by operation.
+against the dense state-vector route (the ``oracle_storage`` test module)
+operation by operation.
 """
 import numpy as np
 import pytest
@@ -13,42 +14,19 @@ from hypothesis import strategies as st
 from entpipe import cat_code
 from entpipe.cat_code import (
     CavitySpec,
-    DispersiveCoupling,
     FactoredChain,
     TrajectoryRecord,
-    annihilation,
-    apply_loss,
-    cat,
     cat_column,
-    cat_normalization,
-    cat_overlap,
-    chain_state,
-    chain_weights,
-    coherent,
     coherent_column,
-    coherent_overlap,
-    decode,
-    dispersive_rotation,
-    encode,
-    encode_unitary,
-    extend_chain,
     factored_chain,
     fc_apply_loss,
     fc_drift,
     fc_parity_probability,
     fc_project_parity,
     fc_repump,
-    logical_fidelity,
-    loss_trajectory,
-    mean_photon,
-    no_jump_drift,
-    parity_measure,
-    parity_operator,
     recovery_matrix,
-    repump_correct,
     required_levels,
     run_protected,
-    vacuum,
 )
 from entpipe.errors import (
     ChainFormError,
@@ -59,6 +37,31 @@ from entpipe.errors import (
     TruncationError,
 )
 from entpipe.hilbert import StateVector, SubsystemLayout, fidelity, tensor_states
+from oracle_storage import (
+    DispersiveCoupling,
+    annihilation,
+    apply_loss,
+    cat,
+    cat_normalization,
+    cat_overlap,
+    chain_state,
+    chain_weights,
+    coherent,
+    coherent_overlap,
+    decode,
+    dispersive_rotation,
+    encode,
+    encode_unitary,
+    extend_chain,
+    logical_fidelity,
+    loss_trajectory,
+    mean_photon,
+    no_jump_drift,
+    parity_measure,
+    parity_operator,
+    repump_correct,
+    vacuum,
+)
 
 ALPHA = 2.0
 NMAX = 31
@@ -473,6 +476,20 @@ def test_protection_gain_single_grid_point():
     d = np.asarray(diffs)
     se = d.std(ddof=1) / np.sqrt(d.size)
     assert d.mean() > 0 and d.mean() / se > 3
+
+
+def test_factored_chain_and_record_compare_by_identity():
+    # field-wise == over array fields has no truth value; identity does
+    a, b = factored_chain(SPEC, 2), factored_chain(SPEC, 2)
+    assert a == a and a != b
+    assert hash(a) == hash(a) != hash(b)
+    rec = run_protected(SPEC, 2, 0.1, 0.05, 3).record
+    same = TrajectoryRecord(
+        rec.jump_times, rec.parity_outcomes, rec.measurement_times, rec.seed, rec.final_state
+    )
+    assert rec == same and hash(rec) == hash(same)
+    other = run_protected(SPEC, 2, 0.1, 0.05, 3).record
+    assert rec != other
 
 
 def test_protected_scales_to_seven_cavities():

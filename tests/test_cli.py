@@ -126,9 +126,12 @@ def test_seed_flag_changes_trajectories(tmp_path):
 
 
 # ----------------------------------------------------------- golden pins
-# Pinned from the storage route as it stood before its incremental rewrite
-# (memoised repump isometry, stored per-cavity norms).  Rerun tests compare
-# one commit with itself; these catch drift across commits.
+# Rerun tests compare one commit with itself; these catch drift across
+# commits.  The protect and pipeline pins were taken from the storage route
+# as it stood before its incremental rewrite (memoised repump isometry,
+# stored per-cavity norms); the swap and sweep pins from the conversion
+# route as it stood before its comparison report stopped integrating a
+# second time.
 
 def test_protect_trajectories_golden_digest(tmp_path):
     cfg = write_cfg(tmp_path, register={"n_dots": 8}, storage={"kappa": 25000.0, "trajectories": 24})
@@ -163,6 +166,25 @@ def test_pipeline_report_golden_values(tmp_path):
     }
 
 
+def test_swap_series_golden_digest(tmp_path):
+    out = tmp_path / "out"
+    assert main(["swap", "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "swap_series.csv").read_bytes()).hexdigest()
+    assert digest == "2156c716bd613c5ce2b076360bafe1da106d5798fb61dbdecba55957037c6c7d"
+
+
+def test_sweep_surface_golden_digest(tmp_path):
+    cfg = write_cfg(
+        tmp_path,
+        sweep={"d_min": 1.0, "d_max": 3.0, "gamma_min": 1.0, "gamma_max": 3.0,
+               "points_per_axis": 2},
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "sweep_surface.csv").read_bytes()).hexdigest()
+    assert digest == "67ed4e77f23ff785ed897ba43efd880c69ab0c58775861bec7ee391321018d13"
+
+
 # ------------------------------------------------------------------ swap
 
 def test_swap_series_and_discrepancy_report(tmp_path):
@@ -172,6 +194,8 @@ def test_swap_series_and_discrepancy_report(tmp_path):
     assert rep["heralds"]["p_longtime"] == pytest.approx(0.309, abs=5e-3)
     assert set(rep["discrepancy"]) == {"params", "p_ode", "p_closed", "abs_diff"}
     assert rep["discrepancy"]["abs_diff"] > 0
+    # the comparison reuses the series' own long-time value, bit for bit
+    assert rep["discrepancy"]["p_ode"] == rep["heralds"]["p_longtime"]
     rows = read_csv(out / "swap_series.csv")
     assert len(rows) == 101
     assert float(rows[0]["p"]) == 0.0

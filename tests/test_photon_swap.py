@@ -1,38 +1,46 @@
 """Photon-conversion dynamics tests.
 
-The discretized amplitude equations are checked against an independently
-written fixed-step Runge-Kutta integrator at four times the resolution,
-against the phase-folded static-coefficient route, and against exact
+The discretized amplitude equations, integrated by the adaptive-solver
+oracles of ``oracle_swap``, are checked against an independently written
+fixed-step Runge-Kutta integrator at four times the resolution; the
+production Krylov route is checked against those oracles and against exact
 invariances (norm conservation, dimensionless rescaling, rail-splitting
 independence).  The printed closed-form probability is exercised only as a
 recorded comparison, never as a reference.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entpipe.config import default_config
 from entpipe.errors import GridError, LayoutError, NotGhzClassError, StepSizeError
 from entpipe.hilbert import StateVector, qubits, schmidt_spectrum
 from entpipe.photon_swap import (
-    AmplitudeState,
     GaussianMode,
     SpectralGrid,
     ThreeLevelDot,
     closed_form_emission,
     closed_form_report,
+    conversion_probability,
     gaussian_mode,
-    integrate_dynamics,
-    integrate_lab_frame,
     propagate_static,
     register_swap,
-    swap_probability,
     sweep_point,
     sweep_surface,
 )
+from entpipe.runner import _dimensionless_reference, run_sweep
 from entpipe.spin_register import canonical_ghz
+from oracle_swap import (
+    AmplitudeState,
+    grid_for_dot,
+    integrate_dynamics,
+    integrate_lab_frame,
+    swap_probability,
+)
 
 CENTER = 50.0
 T_END = 20.0
@@ -93,7 +101,7 @@ def test_mode_validation():
 
 
 def test_default_grid_window(small_dot, small_mode):
-    grid = SpectralGrid.for_dot(small_dot, small_mode)
+    grid = grid_for_dot(small_dot, small_mode)
     assert grid.n_k == 1024
     # two units of decay rate dominate six units of bandwidth
     assert grid.k_min == pytest.approx(CENTER - 40.0)
@@ -134,6 +142,8 @@ def test_coarse_step_rejected(small_dot, small_mode, small_grid):
 def test_recurrence_guard(small_dot, small_mode, small_grid):
     with pytest.raises(GridError):
         integrate_dynamics(small_dot, small_mode, small_grid, 100.0, DT)
+    with pytest.raises(GridError):
+        propagate_static(small_dot, small_mode, small_grid, np.array([T_END, 100.0]))
 
 
 # ------------------------------------------------------------ integration
@@ -288,12 +298,27 @@ def test_closed_form_zero_without_both_channels(small_mode, small_grid):
 
 
 def test_closed_form_report(small_dot, small_mode, small_grid):
-    rep = closed_form_report(small_dot, small_mode, small_grid, 6.0, DT)
+    amps = propagate_static(small_dot, small_mode, small_grid, np.array([6.0]))
+    p_ode = float(conversion_probability(small_grid, amps)[0])
+    rep = closed_form_report(small_dot, small_mode, small_grid, 6.0, p_ode)
     assert set(rep) == {"params", "p_ode", "p_closed", "abs_diff"}
-    assert 0.0 <= rep["p_ode"] <= 1.0
+    assert rep["p_ode"] == p_ode and 0.0 <= p_ode <= 1.0
     assert rep["abs_diff"] == pytest.approx(abs(rep["p_ode"] - rep["p_closed"]))
     # the printed formula's growing exponential has left physical range
     assert rep["p_closed"] > 1.0
+
+
+def test_sweep_report_reference_matches_integrator_oracle():
+    """The sweep report's Krylov probability at its fixed reference point
+    agrees with the adaptive integrator that the report used to run."""
+    cfg = default_config()
+    box = {"d_min": 1.0, "d_max": 3.0, "gamma_min": 1.0, "gamma_max": 3.0, "points_per_axis": 2}
+    cfg = replace(cfg, sweep=replace(cfg.sweep, **box))
+    p_ode = run_sweep(cfg).report.discrepancy["p_ode"]
+    dot, mode, grid, t = _dimensionless_reference()
+    dt = 0.9 / (20 * grid.span / (2 * math.pi))
+    p_oracle = float(swap_probability(integrate_dynamics(dot, mode, grid, t, dt))[-1])
+    assert abs(p_ode - p_oracle) <= 1e-9
 
 
 # ------------------------------------------------------------------- sweep
@@ -316,7 +341,7 @@ def test_sweep_point_matches_dynamic_route(small_dot, small_mode):
     """The Krylov sweep value agrees with the adaptive integrator to within
     the window-truncation scale."""
     row = sweep_point(1.0, 1.0)
-    grid = SpectralGrid.for_dot(small_dot, small_mode)
+    grid = grid_for_dot(small_dot, small_mode)
     dt = 0.9 / (20 * grid.span / (2 * math.pi))
     traj = integrate_dynamics(small_dot, small_mode, grid, row["t_end"], dt, n_samples=5)
     assert abs(swap_probability(traj)[-1] - row["p_longtime"]) < 5e-3
