@@ -4,8 +4,8 @@ A photon in a Gaussian wavepacket scatters off a ladder emitter with two
 decay channels (rates gamma1 back to the input transition, gamma2 to the
 lower transition), converting it to the shifted frequency rail with
 probability P(t) = integral |g2(k)|^2 dk.  The continuum is discretized on a
-uniform frequency grid with trapezoid weights and all 2 n_k + 1 amplitudes
-are propagated together.
+uniform frequency grid with trapezoid weights; the state is 2 n_k + 1
+amplitudes, one per grid point and rail plus the excited emitter.
 
 The amplitudes are propagated in the static-coefficient form obtained by
 folding the time-dependent phase factors of the rotating-frame equations
@@ -13,8 +13,18 @@ into the amplitudes: a sparse time-independent generator, applied by Krylov
 propagation (``propagate_static``).  This is the only dynamics route in the
 package; the swap series, the sweep and both comparison reports use it.
 The adaptive-integrator routes (rotating frame and static form, both with
-``scipy.integrate``) are kept in ``tests/oracle_swap.py`` as the oracles it
-is cross-checked against.
+``scipy.integrate``) and the two-rail generator they integrate are kept in
+``tests/oracle_swap.py`` as the oracles it is cross-checked against.
+
+When the lower splitting w2 is zero the two rails see the same detunings,
+and the rails merge.  The emitter then couples only to the bright
+combination c1 g1 + c2 g2, with c = (b1, b2) / b and b = hypot(b1, b2); the
+orthogonal dark combination starts at -c2 f and only picks up the free
+phase e^{i delta t}.  This is exact (the even/odd decomposition of Shen &
+Fan, PRL 95, 213001 (2005)), so the Krylov solver propagates the n_k + 1
+bright amplitudes and the rails are rebuilt from them in closed form.  Every
+production conversion run (the sweep, and the swap stage at its default
+w2 = 0) takes this route; w2 > 0 propagates both rails.
 
 The printed closed-form emission probability is also evaluated verbatim for
 comparison reports; it contains a growing exponential and is never used as a
@@ -129,32 +139,77 @@ def detunings(dot: ThreeLevelDot, grid: SpectralGrid) -> tuple[np.ndarray, np.nd
 
 # ----------------------------------------------------------- static route
 
+def _rails_merge(dot: ThreeLevelDot) -> bool:
+    """Both rails see the same detunings, so only their bright sum couples."""
+    return dot.w2 == 0
+
+
+def _rail_couplings(dot: ThreeLevelDot) -> tuple[float, float]:
+    """Channel couplings b_j = sqrt(gamma_j / 2 pi)."""
+    return math.sqrt(dot.gamma1 / (2 * math.pi)), math.sqrt(dot.gamma2 / (2 * math.pi))
+
+
+def _arrowhead(diag: np.ndarray, col: np.ndarray, row: np.ndarray) -> scipy.sparse.csr_matrix:
+    """CSR of [[diag(diag), col], [row, 0]], built from its index arrays.
+
+    Each photon row holds its diagonal and its emitter entry; the emitter row
+    holds every photon column.  Zero entries (a grid point on resonance, a
+    closed channel) and the emitter's diagonal are not stored.
+    """
+    n = len(diag)
+    photons = np.arange(n, dtype=np.int32)
+    indices = np.empty(3 * n, dtype=np.int32)
+    indices[0 : 2 * n : 2] = photons
+    indices[1 : 2 * n : 2] = n
+    indices[2 * n :] = photons
+    data = np.empty(3 * n, dtype=np.complex128)
+    data[0 : 2 * n : 2] = diag
+    data[1 : 2 * n : 2] = col
+    data[2 * n :] = row
+    indptr = np.append(np.arange(0, 2 * n + 1, 2, dtype=np.int32), np.int32(3 * n))
+    m = scipy.sparse.csr_matrix((data, indices, indptr), shape=(n + 1, n + 1))
+    m.eliminate_zeros()
+    return m
+
+
 def static_generator(dot: ThreeLevelDot, grid: SpectralGrid) -> scipy.sparse.csr_matrix:
     """Time-independent generator for phase-folded amplitudes u = g e^{i t delta}.
 
     du1/dt = i delta u1 - b1 u3; du2/dt = i delta' u2 - b2 u3;
     du3/dt = sum_k w_k (b1 u1 + b2 u2).  Moduli match the rotating frame
     pointwise, so probabilities agree between the two routes.
+
+    With w2 = 0 (delta' = delta) the rails merge: for the bright amplitude
+    B = c1 u1 + c2 u2, c = (b1, b2) / b, the equations close as
+    dB/dt = i delta B - b u3 and du3/dt = sum_k w_k b B, with
+    b = hypot(b1, b2), while the dark amplitude c1 u2 - c2 u1 evolves
+    freely.  The generator is then (n_k + 1)-dimensional over (B, u3).
+    Otherwise it is (2 n_k + 1)-dimensional over (u1, u2, u3).
     """
     n = grid.n_k
     w = grid.weights
     delta, delta_p = detunings(dot, grid)
-    b1 = math.sqrt(dot.gamma1 / (2 * math.pi))
-    b2 = math.sqrt(dot.gamma2 / (2 * math.pi))
-    diag = np.concatenate([1j * delta, 1j * delta_p, [0.0]])
-    m = scipy.sparse.lil_matrix((2 * n + 1, 2 * n + 1), dtype=np.complex128)
-    m.setdiag(diag)
-    m[: n, 2 * n] = -b1
-    m[n : 2 * n, 2 * n] = -b2
-    m[2 * n, :n] = b1 * w
-    m[2 * n, n : 2 * n] = b2 * w
-    return m.tocsr()
+    b1, b2 = _rail_couplings(dot)
+    if _rails_merge(dot):
+        b = math.hypot(b1, b2)
+        return _arrowhead(1j * delta, np.full(n, -b), b * w)
+    return _arrowhead(
+        np.concatenate([1j * delta, 1j * delta_p]),
+        np.concatenate([np.full(n, -b1), np.full(n, -b2)]),
+        np.concatenate([b1 * w, b2 * w]),
+    )
 
 
 def propagate_static(
     dot: ThreeLevelDot, mode: GaussianMode, grid: SpectralGrid, times: np.ndarray
 ) -> np.ndarray:
-    """Phase-folded amplitudes at the requested times (Krylov propagation).
+    """Phase-folded amplitudes (u1, u2, u3) at the requested times (Krylov).
+
+    Rows have the two-rail layout of 2 n_k + 1 amplitudes whichever
+    generator was propagated.  On merged rails the bright amplitude B is
+    propagated from c1 f, and with the free part F = f e^{i delta t} and
+    R = B - c1 F the rails are u1 = F + c1 R and u2 = c2 R: both rails are
+    exactly (f, 0) at t = 0, where R vanishes.
 
     Raises ``GridError`` when the last time lies beyond half the grid's
     recurrence time.
@@ -162,18 +217,31 @@ def propagate_static(
     _validate_recurrence(grid, max(times, default=0.0))
     f = gaussian_mode(mode, grid)
     n = grid.n_k
-    y0 = np.concatenate([f, np.zeros(n, dtype=np.complex128), [0.0 + 0.0j]])
+    merged = _rails_merge(dot)
+    b1, b2 = _rail_couplings(dot)
+    b = math.hypot(b1, b2)
+    c1, c2 = (b1 / b, b2 / b) if b > 0 else (1.0, 0.0)
     m = static_generator(dot, grid)
-    out = np.empty((len(times), 2 * n + 1), dtype=np.complex128)
+    y = np.zeros(m.shape[0], dtype=np.complex128)
+    y[:n] = c1 * f if merged else f
+    states = np.empty((len(times), m.shape[0]), dtype=np.complex128)
     prev_t = 0.0
-    y = y0
     for i, t in enumerate(times):
         if t < prev_t:
             raise ValueError("times must be nondecreasing")
         if t > prev_t:
             y = expm_multiply(m * (t - prev_t), y)
             prev_t = t
-        out[i] = y
+        states[i] = y
+    if not merged:
+        return states
+    delta, _ = detunings(dot, grid)
+    free = f * np.exp(1j * np.outer(times, delta))
+    residual = states[:, :n] - c1 * free
+    out = np.empty((len(times), 2 * n + 1), dtype=np.complex128)
+    out[:, :n] = free + c1 * residual
+    out[:, n : 2 * n] = c2 * residual
+    out[:, 2 * n] = states[:, n]
     return out
 
 
@@ -190,40 +258,32 @@ def conversion_probability(grid: SpectralGrid, amps: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------- printed closed form
 
 def closed_form_emission(
-    dot: ThreeLevelDot, mode: GaussianMode, grid: SpectralGrid, t: float, n_steps: int = 2000
-) -> tuple[np.ndarray, float]:
-    """Evaluate the printed closed-form emission amplitude and probability.
+    dot: ThreeLevelDot, mode: GaussianMode, t: float, n_steps: int = 2000
+) -> float:
+    """Evaluate the printed closed-form emission probability.
 
-    The formulas are reproduced verbatim, including their growing exponential
-    exp(+(gamma1+gamma2) t''/2) and the outer-time phase label; they are
-    returned for the record and are never asserted against the integrated
-    dynamics.
+    The formula is reproduced verbatim, including its growing exponential
+    exp(+(gamma1+gamma2) t''/2); the value is returned for the record and is
+    never asserted against the integrated dynamics.
     """
     g = dot.gamma1 + dot.gamma2
     tpp = np.linspace(0.0, t, n_steps + 1)
     integrand = np.exp(-mode.d**2 * tpp**2 / 4 + g * tpp / 2)
     inner = scipy.integrate.cumulative_trapezoid(integrand, tpp, initial=0.0)
-    p_closed = float(
+    return float(
         scipy.integrate.trapezoid(
             dot.gamma1 * dot.gamma2 * mode.d / math.sqrt(2 * math.pi) * np.abs(inner) ** 2, tpp
         )
     )
-    double = scipy.integrate.trapezoid(inner, tpp)
-    _, delta_p = detunings(dot, grid)
-    pref = -math.sqrt(dot.gamma1 * dot.gamma2 * mode.d) / (2 * math.pi) ** 0.75
-    g2_closed = pref * np.exp(-1j * t * delta_p) * double
-    return g2_closed, p_closed
 
 
-def closed_form_report(
-    dot: ThreeLevelDot, mode: GaussianMode, grid: SpectralGrid, t: float, p_ode: float
-) -> dict:
+def closed_form_report(dot: ThreeLevelDot, mode: GaussianMode, t: float, p_ode: float) -> dict:
     """Dynamics vs printed-formula comparison as plain data (never a pass/fail).
 
     ``p_ode`` is the conversion probability at ``t`` that the caller has
-    already propagated on ``grid``.
+    already propagated.
     """
-    _, p_closed = closed_form_emission(dot, mode, grid, t)
+    p_closed = closed_form_emission(dot, mode, t)
     return {
         "params": {
             "gamma1": dot.gamma1,

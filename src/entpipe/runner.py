@@ -276,7 +276,7 @@ def run_swap(cfg: PipelineConfig) -> StageResult:
     times = np.linspace(0.0, t_end, 101)
     p = conversion_probability(grid, propagate_static(dot, mode, grid, times))
     rows = [{"t": float(t), "p": float(pv)} for t, pv in zip(times, p)]
-    discrepancy = closed_form_report(dot, mode, grid, t_end, float(p[-1]))
+    discrepancy = closed_form_report(dot, mode, t_end, float(p[-1]))
     report = RunReport(
         stage="swap",
         heralds={"p_longtime": float(p[-1])},
@@ -311,7 +311,7 @@ def run_sweep(cfg: PipelineConfig) -> StageResult:
     surface_max = max(r["p_longtime"] for r in rows)
     dot, mode, grid, t = _dimensionless_reference()
     p_ref = conversion_probability(grid, propagate_static(dot, mode, grid, np.array([t])))
-    discrepancy = closed_form_report(dot, mode, grid, t, float(p_ref[0]))
+    discrepancy = closed_form_report(dot, mode, t, float(p_ref[0]))
     report = RunReport(
         stage="sweep",
         heralds={"surface_max": surface_max},

@@ -4,9 +4,12 @@ The package computes the conversion probability only by Krylov propagation
 of the static-coefficient generator (``entpipe.photon_swap``).  This module
 keeps two independent integrations of the same amplitude equations with
 ``scipy.integrate.solve_ivp``: the rotating frame with explicit phase
-factors, and the static-coefficient (lab) frame.  Acceptance 07, the
-frame-invariance tests and the reference-point check of the sweep report
-compare against them.  Only tests import it.
+factors, and the static-coefficient (lab) frame.  The lab frame uses
+``two_rail_generator``, the (2 n_k + 1)-dimensional generator assembled
+through ``lil_matrix``, which is also the reference for the package's CSR
+build and its merged-rail route.  Acceptance 07, the frame-invariance tests
+and the reference-point check of the sweep report compare against them.
+Only tests import it.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
+import scipy.sparse
 
 from entpipe.errors import GridError, StepSizeError
 from entpipe.photon_swap import (
@@ -24,7 +28,6 @@ from entpipe.photon_swap import (
     _validate_recurrence,
     detunings,
     gaussian_mode,
-    static_generator,
 )
 
 _NORM_DRIFT_HARD = 1e-4
@@ -75,6 +78,28 @@ class SwapTrajectory:
             np.sum(w * (np.abs(self.g1) ** 2 + np.abs(self.g2) ** 2), axis=1)
             + np.abs(self.g3) ** 2
         )
+
+
+def two_rail_generator(dot: ThreeLevelDot, grid: SpectralGrid) -> scipy.sparse.csr_matrix:
+    """Time-independent generator for phase-folded amplitudes u = g e^{i t delta}.
+
+    du1/dt = i delta u1 - b1 u3; du2/dt = i delta' u2 - b2 u3;
+    du3/dt = sum_k w_k (b1 u1 + b2 u2).  Moduli match the rotating frame
+    pointwise, so probabilities agree between the two routes.
+    """
+    n = grid.n_k
+    w = grid.weights
+    delta, delta_p = detunings(dot, grid)
+    b1 = math.sqrt(dot.gamma1 / (2 * math.pi))
+    b2 = math.sqrt(dot.gamma2 / (2 * math.pi))
+    diag = np.concatenate([1j * delta, 1j * delta_p, [0.0]])
+    m = scipy.sparse.lil_matrix((2 * n + 1, 2 * n + 1), dtype=np.complex128)
+    m.setdiag(diag)
+    m[: n, 2 * n] = -b1
+    m[n : 2 * n, 2 * n] = -b2
+    m[2 * n, :n] = b1 * w
+    m[2 * n, n : 2 * n] = b2 * w
+    return m.tocsr()
 
 
 def _validate_step(dot: ThreeLevelDot, mode: GaussianMode, grid: SpectralGrid, dt: float):
@@ -162,7 +187,7 @@ def integrate_lab_frame(
     _validate_recurrence(grid, t_end)
     f = gaussian_mode(mode, grid)
     n = grid.n_k
-    m = static_generator(dot, grid)
+    m = two_rail_generator(dot, grid)
     y0 = np.concatenate([f, np.zeros(n, dtype=np.complex128), [0.0 + 0.0j]])
     t_eval = np.linspace(0.0, t_end, n_samples)
     sol = scipy.integrate.solve_ivp(

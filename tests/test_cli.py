@@ -7,6 +7,9 @@ from dataclasses import replace
 
 import pytest
 
+import entpipe.cat_code
+import entpipe.photon_swap
+import entpipe.runner
 from entpipe.cli import main
 from entpipe.config import default_config, serialize
 
@@ -131,7 +134,8 @@ def test_seed_flag_changes_trajectories(tmp_path):
 # as it stood before its incremental rewrite (memoised repump isometry,
 # stored per-cavity norms); the swap and sweep pins from the conversion
 # route as it stood before its comparison report stopped integrating a
-# second time.
+# second time; the split-rail swap pin (w2 > 0) from the two-rail
+# generator as it stood before degenerate rails were merged.
 
 def test_protect_trajectories_golden_digest(tmp_path):
     cfg = write_cfg(tmp_path, register={"n_dots": 8}, storage={"kappa": 25000.0, "trajectories": 24})
@@ -171,6 +175,14 @@ def test_swap_series_golden_digest(tmp_path):
     assert main(["swap", "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "swap_series.csv").read_bytes()).hexdigest()
     assert digest == "2156c716bd613c5ce2b076360bafe1da106d5798fb61dbdecba55957037c6c7d"
+
+
+def test_split_rail_swap_series_golden_digest(tmp_path):
+    cfg = write_cfg(tmp_path, swap={"w2": 2e8})
+    out = tmp_path / "out"
+    assert main(["swap", "--config", str(cfg), "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "swap_series.csv").read_bytes()).hexdigest()
+    assert digest == "76747e07b6f4ee08a91e26dbd3a238d05a429610fa85194d7871208f296a4a9e"
 
 
 def test_sweep_surface_golden_digest(tmp_path):
@@ -312,3 +324,48 @@ def test_worker_count_does_not_change_report_bytes(tmp_path):
     serial = (out / "protect_report.json").read_bytes()
     assert main(["protect", "--config", str(cfg), "--out", str(out), "--workers", "2"]) == 0
     assert (out / "protect_report.json").read_bytes() == serial
+
+
+# ------------------------------------------------------------ exit codes
+# No config reaches these failures on its own: at |alpha| = 1e-4 a storage
+# run expects under 1e-8 jumps, so it never repumps, and the grid rules keep
+# every stage inside its recurrence guard.  Each test swaps one production
+# piece so that the real error path runs.
+
+def test_convergence_error_is_exit_3(tmp_path, monkeypatch, capsys):
+    # every repump is asked for the isometry at |alpha| = 1e-4, where the two
+    # decayed odd cats are numerically dependent and _lowdin raises
+    real = entpipe.cat_code.recovery_matrix
+    monkeypatch.setattr(entpipe.cat_code, "recovery_matrix", lambda spec, _: real(spec, 1e-4))
+    cfg = write_cfg(tmp_path, storage={"kappa": 25000.0, "trajectories": 4})
+    out = tmp_path / "out"
+    assert main(["protect", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 3
+    assert "did not converge" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unconverged_sweep_rows_are_exit_3(tmp_path, monkeypatch, capsys):
+    # one attempt per point against an unreachable plateau tolerance
+    monkeypatch.setattr(entpipe.photon_swap, "_PLATEAU_TOL", -1.0)
+    monkeypatch.setattr(entpipe.photon_swap, "_MAX_EXTENSIONS", 1)
+    cfg = write_cfg(
+        tmp_path,
+        sweep={"d_min": 1.0, "d_max": 3.0, "gamma_min": 1.0, "gamma_max": 3.0,
+               "points_per_axis": 2},
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 3
+    assert "unconverged rows flagged" in capsys.readouterr().err
+    # the rows are written and flagged, not dropped
+    rows = read_csv(out / "sweep_surface.csv")
+    assert len(rows) == 4 and all(r["converged"] == "0" for r in rows)
+    assert json.load(open(out / "sweep_report.json"))["stats"]["all_converged"] == 0
+
+
+def test_typed_stage_error_is_exit_4(tmp_path, monkeypatch, capsys):
+    # a 64-point grid echoes long before the swap's t_end: GridError
+    monkeypatch.setattr(entpipe.runner, "grid_points_for", lambda t_end, half: 64)
+    out = tmp_path / "out"
+    assert main(["swap", "--out", str(out)]) == 4
+    assert "[swap] GridError: " in capsys.readouterr().err
+    assert not out.exists()
