@@ -1,6 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 configuration problem, 3 numerical non-convergence,
+Exit codes: 0 success, 2 configuration problem (including an unreadable
+config file or an unwritable output directory), 3 numerical non-convergence,
 4 stage failure.  Flags override environment overrides override the config
 file; see ``config.apply_env`` for the recognized EP_* variables.
 """
@@ -47,21 +48,23 @@ def _load(args) -> "PipelineConfig":
     )
 
 
+def _config_error(problems) -> int:
+    for problem in problems:
+        print(f"config error: {problem}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load(args)
     except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return 2
+        return _config_error(exc.problems)
 
     try:
         result = STAGES[args.command](cfg)
     except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return 2
+        return _config_error(exc.problems)
     except ConvergenceError as exc:
         print(f"[{args.command}] did not converge: {exc}", file=sys.stderr)
         return 3
@@ -69,7 +72,10 @@ def main(argv=None) -> int:
         print(f"[{args.command}] {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 
-    paths = write_stage_result(result, Path(cfg.run.out_dir), cfg.run.format)
+    try:
+        paths = write_stage_result(result, Path(cfg.run.out_dir), cfg.run.format)
+    except OSError as exc:  # --out is, or lies under, a regular file; no permission
+        return _config_error([f"cannot write output: {exc}"])
     for path in paths:
         print(path)
     if not result.converged:

@@ -7,6 +7,7 @@ can be fixed in one pass; unknown sections or keys are rejected outright.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields, replace
 
 from .cat_code import required_levels
@@ -103,6 +104,14 @@ def default_config() -> PipelineConfig:
     return PipelineConfig()
 
 
+def _finite(tag: str, number: float, problems: list[str]):
+    """``number`` if finite; NaN or +-inf would pass every ordering check."""
+    if math.isfinite(number):
+        return number
+    problems.append(f"{tag}: expected a finite number, got {number!r}")
+    return None
+
+
 def _coerce(section: str, name: str, annotation: str, value, problems: list[str]):
     """Convert a raw JSON/env value to the declared field type."""
     tag = f"{section}.{name}"
@@ -120,7 +129,7 @@ def _coerce(section: str, name: str, annotation: str, value, problems: list[str]
         return value
     if annotation == "float":
         try:
-            return float(value)
+            return _finite(tag, float(value), problems)
         except (TypeError, ValueError):
             problems.append(f"{tag}: expected a number, got {value!r}")
             return None
@@ -132,11 +141,12 @@ def _coerce(section: str, name: str, annotation: str, value, problems: list[str]
     # float-or-string union (swap success probability)
     if isinstance(value, str):
         try:
-            return float(value)
+            number = float(value)
         except ValueError:
             return value
+        return _finite(tag, number, problems)
     try:
-        return float(value)
+        return _finite(tag, float(value), problems)
     except (TypeError, ValueError):
         problems.append(f"{tag}: expected a number or string, got {value!r}")
         return None
@@ -303,9 +313,11 @@ def apply_flags(
 def load_config(path) -> PipelineConfig:
     import json
 
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
+    except OSError as exc:  # missing file, a directory, no permission
+        raise ConfigError([f"cannot read config: {exc}"]) from exc
     return parse_config(doc)

@@ -13,14 +13,6 @@ class NormalizationError(EntpipeError):
     """State amplitudes are not normalized to within tolerance."""
 
 
-class NonHermitianError(EntpipeError):
-    """A generator flagged hermitian fails the hermiticity check."""
-
-
-class ZeroProbabilityError(EntpipeError):
-    """A projective branch with (numerically) zero probability was requested."""
-
-
 class TruncationError(EntpipeError):
     """Fock-space truncation is too small for the requested amplitude."""
 

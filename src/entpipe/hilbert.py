@@ -1,4 +1,4 @@
-"""Finite-dimensional composite Hilbert spaces: states, maps, exact evolution.
+"""Composite Hilbert spaces: layouts, states, local operators, Schmidt tools.
 
 Subsystems are ordered big-endian: the first subsystem in a layout is the
 slowest-varying index of the flat amplitude vector, matching the ordering of
@@ -7,29 +7,15 @@ renormalizes or strips them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
-from .errors import (
-    LayoutError,
-    NonHermitianError,
-    NormalizationError,
-    ZeroProbabilityError,
-)
-
-# Dense eigendecomposition is exact and cheap up to this dimension; above it
-# we fall back to Krylov propagation (or a diagonal fast path).
-_DENSE_EVOLVE_LIMIT = 256
+from .errors import LayoutError, NormalizationError
 
 _NORM_TOL = 1e-9
-_HERMITIAN_TOL = 1e-12
-_PROJECTOR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -121,64 +107,10 @@ class StateVector:
         amps[index] = 1.0
         return cls(amps, layout)
 
-    def reshaped(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.layout.dims)
-
     def overlap(self, other: "StateVector") -> complex:
         if self.layout.dims != other.layout.dims:
             raise LayoutError("overlap requires identical layouts")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-
-@dataclass(frozen=True)
-class LinearMap:
-    """Matrix acting on a layout, dense or sparse, with a hermiticity flag."""
-
-    matrix: object
-    layout: SubsystemLayout
-    hermitian: bool = False
-
-    def __post_init__(self):
-        mat = self.matrix
-        if not scipy.sparse.issparse(mat):
-            mat = np.asarray(mat, dtype=np.complex128)
-            if mat.ndim != 2:
-                raise LayoutError("matrix must be two-dimensional")
-            mat = mat.copy()
-            mat.setflags(write=False)
-        d = self.layout.total_dim
-        if mat.shape != (d, d):
-            raise LayoutError(f"matrix shape {mat.shape} != layout dimension ({d}, {d})")
-        if self.hermitian:
-            dev = _max_abs(mat - mat.conj().T)
-            if dev > _HERMITIAN_TOL:
-                raise NonHermitianError(f"hermitian flag set but max|M - M^dag| = {dev:.3e}")
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def is_sparse(self) -> bool:
-        return scipy.sparse.issparse(self.matrix)
-
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray() if self.is_sparse else np.asarray(self.matrix)
-
-    def dagger(self) -> "LinearMap":
-        return LinearMap(self.matrix.conj().T, self.layout, self.hermitian)
-
-    def is_unitary(self, tol: float = 1e-10) -> bool:
-        m = self.dense()
-        return _max_abs(m.conj().T @ m - np.eye(m.shape[0])) <= tol
-
-    def apply(self, state: StateVector) -> StateVector:
-        if state.layout.dims != self.layout.dims:
-            raise LayoutError("map and state layouts differ")
-        return StateVector(self.matrix @ state.amplitudes, self.layout)
-
-
-def _max_abs(mat) -> float:
-    if scipy.sparse.issparse(mat):
-        return 0.0 if mat.nnz == 0 else float(np.max(np.abs(mat.data)))
-    return float(np.max(np.abs(mat))) if mat.size else 0.0
 
 
 def tensor_states(*states: StateVector) -> StateVector:
@@ -191,20 +123,6 @@ def tensor_states(*states: StateVector) -> StateVector:
         amps = np.kron(amps, s.amplitudes)
         layout = layout.concat(s.layout)
     return StateVector(amps, layout)
-
-
-def tensor_maps(*maps: LinearMap) -> LinearMap:
-    """Kronecker product of maps; preserves the hermitian flag conjunction."""
-    if not maps:
-        raise LayoutError("tensor_maps needs at least one map")
-    mat = maps[0].dense()
-    layout = maps[0].layout
-    herm = maps[0].hermitian
-    for m in maps[1:]:
-        mat = np.kron(mat, m.dense())
-        layout = layout.concat(m.layout)
-        herm = herm and m.hermitian
-    return LinearMap(mat, layout, herm)
 
 
 def apply_local(state: StateVector, op: np.ndarray, sites: Sequence[int]) -> StateVector:
@@ -244,50 +162,9 @@ def embed_operator(layout: SubsystemLayout, op: np.ndarray, sites: Sequence[int]
     return np.ascontiguousarray(mat.reshape(d, d))
 
 
-def evolve(state: StateVector, generator: LinearMap, t: float) -> StateVector:
-    """Exact evolution exp(-i H t)|psi> for a hermitian generator.
-
-    Dense eigendecomposition up to dimension 256, Krylov propagation above
-    (with a fast path for diagonal generators).
-    """
-    if t < 0:
-        raise ValueError("evolution time must be non-negative")
-    if state.layout.dims != generator.layout.dims:
-        raise LayoutError("generator layout does not match state")
-    mat = generator.matrix
-    dev = _max_abs(mat - mat.conj().T)
-    if dev > _HERMITIAN_TOL:
-        raise NonHermitianError(f"evolution generator not hermitian: max dev {dev:.3e}")
-    dim = state.layout.total_dim
-    if not generator.is_sparse:
-        dense = generator.dense()
-        off = dense - np.diag(np.diag(dense))
-        if _max_abs(off) == 0.0:
-            phases = np.exp(-1j * t * np.real(np.diag(dense)))
-            return StateVector(phases * state.amplitudes, state.layout)
-        if dim <= _DENSE_EVOLVE_LIMIT:
-            evals, evecs = scipy.linalg.eigh(dense)
-            coeff = evecs.conj().T @ state.amplitudes
-            out = evecs @ (np.exp(-1j * evals * t) * coeff)
-            return StateVector(out, state.layout)
-        mat = scipy.sparse.csr_matrix(dense)
-    else:
-        diag_only = (mat - scipy.sparse.diags(mat.diagonal())).nnz == 0
-        if diag_only:
-            phases = np.exp(-1j * t * np.real(mat.diagonal()))
-            return StateVector(phases * state.amplitudes, state.layout)
-    out = scipy.sparse.linalg.expm_multiply((-1j * t) * mat, state.amplitudes)
-    return StateVector(out, state.layout)
-
-
 def fidelity(a: StateVector, b: StateVector) -> float:
     """Squared overlap |<a|b>|^2 (insensitive to global phase)."""
     return float(abs(a.overlap(b)) ** 2)
-
-
-def states_equal(a: StateVector, b: StateVector, tol: float = 1e-10) -> bool:
-    """Equality up to a global phase, by fidelity."""
-    return fidelity(a, b) >= 1.0 - tol
 
 
 def schmidt_spectrum(state: StateVector, part: Iterable[int]) -> np.ndarray:
@@ -304,28 +181,3 @@ def schmidt_spectrum(state: StateVector, part: Iterable[int]) -> np.ndarray:
     svals = np.linalg.svd(arr.reshape(d_a, -1), compute_uv=False)
     return np.sort(svals)[::-1]
 
-
-def partial_project(
-    state: StateVector, site: int, projector: np.ndarray
-) -> tuple[StateVector, float]:
-    """Project one subsystem and renormalize; returns (collapsed, probability).
-
-    Raises ZeroProbabilityError instead of dividing by ~0 when the branch has
-    no support.
-    """
-    (site,) = state.layout.check_sites([site])
-    d = state.layout.dims[site]
-    proj = np.asarray(projector, dtype=np.complex128)
-    if proj.shape != (d, d):
-        raise LayoutError(f"projector shape {proj.shape} != subsystem dimension {d}")
-    if _max_abs(proj @ proj - proj) > 1e-10 or _max_abs(proj - proj.conj().T) > 1e-10:
-        raise ValueError("projector must be hermitian and idempotent")
-    arr = state.amplitudes.reshape(state.layout.dims)
-    arr = np.moveaxis(arr, site, 0)
-    projected = proj @ arr.reshape(d, -1)
-    prob = float(np.linalg.norm(projected) ** 2)
-    if prob <= 1e-14:
-        raise ZeroProbabilityError(f"projection branch has probability {prob:.3e}")
-    projected = np.moveaxis(projected.reshape(arr.shape), 0, site)
-    collapsed = StateVector(projected.reshape(-1) / np.sqrt(prob), state.layout)
-    return collapsed, prob

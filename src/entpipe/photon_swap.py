@@ -45,6 +45,7 @@ from .hilbert import StateVector, qubits
 
 _PLATEAU_TOL = 1e-3  # |P(t_end) - P(0.9 t_end)| that counts as converged
 _MAX_EXTENSIONS = 6  # sweep attempts, each 1.5x longer than the last
+_CLOSED_FORM_STEPS = 2000  # trapezoid intervals of the printed closed form
 
 
 @dataclass(frozen=True)
@@ -257,9 +258,7 @@ def conversion_probability(grid: SpectralGrid, amps: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------- printed closed form
 
-def closed_form_emission(
-    dot: ThreeLevelDot, mode: GaussianMode, t: float, n_steps: int = 2000
-) -> float:
+def closed_form_emission(dot: ThreeLevelDot, mode: GaussianMode, t: float) -> float:
     """Evaluate the printed closed-form emission probability.
 
     The formula is reproduced verbatim, including its growing exponential
@@ -267,7 +266,7 @@ def closed_form_emission(
     never asserted against the integrated dynamics.
     """
     g = dot.gamma1 + dot.gamma2
-    tpp = np.linspace(0.0, t, n_steps + 1)
+    tpp = np.linspace(0.0, t, _CLOSED_FORM_STEPS + 1)
     integrand = np.exp(-mode.d**2 * tpp**2 / 4 + g * tpp / 2)
     inner = scipy.integrate.cumulative_trapezoid(integrand, tpp, initial=0.0)
     return float(

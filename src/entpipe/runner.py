@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -108,9 +109,14 @@ def derive_seed(base_seed: int, index: int) -> int:
 
 
 def parallel_map(fn, items, workers: int) -> list:
-    """Order-preserving map, serial below two workers."""
+    """Order-preserving map, serial below two workers.
+
+    The pool never exceeds the item count or the CPU count: a forked pool
+    starts all of its processes at the first submit.
+    """
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
+    workers = min(workers, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(x) for x in items]
     chunk = max(1, len(items) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -9,25 +9,15 @@ block; each absorption costs one ZZ interval plus one exchange interval.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from math import ceil, pi
+from dataclasses import dataclass
+from math import pi
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .errors import LayoutError, NotGhzClassError, ScheduleError
-from .hilbert import (
-    LinearMap,
-    StateVector,
-    SubsystemLayout,
-    apply_local,
-    embed_operator,
-    fidelity,
-    qubits,
-    schmidt_spectrum,
-)
+from .hilbert import StateVector, apply_local, qubits, schmidt_spectrum
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -45,6 +35,12 @@ MERGE_AXIS_PHASE = -pi / 4
 # compensate these so the executed state carries no leftover phase.
 _PAIR_ABSORB_PHASE = -11 * pi / 8
 _SINGLE_ABSORB_PHASE = -pi / 8
+
+# Largest |rho_ab - rho_a (x) rho_b| entry that still counts as uncorrelated.
+_CORRELATION_TOL = 1e-8
+# Largest deviation of a Schmidt coefficient from the GHZ spectrum
+# (1/sqrt2, 1/sqrt2, 0, ...) that still counts as GHZ class.
+_GHZ_TOL = 1e-8
 
 
 def heisenberg_matrix(j: float) -> np.ndarray:
@@ -151,86 +147,6 @@ class Schedule:
                 if not 0 <= dot < self.n_dots:
                     raise ScheduleError(f"step touches dot {dot} outside register of {self.n_dots}")
 
-    def concat(self, other: "Schedule") -> "Schedule":
-        if other.n_dots != self.n_dots:
-            raise ScheduleError("cannot concatenate schedules over different registers")
-        offset = max((s.layer for s in self.steps), default=-1) + 1
-        shifted = tuple(
-            ScheduleStep(s.layer + offset, s.coupling, s.duration, s.pulse) for s in other.steps
-        )
-        return Schedule(self.steps + shifted, self.n_dots)
-
-    def to_json(self) -> str:
-        items = []
-        for st in self.steps:
-            if st.coupling is not None:
-                items.append(
-                    {
-                        "type": "interaction",
-                        "kind": st.coupling.kind,
-                        "strength": st.coupling.strength,
-                        "pair": list(st.coupling.pair),
-                        "duration": st.duration,
-                        "layer": st.layer,
-                    }
-                )
-            elif st.pulse.z_corrections is not None:
-                items.append(
-                    {
-                        "type": "z_correction",
-                        "phases": {str(k): v for k, v in sorted(st.pulse.z_corrections.items())},
-                        "global_phase": st.pulse.global_phase,
-                        "layer": st.layer,
-                    }
-                )
-            else:
-                items.append(
-                    {
-                        "type": "pulse",
-                        "target": st.pulse.target,
-                        "angle": st.pulse.angle,
-                        "axis_phase": st.pulse.axis_phase,
-                        "layer": st.layer,
-                    }
-                )
-        return json.dumps({"n_dots": self.n_dots, "steps": items}, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Schedule":
-        data = json.loads(text)
-        steps = []
-        for item in data["steps"]:
-            if item["type"] == "interaction":
-                steps.append(
-                    ScheduleStep(
-                        layer=item["layer"],
-                        coupling=CouplingSpec(item["kind"], item["strength"], tuple(item["pair"])),
-                        duration=item["duration"],
-                    )
-                )
-            elif item["type"] == "z_correction":
-                steps.append(
-                    ScheduleStep(
-                        layer=item["layer"],
-                        pulse=PulseSpec(
-                            z_corrections={int(k): v for k, v in item["phases"].items()},
-                            global_phase=item["global_phase"],
-                        ),
-                    )
-                )
-            else:
-                steps.append(
-                    ScheduleStep(
-                        layer=item["layer"],
-                        pulse=PulseSpec(
-                            target=item["target"],
-                            angle=item["angle"],
-                            axis_phase=item["axis_phase"],
-                        ),
-                    )
-                )
-        return cls(tuple(steps), data["n_dots"])
-
 
 def _step_dots(step: ScheduleStep) -> tuple[int, ...]:
     if step.coupling is not None:
@@ -255,13 +171,6 @@ class TimingReport:
             self.t_ising_steps * self.ising_interval
             + self.t_heisenberg_steps * self.heisenberg_interval
         )
-
-
-def hamiltonian(coupling: CouplingSpec, layout: SubsystemLayout) -> LinearMap:
-    """Full-register generator for one coupling (identity elsewhere)."""
-    layout.check_sites(coupling.pair)
-    mat = embed_operator(layout, coupling.matrix(), coupling.pair)
-    return LinearMap(mat, layout, hermitian=True)
 
 
 def plus_register(n: int) -> StateVector:
@@ -504,11 +413,12 @@ def _reduced_density(state: StateVector, sites: Sequence[int]) -> np.ndarray:
     m = arr.reshape(d, -1)
     return m @ m.conj().T
 
-def _dots_correlated(state: StateVector, a: int, b: int, tol: float = 1e-8) -> bool:
+
+def _dots_correlated(state: StateVector, a: int, b: int) -> bool:
     rho_ab = _reduced_density(state, (a, b))
     rho_a = _reduced_density(state, (a,))
     rho_b = _reduced_density(state, (b,))
-    return float(np.max(np.abs(rho_ab - np.kron(rho_a, rho_b)))) > tol
+    return float(np.max(np.abs(rho_ab - np.kron(rho_a, rho_b)))) > _CORRELATION_TOL
 
 
 def bipartitions(n: int):
@@ -519,14 +429,14 @@ def bipartitions(n: int):
             yield part
 
 
-def is_ghz_class(state: StateVector, tol: float = 1e-8) -> bool:
+def is_ghz_class(state: StateVector) -> bool:
     """True when every bipartition has Schmidt spectrum (1/sqrt2, 1/sqrt2)."""
     target = 1 / np.sqrt(2)
     for part in bipartitions(state.layout.n_subsystems):
         sv = schmidt_spectrum(state, part)
-        if abs(sv[0] - target) > tol or abs(sv[1] - target) > tol:
+        if abs(sv[0] - target) > _GHZ_TOL or abs(sv[1] - target) > _GHZ_TOL:
             return False
-        if sv.size > 2 and np.max(sv[2:]) > tol:
+        if sv.size > 2 and np.max(sv[2:]) > _GHZ_TOL:
             return False
     return True
 

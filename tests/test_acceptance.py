@@ -23,9 +23,7 @@ from entpipe.errors import NotGhzClassError
 from entpipe.hilbert import (
     StateVector,
     SubsystemLayout,
-    embed_operator,
     fidelity,
-    qubits,
     schmidt_spectrum,
 )
 from entpipe.photon_swap import (
@@ -44,9 +42,8 @@ from entpipe.spin_register import (
     is_ghz_class,
     ising_matrix,
     plan_ghz,
-    plus_register,
-    rotation,
 )
+from oracle_register import dense_execute
 from oracle_storage import decode, encode
 from oracle_swap import integrate_dynamics, swap_probability
 
@@ -77,25 +74,6 @@ def _finish(capsys, num, label, t0, budget, fails, detail=""):
     assert ok, line + " :: " + "; ".join(fails)
 
 
-def _dense_execute(schedule: Schedule) -> StateVector:
-    """Independent full-space dense-exponential execution."""
-    layout = qubits(schedule.n_dots)
-    amps = plus_register(schedule.n_dots).amplitudes.copy()
-    for st in schedule.steps:
-        if st.coupling is not None:
-            h = embed_operator(layout, st.coupling.matrix(), st.coupling.pair)
-            amps = scipy.linalg.expm(-1j * st.duration * h) @ amps
-        elif st.pulse.z_corrections is not None:
-            amps = amps * np.exp(1j * st.pulse.global_phase)
-            for dot, phi in st.pulse.z_corrections.items():
-                g = embed_operator(layout, np.diag([1, np.exp(1j * phi)]), (dot,))
-                amps = g @ amps
-        else:
-            u = rotation(st.pulse.angle, st.pulse.axis_phase)
-            amps = embed_operator(layout, u, (st.pulse.target,)) @ amps
-    return StateVector(amps, layout)
-
-
 def test_01_bell_preparation(capsys):
     t0 = time.monotonic()
     fails = []
@@ -117,7 +95,7 @@ def test_02_four_dot_entanglement_and_correction(capsys):
     fails = []
     sch, _ = plan_ghz(4, J, J, canonical=False)
     fast = execute(sch)
-    dense = _dense_execute(sch)
+    dense = dense_execute(sch)
     _check(
         fails,
         np.max(np.abs(fast.amplitudes - dense.amplitudes)) < 1e-10,

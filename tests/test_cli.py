@@ -72,6 +72,57 @@ def test_bad_config_file_is_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def _single_config_error(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+    return err[0]
+
+
+@pytest.mark.parametrize(
+    "stage,doc",
+    [
+        ("protect", '{"storage": {"kappa": "nan"}}'),
+        ("protect", '{"storage": {"kappa": NaN}}'),
+        ("swap", '{"swap": {"d": "inf"}}'),
+        ("swap", '{"swap": {"d": -Infinity}}'),
+        ("swap", '{"swap": {"p_success": "nan"}}'),
+    ],
+)
+def test_non_finite_config_value_is_exit_2(tmp_path, capsys, stage, doc):
+    # NaN and inf pass every "< 0" / "<= 0" check, so they must stop at parsing
+    path = tmp_path / "cfg.json"
+    path.write_text(doc)
+    out = tmp_path / "out"
+    assert main([stage, "--config", str(path), "--out", str(out)]) == 2
+    assert "expected a finite number" in _single_config_error(capsys)
+    assert not out.exists()
+
+
+def test_non_finite_env_value_is_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("EP_STORAGE__KAPPA", "nan")
+    assert main(["protect", "--out", str(tmp_path / "out")]) == 2
+    assert "storage.kappa: expected a finite number" in _single_config_error(capsys)
+
+
+@pytest.mark.parametrize("name", ["missing.json", "."])
+def test_unreadable_config_path_is_exit_2(tmp_path, capsys, name):
+    # a missing file and a directory: FileNotFoundError, IsADirectoryError
+    path = tmp_path / name
+    assert main(["ghz", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    _single_config_error(capsys)
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_unwritable_out_is_exit_2(tmp_path, capsys, below):
+    # --out is a regular file, or a path under one
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    out = blocker / "sub" if below else blocker
+    assert main(["ghz", "--out", str(out)]) == 2
+    _single_config_error(capsys)
+    assert blocker.read_text() == "not a directory"
+
+
 # --------------------------------------------------------------- protect
 
 def test_protect_lossless_both_arms_perfect(tmp_path):
@@ -324,6 +375,39 @@ def test_worker_count_does_not_change_report_bytes(tmp_path):
     serial = (out / "protect_report.json").read_bytes()
     assert main(["protect", "--config", str(cfg), "--out", str(out), "--workers", "2"]) == 0
     assert (out / "protect_report.json").read_bytes() == serial
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps serially."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "workers,n_items,cpus,size",
+    [(5000, 10, 4, 4), (5000, 3, 64, 3), (2, 10, 64, 2), (5000, 10, 1, None)],
+)
+def test_parallel_map_caps_pool_size(monkeypatch, workers, n_items, cpus, size):
+    # a forked pool starts all max_workers processes at once, so an oversized
+    # request (EP_WORKERS=5000) must shrink to the items and the CPUs
+    monkeypatch.setattr(entpipe.runner, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    items = list(range(n_items))
+    assert entpipe.runner.parallel_map(abs, items, workers) == items
+    assert _RecordingPool.sizes == ([] if size is None else [size])
 
 
 # ------------------------------------------------------------ exit codes

@@ -1,33 +1,22 @@
 """Core state-engine tests.
 
-Evolution is checked against an independent dense Pade exponential; structure
+Local operators are checked against full-space embeddings; structure
 properties (norms, composition, Schmidt data) run as hypothesis properties.
 """
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entpipe.errors import (
-    LayoutError,
-    NonHermitianError,
-    NormalizationError,
-    ZeroProbabilityError,
-)
+from entpipe.errors import LayoutError, NormalizationError
 from entpipe.hilbert import (
-    LinearMap,
     StateVector,
     SubsystemLayout,
     apply_local,
     embed_operator,
-    evolve,
     fidelity,
-    partial_project,
     qubits,
     schmidt_spectrum,
-    states_equal,
-    tensor_maps,
     tensor_states,
 )
 
@@ -38,82 +27,12 @@ def random_state(rng, dims):
     return StateVector(v / np.linalg.norm(v), SubsystemLayout(tuple(dims)))
 
 
-def random_hermitian(rng, d):
-    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (m + m.conj().T) / 2
-
-
 def random_unitary(rng, d):
     q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-# ---------------------------------------------------------------- evolution
-
-@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2, 2), (3, 4)])
-def test_evolve_matches_dense_exponential(dims):
-    rng = np.random.default_rng(7)
-    layout = SubsystemLayout(tuple(dims))
-    d = layout.total_dim
-    h = random_hermitian(rng, d)
-    psi = random_state(rng, dims)
-    for t in (0.0, 0.3, 1.7):
-        got = evolve(psi, LinearMap(h, layout, hermitian=True), t)
-        want = scipy.linalg.expm(-1j * t * h) @ psi.amplitudes
-        assert np.allclose(got.amplitudes, want, atol=1e-10)
-
-
-def test_evolve_diagonal_fast_path():
-    rng = np.random.default_rng(3)
-    layout = qubits(3)
-    h = np.diag(rng.normal(size=8))
-    psi = random_state(rng, (2, 2, 2))
-    got = evolve(psi, LinearMap(h, layout, hermitian=True), 0.9)
-    want = scipy.linalg.expm(-1j * 0.9 * h) @ psi.amplitudes
-    assert np.allclose(got.amplitudes, want, atol=1e-12)
-
-
-def test_evolve_large_dim_krylov_path():
-    # 2^9 = 512 exceeds the dense-eigendecomposition cutoff.
-    rng = np.random.default_rng(11)
-    layout = qubits(9)
-    h = random_hermitian(rng, 512)
-    psi = random_state(rng, (2,) * 9)
-    got = evolve(psi, LinearMap(h, layout, hermitian=True), 0.4)
-    want = scipy.linalg.expm(-1j * 0.4 * h) @ psi.amplitudes
-    assert np.allclose(got.amplitudes, want, atol=1e-9)
-
-
-def test_evolve_rejects_negative_time():
-    layout = qubits(1)
-    h = LinearMap(np.eye(2, dtype=complex), layout, hermitian=True)
-    psi = StateVector.basis(layout, 0)
-    with pytest.raises(ValueError):
-        evolve(psi, h, -0.1)
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10**6), t1=st.floats(0.0, 2.0), t2=st.floats(0.0, 2.0))
-def test_evolution_composes_and_preserves_norm(seed, t1, t2):
-    rng = np.random.default_rng(seed)
-    layout = qubits(2)
-    h = LinearMap(random_hermitian(rng, 4), layout, hermitian=True)
-    psi = random_state(rng, (2, 2))
-    a = evolve(evolve(psi, h, t1), h, t2)
-    b = evolve(psi, h, t1 + t2)
-    assert abs(np.linalg.norm(a.amplitudes) - 1) < 1e-10
-    assert np.allclose(a.amplitudes, b.amplitudes, atol=1e-9)
-
-
-def test_global_phase_is_not_stripped():
-    # exp(-i t I) must multiply every amplitude by exp(-i t), visibly.
-    layout = qubits(1)
-    psi = StateVector.basis(layout, 0)
-    out = evolve(psi, LinearMap(np.eye(2, dtype=complex), layout, hermitian=True), 1.0)
-    assert np.allclose(out.amplitudes[0], np.exp(-1j), atol=1e-12)
-
-
-# ---------------------------------------------------------------- states, maps
+# ---------------------------------------------------------------- states, operators
 
 def test_state_norm_validation():
     layout = qubits(1)
@@ -130,30 +49,12 @@ def test_basis_state_digits():
     assert s.amplitudes[1 * 6 + 2 * 2 + 0] == 1.0
 
 
-def test_linear_map_hermitian_validation():
-    layout = qubits(1)
-    with pytest.raises(NonHermitianError):
-        LinearMap(np.array([[0.0, 1.0], [0.0, 0.0]]), layout, hermitian=True)
-
-
-def test_linear_map_unitary_check():
-    rng = np.random.default_rng(0)
-    layout = qubits(2)
-    u = LinearMap(random_unitary(rng, 4), layout)
-    assert u.is_unitary()
-    assert not LinearMap(np.diag([1.0, 2.0, 1.0, 1.0]).astype(complex), layout).is_unitary()
-
-
 def test_tensor_products_follow_kron():
     rng = np.random.default_rng(5)
     a = random_state(rng, (2,))
     b = random_state(rng, (3,))
     ab = tensor_states(a, b)
     assert np.allclose(ab.amplitudes, np.kron(a.amplitudes, b.amplitudes))
-    ma = LinearMap(random_hermitian(rng, 2), a.layout, hermitian=True)
-    mb = LinearMap(random_hermitian(rng, 3), b.layout, hermitian=True)
-    mab = tensor_maps(ma, mb)
-    assert np.allclose(mab.dense(), np.kron(ma.dense(), mb.dense()))
 
 
 def test_layout_concat_dedups_labels():
@@ -200,7 +101,7 @@ def test_fidelity_and_global_phase_equality():
     psi = random_state(rng, (2, 2))
     shifted = StateVector(psi.amplitudes * np.exp(0.7j), psi.layout)
     assert abs(fidelity(psi, shifted) - 1) < 1e-12
-    assert states_equal(psi, shifted)
+    assert fidelity(psi, shifted) >= 1 - 1e-10
     other = random_state(rng, (2, 2))
     assert fidelity(psi, other) <= 1 + 1e-12
 
@@ -236,33 +137,3 @@ def test_schmidt_rejects_improper_partition():
     with pytest.raises(LayoutError):
         schmidt_spectrum(psi, (0, 1))
 
-
-# ---------------------------------------------------------------- projection
-
-def test_partial_project_probabilities():
-    layout = qubits(2)
-    bell = StateVector.from_amplitudes(np.array([1, 0, 0, 1], dtype=complex), layout)
-    p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    p1 = np.array([[0, 0], [0, 1]], dtype=complex)
-    s0, pr0 = partial_project(bell, 0, p0)
-    s1, pr1 = partial_project(bell, 0, p1)
-    assert abs(pr0 - 0.5) < 1e-12 and abs(pr1 - 0.5) < 1e-12
-    assert abs(np.linalg.norm(s0.amplitudes) - 1) < 1e-12
-    assert np.allclose(np.abs(s0.amplitudes), [1, 0, 0, 0])
-    assert np.allclose(np.abs(s1.amplitudes), [0, 0, 0, 1])
-
-
-def test_partial_project_zero_branch_raises():
-    layout = qubits(1)
-    psi = StateVector.basis(layout, 0)
-    p1 = np.array([[0, 0], [0, 1]], dtype=complex)
-    with pytest.raises(ZeroProbabilityError):
-        partial_project(psi, 0, p1)
-
-
-def test_partial_project_requires_projector():
-    layout = qubits(1)
-    psi = StateVector.basis(layout, 0)
-    not_proj = np.array([[0.5, 0.5], [0.5, 0.8]], dtype=complex)
-    with pytest.raises(ValueError):
-        partial_project(psi, 0, not_proj)

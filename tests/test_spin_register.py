@@ -1,10 +1,10 @@
 """Schedule-builder tests.
 
-The executed schedules are cross-checked against an independent oracle that
-embeds every generator in the full register space and multiplies dense Pade
-exponentials, rather than reusing the two-dot fast path of ``execute``.
+The executed schedules are cross-checked against an independent oracle
+(``oracle_register.dense_execute``) that embeds every generator in the full
+register space and multiplies dense Pade exponentials, rather than reusing
+the two-dot fast path of ``execute``.
 """
-import json
 from math import pi
 
 import numpy as np
@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 from entpipe.errors import NotGhzClassError, ScheduleError
 from entpipe.hilbert import (
     StateVector,
-    embed_operator,
+    fidelity,
     qubits,
     schmidt_spectrum,
-    states_equal,
     tensor_states,
 )
 from entpipe.spin_register import (
@@ -32,7 +31,6 @@ from entpipe.spin_register import (
     canonical_correction,
     canonical_ghz,
     execute,
-    hamiltonian,
     heisenberg_matrix,
     ising_matrix,
     is_ghz_class,
@@ -42,29 +40,10 @@ from entpipe.spin_register import (
     report_from_schedule,
     rotation,
 )
+from oracle_register import dense_execute
 
 J1 = 1.0e8
 J2 = 1.0e8
-
-
-def oracle_execute(schedule: Schedule) -> StateVector:
-    """Run a schedule through full-space dense exponentials only."""
-    n = schedule.n_dots
-    layout = qubits(n)
-    amps = plus_register(n).amplitudes.copy()
-    for step in schedule.steps:
-        if step.coupling is not None:
-            h = embed_operator(layout, step.coupling.matrix(), step.coupling.pair)
-            amps = scipy.linalg.expm(-1j * step.duration * h) @ amps
-        elif step.pulse.z_corrections is not None:
-            amps = amps * np.exp(1j * step.pulse.global_phase)
-            for dot, phi in step.pulse.z_corrections.items():
-                g = embed_operator(layout, np.diag([1, np.exp(1j * phi)]), (dot,))
-                amps = g @ amps
-        else:
-            u = rotation(step.pulse.angle, step.pulse.axis_phase)
-            amps = embed_operator(layout, u, (step.pulse.target,)) @ amps
-    return StateVector(amps, layout)
 
 
 # ---------------------------------------------------------------- generators
@@ -104,14 +83,6 @@ def test_rotation_pulse_convention():
     assert np.allclose(rp @ np.array([0, 1]), [-1j * np.exp(-1j * phi), 0], atol=1e-12)
 
 
-def test_hamiltonian_embedding():
-    layout = qubits(3)
-    h = hamiltonian(CouplingSpec("heisenberg", J1, (0, 2)), layout)
-    assert h.hermitian
-    direct = embed_operator(layout, heisenberg_matrix(J1), (0, 2))
-    assert np.allclose(h.dense(), direct)
-
-
 # ---------------------------------------------------------------- bell pairs
 
 def test_build_bell_exact_state():
@@ -122,7 +93,7 @@ def test_build_bell_exact_state():
 def test_build_bell_oracle_agreement():
     sch = build_bell(J2)
     assert np.allclose(
-        execute(sch).amplitudes, oracle_execute(sch).amplitudes, atol=1e-12
+        execute(sch).amplitudes, dense_execute(sch).amplitudes, atol=1e-12
     )
 
 
@@ -138,9 +109,9 @@ def expected_raw_four() -> StateVector:
 def test_four_dot_raw_schedule_matches_oracle_and_pattern():
     sch, _ = plan_ghz(4, J1, J2, canonical=False)
     fast = execute(sch)
-    slow = oracle_execute(sch)
+    slow = dense_execute(sch)
     assert np.allclose(fast.amplitudes, slow.amplitudes, atol=1e-11)
-    assert states_equal(fast, expected_raw_four(), tol=1e-10)
+    assert fidelity(fast, expected_raw_four()) >= 1 - 1e-10
 
 
 def test_intermediate_maximum_entanglement_amplitudes():
@@ -152,7 +123,7 @@ def test_intermediate_maximum_entanglement_amplitudes():
         prefix.append(step)
         if step.pulse is not None and step.pulse.z_corrections and 0 in step.pulse.z_corrections:
             break
-    state = oracle_execute(Schedule(tuple(prefix), 4))
+    state = dense_execute(Schedule(tuple(prefix), 4))
     want = np.zeros(16, dtype=complex)
     want[0b0000] = want[0b0011] = want[0b1100] = 0.5
     want[0b1111] = -0.5
@@ -163,13 +134,13 @@ def test_merge_blocks_joins_two_bell_pairs():
     bell = execute(build_bell(J2))
     state = tensor_states(bell, bell)
     merged = merge_blocks(state, 0, 2, J1, J2)
-    assert states_equal(merged, expected_raw_four(), tol=1e-10)
+    assert fidelity(merged, expected_raw_four()) >= 1 - 1e-10
 
 
 def test_merge_blocks_canonicalize_flag():
     bell = execute(build_bell(J2))
     merged = merge_blocks(tensor_states(bell, bell), 0, 2, J1, J2, canonicalize=True)
-    assert states_equal(merged, canonical_ghz(4), tol=1e-10)
+    assert fidelity(merged, canonical_ghz(4)) >= 1 - 1e-10
 
 
 def test_merge_blocks_rejects_same_block_contacts():
@@ -219,7 +190,7 @@ def test_plan_ghz_canonical_exact(n):
 def test_plan_ghz_oracle_agreement(n):
     sch, _ = plan_ghz(n, J1, J2)
     assert np.allclose(
-        execute(sch).amplitudes, oracle_execute(sch).amplitudes, atol=1e-10
+        execute(sch).amplitudes, dense_execute(sch).amplitudes, atol=1e-10
     )
 
 
@@ -229,7 +200,7 @@ def test_raw_plan_needs_at_most_one_flip(n):
     assert is_ghz_class(raw)
     fixed, info = canonical_correction(raw)
     assert len(info["x_flips"]) <= 1
-    assert states_equal(fixed, canonical_ghz(n), tol=1e-9)
+    assert fidelity(fixed, canonical_ghz(n)) >= 1 - 1e-9
 
 
 def test_canonical_correction_rejects_product_state():
@@ -294,24 +265,7 @@ def test_report_recount_matches_plan():
     assert rec.total_seconds == pytest.approx(rep.total_seconds, rel=1e-14)
 
 
-def test_report_additive_over_concat():
-    a, _ = plan_ghz(4, J1, J2)
-    b, _ = plan_ghz(4, J1, J2, canonical=False)
-    joint = a.concat(b)
-    ra, rb, rj = (report_from_schedule(s) for s in (a, b, joint))
-    assert rj.t_ising_steps == ra.t_ising_steps + rb.t_ising_steps
-    assert rj.t_heisenberg_steps == ra.t_heisenberg_steps + rb.t_heisenberg_steps
-    assert rj.total_seconds == pytest.approx(ra.total_seconds + rb.total_seconds, rel=1e-14)
-
-
 # ---------------------------------------------------------------- validation
-
-def test_schedule_json_round_trip():
-    sch, _ = plan_ghz(5, J1, J2)
-    back = Schedule.from_json(sch.to_json())
-    assert back == sch
-    assert json.loads(sch.to_json())["n_dots"] == 5
-
 
 def test_coupling_spec_validation():
     with pytest.raises(ScheduleError):
