@@ -6,6 +6,7 @@ comparison at the fixed reference point d = gamma = 1, t = 6.  All quantities he
 defaults reproduce the standard 20x20 box over [0.1, 10]^2.
 """
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -13,8 +14,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dataclasses import replace
 
-from entpipe.config import default_config
+from entpipe.config import default_config, validate
 from entpipe.runner import run_sweep, write_stage_result
+
+
+def _output_problems(out: Path) -> list[str]:
+    """Why ``out`` cannot take the results; checked before the sweep runs."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # --out is, or lies under, a regular file
+        return [f"cannot write output: {exc}"]
+    if not os.access(out, os.W_OK | os.X_OK):
+        return [f"cannot write output: {out} is not writable"]
+    return []
 
 
 def main() -> int:
@@ -39,6 +51,11 @@ def main() -> int:
         ),
         run=replace(cfg.run, workers=args.workers, out_dir=args.out),
     )
+    problems = validate(cfg) or _output_problems(Path(args.out))
+    if problems:
+        for problem in problems:
+            print(f"config error: {problem}", file=sys.stderr)
+        return 2
     result = run_sweep(cfg)
     paths = write_stage_result(result, Path(args.out), cfg.run.format)
     for p in paths:

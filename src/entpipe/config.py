@@ -15,6 +15,10 @@ from .errors import ConfigError
 
 _FORMATS = ("csv", "json")
 _DIMENSIONLESS = "dimensionless"
+# Largest 2 gamma/d, d/(2 gamma) and t_end = 6/d + 4/gamma a sweep box may
+# reach: every time and rate ratio of the sweep stays finite in float64
+# through the plateau extensions.
+_SWEEP_RANGE = 1e305
 
 
 @dataclass(frozen=True)
@@ -224,10 +228,21 @@ def validate(cfg: PipelineConfig) -> list[str]:
     sv = cfg.sweep
     if sv.unit != _DIMENSIONLESS:
         p.append(f"sweep.unit: must be {_DIMENSIONLESS!r}, got {sv.unit!r}")
-    if not 0 < sv.d_min < sv.d_max:
+    d_ok = 0 < sv.d_min < sv.d_max
+    g_ok = 0 < sv.gamma_min < sv.gamma_max
+    if not d_ok:
         p.append("sweep: need 0 < d_min < d_max")
-    if not 0 < sv.gamma_min < sv.gamma_max:
+    if not g_ok:
         p.append("sweep: need 0 < gamma_min < gamma_max")
+    if d_ok and g_ok and max(
+        2 * sv.gamma_max / sv.d_min,
+        sv.d_max / (2 * sv.gamma_min),
+        6 / sv.d_min + 4 / sv.gamma_min,
+    ) > _SWEEP_RANGE:
+        p.append(
+            f"sweep: 2 gamma/d, d/(2 gamma) and 6/d + 4/gamma must stay below "
+            f"{_SWEEP_RANGE:g} over the box"
+        )
     if sv.points_per_axis < 2:
         p.append("sweep.points_per_axis: need at least 2 points")
     cv = cfg.conversion

@@ -45,12 +45,6 @@ class SubsystemLayout:
     def n_subsystems(self) -> int:
         return len(self.dims)
 
-    def concat(self, other: "SubsystemLayout") -> "SubsystemLayout":
-        labels = self.labels + tuple(
-            lb if lb not in self.labels else f"{lb}'" for lb in other.labels
-        )
-        return SubsystemLayout(self.dims + other.dims, labels)
-
     def check_sites(self, sites: Sequence[int]) -> tuple[int, ...]:
         sites = tuple(int(s) for s in sites)
         if len(set(sites)) != len(sites):
@@ -113,18 +107,6 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-def tensor_states(*states: StateVector) -> StateVector:
-    """Kronecker product of states; layouts concatenate left to right."""
-    if not states:
-        raise LayoutError("tensor_states needs at least one state")
-    amps = states[0].amplitudes
-    layout = states[0].layout
-    for s in states[1:]:
-        amps = np.kron(amps, s.amplitudes)
-        layout = layout.concat(s.layout)
-    return StateVector(amps, layout)
-
-
 def apply_local(state: StateVector, op: np.ndarray, sites: Sequence[int]) -> StateVector:
     """Apply an operator that acts only on ``sites`` (in the given order)."""
     sites = state.layout.check_sites(sites)
@@ -139,27 +121,6 @@ def apply_local(state: StateVector, op: np.ndarray, sites: Sequence[int]) -> Sta
     arr = op @ arr.reshape(d_site, -1)
     arr = np.moveaxis(arr.reshape(moved_shape), range(len(sites)), sites)
     return StateVector(arr.reshape(-1), state.layout)
-
-
-def embed_operator(layout: SubsystemLayout, op: np.ndarray, sites: Sequence[int]) -> np.ndarray:
-    """Dense matrix for an operator on ``sites`` extended by identity elsewhere."""
-    sites = layout.check_sites(sites)
-    dims = layout.dims
-    n = len(dims)
-    op = np.asarray(op, dtype=np.complex128)
-    # kron the operator with identities in permuted order, then permute the
-    # tensor axes back so the factors sit at the requested sites.
-    order = list(sites) + [i for i in range(n) if i not in sites]
-    mat = op
-    for i in range(n):
-        if i not in sites:
-            mat = np.kron(mat, np.eye(dims[i], dtype=np.complex128))
-    perm_dims = [dims[i] for i in order]
-    mat = mat.reshape(perm_dims + perm_dims)
-    inv = np.argsort(order)
-    mat = mat.transpose(tuple(inv) + tuple(n + j for j in inv))
-    d = layout.total_dim
-    return np.ascontiguousarray(mat.reshape(d, d))
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

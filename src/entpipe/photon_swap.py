@@ -3,35 +3,48 @@
 A photon in a Gaussian wavepacket scatters off a ladder emitter with two
 decay channels (rates gamma1 back to the input transition, gamma2 to the
 lower transition), converting it to the shifted frequency rail with
-probability P(t) = integral |g2(k)|^2 dk.  The continuum is discretized on a
-uniform frequency grid with trapezoid weights; the state is 2 n_k + 1
-amplitudes, one per grid point and rail plus the excited emitter.
+probability P(t).  Two routes compute P.
 
-The amplitudes are propagated in the static-coefficient form obtained by
-folding the time-dependent phase factors of the rotating-frame equations
-into the amplitudes: a sparse time-independent generator, applied by Krylov
-propagation (``propagate_static``).  This is the only dynamics route in the
-package; the swap series, the sweep and both comparison reports use it.
-The adaptive-integrator routes (rotating frame and static form, both with
-``scipy.integrate``) and the two-rail generator they integrate are kept in
-``tests/oracle_swap.py`` as the oracles it is cross-checked against.
+The sweep evaluates the model's exact continuum form
+(``continuum_probability``).  With Gamma = gamma1 + gamma2 and the pulse
+psi(t) = (d^2/2pi)^{1/4} e^{-d^2 t^2/4} entering at t = 0 (the paper's
+half-pulse convention), the emitter amplitude is
+a(s) = -sqrt(gamma1) int_0^s psi(t') e^{-Gamma (s - t')/2} dt', an erfcx
+expression (``_emitter_amplitude``), and P(t) = gamma2 int_0^t |a(s)|^2 ds
+is a cumulative Gauss-Legendre quadrature on panels sized from the
+timescales 1/d and 1/Gamma.
+
+The swap stage and both comparison reports discretize the continuum on a
+uniform frequency grid with trapezoid weights; the state is 2 n_k + 1
+amplitudes, one per grid point and rail plus the excited emitter, and
+P(t) = integral |g2(k)|^2 dk.  The amplitudes are propagated in the
+static-coefficient form obtained by folding the time-dependent phase factors
+of the rotating-frame equations into the amplitudes: a sparse
+time-independent generator, applied by Krylov propagation
+(``propagate_static``).  Its P converges to the continuum form as the
+spectral window widens, with a bias of O(Gamma / window) (about 4e-3 at
++-12 Gamma; cf. Shen & Fan, PRL 95, 213001 (2005)).  ``tests/oracle_swap.py``
+keeps the Krylov sweep loop as the continuum form's oracle, and the
+adaptive-integrator routes (rotating frame and static form, both with
+``scipy.integrate``) with the two-rail generator they integrate as the
+Krylov route's oracles.
 
 When the lower splitting w2 is zero the two rails see the same detunings,
 and the rails merge.  The emitter then couples only to the bright
 combination c1 g1 + c2 g2, with c = (b1, b2) / b and b = hypot(b1, b2); the
 orthogonal dark combination starts at -c2 f and only picks up the free
 phase e^{i delta t}.  This is exact (the even/odd decomposition of Shen &
-Fan, PRL 95, 213001 (2005)), so the Krylov solver propagates the n_k + 1
-bright amplitudes and the rails are rebuilt from them in closed form.  Every
-production conversion run (the sweep, and the swap stage at its default
-w2 = 0) takes this route; w2 > 0 propagates both rails.
+Fan), so the Krylov solver propagates the n_k + 1 bright amplitudes and the
+rails are rebuilt from them in closed form.  The swap stage at its default
+w2 = 0 takes this route; w2 > 0 propagates both rails.
 
 The printed closed-form emission probability is also evaluated verbatim for
 comparison reports; it contains a growing exponential and is never used as a
-reference, the propagated dynamics are the ground truth.
+reference.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +52,7 @@ import numpy as np
 import scipy.integrate
 import scipy.sparse
 from scipy.sparse.linalg import expm_multiply
+from scipy.special import erfcx
 
 from .errors import GridError, LayoutError, NotGhzClassError
 from .hilbert import StateVector, qubits
@@ -46,6 +60,8 @@ from .hilbert import StateVector, qubits
 _PLATEAU_TOL = 1e-3  # |P(t_end) - P(0.9 t_end)| that counts as converged
 _MAX_EXTENSIONS = 6  # sweep attempts, each 1.5x longer than the last
 _CLOSED_FORM_STEPS = 2000  # trapezoid intervals of the printed closed form
+_GL_ORDER = 16  # Gauss-Legendre nodes on every time panel of the continuum form
+_GAUSS_CUTOFF = 64.0  # e^{-u^2/4} is already 0.0 in float64 beyond u = 55
 
 
 @dataclass(frozen=True)
@@ -296,36 +312,116 @@ def closed_form_report(dot: ThreeLevelDot, mode: GaussianMode, t: float, p_ode: 
     }
 
 
+# ---------------------------------------------------- continuum closed form
+
+def _emitter_amplitude(u: np.ndarray, r: float) -> np.ndarray:
+    """Emitter amplitude of the continuum model, scaled to be O(1): r J(u).
+
+    Time is u = d s in units of the pulse and r = Gamma / d.  With
+    x0 = r/2 and x1 = u/2 - x0, completing the square gives
+    int_0^s psi(t') e^{-Gamma (s - t')/2} dt' = (d^2/2pi)^{1/4} (sqrt(pi)/d) J
+    with J = e^{x0^2 - r u/2} (erf x0 + erf x1).  Through erfcx no growing
+    exponential is formed:
+    J = e^{-u^2/4} erfcx(-x1) - e^{-r u/2} erfcx(x0) for x1 <= 0, and
+    J = 2 e^{-x0 (u - x0)} - e^{-u^2/4} erfcx(x1) - e^{-r u/2} erfcx(x0)
+    for x1 > 0, where x0 (u - x0) >= x0^2.  So
+    |a(s)|^2 = sqrt(pi/2) gamma1 d / Gamma^2 (r J)^2.
+    """
+    x0 = r / 2
+    x1 = u / 2 - x0
+    gauss = np.exp(-np.minimum(u, _GAUSS_CUTOFF) ** 2 / 4)
+    j = np.empty_like(u)
+    before = x1 <= 0
+    j[before] = gauss[before] * erfcx(-x1[before])
+    after = ~before
+    j[after] = 2 * np.exp(-x0 * (u[after] - x0)) - gauss[after] * erfcx(x1[after])
+    j -= np.exp(-x0 * u) * erfcx(x0)
+    return r * j
+
+
+def _time_panels(r: float, u_times: np.ndarray) -> np.ndarray:
+    """Quadrature panel edges in u = d t, from 0 to the last requested time.
+
+    Going back from the last time, each panel is half as wide as the one
+    after it, down to 1/16 of the shorter timescale (1 for the pulse, 1/r
+    for the decay).  A panel is then never wider than the time before it,
+    so the Gaussian and the exponential are smooth on every panel at every
+    scale, and the count grows only as log2 of u_end / timescale.  The
+    requested times are edges, so each P(t) is a partial sum.
+    """
+    top = float(np.max(u_times))
+    h0 = min(1.0, 1.0 / r) / 16
+    n = max(0, math.ceil(math.log2(top) - math.log2(h0)))
+    edges = np.concatenate(([0.0], top * np.exp2(-np.arange(n + 1.0)), u_times))
+    return np.unique(edges)
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The panel rule, built on first use (read-only, as every caller shares
+    it): stages that never sweep skip its eigenvalue solve at import."""
+    rule = np.polynomial.legendre.leggauss(_GL_ORDER)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
+def _cumulative_panels(edges: np.ndarray, r: float) -> np.ndarray:
+    """int_0^u (r J)^2 du' at every edge."""
+    nodes, weights = _gauss_legendre()
+    mid = (edges[1:] + edges[:-1]) / 2
+    half = (edges[1:] - edges[:-1]) / 2
+    u = mid[:, None] + half[:, None] * nodes
+    f = _emitter_amplitude(u.ravel(), r).reshape(u.shape) ** 2
+    return np.concatenate(([0.0], np.cumsum(half * (f @ weights))))
+
+
+def continuum_probability(
+    d: float, gamma1: float, gamma2: float, times
+) -> tuple[np.ndarray, int]:
+    """P(t) = gamma2 int_0^t |a(s)|^2 ds of the continuum model, and the node count.
+
+    The pulse enters at t = 0 (half-pulse convention).  In u = d s,
+    P = sqrt(pi/2) (gamma1/Gamma) (gamma2/Gamma) int_0^{d t} (r J)^2 du, one
+    cumulative pass over the panels of ``_time_panels`` for all ``times``.
+    """
+    g_tot = gamma1 + gamma2
+    if d <= 0 or gamma1 < 0 or gamma2 < 0 or g_tot == 0:
+        raise ValueError("need a positive bandwidth and nonnegative rates, not both zero")
+    times = np.asarray(times, dtype=float)
+    if not np.any(times > 0):
+        return np.zeros(times.shape), 0
+    r = g_tot / d
+    u = d * times
+    edges = _time_panels(r, u)
+    cum = _cumulative_panels(edges, r)
+    scale = math.sqrt(math.pi / 2) * (gamma1 / g_tot) * (gamma2 / g_tot)
+    return scale * cum[np.searchsorted(edges, u)], _GL_ORDER * (edges.size - 1)
+
+
 # ------------------------------------------------------------------- sweep
 
 def sweep_point(d: float, gamma: float) -> dict:
     """Long-time conversion probability for one (bandwidth, rate) pair.
 
     Dimensionless convention: gamma1 = gamma2 = gamma, frequencies in the
-    common reference unit.  The spectral window spans twelve total
-    linewidths (or six bandwidths, whichever is wider); the plateau and
-    grid-convergence checks all operate at fixed window.  The run is
-    extended (x1.5, regridding as needed) until P plateaus:
+    common reference unit.  P comes from the continuum closed form
+    (``continuum_probability``), so there is no spectral window and no
+    grid.  The run is extended (x1.5) until P plateaus:
     |P(t_end) - P(0.9 t_end)| <= ``_PLATEAU_TOL``, for at most
     ``_MAX_EXTENSIONS`` attempts.  Rows that never plateau are flagged, not
-    dropped.
+    dropped.  ``n_t`` counts the quadrature nodes of the last attempt.
     """
     if d <= 0 or gamma <= 0:
         raise ValueError("sweep parameters must be positive")
     g_tot = 2 * gamma
-    half = max(6 * d, 12 * g_tot)
-    center = 10 * half  # keep w1 > w2 = 0 with the window far from zero
-    dot = ThreeLevelDot(w1=center, w2=0.0, gamma1=gamma, gamma2=gamma)
-    mode = GaussianMode(d=d, center=center)
     t_cur = 6.0 / d + 8.0 / g_tot
     converged = False
     p_end = math.nan
-    used_nk = 0
+    n_t = 0
     for _ in range(_MAX_EXTENSIONS):
-        used_nk = grid_points_for(t_cur, half)
-        grid = SpectralGrid(center - half, center + half, used_nk)
-        amps = propagate_static(dot, mode, grid, np.array([0.9 * t_cur, t_cur]))
-        p_late, p_end = (float(p) for p in conversion_probability(grid, amps))
+        p, n_t = continuum_probability(d, gamma, gamma, [0.9 * t_cur, t_cur])
+        p_late, p_end = float(p[0]), float(p[1])
         if abs(p_end - p_late) <= _PLATEAU_TOL:
             converged = True
             break
@@ -336,7 +432,7 @@ def sweep_point(d: float, gamma: float) -> dict:
         "p_longtime": min(max(p_end, 0.0), 1.0),
         "converged": int(converged),
         "t_end": t_cur,
-        "n_k": used_nk,
+        "n_t": n_t,
     }
 
 

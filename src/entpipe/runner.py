@@ -329,7 +329,7 @@ def run_sweep(cfg: PipelineConfig) -> StageResult:
         },
         config=_echo(cfg),
     )
-    fieldnames = ["d", "gamma", "p_longtime", "converged", "t_end", "n_k"]
+    fieldnames = ["d", "gamma", "p_longtime", "converged", "t_end", "n_t"]
     return StageResult(
         report,
         tables=[("sweep_surface", fieldnames, rows)],

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import pi
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .errors import LayoutError, NotGhzClassError, ScheduleError
+from .errors import LayoutError, ScheduleError
 from .hilbert import StateVector, apply_local, qubits, schmidt_spectrum
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -36,8 +35,6 @@ MERGE_AXIS_PHASE = -pi / 4
 _PAIR_ABSORB_PHASE = -11 * pi / 8
 _SINGLE_ABSORB_PHASE = -pi / 8
 
-# Largest |rho_ab - rho_a (x) rho_b| entry that still counts as uncorrelated.
-_CORRELATION_TOL = 1e-8
 # Largest deviation of a Schmidt coefficient from the GHZ spectrum
 # (1/sqrt2, 1/sqrt2, 0, ...) that still counts as GHZ class.
 _GHZ_TOL = 1e-8
@@ -376,51 +373,6 @@ def _apply_step(state: StateVector, st: ScheduleStep) -> StateVector:
     return apply_local(state, rotation(p.angle, p.axis_phase), (p.target,))
 
 
-def merge_blocks(
-    state: StateVector,
-    contact_a: int,
-    contact_b: int,
-    j1: float,
-    j2: float,
-    *,
-    canonicalize: bool = False,
-) -> StateVector:
-    """Absorb the Bell pair at (contact_b, contact_b+1) into the block of contact_a.
-
-    The two contacts must belong to different entangled blocks of the current
-    state; this is checked through two-dot correlations.
-    """
-    n = state.layout.n_subsystems
-    state.layout.check_sites((contact_a, contact_b))
-    if contact_b + 1 >= n or contact_b + 1 == contact_a:
-        raise ScheduleError("pair partner of contact_b must exist and differ from contact_a")
-    if _dots_correlated(state, contact_a, contact_b):
-        raise ScheduleError(
-            f"contacts {contact_a} and {contact_b} are correlated (same block)"
-        )
-    steps = _merge_pair_steps(contact_a, contact_b, j1, j2, 0, canonicalize)
-    for st in steps:
-        state = _apply_step(state, st)
-    return state
-
-
-def _reduced_density(state: StateVector, sites: Sequence[int]) -> np.ndarray:
-    sites = state.layout.check_sites(sites)
-    dims = state.layout.dims
-    arr = state.amplitudes.reshape(dims)
-    arr = np.moveaxis(arr, sites, range(len(sites)))
-    d = int(np.prod([dims[s] for s in sites]))
-    m = arr.reshape(d, -1)
-    return m @ m.conj().T
-
-
-def _dots_correlated(state: StateVector, a: int, b: int) -> bool:
-    rho_ab = _reduced_density(state, (a, b))
-    rho_a = _reduced_density(state, (a,))
-    rho_b = _reduced_density(state, (b,))
-    return float(np.max(np.abs(rho_ab - np.kron(rho_a, rho_b)))) > _CORRELATION_TOL
-
-
 def bipartitions(n: int):
     """All bipartitions of n subsystems, one representative per complement pair."""
     for mask in range(2, 2**n, 2):  # even masks never contain dot 0
@@ -445,35 +397,3 @@ def canonical_ghz(n: int) -> StateVector:
     amps = np.zeros(2**n, dtype=np.complex128)
     amps[0] = amps[-1] = 1 / np.sqrt(2)
     return StateVector(amps, qubits(n))
-
-
-def canonical_correction(state: StateVector) -> tuple[StateVector, dict]:
-    """Find per-dot Z phases plus X flips taking a two-branch state to GHZ.
-
-    Returns the corrected state and a description of the correction.  Raises
-    NotGhzClassError when the state has no two-branch computational structure.
-    """
-    n = state.layout.n_subsystems
-    amps = state.amplitudes
-    order = np.argsort(np.abs(amps))[::-1]
-    i0, i1 = int(order[0]), int(order[1])
-    c0, c1 = amps[i0], amps[i1]
-    rest = np.linalg.norm(np.delete(amps, [i0, i1]))
-    if rest > 1e-6 or abs(abs(c0) - abs(c1)) > 1e-6:
-        raise NotGhzClassError("state is not a balanced two-branch computational state")
-    if i0 & (2**n - 1 - i1) != i0:
-        raise NotGhzClassError("branch patterns are not complementary")
-    # Flip every dot that reads 1 in the branch with fewer set bits.
-    if bin(i0).count("1") > bin(i1).count("1"):
-        i0, i1 = i1, i0
-        c0, c1 = c1, c0
-    flips = [d for d in range(n) if i0 >> (n - 1 - d) & 1]
-    out = state
-    for d in flips:
-        out = apply_local(out, SIGMA_X, (d,))
-    # After the flips the branches sit at |0..0> and |1..1>; one phase gate
-    # on dot 0 absorbs the relative branch phase.
-    rel = np.angle(out.amplitudes[-1] / out.amplitudes[0])
-    gate = np.diag([1.0, np.exp(-1j * rel)]).astype(np.complex128)
-    out = apply_local(out, gate, (0,))
-    return out, {"x_flips": flips, "z_phase_dot0": float(-rel)}

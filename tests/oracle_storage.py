@@ -26,8 +26,8 @@ from entpipe.cat_code import (
     required_levels,
 )
 from entpipe.errors import ChainFormError, CodeSubspaceError, LayoutError, TruncationError
-from entpipe.hilbert import StateVector, SubsystemLayout, apply_local, fidelity, tensor_states
-from entpipe.spin_register import merge_blocks
+from entpipe.hilbert import StateVector, SubsystemLayout, apply_local, fidelity
+from oracle_register import merge_blocks, tensor_states
 
 _SUBSPACE_TOL = 1e-6
 

@@ -1,15 +1,19 @@
-"""Adaptive-integrator conversion routes: the test oracles for the Krylov route.
+"""Test oracles for both conversion routes of ``entpipe.photon_swap``.
 
-The package computes the conversion probability only by Krylov propagation
-of the static-coefficient generator (``entpipe.photon_swap``).  This module
-keeps two independent integrations of the same amplitude equations with
-``scipy.integrate.solve_ivp``: the rotating frame with explicit phase
-factors, and the static-coefficient (lab) frame.  The lab frame uses
-``two_rail_generator``, the (2 n_k + 1)-dimensional generator assembled
-through ``lil_matrix``, which is also the reference for the package's CSR
-build and its merged-rail route.  Acceptance 07, the frame-invariance tests
-and the reference-point check of the sweep report compare against them.
-Only tests import it.
+The sweep evaluates the continuum closed form.  ``krylov_sweep_point`` is
+the plateau loop that computed the sweep before, by Krylov propagation on a
+uniform frequency grid; its values converge to the closed form as the
+spectral window widens, so it serves as the closed form's oracle.
+
+The swap stage and the reports propagate the static-coefficient generator
+by Krylov.  This module keeps two independent integrations of the same
+amplitude equations with ``scipy.integrate.solve_ivp``: the rotating frame
+with explicit phase factors, and the static-coefficient (lab) frame.  The
+lab frame uses ``two_rail_generator``, the (2 n_k + 1)-dimensional generator
+assembled through ``lil_matrix``, which is also the reference for the
+package's CSR build and its merged-rail route.  Acceptance 07, the
+frame-invariance tests and the reference-point check of the sweep report
+compare against them.  Only tests import it.
 """
 from __future__ import annotations
 
@@ -22,12 +26,17 @@ import scipy.sparse
 
 from entpipe.errors import GridError, StepSizeError
 from entpipe.photon_swap import (
+    _MAX_EXTENSIONS,
+    _PLATEAU_TOL,
     GaussianMode,
     SpectralGrid,
     ThreeLevelDot,
     _validate_recurrence,
+    conversion_probability,
     detunings,
     gaussian_mode,
+    grid_points_for,
+    propagate_static,
 )
 
 _NORM_DRIFT_HARD = 1e-4
@@ -202,3 +211,43 @@ def integrate_lab_frame(
     if drift > _NORM_DRIFT_HARD:
         raise GridError(f"norm drift {drift:.2e} indicates grid aliasing")
     return traj
+
+
+def krylov_sweep_point(d: float, gamma: float, window: float = 1.0) -> dict:
+    """Long-time conversion probability by Krylov propagation on a grid.
+
+    The same convention and plateau rule as ``entpipe.photon_swap.sweep_point``.
+    The spectral window spans ``window`` times twelve total linewidths (or six
+    bandwidths, whichever is wider); the plateau and grid-convergence checks
+    all operate at fixed window.  The run is extended (x1.5, regridding as
+    needed) until P plateaus.  P carries a bias of O(Gamma / window) against
+    the continuum, so doubling ``window`` halves the gap.
+    """
+    if d <= 0 or gamma <= 0:
+        raise ValueError("sweep parameters must be positive")
+    g_tot = 2 * gamma
+    half = window * max(6 * d, 12 * g_tot)
+    center = 10 * half  # keep w1 > w2 = 0 with the window far from zero
+    dot = ThreeLevelDot(w1=center, w2=0.0, gamma1=gamma, gamma2=gamma)
+    mode = GaussianMode(d=d, center=center)
+    t_cur = 6.0 / d + 8.0 / g_tot
+    converged = False
+    p_end = math.nan
+    used_nk = 0
+    for _ in range(_MAX_EXTENSIONS):
+        used_nk = grid_points_for(t_cur, half)
+        grid = SpectralGrid(center - half, center + half, used_nk)
+        amps = propagate_static(dot, mode, grid, np.array([0.9 * t_cur, t_cur]))
+        p_late, p_end = (float(p) for p in conversion_probability(grid, amps))
+        if abs(p_end - p_late) <= _PLATEAU_TOL:
+            converged = True
+            break
+        t_cur *= 1.5
+    return {
+        "d": d,
+        "gamma": gamma,
+        "p_longtime": min(max(p_end, 0.0), 1.0),
+        "converged": int(converged),
+        "t_end": t_cur,
+        "n_k": used_nk,
+    }

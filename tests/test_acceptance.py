@@ -37,13 +37,12 @@ from entpipe.spin_register import (
     Schedule,
     bipartitions,
     build_bell,
-    canonical_correction,
     execute,
     is_ghz_class,
     ising_matrix,
     plan_ghz,
 )
-from oracle_register import dense_execute
+from oracle_register import canonical_correction, dense_execute
 from oracle_storage import decode, encode
 from oracle_swap import integrate_dynamics, swap_probability
 
@@ -303,7 +302,7 @@ def test_08_conversion_probability_surface(capsys):
             f"max={mx:.3f} below 0.9; closed-form gap {disc['abs_diff']:.3g} "
             "documented"
         )
-    _finish(capsys, 8, "full surface sweep", t0, 600.0, fails, note)
+    _finish(capsys, 8, "full surface sweep", t0, 60.0, fails, note)
 
 
 def test_09_ideal_end_to_end_pipeline(capsys):

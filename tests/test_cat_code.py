@@ -36,7 +36,8 @@ from entpipe.errors import (
     NullStateError,
     TruncationError,
 )
-from entpipe.hilbert import StateVector, SubsystemLayout, fidelity, tensor_states
+from entpipe.hilbert import StateVector, SubsystemLayout, fidelity
+from oracle_register import tensor_states
 from oracle_storage import (
     DispersiveCoupling,
     annihilation,

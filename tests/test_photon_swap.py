@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import integrate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply
@@ -25,8 +26,11 @@ from entpipe.photon_swap import (
     GaussianMode,
     SpectralGrid,
     ThreeLevelDot,
+    _cumulative_panels,
+    _time_panels,
     closed_form_emission,
     closed_form_report,
+    continuum_probability,
     conversion_probability,
     gaussian_mode,
     propagate_static,
@@ -42,6 +46,7 @@ from oracle_swap import (
     grid_for_dot,
     integrate_dynamics,
     integrate_lab_frame,
+    krylov_sweep_point,
     swap_probability,
     two_rail_generator,
 )
@@ -391,7 +396,7 @@ def test_sweep_point_converges():
     row = sweep_point(1.0, 1.0)
     assert row["converged"] == 1
     assert 0.0 <= row["p_longtime"] <= 1.0
-    assert row["n_k"] >= 1024
+    assert 0 < row["n_t"] <= 1024  # quadrature nodes, far fewer than Krylov's grid
     # plateau horizon covers the pulse passage and the emission decay
     assert row["t_end"] >= 6.0
 
@@ -401,8 +406,8 @@ def test_sweep_point_deterministic():
 
 
 def test_sweep_point_matches_dynamic_route(small_dot, small_mode):
-    """The Krylov sweep value agrees with the adaptive integrator to within
-    the window-truncation scale."""
+    """The sweep value agrees with the adaptive integrator to within the
+    integrator's window-truncation scale."""
     row = sweep_point(1.0, 1.0)
     grid = grid_for_dot(small_dot, small_mode)
     dt = 0.9 / (20 * grid.span / (2 * math.pi))
@@ -426,6 +431,121 @@ def test_sweep_surface_ordering():
         (1.0, 1.0),
     ]
     assert all(r["converged"] == 1 for r in rows)
+
+
+# ---------------------------------------------------- continuum closed form
+
+# corners and geometric centre of the benchmark's (d, gamma) box
+BOX_POINTS = [(0.2, 0.1), (0.2, 5.0), (10.0, 0.1), (10.0, 5.0), (math.sqrt(2), math.sqrt(0.5))]
+
+
+def _direct_probability(d, g1, g2, t_end):
+    """gamma2 int |a|^2 with a(s) by nested adaptive quadrature of its definition."""
+    g_tot = g1 + g2
+
+    def inner(s):
+        return integrate.quad(
+            lambda t: math.exp(-d * d * t * t / 4 - g_tot * (s - t) / 2),
+            0, s, epsabs=0, epsrel=1e-13, limit=200,
+        )[0]
+
+    breaks = sorted(b for b in (1 / g_tot, 1 / d, 4 / d, 4 / g_tot, 16 / g_tot, 16 / d) if b < t_end)
+    outer = integrate.quad(
+        lambda s: inner(s) ** 2, 0, t_end, points=breaks, epsabs=0, epsrel=1e-13, limit=400
+    )[0]
+    return g1 * g2 * d / math.sqrt(2 * math.pi) * outer
+
+
+@pytest.mark.parametrize("d, g1, g2", [(1.0, 1.0, 1.0), (0.2, 5.0, 5.0), (10.0, 0.1, 0.3)])
+def test_continuum_matches_direct_double_integral(d, g1, g2):
+    t_end = 6 / d + 8 / (g1 + g2)
+    (p,), _ = continuum_probability(d, g1, g2, [t_end])
+    assert abs(p - _direct_probability(d, g1, g2, t_end)) <= 1e-12
+
+
+def test_continuum_reference_point():
+    """The continuum value at the sweep report's reference point d = gamma = 1, t = 6."""
+    (p,), _ = continuum_probability(1.0, 1.0, 1.0, [6.0])
+    assert p == pytest.approx(0.30670, abs=5e-6)
+
+
+@pytest.mark.parametrize("d, gamma", BOX_POINTS, ids=["d0.2-g0.1", "d0.2-g5", "d10-g0.1",
+                                                      "d10-g5", "centre"])
+def test_krylov_converges_to_continuum_as_window_doubles(d, gamma):
+    """Krylov's gap to the closed form is its O(Gamma / window) bias."""
+    gaps = []
+    for window in (1.0, 2.0):
+        row = krylov_sweep_point(d, gamma, window)
+        assert row["converged"] == 1
+        (p,), _ = continuum_probability(d, gamma, gamma, [row["t_end"]])
+        gaps.append(row["p_longtime"] - p)
+    assert abs(gaps[0]) <= 5e-3
+    assert 0.4 <= gaps[1] / gaps[0] <= 0.6
+
+
+def test_sweep_point_is_continuum_at_its_horizon():
+    row = sweep_point(0.7, 1.3)
+    t = row["t_end"]
+    (_, p), n_t = continuum_probability(0.7, 1.3, 1.3, [0.9 * t, t])
+    assert row["p_longtime"] == p and row["n_t"] == n_t
+
+
+# d / Gamma over 1e-6 .. 1e6, d over 1e-3 .. 1e3
+LOG_D = st.floats(-3.0, 3.0)
+LOG_RATIO = st.floats(-6.0, 6.0)
+
+
+def _rates(log_d, log_ratio, split=0.5):
+    d = 10.0**log_d
+    g_tot = d / 10.0**log_ratio
+    g1 = split * g_tot
+    return d, g1, g_tot - g1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(
+    log_d=LOG_D,
+    log_ratio=LOG_RATIO,
+    split=st.floats(0.01, 0.99),
+    fractions=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=8),
+)
+def test_continuum_bounded_and_nondecreasing(log_d, log_ratio, split, fractions):
+    d, g1, g2 = _rates(log_d, log_ratio, split)
+    times = np.sort(fractions) * (6 / d + 8 / (g1 + g2))
+    p, _ = continuum_probability(d, g1, g2, times)
+    assert np.all(p >= 0.0)
+    assert np.all(p <= 4 * g1 * g2 / (g1 + g2) ** 2)
+    assert np.all(np.diff(p) >= 0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(log_d=LOG_D, log_ratio=LOG_RATIO, log_scale=st.floats(-6.0, 6.0),
+       fraction=st.floats(0.05, 3.0))
+def test_continuum_is_scale_invariant(log_d, log_ratio, log_scale, fraction):
+    """P(s d, s gamma, t / s) = P(d, gamma, t): only d t and Gamma / d matter."""
+    d, g1, g2 = _rates(log_d, log_ratio)
+    s = 10.0**log_scale
+    t = fraction * (6 / d + 8 / (g1 + g2))
+    (p,), _ = continuum_probability(d, g1, g2, [t])
+    (q,), _ = continuum_probability(s * d, s * g1, s * g2, [t / s])
+    assert abs(p - q) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(log_d=LOG_D, log_ratio=LOG_RATIO, fraction=st.floats(0.05, 3.0))
+def test_continuum_node_rule_matches_doubled_nodes(log_d, log_ratio, fraction):
+    d, g1, g2 = _rates(log_d, log_ratio)
+    r = (g1 + g2) / d
+    t = fraction * (6 / d + 8 / (g1 + g2))
+    edges = _time_panels(r, d * np.array([0.9 * t, t]))
+    halved = np.sort(np.concatenate([edges, (edges[1:] + edges[:-1]) / 2]))
+    coarse = _cumulative_panels(edges, r)
+    fine = _cumulative_panels(halved, r)[::2]
+    scale = math.sqrt(math.pi / 2) / 4  # P per unit of the integral at gamma1 = gamma2
+    assert scale * np.max(np.abs(coarse - fine)) <= 1e-9
 
 
 # ------------------------------------------------------------ register swap

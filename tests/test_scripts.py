@@ -38,3 +38,22 @@ def test_script_runs(tmp_path, script, args, summary):
     )
     assert proc.returncode == 0, proc.stderr
     assert re.search(summary, proc.stdout, re.MULTILINE), proc.stdout
+
+
+@pytest.mark.parametrize(
+    "args, problem",
+    [
+        (["--d-min", "0"], "config error: sweep: need 0 < d_min < d_max"),
+        (["--out", "taken/surface"], "config error: cannot write output: "),
+    ],
+    ids=["zero_d_min", "out_under_file"],
+)
+def test_surface_sweep_rejects_bad_input_before_running(tmp_path, args, problem):
+    (tmp_path / "taken").write_text("a regular file")
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_surface_sweep.py"), "--points", "2", *args],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(problem) and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stdout == ""  # nothing was computed or written

@@ -19,7 +19,6 @@ from entpipe.hilbert import (
     fidelity,
     qubits,
     schmidt_spectrum,
-    tensor_states,
 )
 from entpipe.spin_register import (
     CouplingSpec,
@@ -28,19 +27,17 @@ from entpipe.spin_register import (
     ScheduleStep,
     bipartitions,
     build_bell,
-    canonical_correction,
     canonical_ghz,
     execute,
     heisenberg_matrix,
     ising_matrix,
     is_ghz_class,
-    merge_blocks,
     plan_ghz,
     plus_register,
     report_from_schedule,
     rotation,
 )
-from oracle_register import dense_execute
+from oracle_register import canonical_correction, dense_execute, merge_blocks, tensor_states
 
 J1 = 1.0e8
 J2 = 1.0e8
