@@ -12,7 +12,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from entpipe.config import default_config
+from entpipe.config import default_config, validate
 from entpipe.runner import run_pipeline
 
 
@@ -34,12 +34,17 @@ def main() -> int:
             p = args.p_success
         base = replace(base, swap=replace(base.swap, p_success=p))
 
+    configs = [replace(base, register=replace(base.register, n_dots=n)) for n in args.sizes]
+    problems = [q for cfg in configs for q in validate(cfg)]
+    if problems:
+        print(f"config error: {problems[0]}", file=sys.stderr)
+        return 2
+
     print(f"{'dots':>5} {'photons':>8} {'fidelity':>12} {'herald':>12}")
-    for n in args.sizes:
+    for n, cfg in zip(args.sizes, configs):
         if n % 2:
             print(f"{n:>5}  skipped (needs an even dot count)")
             continue
-        cfg = replace(base, register=replace(base.register, n_dots=n))
         rep = run_pipeline(cfg).report
         print(f"{n:>5} {rep.stats['polarization_photons']:>8} "
               f"{rep.fidelities['final_polarization']:>12.8f} "

@@ -55,6 +55,13 @@ def main() -> int:
     ap.add_argument("--out", default="runs/protection_study.csv")
     args = ap.parse_args()
 
+    bad_kt = [kt for kt in args.kappa_t if not (math.isfinite(kt) and kt >= 0)]
+    if bad_kt or args.pairs < 2:
+        problem = (f"--kappa-t must be finite and >= 0, got {bad_kt[0]}" if bad_kt
+                   else f"--pairs must be at least 2 for a significance, got {args.pairs}")
+        print(f"config error: {problem}", file=sys.stderr)
+        return 2
+
     rows = []
     for kt in args.kappa_t:
         row = study_point(kt, args.pairs, args.seed, args.alpha, args.n_max,

@@ -12,13 +12,14 @@ from dataclasses import asdict, dataclass, fields, replace
 
 from .cat_code import required_levels
 from .errors import ConfigError
+from .photon_swap import horizon
 
 _FORMATS = ("csv", "json")
 _DIMENSIONLESS = "dimensionless"
-# Largest 2 gamma/d, d/(2 gamma) and t_end = 6/d + 4/gamma a sweep box may
-# reach: every time and rate ratio of the sweep stays finite in float64
-# through the plateau extensions.
-_SWEEP_RANGE = 1e305
+# Largest Gamma/d, d/Gamma and horizon a conversion run may reach: every
+# time and rate ratio of the continuum form stays finite in float64, also
+# through the sweep's plateau extensions.
+_RATE_RANGE = 1e305
 
 
 @dataclass(frozen=True)
@@ -187,6 +188,15 @@ def parse_config(doc: dict) -> PipelineConfig:
     return cfg
 
 
+def _rates_in_range(d: float, g_tot: float) -> bool:
+    """Gamma/d, d/Gamma and the horizon below ``_RATE_RANGE`` (Gamma = 0 allowed)."""
+    return (
+        g_tot / d < _RATE_RANGE
+        and (g_tot == 0 or d / g_tot < _RATE_RANGE)
+        and horizon(d, g_tot) < _RATE_RANGE
+    )
+
+
 def validate(cfg: PipelineConfig) -> list[str]:
     """Semantic checks across all sections; returns every problem found."""
     p: list[str] = []
@@ -216,10 +226,16 @@ def validate(cfg: PipelineConfig) -> list[str]:
     sw = cfg.swap
     if not sw.w1 > sw.w2 >= 0:
         p.append("swap: frequencies must satisfy w1 > w2 >= 0")
-    if sw.gamma1 < 0 or sw.gamma2 < 0:
+    rates_ok = sw.gamma1 >= 0 and sw.gamma2 >= 0
+    if not rates_ok:
         p.append("swap: decay rates cannot be negative")
     if sw.d <= 0:
         p.append("swap.d: mode bandwidth must be positive")
+    elif rates_ok and not _rates_in_range(sw.d, sw.gamma1 + sw.gamma2):
+        p.append(
+            f"swap: Gamma/d, d/Gamma and 6/d + 8/Gamma (Gamma = gamma1 + gamma2) "
+            f"must stay below {_RATE_RANGE:g}"
+        )
     if isinstance(sw.p_success, str):
         if sw.p_success != "simulate":
             p.append(f"swap.p_success: number in (0,1] or 'simulate', got {sw.p_success!r}")
@@ -234,14 +250,14 @@ def validate(cfg: PipelineConfig) -> list[str]:
         p.append("sweep: need 0 < d_min < d_max")
     if not g_ok:
         p.append("sweep: need 0 < gamma_min < gamma_max")
-    if d_ok and g_ok and max(
-        2 * sv.gamma_max / sv.d_min,
-        sv.d_max / (2 * sv.gamma_min),
-        6 / sv.d_min + 4 / sv.gamma_min,
-    ) > _SWEEP_RANGE:
+    if d_ok and g_ok and not all(
+        _rates_in_range(d, 2 * g)
+        for d in (sv.d_min, sv.d_max)
+        for g in (sv.gamma_min, sv.gamma_max)
+    ):
         p.append(
             f"sweep: 2 gamma/d, d/(2 gamma) and 6/d + 4/gamma must stay below "
-            f"{_SWEEP_RANGE:g} over the box"
+            f"{_RATE_RANGE:g} over the box"
         )
     if sv.points_per_axis < 2:
         p.append("sweep.points_per_axis: need at least 2 points")

@@ -3,40 +3,30 @@
 A photon in a Gaussian wavepacket scatters off a ladder emitter with two
 decay channels (rates gamma1 back to the input transition, gamma2 to the
 lower transition), converting it to the shifted frequency rail with
-probability P(t).  Two routes compute P.
-
-The sweep evaluates the model's exact continuum form
+probability P(t).  One route computes P: the model's exact continuum form
 (``continuum_probability``).  With Gamma = gamma1 + gamma2 and the pulse
 psi(t) = (d^2/2pi)^{1/4} e^{-d^2 t^2/4} entering at t = 0 (the paper's
 half-pulse convention), the emitter amplitude is
 a(s) = -sqrt(gamma1) int_0^s psi(t') e^{-Gamma (s - t')/2} dt', an erfcx
 expression (``_emitter_amplitude``), and P(t) = gamma2 int_0^t |a(s)|^2 ds
 is a cumulative Gauss-Legendre quadrature on panels sized from the
-timescales 1/d and 1/Gamma.
+timescales 1/d and 1/Gamma.  The swap stage and the sweep both evaluate it
+out to the same ``horizon``.  P does not depend on the lower splitting w2:
+only the bright combination of the two rails couples to the emitter (the
+even/odd decomposition of Shen & Fan, PRL 95, 213001 (2005)).
 
-The swap stage and both comparison reports discretize the continuum on a
-uniform frequency grid with trapezoid weights; the state is 2 n_k + 1
-amplitudes, one per grid point and rail plus the excited emitter, and
-P(t) = integral |g2(k)|^2 dk.  The amplitudes are propagated in the
-static-coefficient form obtained by folding the time-dependent phase factors
-of the rotating-frame equations into the amplitudes: a sparse
-time-independent generator, applied by Krylov propagation
-(``propagate_static``).  Its P converges to the continuum form as the
-spectral window widens, with a bias of O(Gamma / window) (about 4e-3 at
-+-12 Gamma; cf. Shen & Fan, PRL 95, 213001 (2005)).  ``tests/oracle_swap.py``
-keeps the Krylov sweep loop as the continuum form's oracle, and the
-adaptive-integrator routes (rotating frame and static form, both with
-``scipy.integrate``) with the two-rail generator they integrate as the
-Krylov route's oracles.
-
-When the lower splitting w2 is zero the two rails see the same detunings,
-and the rails merge.  The emitter then couples only to the bright
-combination c1 g1 + c2 g2, with c = (b1, b2) / b and b = hypot(b1, b2); the
-orthogonal dark combination starts at -c2 f and only picks up the free
-phase e^{i delta t}.  This is exact (the even/odd decomposition of Shen &
-Fan), so the Krylov solver propagates the n_k + 1 bright amplitudes and the
-rails are rebuilt from them in closed form.  The swap stage at its default
-w2 = 0 takes this route; w2 > 0 propagates both rails.
+The sweep report also carries one fixed reference propagation (d = gamma = 1,
+t = 6) of the continuum discretized on a uniform frequency grid with
+trapezoid weights.  On degenerate rails (w2 = 0) only the bright rail
+couples, so its state is the n_k + 1 amplitudes of that rail and the
+excited emitter, written in the static-coefficient form obtained by folding
+the rotating-frame phase factors into the amplitudes: a sparse
+time-independent generator applied by Krylov propagation
+(``propagate_static``), from which both rails are rebuilt in closed form.
+Its P sits O(Gamma / window) above the continuum form (about 4e-3 at
++-12 Gamma).  It stays until the benchmark's tracer no longer needs its
+spans; ``tests/oracle_swap.py`` keeps the Krylov sweep loop, the two-rail
+generator and the adaptive-integrator routes as the oracles of both routes.
 
 The printed closed-form emission probability is also evaluated verbatim for
 comparison reports; it contains a growing exponential and is never used as a
@@ -139,27 +129,12 @@ def _validate_recurrence(grid: SpectralGrid, t_end: float):
         )
 
 
-def grid_points_for(t_end: float, half: float) -> int:
-    """Grid size for a window of half-width ``half`` that is run to ``t_end``.
-
-    The smallest multiple of 256 (at least 1024) whose recurrence time
-    2 pi / dk is at least 2.2 t_end, so ``t_end`` stays inside the
-    recurrence guard of ``propagate_static`` with a 10% margin.
-    """
-    return max(1024, 256 * math.ceil(2.2 * t_end * half / math.pi / 256))
-
-
 def detunings(dot: ThreeLevelDot, grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
     k = grid.points
     return dot.w1 - k, dot.w1 - dot.w2 - k
 
 
 # ----------------------------------------------------------- static route
-
-def _rails_merge(dot: ThreeLevelDot) -> bool:
-    """Both rails see the same detunings, so only their bright sum couples."""
-    return dot.w2 == 0
-
 
 def _rail_couplings(dot: ThreeLevelDot) -> tuple[float, float]:
     """Channel couplings b_j = sqrt(gamma_j / 2 pi)."""
@@ -190,31 +165,25 @@ def _arrowhead(diag: np.ndarray, col: np.ndarray, row: np.ndarray) -> scipy.spar
 
 
 def static_generator(dot: ThreeLevelDot, grid: SpectralGrid) -> scipy.sparse.csr_matrix:
-    """Time-independent generator for phase-folded amplitudes u = g e^{i t delta}.
+    """Bright-rail generator for phase-folded amplitudes u = g e^{i t delta}.
 
     du1/dt = i delta u1 - b1 u3; du2/dt = i delta' u2 - b2 u3;
     du3/dt = sum_k w_k (b1 u1 + b2 u2).  Moduli match the rotating frame
-    pointwise, so probabilities agree between the two routes.
+    pointwise, so probabilities agree between the two frames.
 
     With w2 = 0 (delta' = delta) the rails merge: for the bright amplitude
     B = c1 u1 + c2 u2, c = (b1, b2) / b, the equations close as
     dB/dt = i delta B - b u3 and du3/dt = sum_k w_k b B, with
     b = hypot(b1, b2), while the dark amplitude c1 u2 - c2 u1 evolves
-    freely.  The generator is then (n_k + 1)-dimensional over (B, u3).
-    Otherwise it is (2 n_k + 1)-dimensional over (u1, u2, u3).
+    freely.  The generator is (n_k + 1)-dimensional over (B, u3).  Split
+    rails (w2 > 0) raise ``ValueError``; ``tests/oracle_swap.py`` keeps
+    their two-rail generator.
     """
-    n = grid.n_k
-    w = grid.weights
-    delta, delta_p = detunings(dot, grid)
-    b1, b2 = _rail_couplings(dot)
-    if _rails_merge(dot):
-        b = math.hypot(b1, b2)
-        return _arrowhead(1j * delta, np.full(n, -b), b * w)
-    return _arrowhead(
-        np.concatenate([1j * delta, 1j * delta_p]),
-        np.concatenate([np.full(n, -b1), np.full(n, -b2)]),
-        np.concatenate([b1 * w, b2 * w]),
-    )
+    if dot.w2 != 0:
+        raise ValueError("only degenerate rails (w2 = 0) merge into one bright rail")
+    delta, _ = detunings(dot, grid)
+    b = math.hypot(*_rail_couplings(dot))
+    return _arrowhead(1j * delta, np.full(grid.n_k, -b), b * grid.weights)
 
 
 def propagate_static(
@@ -222,25 +191,23 @@ def propagate_static(
 ) -> np.ndarray:
     """Phase-folded amplitudes (u1, u2, u3) at the requested times (Krylov).
 
-    Rows have the two-rail layout of 2 n_k + 1 amplitudes whichever
-    generator was propagated.  On merged rails the bright amplitude B is
-    propagated from c1 f, and with the free part F = f e^{i delta t} and
-    R = B - c1 F the rails are u1 = F + c1 R and u2 = c2 R: both rails are
-    exactly (f, 0) at t = 0, where R vanishes.
+    Rows have the two-rail layout of 2 n_k + 1 amplitudes.  The bright
+    amplitude B is propagated from c1 f, and with the free part
+    F = f e^{i delta t} and R = B - c1 F the rails are u1 = F + c1 R and
+    u2 = c2 R: both rails are exactly (f, 0) at t = 0, where R vanishes.
 
     Raises ``GridError`` when the last time lies beyond half the grid's
-    recurrence time.
+    recurrence time, and ``ValueError`` on split rails (w2 > 0).
     """
     _validate_recurrence(grid, max(times, default=0.0))
     f = gaussian_mode(mode, grid)
     n = grid.n_k
-    merged = _rails_merge(dot)
     b1, b2 = _rail_couplings(dot)
     b = math.hypot(b1, b2)
     c1, c2 = (b1 / b, b2 / b) if b > 0 else (1.0, 0.0)
     m = static_generator(dot, grid)
     y = np.zeros(m.shape[0], dtype=np.complex128)
-    y[:n] = c1 * f if merged else f
+    y[:n] = c1 * f
     states = np.empty((len(times), m.shape[0]), dtype=np.complex128)
     prev_t = 0.0
     for i, t in enumerate(times):
@@ -250,8 +217,6 @@ def propagate_static(
             y = expm_multiply(m * (t - prev_t), y)
             prev_t = t
         states[i] = y
-    if not merged:
-        return states
     delta, _ = detunings(dot, grid)
     free = f * np.exp(1j * np.outer(times, delta))
     residual = states[:, :n] - c1 * free
@@ -274,29 +239,38 @@ def conversion_probability(grid: SpectralGrid, amps: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------- printed closed form
 
-def closed_form_emission(dot: ThreeLevelDot, mode: GaussianMode, t: float) -> float:
+def closed_form_emission(dot: ThreeLevelDot, mode: GaussianMode, t: float) -> float | None:
     """Evaluate the printed closed-form emission probability.
 
     The formula is reproduced verbatim, including its growing exponential
     exp(+(gamma1+gamma2) t''/2); the value is returned for the record and is
-    never asserted against the integrated dynamics.
+    never asserted against the integrated dynamics.  ``None`` when a step of
+    the formula leaves float64 (that exponential overflows first).
     """
     g = dot.gamma1 + dot.gamma2
     tpp = np.linspace(0.0, t, _CLOSED_FORM_STEPS + 1)
-    integrand = np.exp(-mode.d**2 * tpp**2 / 4 + g * tpp / 2)
-    inner = scipy.integrate.cumulative_trapezoid(integrand, tpp, initial=0.0)
-    return float(
-        scipy.integrate.trapezoid(
-            dot.gamma1 * dot.gamma2 * mode.d / math.sqrt(2 * math.pi) * np.abs(inner) ** 2, tpp
-        )
-    )
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            integrand = np.exp(-mode.d**2 * tpp**2 / 4 + g * tpp / 2)
+            inner = scipy.integrate.cumulative_trapezoid(integrand, tpp, initial=0.0)
+            p = float(
+                scipy.integrate.trapezoid(
+                    dot.gamma1 * dot.gamma2 * mode.d / math.sqrt(2 * math.pi)
+                    * np.abs(inner) ** 2,
+                    tpp,
+                )
+            )
+    except (FloatingPointError, OverflowError):
+        return None
+    return p if math.isfinite(p) else None
 
 
 def closed_form_report(dot: ThreeLevelDot, mode: GaussianMode, t: float, p_ode: float) -> dict:
     """Dynamics vs printed-formula comparison as plain data (never a pass/fail).
 
     ``p_ode`` is the conversion probability at ``t`` that the caller has
-    already propagated.
+    already computed.  ``p_closed`` and ``abs_diff`` are ``None`` when the
+    printed formula leaves float64.
     """
     p_closed = closed_form_emission(dot, mode, t)
     return {
@@ -308,7 +282,7 @@ def closed_form_report(dot: ThreeLevelDot, mode: GaussianMode, t: float, p_ode: 
         },
         "p_ode": p_ode,
         "p_closed": p_closed,
-        "abs_diff": abs(p_ode - p_closed),
+        "abs_diff": None if p_closed is None else abs(p_ode - p_closed),
     }
 
 
@@ -384,12 +358,13 @@ def continuum_probability(
     The pulse enters at t = 0 (half-pulse convention).  In u = d s,
     P = sqrt(pi/2) (gamma1/Gamma) (gamma2/Gamma) int_0^{d t} (r J)^2 du, one
     cumulative pass over the panels of ``_time_panels`` for all ``times``.
+    With both rates zero the emitter never couples: P = 0 and no nodes.
     """
+    if d <= 0 or gamma1 < 0 or gamma2 < 0:
+        raise ValueError("need a positive bandwidth and nonnegative rates")
     g_tot = gamma1 + gamma2
-    if d <= 0 or gamma1 < 0 or gamma2 < 0 or g_tot == 0:
-        raise ValueError("need a positive bandwidth and nonnegative rates, not both zero")
     times = np.asarray(times, dtype=float)
-    if not np.any(times > 0):
+    if g_tot == 0 or not np.any(times > 0):
         return np.zeros(times.shape), 0
     r = g_tot / d
     u = d * times
@@ -397,6 +372,15 @@ def continuum_probability(
     cum = _cumulative_panels(edges, r)
     scale = math.sqrt(math.pi / 2) * (gamma1 / g_tot) * (gamma2 / g_tot)
     return scale * cum[np.searchsorted(edges, u)], _GL_ORDER * (edges.size - 1)
+
+
+def horizon(d: float, g_tot: float) -> float:
+    """Run length 6/d + 8/Gamma: the pulse's passage plus eight decay times.
+
+    ``g_tot`` is Gamma = gamma1 + gamma2; with Gamma = 0 nothing decays and
+    the run covers only the pulse.
+    """
+    return 6.0 / d + (8.0 / g_tot if g_tot > 0 else 0.0)
 
 
 # ------------------------------------------------------------------- sweep
@@ -414,8 +398,7 @@ def sweep_point(d: float, gamma: float) -> dict:
     """
     if d <= 0 or gamma <= 0:
         raise ValueError("sweep parameters must be positive")
-    g_tot = 2 * gamma
-    t_cur = 6.0 / d + 8.0 / g_tot
+    t_cur = horizon(d, 2 * gamma)
     converged = False
     p_end = math.nan
     n_t = 0

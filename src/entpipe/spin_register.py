@@ -15,7 +15,7 @@ from math import pi
 import numpy as np
 import scipy.linalg
 
-from .errors import LayoutError, ScheduleError
+from .errors import ScheduleError
 from .hilbert import StateVector, apply_local, qubits, schmidt_spectrum
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -344,14 +344,9 @@ def report_from_schedule(schedule: Schedule) -> TimingReport:
     return TimingReport(len(ising), len(heis), i_dur, h_dur)
 
 
-def execute(schedule: Schedule, initial: StateVector | None = None) -> StateVector:
-    """Run a schedule from |+>^n (or a supplied state), exactly."""
-    if initial is None:
-        state = plus_register(schedule.n_dots)
-    else:
-        if initial.layout.dims != (2,) * schedule.n_dots:
-            raise LayoutError("initial state does not match the register layout")
-        state = initial
+def execute(schedule: Schedule) -> StateVector:
+    """Run a schedule from |+>^n, exactly."""
+    state = plus_register(schedule.n_dots)
     for st in schedule.steps:
         state = _apply_step(state, st)
     return state

@@ -1,17 +1,19 @@
 """Test oracles for both conversion routes of ``entpipe.photon_swap``.
 
-The sweep evaluates the continuum closed form.  ``krylov_sweep_point`` is
-the plateau loop that computed the sweep before, by Krylov propagation on a
-uniform frequency grid; its values converge to the closed form as the
+The swap stage and the sweep evaluate the continuum closed form.
+``krylov_sweep_point`` is the plateau loop that computed the sweep before,
+by Krylov propagation on a uniform frequency grid sized by
+``grid_points_for``; its values converge to the closed form as the
 spectral window widens, so it serves as the closed form's oracle.
 
-The swap stage and the reports propagate the static-coefficient generator
-by Krylov.  This module keeps two independent integrations of the same
-amplitude equations with ``scipy.integrate.solve_ivp``: the rotating frame
-with explicit phase factors, and the static-coefficient (lab) frame.  The
-lab frame uses ``two_rail_generator``, the (2 n_k + 1)-dimensional generator
-assembled through ``lil_matrix``, which is also the reference for the
-package's CSR build and its merged-rail route.  Acceptance 07, the
+The sweep report's fixed reference point propagates the merged-rail
+static-coefficient generator by Krylov.  This module keeps two independent
+integrations of the same amplitude equations with
+``scipy.integrate.solve_ivp``: the rotating frame with explicit phase
+factors, and the static-coefficient (lab) frame.  The lab frame uses
+``two_rail_generator``, the (2 n_k + 1)-dimensional generator assembled
+through ``lil_matrix``; it is the reference for the package's merged-rail
+route and the only generator of split rails (w2 > 0).  Acceptance 07, the
 frame-invariance tests and the reference-point check of the sweep report
 compare against them.  Only tests import it.
 """
@@ -35,11 +37,20 @@ from entpipe.photon_swap import (
     conversion_probability,
     detunings,
     gaussian_mode,
-    grid_points_for,
     propagate_static,
 )
 
 _NORM_DRIFT_HARD = 1e-4
+
+
+def grid_points_for(t_end: float, half: float) -> int:
+    """Grid size for a window of half-width ``half`` that is run to ``t_end``.
+
+    The smallest multiple of 256 (at least 1024) whose recurrence time
+    2 pi / dk is at least 2.2 t_end, so ``t_end`` stays inside the
+    recurrence guard of ``propagate_static`` with a 10% margin.
+    """
+    return max(1024, 256 * math.ceil(2.2 * t_end * half / math.pi / 256))
 
 
 def grid_for_dot(dot: ThreeLevelDot, mode: GaussianMode, n_k: int = 1024) -> SpectralGrid:

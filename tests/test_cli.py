@@ -184,11 +184,11 @@ def test_seed_flag_changes_trajectories(tmp_path):
 # Rerun tests compare one commit with itself; these catch drift across
 # commits.  The protect and pipeline pins were taken from the storage route
 # as it stood before its incremental rewrite (memoised repump isometry,
-# stored per-cavity norms); the swap pin from the conversion route as it
-# stood before its comparison report stopped integrating a second time; the
-# split-rail swap pin (w2 > 0) from the two-rail generator as it stood
-# before degenerate rails were merged.  The sweep pin is the continuum
-# closed form; Krylov at the old +-12 Gamma window sat 2e-3..4e-3 above it.
+# stored per-cavity norms).  The swap and sweep pins are the continuum
+# closed form; Krylov at the old windows (+-20 Gamma for the swap, +-12
+# Gamma for the sweep) sat 2e-3..4e-3 above it.  The continuum P does not
+# depend on the rail splitting w2, so the split-rail series equals the
+# default one byte for byte.
 
 def test_protect_trajectories_golden_digest(tmp_path):
     cfg = write_cfg(tmp_path, register={"n_dots": 8}, storage={"kappa": 25000.0, "trajectories": 24})
@@ -227,15 +227,16 @@ def test_swap_series_golden_digest(tmp_path):
     out = tmp_path / "out"
     assert main(["swap", "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "swap_series.csv").read_bytes()).hexdigest()
-    assert digest == "2156c716bd613c5ce2b076360bafe1da106d5798fb61dbdecba55957037c6c7d"
+    assert digest == "c7be08e525ae6c08cc8e44aa31ad93629650ddb45bd28f4d28f6e56656b48721"
 
 
-def test_split_rail_swap_series_golden_digest(tmp_path):
+def test_split_rail_swap_series_matches_default(tmp_path):
+    assert main(["swap", "--out", str(tmp_path / "default")]) == 0
     cfg = write_cfg(tmp_path, swap={"w2": 2e8})
     out = tmp_path / "out"
     assert main(["swap", "--config", str(cfg), "--out", str(out)]) == 0
-    digest = hashlib.sha256((out / "swap_series.csv").read_bytes()).hexdigest()
-    assert digest == "76747e07b6f4ee08a91e26dbd3a238d05a429610fa85194d7871208f296a4a9e"
+    series = (out / "swap_series.csv").read_bytes()
+    assert series == (tmp_path / "default" / "swap_series.csv").read_bytes()
 
 
 def test_sweep_surface_golden_digest(tmp_path):
@@ -256,7 +257,10 @@ def test_swap_series_and_discrepancy_report(tmp_path):
     out = tmp_path / "out"
     assert main(["swap", "--out", str(out)]) == 0
     rep = json.load(open(out / "swap_report.json"))
-    assert rep["heralds"]["p_longtime"] == pytest.approx(0.309, abs=5e-3)
+    # the default swap is the sweep's (d, gamma) = (1, 1) point in units of 5e7
+    p_sweep = entpipe.photon_swap.sweep_point(1.0, 1.0)["p_longtime"]
+    assert rep["heralds"]["p_longtime"] == pytest.approx(p_sweep, abs=1e-12)
+    assert rep["stats"]["n_t"] > 0
     assert set(rep["discrepancy"]) == {"params", "p_ode", "p_closed", "abs_diff"}
     assert rep["discrepancy"]["abs_diff"] > 0
     # the comparison reuses the series' own long-time value, bit for bit
@@ -272,6 +276,54 @@ def test_swap_without_second_channel_stays_zero(tmp_path):
     assert main(["swap", "--config", str(cfg), "--out", str(out)]) == 0
     rows = read_csv(out / "swap_series.csv")
     assert all(float(r["p"]) == 0.0 for r in rows)
+
+
+def test_swap_without_decay_stays_zero(tmp_path):
+    cfg = write_cfg(tmp_path, swap={"gamma1": 0.0, "gamma2": 0.0})
+    out = tmp_path / "out"
+    assert main(["swap", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = read_csv(out / "swap_series.csv")
+    assert len(rows) == 101 and all(float(r["p"]) == 0.0 for r in rows)
+    assert json.load(open(out / "swap_report.json"))["stats"]["n_t"] == 0
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "swap",
+    [{"gamma1": 1e300, "gamma2": 1e300}, {"gamma1": 1e-290, "gamma2": 1e-290},
+     {"d": 1e-290}, {"gamma1": 1e10, "gamma2": 1e10}],
+    ids=["rates_1e300", "rates_1e-290", "d_1e-290", "rates_1e10"],
+)
+def test_extreme_swap_rates_run(tmp_path, swap):
+    # rows stay finite and in [0, 1]; where the printed formula's growing
+    # exponential leaves float64 the report says null, never Infinity
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"swap": swap}))
+    out = tmp_path / "out"
+    assert main(["swap", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = read_csv(out / "swap_series.csv")
+    assert len(rows) == 101
+    for r in rows:
+        assert 0.0 <= float(r["p"]) <= 1.0 and math.isfinite(float(r["t"]))
+    text = (out / "swap_report.json").read_text()
+    disc = json.loads(text, parse_constant=_reject_constant)["discrepancy"]
+    assert disc["p_closed"] is None and disc["abs_diff"] is None
+
+
+@pytest.mark.parametrize(
+    "swap", [{"gamma1": 1e-300, "gamma2": 1e-300}, {"d": 1e-300}, {"gamma1": 1e308, "gamma2": 1e308}],
+    ids=["rates_1e-300", "d_1e-300", "rates_1e308"],
+)
+def test_swap_rates_beyond_float_range_are_exit_2(tmp_path, capsys, swap):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"swap": swap}))
+    out = tmp_path / "out"
+    assert main(["swap", "--config", str(cfg), "--out", str(out)]) == 2
+    assert _single_config_error(capsys).startswith("config error: swap: ")
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------- sweep
@@ -356,6 +408,17 @@ def test_pipeline_default_heralds_below_one(tmp_path):
     )
 
 
+def test_pipeline_simulated_success_is_the_swap_value(tmp_path):
+    cfg = write_cfg(tmp_path, swap={"p_success": "simulate"})
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["swap", "--config", str(cfg), "--out", str(out)]) == 0
+    pipe = json.load(open(out / "pipeline_report.json"))
+    p = pipe["stats"]["per_dot_success"]
+    assert p == json.load(open(out / "swap_report.json"))["heralds"]["p_longtime"]
+    assert pipe["heralds"]["swap"] == p ** pipe["stats"]["n_dots"]
+
+
 def test_pipeline_rejects_odd_register(tmp_path, capsys):
     cfg = write_cfg(tmp_path, register={"n_dots": 5})
     assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -437,9 +500,9 @@ def test_parallel_map_caps_pool_size(monkeypatch, workers, n_items, cpus, size):
 
 # ------------------------------------------------------------ exit codes
 # No config reaches these failures on its own: at |alpha| = 1e-4 a storage
-# run expects under 1e-8 jumps, so it never repumps, and the grid rules keep
-# every stage inside its recurrence guard.  Each test swaps one production
-# piece so that the real error path runs.
+# run expects under 1e-8 jumps, so it never repumps, and the sweep report's
+# fixed reference grid stays inside its recurrence guard.  Each test swaps
+# one production piece so that the real error path runs.
 
 def test_convergence_error_is_exit_3(tmp_path, monkeypatch, capsys):
     # every repump is asked for the isometry at |alpha| = 1e-4, where the two
@@ -472,9 +535,20 @@ def test_unconverged_sweep_rows_are_exit_3(tmp_path, monkeypatch, capsys):
 
 
 def test_typed_stage_error_is_exit_4(tmp_path, monkeypatch, capsys):
-    # a 64-point grid echoes long before the swap's t_end: GridError
-    monkeypatch.setattr(entpipe.runner, "grid_points_for", lambda t_end, half: 64)
+    # a 64-point reference grid echoes long before the report's t = 6: GridError
+    real = entpipe.runner._dimensionless_reference
+
+    def coarse():
+        dot, mode, grid, t = real()
+        return dot, mode, replace(grid, n_k=64), t
+
+    monkeypatch.setattr(entpipe.runner, "_dimensionless_reference", coarse)
+    cfg = write_cfg(
+        tmp_path,
+        sweep={"d_min": 1.0, "d_max": 3.0, "gamma_min": 1.0, "gamma_max": 3.0,
+               "points_per_axis": 2},
+    )
     out = tmp_path / "out"
-    assert main(["swap", "--out", str(out)]) == 4
-    assert "[swap] GridError: " in capsys.readouterr().err
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 4
+    assert "[sweep] GridError: " in capsys.readouterr().err
     assert not out.exists()

@@ -57,3 +57,28 @@ def test_surface_sweep_rejects_bad_input_before_running(tmp_path, args, problem)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(problem) and proc.stderr.count("\n") == 1, proc.stderr
     assert proc.stdout == ""  # nothing was computed or written
+
+
+@pytest.mark.parametrize(
+    "script, args, problem",
+    [
+        ("run_pipeline_demo.py", ["--sizes", "0"], "config error: register.n_dots: "),
+        ("run_pipeline_demo.py", ["--sizes", "4", "12"], "config error: register.n_dots: "),
+        ("run_pipeline_demo.py", ["--p-success", "2"], "config error: swap.p_success: "),
+        ("run_pipeline_demo.py", ["--kappa", "-5"], "config error: storage.kappa: "),
+        ("run_protection_study.py", ["--kappa-t", "-1"], "config error: --kappa-t "),
+        ("run_protection_study.py", ["--kappa-t", "nan"], "config error: --kappa-t "),
+        ("run_protection_study.py", ["--pairs", "0"], "config error: --pairs "),
+    ],
+    ids=["demo_zero_dots", "demo_over_cap", "demo_p_success_2", "demo_negative_kappa",
+         "study_negative_kappa_t", "study_nan_kappa_t", "study_zero_pairs"],
+)
+def test_script_rejects_bad_input_before_running(tmp_path, script, args, problem):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(problem) and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stdout == ""  # nothing was computed or written
+    assert list(tmp_path.iterdir()) == []
