@@ -42,7 +42,8 @@ class StepSizeError(EntpipeError):
 
 
 class NotGhzClassError(EntpipeError):
-    """State failed the GHZ-class Schmidt-spectrum check."""
+    """State failed the GHZ-class check, or is GHZ-class but not two
+    complementary branches (the swap needs a|p> + b|~p>)."""
 
 
 class ScheduleError(EntpipeError):

@@ -45,7 +45,8 @@ from scipy.sparse.linalg import expm_multiply
 from scipy.special import erfcx
 
 from .errors import GridError, LayoutError, NotGhzClassError
-from .hilbert import StateVector, qubits
+from .hilbert import StateVector
+from .polarization import TwoBranchRails
 
 _PLATEAU_TOL = 1e-3  # |P(t_end) - P(0.9 t_end)| that counts as converged
 _MAX_EXTENSIONS = 6  # sweep attempts, each 1.5x longer than the last
@@ -437,19 +438,26 @@ def _sweep_point_star(args) -> dict:
 
 def register_swap(
     register: StateVector, p_success: float | list[float]
-) -> tuple[StateVector, float]:
-    """Heralded map from a GHZ-class dot register to dual-rail photons.
+) -> tuple[TwoBranchRails, float]:
+    """Heralded map from a two-branch GHZ-class dot register to dual-rail photons.
 
     Per dot: the |0> branch emits into the shifted-frequency rail (|10>),
     the |1> branch leaves the input photon on the original rail (|01>); the
-    dots decouple in |1>.  The herald probability is the product of the
-    per-dot conversion successes.
+    dots decouple in |1>.  The register must be a|p> + b|~p> on two
+    complementary dot patterns with balanced weights, so the photons are the
+    rail pattern of p, its complement and the same two amplitudes, built in
+    O(n) without the 4^n rail vector.  Any other register, GHZ-class or
+    not, raises NotGhzClassError.  The herald probability is the product of
+    the per-dot conversion successes.
     """
-    from .spin_register import is_ghz_class
+    from .spin_register import complementary_branches, is_ghz_class
 
     n = register.layout.n_subsystems
     if register.layout.dims != (2,) * n:
         raise LayoutError("register must be a qubit register")
+    branches = complementary_branches(register)
+    if branches is None:
+        raise NotGhzClassError("register is not two complementary computational branches")
     if n > 1 and not is_ghz_class(register):
         raise NotGhzClassError("register state is not GHZ-class")
     probs = [p_success] * n if np.isscalar(p_success) else list(p_success)
@@ -459,15 +467,9 @@ def register_swap(
         if not 0 < p <= 1:
             raise ValueError("success probabilities must lie in (0, 1]")
     herald = float(np.prod(probs))
-    amps = register.amplitudes
-    out = np.zeros(4**n, dtype=np.complex128)
-    for idx in range(2**n):
-        if amps[idx] == 0:
-            continue
-        photonic = 0
-        for dot_i in range(n):
-            bit = (idx >> (n - 1 - dot_i)) & 1
-            rails = 0b01 if bit else 0b10
-            photonic = (photonic << 2) | rails
-        out[photonic] = amps[idx]
-    return StateVector(out, qubits(2 * n, prefix="r")), herald
+    dots, a, b = branches
+    rails = 0
+    for dot_i in range(n):
+        bit = (dots >> (n - 1 - dot_i)) & 1
+        rails = (rails << 2) | (0b01 if bit else 0b10)
+    return TwoBranchRails(n, rails, a, b), herald

@@ -8,6 +8,10 @@ superpositions; the elements are modeled as exact logical branch maps with
 scalar success probabilities.  Two source photons feed one heralded
 polarization photon, so a 2q-photon dual-rail register yields q
 polarization qubits and the herald probabilities multiply.
+
+The register arrives from the swap as two complementary branches
+(``TwoBranchRails``), never as a dense 4^m rail vector, and the conversion
+maps branch to branch; the dense forms are test oracles.
 """
 from __future__ import annotations
 
@@ -17,8 +21,6 @@ import numpy as np
 
 from .errors import LayoutError, RailSubspaceError
 from .hilbert import StateVector, qubits
-
-_LEAK_TOL = 1e-9
 
 # big-endian pair indices within one photon's two rail qubits
 _SHIFTED = 2  # |10>
@@ -47,88 +49,56 @@ class ConversionSpec:
 
 
 @dataclass(frozen=True)
-class DualRailState:
-    """Validated photonic state with one excitation in every rail pair."""
+class TwoBranchRails:
+    """Dual-rail register a|p> + b|~p>: one rail pattern and two amplitudes.
 
-    state: StateVector
+    ``pattern`` holds two big-endian bits per photon, |10> for the shifted
+    rail and |01> for the original one; the second branch is its bitwise
+    complement, so both branches carry one excitation in every rail pair.
+    """
+
+    n_photons: int
+    pattern: int
+    a: complex
+    b: complex
 
     def __post_init__(self):
-        dims = self.state.layout.dims
-        if any(d != 2 for d in dims):
-            raise LayoutError("dual-rail states live on qubit rails")
-        if len(dims) % 2 != 0 or len(dims) == 0:
-            raise LayoutError("rails come in pairs, one pair per photon")
-        leak = 1.0 - _paired_weight(self.state)
-        if leak > _LEAK_TOL:
-            raise RailSubspaceError(
-                f"weight {leak:.3e} outside the one-excitation-per-pair subspace"
-            )
+        if self.n_photons < 1 or not 0 <= self.pattern < 4**self.n_photons:
+            raise LayoutError("rail pattern needs one bit pair per photon")
+        if any(pair not in (_SHIFTED, _ORIGINAL) for pair in self.pairs()):
+            raise RailSubspaceError("a rail pair holds zero or two excitations")
 
-    @property
-    def n_photons(self) -> int:
-        return self.state.layout.n_subsystems // 2
+    def pairs(self) -> list[int]:
+        """Rail bits of each photon in the first branch, first photon first."""
+        m = self.n_photons
+        return [(self.pattern >> 2 * (m - 1 - i)) & 0b11 for i in range(m)]
 
 
-def _paired_weight(state: StateVector) -> float:
-    """Probability weight with every rail pair in {|01>, |10>}."""
-    m = state.layout.n_subsystems // 2
-    grouped = state.amplitudes.reshape((4,) * m)
-    valid = grouped[np.ix_(*([[_ORIGINAL, _SHIFTED]] * m))]
-    return float(np.sum(np.abs(valid) ** 2))
+def convert_register(rails: TwoBranchRails, spec: ConversionSpec) -> tuple[StateVector, float]:
+    """Convert a two-branch dual-rail register, two source photons per output photon.
 
-
-def _as_dual_rail(state: StateVector | DualRailState) -> DualRailState:
-    if isinstance(state, DualRailState):
-        return state
-    return DualRailState(state)
-
-
-def convert_one(
-    state: StateVector | DualRailState, spec: ConversionSpec
-) -> tuple[StateVector, float]:
-    """Convert a single dual-rail photon into a heralded polarization photon.
-
-    The shifted-rail branch becomes |H>, the original-rail branch |V>, with
-    amplitudes carried over exactly; the herald probability is the product
-    of the downconversion and detection successes.
+    Branch transport per output qubit: |10,10> -> |H>, |01,01> -> |V>, so
+    a|p> + b|~p> maps to a|P> + b|~P> on q = m/2 polarization qubits in O(q).
+    The register must hold an even number of photons, and the two photons
+    of each pair must sit on the same rail; the herald probability is
+    herald_one per output photon.
     """
-    rails = _as_dual_rail(state)
-    if rails.n_photons != 1:
-        raise LayoutError("convert_one expects exactly one rail pair")
-    amps = rails.state.amplitudes
-    out = np.array([amps[_SHIFTED], amps[_ORIGINAL]], dtype=np.complex128)
-    return StateVector(out, qubits(1, prefix="pol")), spec.herald_one
-
-
-def convert_register(
-    state: StateVector | DualRailState, spec: ConversionSpec
-) -> tuple[StateVector, float]:
-    """Convert a dual-rail register, two source photons per output photon.
-
-    Branch transport per output qubit: |10,10> -> |H>, |01,01> -> |V>.  The
-    register must hold an even number of photons and carry no weight on
-    mixed pair branches (the two-branch structure a GHZ-class register
-    provides); the herald probability is herald_one per output photon.
-    """
-    rails = _as_dual_rail(state)
     m = rails.n_photons
     if m % 2 != 0:
         raise LayoutError("register conversion consumes photons in pairs; odd count")
     q = m // 2
-    grouped = rails.state.amplitudes.reshape((4,) * m)
+    pairs = rails.pairs()
+    pol = 0
+    for i in range(q):
+        if pairs[2 * i] != pairs[2 * i + 1]:
+            raise RailSubspaceError(
+                f"photons {2 * i} and {2 * i + 1} sit on different rails; "
+                "need both on the shifted or both on the original rail"
+            )
+        pol = (pol << 1) | int(pairs[2 * i] == _ORIGINAL)
     out = np.zeros(2**q, dtype=np.complex128)
-    for pattern in range(2**q):
-        idx = []
-        for i in range(q):
-            bit = (pattern >> (q - 1 - i)) & 1
-            pair = _ORIGINAL if bit else _SHIFTED
-            idx.extend((pair, pair))
-        out[pattern] = grouped[tuple(idx)]
-    kept = float(np.sum(np.abs(out) ** 2))
-    if abs(kept - 1.0) > _LEAK_TOL:
-        raise RailSubspaceError(
-            f"weight {1 - kept:.3e} on mixed rail branches; need a two-branch register"
-        )
+    out[pol] = rails.a
+    out[pol ^ (2**q - 1)] = rails.b
     return StateVector(out, qubits(q, prefix="pol")), spec.herald_one**q
 
 

@@ -376,15 +376,40 @@ def bipartitions(n: int):
             yield part
 
 
+def complementary_branches(state: StateVector) -> tuple[int, complex, complex] | None:
+    """(p, a, b) when a qubit state is exactly a|p> + b|~p>, else None.
+
+    ``p`` is the branch whose first qubit reads 0; ``~p`` flips every qubit.
+    Any amplitude off the two branches, however small, rules the form out.
+    """
+    n = state.layout.n_subsystems
+    if state.layout.dims != (2,) * n:
+        return None
+    amps = state.amplitudes
+    support = np.flatnonzero(amps)
+    full = 2**n - 1
+    p = min(int(support[0]), full ^ int(support[0]))
+    if support.size > 2 or any(int(i) not in (p, full ^ p) for i in support):
+        return None
+    return p, complex(amps[p]), complex(amps[full ^ p])
+
+
 def is_ghz_class(state: StateVector) -> bool:
-    """True when every bipartition has Schmidt spectrum (1/sqrt2, 1/sqrt2)."""
+    """True when every bipartition has Schmidt spectrum (1/sqrt2, 1/sqrt2).
+
+    Every cut of a|p> + b|~p> has Schmidt values (|a|, |b|), so for such a
+    state the first cut decides; any other state is checked on every cut.
+    """
     target = 1 / np.sqrt(2)
+    two_branch = complementary_branches(state) is not None
     for part in bipartitions(state.layout.n_subsystems):
         sv = schmidt_spectrum(state, part)
         if abs(sv[0] - target) > _GHZ_TOL or abs(sv[1] - target) > _GHZ_TOL:
             return False
         if sv.size > 2 and np.max(sv[2:]) > _GHZ_TOL:
             return False
+        if two_branch:
+            return True
     return True
 
 

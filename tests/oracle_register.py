@@ -9,29 +9,44 @@ path's axis bookkeeping is checked against an independent route.
 The other helpers build test states and check them: product states
 (``tensor_states``), one block merge at a time (``merge_blocks``, which the
 dense storage oracle uses) and the phase-and-flip correction that takes a
-two-branch state to canonical GHZ (``canonical_correction``).  Only tests
-import this module.
+two-branch state to canonical GHZ (``canonical_correction``).
+
+The rest are the dense register routes that the two-branch production
+route replaced, kept as its oracles: the all-cuts GHZ-class check
+(``all_cuts_ghz_class``), the dot-to-rail transport on the full 4^n rail
+vector (``dense_register_swap``), the grouped-reshape conversion of that
+vector (``dense_convert_register``), the validated dense dual-rail state
+with its one-photon conversion (``DualRailState``, ``convert_one``), and
+the 4^n expansion of a ``TwoBranchRails`` value (``dense_rails``).  Only
+tests import this module.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
-from entpipe.errors import LayoutError, NotGhzClassError, ScheduleError
-from entpipe.hilbert import StateVector, SubsystemLayout, apply_local, qubits
+from entpipe.errors import LayoutError, NotGhzClassError, RailSubspaceError, ScheduleError
+from entpipe.hilbert import StateVector, SubsystemLayout, apply_local, qubits, schmidt_spectrum
+from entpipe.polarization import _ORIGINAL, _SHIFTED, ConversionSpec, TwoBranchRails
 from entpipe.spin_register import (
+    _GHZ_TOL,
     SIGMA_X,
     Schedule,
     _apply_step,
     _merge_pair_steps,
+    bipartitions,
     plus_register,
     rotation,
 )
 
 # Largest |rho_ab - rho_a (x) rho_b| entry that still counts as uncorrelated.
 _CORRELATION_TOL = 1e-8
+
+# Largest weight outside the one-excitation-per-pair rail subspace.
+_LEAK_TOL = 1e-9
 
 
 def concat_layouts(a: SubsystemLayout, b: SubsystemLayout) -> SubsystemLayout:
@@ -167,3 +182,145 @@ def canonical_correction(state: StateVector) -> tuple[StateVector, dict]:
     gate = np.diag([1.0, np.exp(-1j * rel)]).astype(np.complex128)
     out = apply_local(out, gate, (0,))
     return out, {"x_flips": flips, "z_phase_dot0": float(-rel)}
+
+
+# ------------------------------------------------------ dense register routes
+
+def all_cuts_ghz_class(state: StateVector) -> bool:
+    """True when every bipartition has Schmidt spectrum (1/sqrt2, 1/sqrt2)."""
+    target = 1 / np.sqrt(2)
+    for part in bipartitions(state.layout.n_subsystems):
+        sv = schmidt_spectrum(state, part)
+        if abs(sv[0] - target) > _GHZ_TOL or abs(sv[1] - target) > _GHZ_TOL:
+            return False
+        if sv.size > 2 and np.max(sv[2:]) > _GHZ_TOL:
+            return False
+    return True
+
+
+def dense_register_swap(
+    register: StateVector, p_success: float | list[float]
+) -> tuple[StateVector, float]:
+    """Dot register to the full 4^n dual-rail vector, one basis state at a time.
+
+    Accepts every GHZ-class register, two-branch or not.
+    """
+    n = register.layout.n_subsystems
+    if register.layout.dims != (2,) * n:
+        raise LayoutError("register must be a qubit register")
+    if n > 1 and not all_cuts_ghz_class(register):
+        raise NotGhzClassError("register state is not GHZ-class")
+    probs = [p_success] * n if np.isscalar(p_success) else list(p_success)
+    if len(probs) != n:
+        raise ValueError("need one success probability per dot")
+    for p in probs:
+        if not 0 < p <= 1:
+            raise ValueError("success probabilities must lie in (0, 1]")
+    herald = float(np.prod(probs))
+    amps = register.amplitudes
+    out = np.zeros(4**n, dtype=np.complex128)
+    for idx in range(2**n):
+        if amps[idx] == 0:
+            continue
+        photonic = 0
+        for dot_i in range(n):
+            bit = (idx >> (n - 1 - dot_i)) & 1
+            rails = 0b01 if bit else 0b10
+            photonic = (photonic << 2) | rails
+        out[photonic] = amps[idx]
+    return StateVector(out, qubits(2 * n, prefix="r")), herald
+
+
+def dense_rails(rails: TwoBranchRails) -> StateVector:
+    """The 4^m rail vector of a two-branch register."""
+    m = rails.n_photons
+    amps = np.zeros(4**m, dtype=np.complex128)
+    amps[rails.pattern] = rails.a
+    amps[rails.pattern ^ (4**m - 1)] = rails.b
+    return StateVector(amps, qubits(2 * m, prefix="r"))
+
+
+@dataclass(frozen=True)
+class DualRailState:
+    """Validated photonic state with one excitation in every rail pair."""
+
+    state: StateVector
+
+    def __post_init__(self):
+        dims = self.state.layout.dims
+        if any(d != 2 for d in dims):
+            raise LayoutError("dual-rail states live on qubit rails")
+        if len(dims) % 2 != 0 or len(dims) == 0:
+            raise LayoutError("rails come in pairs, one pair per photon")
+        leak = 1.0 - _paired_weight(self.state)
+        if leak > _LEAK_TOL:
+            raise RailSubspaceError(
+                f"weight {leak:.3e} outside the one-excitation-per-pair subspace"
+            )
+
+    @property
+    def n_photons(self) -> int:
+        return self.state.layout.n_subsystems // 2
+
+
+def _paired_weight(state: StateVector) -> float:
+    """Probability weight with every rail pair in {|01>, |10>}."""
+    m = state.layout.n_subsystems // 2
+    grouped = state.amplitudes.reshape((4,) * m)
+    valid = grouped[np.ix_(*([[_ORIGINAL, _SHIFTED]] * m))]
+    return float(np.sum(np.abs(valid) ** 2))
+
+
+def _as_dual_rail(state: StateVector | DualRailState) -> DualRailState:
+    if isinstance(state, DualRailState):
+        return state
+    return DualRailState(state)
+
+
+def convert_one(
+    state: StateVector | DualRailState, spec: ConversionSpec
+) -> tuple[StateVector, float]:
+    """Convert a single dual-rail photon into a heralded polarization photon.
+
+    The shifted-rail branch becomes |H>, the original-rail branch |V>, with
+    amplitudes carried over exactly; the herald probability is the product
+    of the downconversion and detection successes.
+    """
+    rails = _as_dual_rail(state)
+    if rails.n_photons != 1:
+        raise LayoutError("convert_one expects exactly one rail pair")
+    amps = rails.state.amplitudes
+    out = np.array([amps[_SHIFTED], amps[_ORIGINAL]], dtype=np.complex128)
+    return StateVector(out, qubits(1, prefix="pol")), spec.herald_one
+
+
+def dense_convert_register(
+    state: StateVector | DualRailState, spec: ConversionSpec
+) -> tuple[StateVector, float]:
+    """Convert a dense dual-rail register, two source photons per output photon.
+
+    Branch transport per output qubit: |10,10> -> |H>, |01,01> -> |V>.  The
+    register must hold an even number of photons and carry no weight on
+    mixed pair branches; the herald probability is herald_one per output
+    photon.
+    """
+    rails = _as_dual_rail(state)
+    m = rails.n_photons
+    if m % 2 != 0:
+        raise LayoutError("register conversion consumes photons in pairs; odd count")
+    q = m // 2
+    grouped = rails.state.amplitudes.reshape((4,) * m)
+    out = np.zeros(2**q, dtype=np.complex128)
+    for pattern in range(2**q):
+        idx = []
+        for i in range(q):
+            bit = (pattern >> (q - 1 - i)) & 1
+            pair = _ORIGINAL if bit else _SHIFTED
+            idx.extend((pair, pair))
+        out[pattern] = grouped[tuple(idx)]
+    kept = float(np.sum(np.abs(out) ** 2))
+    if abs(kept - 1.0) > _LEAK_TOL:
+        raise RailSubspaceError(
+            f"weight {1 - kept:.3e} on mixed rail branches; need a two-branch register"
+        )
+    return StateVector(out, qubits(q, prefix="pol")), spec.herald_one**q

@@ -419,6 +419,32 @@ def test_pipeline_simulated_success_is_the_swap_value(tmp_path):
     assert pipe["heralds"]["swap"] == p ** pipe["stats"]["n_dots"]
 
 
+def test_pipeline_memory_stays_two_branch():
+    """The ten-dot chain never builds a 4^n rail vector.
+
+    One 4^10 complex vector is 16.8 MB and the dense route held two; the
+    two-branch route peaked at 0.13-0.18 MB under tracemalloc (cold and warm
+    caches), so 2 MB leaves room for library changes and still catches any
+    rail vector past eight dots.
+    """
+    import tracemalloc
+
+    cfg = default_config()
+    cfg = replace(
+        cfg,
+        register=replace(cfg.register, n_dots=10),
+        storage=replace(cfg.storage, kappa=25000.0),
+        swap=replace(cfg.swap, p_success=0.95),
+    )
+    tracemalloc.start()
+    try:
+        entpipe.runner.run_pipeline(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
 def test_pipeline_rejects_odd_register(tmp_path, capsys):
     cfg = write_cfg(tmp_path, register={"n_dots": 5})
     assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

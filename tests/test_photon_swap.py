@@ -23,7 +23,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from entpipe.config import default_config
 from entpipe.errors import GridError, LayoutError, NotGhzClassError, StepSizeError
-from entpipe.hilbert import StateVector, qubits, schmidt_spectrum
+from entpipe.hilbert import StateVector, apply_local, qubits, schmidt_spectrum
 from entpipe.photon_swap import (
     GaussianMode,
     SpectralGrid,
@@ -43,6 +43,7 @@ from entpipe.photon_swap import (
 )
 from entpipe.runner import _dimensionless_reference, run_sweep
 from entpipe.spin_register import canonical_ghz
+from oracle_register import all_cuts_ghz_class, dense_rails
 from oracle_swap import (
     AmplitudeState,
     grid_for_dot,
@@ -554,25 +555,27 @@ def test_continuum_node_rule_matches_doubled_nodes(log_d, log_ratio, fraction):
 def test_register_swap_single_plus():
     plus = StateVector(np.array([INV_SQRT2, INV_SQRT2]), qubits(1))
     photons, herald = register_swap(plus, 0.95)
-    assert photons.layout.dims == (2, 2)
-    assert photons.amplitudes[0b10] == pytest.approx(INV_SQRT2)
-    assert photons.amplitudes[0b01] == pytest.approx(INV_SQRT2)
+    dense = dense_rails(photons)
+    assert dense.layout.dims == (2, 2)
+    assert dense.amplitudes[0b10] == pytest.approx(INV_SQRT2)
+    assert dense.amplitudes[0b01] == pytest.approx(INV_SQRT2)
     assert herald == 0.95
 
 
 def test_register_swap_ghz3_herald():
     photons, herald = register_swap(canonical_ghz(3), 0.95)
     assert herald == pytest.approx(0.95**3, abs=1e-15)
-    nz = np.nonzero(photons.amplitudes)[0]
+    dense = dense_rails(photons)
+    nz = np.nonzero(dense.amplitudes)[0]
     assert sorted(nz) == [0b010101, 0b101010]
     for idx in nz:
-        assert photons.amplitudes[idx] == pytest.approx(INV_SQRT2)
+        assert dense.amplitudes[idx] == pytest.approx(INV_SQRT2)
 
 
 def test_register_swap_photonic_schmidt():
     photons, _ = register_swap(canonical_ghz(3), 1.0)
     for cut in ([0, 1], [0, 1, 2, 3], [2, 3]):
-        spec = np.sort(schmidt_spectrum(photons, cut))[::-1]
+        spec = np.sort(schmidt_spectrum(dense_rails(photons), cut))[::-1]
         assert spec[0] == pytest.approx(INV_SQRT2, abs=1e-10)
         assert spec[1] == pytest.approx(INV_SQRT2, abs=1e-10)
         assert np.all(spec[2:] < 1e-10)
@@ -588,6 +591,13 @@ def test_register_swap_rejects_non_ghz():
     w[1] = w[2] = w[4] = 1 / math.sqrt(3)
     with pytest.raises(NotGhzClassError):
         register_swap(StateVector(w, qubits(3)), 0.9)
+    # GHZ class (a local unitary keeps every Schmidt spectrum), but four
+    # branches rather than two complementary ones.
+    hadamard = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    rotated = apply_local(canonical_ghz(3), hadamard, (1,))
+    assert all_cuts_ghz_class(rotated)
+    with pytest.raises(NotGhzClassError):
+        register_swap(rotated, 0.9)
 
 
 def test_register_swap_rejects_bad_inputs():
@@ -616,5 +626,6 @@ def test_register_swap_transports_amplitudes(phase_a, phase_b):
     amps[0] = a
     amps[7] = b
     photons, _ = register_swap(StateVector(amps, qubits(3)), 1.0)
-    assert photons.amplitudes[0b101010] == a
-    assert photons.amplitudes[0b010101] == b
+    dense = dense_rails(photons)
+    assert dense.amplitudes[0b101010] == a
+    assert dense.amplitudes[0b010101] == b

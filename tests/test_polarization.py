@@ -1,7 +1,10 @@
 """Dual-rail to polarization conversion tests.
 
 The conversion is a pure branch map, so every expectation here is either an
-exact amplitude transport or a closed-form herald product.
+exact amplitude transport or a closed-form herald product.  Rail-space
+expectations read the 4^m expansion of a two-branch register from the
+dense oracle module, and the two-branch route is checked bit for bit
+against the dense swap and conversion it replaced.
 """
 import math
 
@@ -15,12 +18,18 @@ from entpipe.hilbert import StateVector, fidelity, qubits, schmidt_spectrum
 from entpipe.photon_swap import register_swap
 from entpipe.polarization import (
     ConversionSpec,
-    DualRailState,
-    convert_one,
+    TwoBranchRails,
     convert_register,
     polarization_ghz,
 )
 from entpipe.spin_register import canonical_ghz
+from oracle_register import (
+    DualRailState,
+    convert_one,
+    dense_convert_register,
+    dense_rails,
+    dense_register_swap,
+)
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -33,12 +42,8 @@ def rail_photon(a_shifted, b_original):
 
 
 def two_branch_register(n_photons, a, b):
-    amps = np.zeros(4**n_photons, dtype=np.complex128)
-    shifted = int("10" * n_photons, 2)
-    original = int("01" * n_photons, 2)
-    amps[shifted] = a
-    amps[original] = b
-    return StateVector(amps, qubits(2 * n_photons, prefix="r"))
+    """a on every photon's shifted rail, b on every photon's original rail."""
+    return TwoBranchRails(n_photons, int("10" * n_photons, 2), a, b)
 
 
 # ------------------------------------------------------------------ types
@@ -83,7 +88,7 @@ def test_convert_one_respects_relative_phase():
 
 def test_convert_one_needs_single_pair():
     with pytest.raises(LayoutError):
-        convert_one(two_branch_register(2, INV_SQRT2, INV_SQRT2), ConversionSpec())
+        convert_one(dense_rails(two_branch_register(2, INV_SQRT2, INV_SQRT2)), ConversionSpec())
 
 
 # ------------------------------------------------------- convert_register
@@ -117,16 +122,29 @@ def test_convert_register_odd_count_rejected():
 
 
 def test_convert_register_rejects_mixed_branches():
-    amps = np.zeros(16, dtype=np.complex128)
-    amps[0b1001] = INV_SQRT2
-    amps[0b0110] = INV_SQRT2
+    rails = TwoBranchRails(2, 0b1001, INV_SQRT2, INV_SQRT2)
+    amps = dense_rails(rails).amplitudes
+    assert amps[0b1001] == INV_SQRT2 and amps[0b0110] == INV_SQRT2
     with pytest.raises(RailSubspaceError):
-        convert_register(StateVector(amps, qubits(4, prefix="r")), ConversionSpec())
+        convert_register(rails, ConversionSpec())
+    with pytest.raises(RailSubspaceError):
+        dense_convert_register(dense_rails(rails), ConversionSpec())
+
+
+def test_two_branch_rails_validation():
+    with pytest.raises(RailSubspaceError):
+        TwoBranchRails(2, 0b1011, INV_SQRT2, INV_SQRT2)  # second photon on both rails
+    with pytest.raises(RailSubspaceError):
+        TwoBranchRails(1, 0b00, INV_SQRT2, INV_SQRT2)
+    with pytest.raises(LayoutError):
+        TwoBranchRails(1, 0b11010, INV_SQRT2, INV_SQRT2)
+    with pytest.raises(LayoutError):
+        TwoBranchRails(0, 0, 1.0, 0.0)
 
 
 def test_schmidt_spectrum_preserved():
     reg = two_branch_register(4, INV_SQRT2, INV_SQRT2)
-    rail_spec = np.sort(schmidt_spectrum(reg, [0, 1, 2, 3]))[::-1]
+    rail_spec = np.sort(schmidt_spectrum(dense_rails(reg), [0, 1, 2, 3]))[::-1]
     pol, _ = convert_register(reg, ConversionSpec())
     pol_spec = np.sort(schmidt_spectrum(pol, [0]))[::-1]
     assert np.allclose(rail_spec[:2], pol_spec[:2], atol=1e-9)
@@ -151,3 +169,49 @@ def test_phase_transport(phase_a, phase_b):
     assert pol.amplitudes[0b00] == a
     assert pol.amplitudes[0b11] == b
     assert np.count_nonzero(pol.amplitudes) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    bits=st.integers(0, 2**8 - 1),
+    phase_a=st.floats(-math.pi, math.pi),
+    phase_b=st.floats(-math.pi, math.pi),
+)
+def test_two_branch_route_matches_dense_oracle(n, bits, phase_a, phase_b):
+    """register_swap -> convert_register equals the dense pair bit for bit.
+
+    Random complementary dot patterns give every rail layout: an odd photon
+    count, pairs split across rails (the mixed-pair rejection) and
+    convertible registers.
+    """
+    p = bits % 2**n
+    amps = np.zeros(2**n, dtype=np.complex128)
+    amps[p] = np.exp(1j * phase_a) * INV_SQRT2
+    amps[p ^ (2**n - 1)] = np.exp(1j * phase_b) * INV_SQRT2
+    register = StateVector(amps, qubits(n))
+    spec = ConversionSpec(0.9, 0.8)
+
+    rails, herald = register_swap(register, 0.95)
+    dense, dense_herald = dense_register_swap(register, 0.95)
+    assert herald == dense_herald
+    assert np.array_equal(dense_rails(rails).amplitudes, dense.amplitudes)
+
+    dot_bits = [(p >> (n - 1 - i)) & 1 for i in range(n)]
+    if n % 2 != 0:
+        expected = LayoutError
+    elif any(dot_bits[2 * i] != dot_bits[2 * i + 1] for i in range(n // 2)):
+        expected = RailSubspaceError
+    else:
+        expected = None
+    if expected is not None:
+        with pytest.raises(expected):
+            convert_register(rails, spec)
+        with pytest.raises(expected):
+            dense_convert_register(dense, spec)
+        return
+    pol, conv_herald = convert_register(rails, spec)
+    dense_pol, dense_conv_herald = dense_convert_register(dense, spec)
+    assert conv_herald == dense_conv_herald
+    assert pol.layout == dense_pol.layout
+    assert np.array_equal(pol.amplitudes, dense_pol.amplitudes)

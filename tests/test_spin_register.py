@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from entpipe.errors import NotGhzClassError, ScheduleError
 from entpipe.hilbert import (
     StateVector,
+    apply_local,
     fidelity,
     qubits,
     schmidt_spectrum,
@@ -28,6 +29,7 @@ from entpipe.spin_register import (
     bipartitions,
     build_bell,
     canonical_ghz,
+    complementary_branches,
     execute,
     heisenberg_matrix,
     ising_matrix,
@@ -37,7 +39,14 @@ from entpipe.spin_register import (
     report_from_schedule,
     rotation,
 )
-from oracle_register import canonical_correction, dense_execute, merge_blocks, tensor_states
+import entpipe.spin_register
+from oracle_register import (
+    all_cuts_ghz_class,
+    canonical_correction,
+    dense_execute,
+    merge_blocks,
+    tensor_states,
+)
 
 J1 = 1.0e8
 J2 = 1.0e8
@@ -211,6 +220,69 @@ def test_ghz_class_rejects_product_and_w():
         np.array([0, 1, 1, 0, 1, 0, 0, 0], dtype=complex), qubits(3)
     )
     assert not is_ghz_class(w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    bits=st.integers(0, 2**8 - 1),
+    delta=st.sampled_from([0.0, 1e-10, -1e-10, 1e-7, -1e-7, 1e-3, -1e-3]),
+    phase=st.floats(-pi, pi),
+)
+def test_two_branch_ghz_check_matches_all_cuts(n, bits, delta, phase):
+    """|a|^2 = 1/2 + delta on a random complementary pair: first cut decides."""
+    p = bits % 2**n
+    amps = np.zeros(2**n, dtype=np.complex128)
+    amps[p] = np.sqrt(0.5 + delta)
+    amps[p ^ (2**n - 1)] = np.exp(1j * phase) * np.sqrt(0.5 - delta)
+    state = StateVector(amps, qubits(n))
+    first = min(p, p ^ (2**n - 1))
+    assert complementary_branches(state) == (
+        first, state.amplitudes[first], state.amplitudes[first ^ (2**n - 1)]
+    )
+    assert is_ghz_class(state) == all_cuts_ghz_class(state) == (abs(delta) < 1e-8)
+
+
+def _rotated_ghz():
+    return apply_local(canonical_ghz(4), rotation(pi / 2, 0.0), (2,))
+
+
+def _w_state():
+    return StateVector.from_amplitudes(
+        np.array([0, 1, 1, 0, 1, 0, 0, 0], dtype=complex), qubits(3)
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: execute(plan_ghz(6, J1, J2, canonical=False)[0]),
+        lambda: execute(plan_ghz(7, J1, J2, canonical=False)[0]),
+        lambda: plus_register(4),
+        _w_state,
+        _rotated_ghz,
+    ],
+    ids=["raw_plan_6", "raw_plan_7", "plus_register", "w", "rotated_ghz"],
+)
+def test_wide_support_ghz_check_matches_all_cuts(make):
+    state = make()
+    assert complementary_branches(state) is None
+    assert is_ghz_class(state) == all_cuts_ghz_class(state)
+
+
+def test_two_branch_ghz_check_takes_one_cut(monkeypatch):
+    calls = []
+
+    def counted(state, part):
+        calls.append(part)
+        return schmidt_spectrum(state, part)
+
+    monkeypatch.setattr(entpipe.spin_register, "schmidt_spectrum", counted)
+    assert is_ghz_class(canonical_ghz(10))
+    assert len(calls) == 1
+    calls.clear()
+    assert is_ghz_class(_rotated_ghz())
+    assert len(calls) == len(list(bipartitions(4)))
 
 
 def test_bipartitions_count():
