@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, NullStateError, TruncationError
 from .hilbert import StateVector, SubsystemLayout
@@ -206,8 +205,19 @@ def _code_columns(alpha: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return plus, rot
 
 
+def _sq_norm(c: np.ndarray) -> float:
+    """``np.linalg.norm(c) ** 2``, bit for bit, without its dispatch overhead.
+
+    Repeats numpy's default-norm path for a complex vector: ravel, the real
+    and imaginary dot products, the square root, then the square.
+    """
+    x = c.ravel(order="K")
+    re, im = x.real, x.imag
+    return np.sqrt(re.dot(re) + im.dot(im)) ** 2
+
+
 def _squared_norms(columns: tuple[np.ndarray, ...]) -> tuple[float, ...]:
-    return tuple(np.linalg.norm(c) ** 2 for c in columns)
+    return tuple(_sq_norm(c) for c in columns)
 
 
 def _lower(col: np.ndarray) -> np.ndarray:
@@ -325,7 +335,7 @@ def _with_cavity(fc: FactoredChain, j: int, u: np.ndarray, v: np.ndarray) -> Fac
     b0, b1 = list(fc.branch0), list(fc.branch1)
     s0, s1 = list(fc.sq_norms0), list(fc.sq_norms1)
     b0[j], b1[j] = u, v
-    s0[j], s1[j] = np.linalg.norm(u) ** 2, np.linalg.norm(v) ** 2
+    s0[j], s1[j] = _sq_norm(u), _sq_norm(v)
     return FactoredChain(fc.weight0, fc.weight1, tuple(b0), tuple(b1), fc.spec, tuple(s0), tuple(s1))
 
 
@@ -349,9 +359,7 @@ def fc_parity_probability(fc: FactoredChain, j: int) -> float:
     n2 = fc.norm_squared()
     p0 = abs(fc.weight0) ** 2 * math.prod(fc.sq_norms0[:j] + fc.sq_norms0[j + 1 :])
     p1 = abs(fc.weight1) ** 2 * math.prod(fc.sq_norms1[:j] + fc.sq_norms1[j + 1 :])
-    w = p0 * np.linalg.norm(fc.branch0[j][::2]) ** 2 + p1 * np.linalg.norm(
-        fc.branch1[j][::2]
-    ) ** 2
+    w = p0 * _sq_norm(fc.branch0[j][::2]) + p1 * _sq_norm(fc.branch1[j][::2])
     return float(w / n2)
 
 
@@ -394,10 +402,72 @@ def _fc_jump_flux(fc: FactoredChain) -> np.ndarray:
     flux = np.empty(fc.k)
     for j in range(fc.k):
         s0, s1 = list(fc.sq_norms0), list(fc.sq_norms1)
-        s0[j] = np.linalg.norm(_lower(fc.branch0[j])) ** 2
-        s1[j] = np.linalg.norm(_lower(fc.branch1[j])) ** 2
+        s0[j] = _sq_norm(_lower(fc.branch0[j]))
+        s1[j] = _sq_norm(_lower(fc.branch1[j]))
         flux[j] = fc.spec.kappa * (w0 * math.prod(s0) + w1 * math.prod(s1)) / n2
     return flux
+
+
+def brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of f in [xa, xb] by Brent's method (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4).
+
+    A step-for-step port of scipy's ``Zeros/brentq.c``: the same iterates in
+    the same float operations, so the root equals ``scipy.optimize.brentq``'s
+    bit for bit.  Raises ``ConvergenceError`` when f(xa) and f(xb) have the
+    same sign, when f returns NaN, or after ``maxiter`` iterations.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ConvergenceError(f"root bracket function is NaN at x={x!r}")
+        return fx
+
+    xtol, rtol = float(xtol), float(rtol)
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ConvergenceError(f"root bracket [{xpre!r}, {xcur!r}] has no sign change")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gets inf or NaN here, which always bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise ConvergenceError(f"Brent root did not converge in {maxiter} iterations")
 
 
 def fc_loss_segment(

@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.sparse
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import erfcx
@@ -240,6 +239,15 @@ def conversion_probability(grid: SpectralGrid, amps: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------- printed closed form
 
+def _trapezoid_panels(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid area of every interval, in scipy.integrate's operation order.
+
+    Their sum and running sum equal ``scipy.integrate.trapezoid`` and
+    ``cumulative_trapezoid`` bit for bit.
+    """
+    return np.diff(x) * (y[1:] + y[:-1]) / 2.0
+
+
 def closed_form_emission(dot: ThreeLevelDot, mode: GaussianMode, t: float) -> float | None:
     """Evaluate the printed closed-form emission probability.
 
@@ -253,14 +261,9 @@ def closed_form_emission(dot: ThreeLevelDot, mode: GaussianMode, t: float) -> fl
     try:
         with np.errstate(over="raise", invalid="raise"):
             integrand = np.exp(-mode.d**2 * tpp**2 / 4 + g * tpp / 2)
-            inner = scipy.integrate.cumulative_trapezoid(integrand, tpp, initial=0.0)
-            p = float(
-                scipy.integrate.trapezoid(
-                    dot.gamma1 * dot.gamma2 * mode.d / math.sqrt(2 * math.pi)
-                    * np.abs(inner) ** 2,
-                    tpp,
-                )
-            )
+            inner = np.concatenate(([0.0], np.cumsum(_trapezoid_panels(integrand, tpp))))
+            outer = dot.gamma1 * dot.gamma2 * mode.d / math.sqrt(2 * math.pi) * np.abs(inner) ** 2
+            p = float(np.sum(_trapezoid_panels(outer, tpp)))
     except (FloatingPointError, OverflowError):
         return None
     return p if math.isfinite(p) else None

@@ -38,6 +38,9 @@ _SINGLE_ABSORB_PHASE = -pi / 8
 # Largest deviation of a Schmidt coefficient from the GHZ spectrum
 # (1/sqrt2, 1/sqrt2, 0, ...) that still counts as GHZ class.
 _GHZ_TOL = 1e-8
+# Slack below _GHZ_TOL for the Weyl-bound shortcut in is_ghz_class: covers
+# the SVD's backward error (~dim * eps) and the rounding of the bound itself.
+_WEYL_MARGIN = 1e-10
 
 
 def heisenberg_matrix(j: float) -> np.ndarray:
@@ -394,21 +397,46 @@ def complementary_branches(state: StateVector) -> tuple[int, complex, complex] |
     return p, complex(amps[p]), complex(amps[full ^ p])
 
 
+def _near_two_branch_bound(state: StateVector) -> float:
+    """Bound on how far any cut's Schmidt values lie from the GHZ spectrum.
+
+    With p the largest-modulus entry, a and b the amplitudes of p and ~p and
+    r the norm of all other amplitudes, every cut's Schmidt values lie within
+    r of (|a|, |b|, 0, ...) (Weyl's inequality; the spectral norm of the
+    remainder is at most its Frobenius norm r).  So no cut's value is further
+    than max(||a| - 1/sqrt2|, ||b| - 1/sqrt2|) + r from (1/sqrt2, 1/sqrt2, 0, ...).
+    """
+    amps = state.amplitudes
+    p = int(np.argmax(np.abs(amps)))
+    q = p ^ (amps.size - 1)
+    target = 1 / np.sqrt(2)
+    dev = max(abs(abs(amps[p]) - target), abs(abs(amps[q]) - target))
+    rest = amps.copy()
+    rest[[p, q]] = 0.0
+    return float(dev + np.linalg.norm(rest))
+
+
 def is_ghz_class(state: StateVector) -> bool:
     """True when every bipartition has Schmidt spectrum (1/sqrt2, 1/sqrt2).
 
-    Every cut of a|p> + b|~p> has Schmidt values (|a|, |b|), so for such a
-    state the first cut decides; any other state is checked on every cut.
+    The first cut is always checked.  When the state lies so close to some
+    a|p> + b|~p> that ``_near_two_branch_bound`` places every cut inside
+    ``_GHZ_TOL`` (with ``_WEYL_MARGIN`` to spare for SVD rounding), the
+    remaining cuts cannot fail and are skipped; otherwise every cut is checked.
     """
+    n = state.layout.n_subsystems
     target = 1 / np.sqrt(2)
-    two_branch = complementary_branches(state) is not None
-    for part in bipartitions(state.layout.n_subsystems):
+    near = (
+        state.layout.dims == (2,) * n
+        and _near_two_branch_bound(state) <= _GHZ_TOL - _WEYL_MARGIN
+    )
+    for part in bipartitions(n):
         sv = schmidt_spectrum(state, part)
         if abs(sv[0] - target) > _GHZ_TOL or abs(sv[1] - target) > _GHZ_TOL:
             return False
         if sv.size > 2 and np.max(sv[2:]) > _GHZ_TOL:
             return False
-        if two_branch:
+        if near:
             return True
     return True
 

@@ -4,12 +4,16 @@ Overlap values are frozen from closed-form coherent-state algebra and
 cross-checked against direct Fock sums; trajectory statistics are checked
 against Poisson loss expectations; the factored chain engine is validated
 against the dense state-vector route (the ``oracle_storage`` test module)
-operation by operation.
+operation by operation; the in-module Brent root is checked bit for bit
+against ``scipy.optimize.brentq``.
 """
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq as scipy_brentq
 
 from entpipe import cat_code
 from entpipe.cat_code import (
@@ -588,3 +592,87 @@ def test_factored_chain_stored_norms_track_columns(k, ops):
         survival = cat_code._fc_survival(fc)
         for tau in (0.0, 0.01, 0.2):
             assert survival(tau) == _scratch_survival(fc, tau)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    re=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64),
+    im=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64),
+    log_scale=st.floats(-150.0, 150.0),
+    stride=st.integers(1, 3),
+)
+def test_sq_norm_equals_numpy_norm_squared(re, im, log_scale, stride):
+    size = min(len(re), len(im))
+    col = (np.array(re[:size]) + 1j * np.array(im[:size])) * 10.0**log_scale
+    for c in (col, col[::stride]):
+        assert cat_code._sq_norm(c) == np.linalg.norm(c) ** 2
+
+
+# ------------------------------------------------------------- Brent root
+
+@settings(max_examples=150, deadline=None)
+@given(
+    terms=st.lists(st.tuples(st.floats(0.01, 1.0), st.floats(-2.0, 2.0)), min_size=1, max_size=6),
+    horizon=st.floats(0.01, 5.0),
+    level=st.floats(0.0, 1.0, exclude_max=True),
+    tols=st.sampled_from([(1e-16, 1e-14), (2e-12, 4 * np.finfo(float).eps), (1e-6, 1e-6)]),
+)
+@example(terms=[(1.0, 2.0)], horizon=4.0, level=4.8e-166, tols=(1e-16, 1e-14))
+def test_brentq_matches_scipy_on_survival_functions(terms, horizon, level, tols):
+    """Decreasing sums of exponentials, the shape of every jump-time root.
+
+    The explicit example's values near the root are ~1e-166, so a step's
+    denominator underflows to zero; C then gets inf and bisects."""
+    weights = np.array([w for w, _ in terms])
+    weights /= weights.sum()
+    rates = np.array([10.0**lg for _, lg in terms])
+
+    def survival(x):
+        return float(np.sum(weights * np.exp(-rates * x)))
+
+    r = survival(horizon) + level * (1.0 - survival(horizon))
+    assume(survival(horizon) < r < 1.0)
+
+    def f(x):
+        return survival(x) - r
+
+    assert cat_code.brentq(f, 0.0, horizon, *tols) == scipy_brentq(
+        f, 0.0, horizon, xtol=tols[0], rtol=tols[1]
+    )
+
+
+def test_brentq_matches_scipy_on_chain_survival():
+    rng = np.random.default_rng(5)
+    fc = fc_apply_loss(fc_drift(factored_chain(SPEC, 3), 0.05), 1)
+    fc = fc_repump(fc_project_parity(fc, 1, -1), 1, ALPHA * np.exp(-0.025))
+    for chain in (factored_chain(SPEC, 1), factored_chain(SPEC, 7), fc.normalized()):
+        survival = cat_code._fc_survival(chain)
+        for _ in range(20):
+            remaining = float(rng.uniform(0.01, 0.5))
+            r = float(rng.uniform(survival(remaining), 1.0))
+
+            def f(x):
+                return survival(x) - r
+
+            assert cat_code.brentq(f, 0.0, remaining, 1e-16, 1e-14) == scipy_brentq(
+                f, 0.0, remaining, xtol=1e-16, rtol=1e-14
+            )
+
+
+def test_brentq_same_sign_bracket_is_convergence_error():
+    with pytest.raises(ConvergenceError, match="sign change"):
+        cat_code.brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-12)
+
+
+def test_brentq_maxiter_exhaustion_is_convergence_error():
+    def f(x):
+        return math.exp(x) - 2.0
+
+    with pytest.raises(ConvergenceError, match="3 iterations"):
+        cat_code.brentq(f, 0.0, 10.0, 1e-16, 1e-14, maxiter=3)
+    assert cat_code.brentq(f, 0.0, 10.0, 1e-16, 1e-14) == pytest.approx(math.log(2.0))
+
+
+def test_brentq_nan_is_convergence_error():
+    with pytest.raises(ConvergenceError, match="NaN"):
+        cat_code.brentq(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0, 1e-12, 1e-12)

@@ -4,7 +4,10 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -578,3 +581,34 @@ def test_typed_stage_error_is_exit_4(tmp_path, monkeypatch, capsys):
     assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 4
     assert "[sweep] GridError: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_unconverged_jump_time_is_exit_3(tmp_path, monkeypatch, capsys):
+    real = entpipe.cat_code.brentq
+
+    def one_step(f, xa, xb, xtol, rtol, maxiter=100):
+        return real(f, xa, xb, xtol, rtol, maxiter=1)
+
+    monkeypatch.setattr(entpipe.cat_code, "brentq", one_step)
+    cfg = write_cfg(tmp_path, storage={"kappa": 25000.0, "trajectories": 10})
+    out = tmp_path / "out"
+    assert main(["protect", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 3
+    assert "[protect] did not converge: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ----------------------------------------------------------- import graph
+
+def test_cli_import_leaves_out_scipy_optimize_and_integrate():
+    # a fresh process: this test session has already imported both
+    src = Path(entpipe.runner.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = (
+        "import sys, entpipe.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -41,7 +41,7 @@ from entpipe.photon_swap import (
     sweep_point,
     sweep_surface,
 )
-from entpipe.runner import _dimensionless_reference, run_sweep
+from entpipe.runner import _dimensionless_reference, run_swap, run_sweep
 from entpipe.spin_register import canonical_ghz
 from oracle_register import all_cuts_ghz_class, dense_rails
 from oracle_swap import (
@@ -364,6 +364,46 @@ def test_closed_form_zero_without_both_channels(small_mode, small_grid):
     dot = ThreeLevelDot(CENTER, 0.0, 1.0, 0.0)
     p = closed_form_emission(dot, small_mode, 6.0)
     assert p == 0.0
+
+
+def _scipy_closed_form(dot, mode, t):
+    """The printed formula through scipy.integrate's trapezoid rules."""
+    g = dot.gamma1 + dot.gamma2
+    tpp = np.linspace(0.0, t, 2001)
+    inner = integrate.cumulative_trapezoid(
+        np.exp(-mode.d**2 * tpp**2 / 4 + g * tpp / 2), tpp, initial=0.0
+    )
+    return float(integrate.trapezoid(
+        dot.gamma1 * dot.gamma2 * mode.d / math.sqrt(2 * math.pi) * np.abs(inner) ** 2, tpp
+    ))
+
+
+def _default_swap_point():
+    """The swap stage's report point at the default config."""
+    sw = default_config().swap
+    dot = ThreeLevelDot(w1=sw.w1, w2=sw.w2, gamma1=sw.gamma1, gamma2=sw.gamma2)
+    t_end = run_swap(default_config()).report.discrepancy["params"]["t"]
+    return dot, GaussianMode(d=sw.d, center=sw.w1), t_end
+
+
+def _sweep_reference_point():
+    dot, mode, _, t = _dimensionless_reference()
+    return dot, mode, t
+
+
+@pytest.mark.parametrize(
+    "point", [_default_swap_point, _sweep_reference_point], ids=["default_swap", "sweep_reference"]
+)
+def test_closed_form_equals_scipy_trapezoid(point):
+    dot, mode, t = point()
+    p = closed_form_emission(dot, mode, t)
+    assert p is not None and p == _scipy_closed_form(dot, mode, t)
+
+
+def test_closed_form_none_where_exponential_overflows(small_mode):
+    # exp(Gamma t / 2) = exp(6000) leaves float64
+    dot = ThreeLevelDot(CENTER, 0.0, 1000.0, 1000.0)
+    assert closed_form_emission(dot, small_mode, 6.0) is None
 
 
 def test_closed_form_report(small_dot, small_mode, small_grid):

@@ -285,6 +285,56 @@ def test_two_branch_ghz_check_takes_one_cut(monkeypatch):
     assert len(calls) == len(list(bipartitions(4)))
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    base=st.sampled_from(["random", "plan", "raw_plan"]),
+    bits=st.integers(0, 2**8 - 1),
+    phase=st.floats(-pi, pi),
+    spike=st.one_of(st.none(), st.integers(1, 2**8 - 2)),
+    log_noise=st.floats(-16.0, -6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_near_two_branch_ghz_check_matches_all_cuts(
+    n, base, bits, phase, spike, log_noise, seed
+):
+    """Two-branch states (random or executed plans) plus noise of norm
+    10**log_noise, spread over every entry or all on one entry p ^ spike.
+    A spike that flips a set S of dots leaves a cut's spectrum alone to
+    first order unless the cut contains S or its complement, so the first
+    cut can pass where a later one fails."""
+    if base == "random":
+        amps = np.zeros(2**n, dtype=np.complex128)
+        p = bits % 2**n
+        amps[p] = 1 / np.sqrt(2)
+        amps[p ^ (2**n - 1)] = np.exp(1j * phase) / np.sqrt(2)
+    else:
+        amps = execute(plan_ghz(n, J1, J2, canonical=base == "plan")[0]).amplitudes
+        p = int(np.argmax(np.abs(amps)))
+    if spike is None:
+        rng = np.random.default_rng(seed)
+        noise = (rng.normal(size=2**n) + 1j * rng.normal(size=2**n)) / np.sqrt(2 * 2**n)
+    else:
+        noise = np.zeros(2**n, dtype=np.complex128)
+        noise[p ^ (spike % 2**n)] = np.exp(1j * phase)
+    state = StateVector.from_amplitudes(amps + 10.0**log_noise * noise, qubits(n))
+    assert is_ghz_class(state) == all_cuts_ghz_class(state)
+
+
+def test_executed_ghz_check_takes_one_cut(monkeypatch):
+    # rounding leaves all 1024 entries nonzero; the Weyl bound still decides
+    calls = []
+
+    def counted(state, part):
+        calls.append(part)
+        return schmidt_spectrum(state, part)
+
+    monkeypatch.setattr(entpipe.spin_register, "schmidt_spectrum", counted)
+    state = execute(plan_ghz(10, J1, J2)[0])
+    assert np.count_nonzero(state.amplitudes) > 2
+    assert is_ghz_class(state) and len(calls) == 1
+
+
 def test_bipartitions_count():
     assert len(list(bipartitions(4))) == 7
     assert len(list(bipartitions(3))) == 3
