@@ -19,13 +19,22 @@ chain growth, parity measurement, loss and repump on full state vectors)
 is kept in ``tests/oracle_storage.py`` as the cross-check for the factored
 one; it is practical for a few cavities only.
 
-Cost of the factored route for k cavities of dimension d: an operation on
-one cavity (loss, parity projection, repump) is O(d); drift, a jump (flux
-of every channel) and a parity round are O(kd), plus O(k^2) scalar products
-that keep the float results of a from-scratch evaluation bit for bit.  The
-fixed matrices are memoised per process in bounded caches that fill on first
-use: the nominal code columns per (alpha, n_max) and the repump isometry per
-(spec, decayed amplitude).
+Cost of the factored route for k cavities of dimension d: loss, repump and
+a parity projection that removes amplitude act on one cavity, O(d); a
+projection onto the parity a cavity already has (every cavity no repump has
+touched, since drift and loss keep parity exactly) only renormalises.
+Drift, a jump (flux of every channel) and a parity round are O(kd), plus
+O(k^2) scalar products that keep the float results of a from-scratch
+evaluation bit for bit.  The corrected and uncorrected runs of a seed agree
+up to the first round that reads -1, so a pair costs that shared prefix
+once plus the two suffixes after it.
+
+Memoised per process, in bounded stores that fill on first use:
+  - the nominal code columns per (alpha, n_max), 8 entries;
+  - the repump isometry per (spec, decayed amplitude), 32 entries;
+  - the fork point of the last ``run_protected`` call per (spec, k,
+    duration, syndrome interval, int seed), one entry, which the next call
+    with the same arguments resumes from and removes.
 """
 from __future__ import annotations
 
@@ -364,12 +373,22 @@ def fc_parity_probability(fc: FactoredChain, j: int) -> float:
 
 
 def fc_project_parity(fc: FactoredChain, j: int, outcome: int) -> FactoredChain:
-    mask = (np.arange(fc.spec.dim) % 2 == 0) if outcome == 1 else (
-        np.arange(fc.spec.dim) % 2 == 1
-    )
-    return _with_cavity(
-        fc, j, np.where(mask, fc.branch0[j], 0.0), np.where(mask, fc.branch1[j], 0.0)
-    ).normalized()
+    """Project cavity j onto parity ``outcome`` (+1 even, -1 odd) and renormalise.
+
+    Drift and loss keep a column's parity, so a column that no repump has
+    touched has exactly zero amplitude on the rejected Fock numbers.  When
+    that holds for both branches (``any()``, not a squared norm, which
+    underflows to zero below ~1e-162) the projection would change no entry,
+    so the chain is only renormalised.
+    """
+    rejected = 1 if outcome == 1 else 0
+    u, v = fc.branch0[j], fc.branch1[j]
+    if not (u[rejected::2].any() or v[rejected::2].any()):
+        return fc.normalized()
+    u, v = u.copy(), v.copy()
+    u[rejected::2] = 0.0
+    v[rejected::2] = 0.0
+    return _with_cavity(fc, j, u, v).normalized()
 
 
 def fc_repump(fc: FactoredChain, j: int, decayed_alpha: complex) -> FactoredChain:
@@ -504,6 +523,11 @@ class ProtectionResult:
     final_logical_fidelity: float
 
 
+# The fork point of the last run whose pair partner has not run yet, keyed by
+# (spec, k, duration, syndrome_interval, seed).  At most one entry.
+_FORK: dict = {}
+
+
 def run_protected(
     spec: CavitySpec,
     k: int,
@@ -519,17 +543,52 @@ def run_protected(
     back to the nominal amplitude.  Corrected and uncorrected runs consume
     identical random streams (repump is deterministic), so a shared seed
     yields a paired comparison.
+
+    The two runs of a pair are identical up to the first round that reads
+    a -1, before its repump (the fork point).  For an int seed the run
+    stores its state there (at the end when no round reads -1), and the
+    next run with the same arguments, either ``correct``, resumes from it
+    instead of repeating the prefix.  Results are the same in either order
+    and whether the entry is used or not.
     """
     if syndrome_interval <= 0:
         raise ValueError("syndrome interval must be positive")
+    key = (spec, k, duration, syndrome_interval, seed) if isinstance(seed, int) else None
+    fork = _FORK.pop(key, None) if key is not None else None
     rng = _rng_from_seed(seed)
-    fc = factored_chain(spec, k)
-    t = 0.0
+    if fork is not None:
+        fc, rng_state, t, all_jumps, outcomes, meas_times, syndrome = fork
+        rng.bit_generator.state = rng_state
+        # the pair partner may return the stored chain: hand back a private copy
+        fc = FactoredChain(
+            fc.weight0, fc.weight1, tuple(u.copy() for u in fc.branch0),
+            tuple(v.copy() for v in fc.branch1), spec, fc.sq_norms0, fc.sq_norms1,
+        )
+    else:
+        fc = factored_chain(spec, k)
+        t = 0.0
+        all_jumps: list[list[float]] = [[] for _ in range(k)]
+        outcomes: list[list[int]] = [[] for _ in range(k)]
+        meas_times: list[float] = []
+        syndrome: list[int] = []
+    store = fork is None and key is not None
     last_repump = np.zeros(k)
-    all_jumps: list[list[float]] = [[] for _ in range(k)]
-    outcomes: list[list[int]] = [[] for _ in range(k)]
-    meas_times: list[float] = []
-    while t < duration - 1e-15:
+    while True:
+        if store and (-1 in syndrome or not t < duration - 1e-15):
+            _FORK.clear()
+            _FORK[key] = (
+                fc, rng.bit_generator.state, t, [list(js) for js in all_jumps],
+                [list(o) for o in outcomes], list(meas_times), syndrome,
+            )
+            store = False
+        if correct:
+            for j, s in enumerate(syndrome):
+                if s == -1:
+                    decayed = spec.alpha * np.exp(-spec.kappa * (t - last_repump[j]) / 2)
+                    fc = fc_repump(fc, j, decayed)
+                    last_repump[j] = t
+        if not t < duration - 1e-15:
+            break
         seg = min(syndrome_interval, duration - t)
         fc, jumps = fc_loss_segment(fc, seg, rng, t_offset=t)
         for j in range(k):
@@ -543,12 +602,6 @@ def run_protected(
             fc = fc_project_parity(fc, j, out)
             outcomes[j].append(out)
             syndrome.append(out)
-        if correct:
-            for j, s in enumerate(syndrome):
-                if s == -1:
-                    decayed = spec.alpha * np.exp(-spec.kappa * (t - last_repump[j]) / 2)
-                    fc = fc_repump(fc, j, decayed)
-                    last_repump[j] = t
     record = TrajectoryRecord(
         jump_times=tuple(tuple(js) for js in all_jumps),
         parity_outcomes=tuple(tuple(o) for o in outcomes),

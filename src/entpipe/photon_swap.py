@@ -449,8 +449,10 @@ def register_swap(
     dots decouple in |1>.  The register must be a|p> + b|~p> on two
     complementary dot patterns with balanced weights, so the photons are the
     rail pattern of p, its complement and the same two amplitudes, built in
-    O(n) without the 4^n rail vector.  Any other register, GHZ-class or
-    not, raises NotGhzClassError.  The herald probability is the product of
+    O(n) without the 4^n rail vector.  Amplitude on other patterns is
+    dropped only within the GHZ tolerance (``complementary_branches``), as
+    an executed schedule leaves it.  Any other register, GHZ-class or not,
+    raises NotGhzClassError.  The herald probability is the product of
     the per-dot conversion successes.
     """
     from .spin_register import complementary_branches, is_ghz_class

@@ -380,10 +380,13 @@ def bipartitions(n: int):
 
 
 def complementary_branches(state: StateVector) -> tuple[int, complex, complex] | None:
-    """(p, a, b) when a qubit state is exactly a|p> + b|~p>, else None.
+    """(p, a, b) when a qubit state is a|p> + b|~p>, else None.
 
     ``p`` is the branch whose first qubit reads 0; ``~p`` flips every qubit.
-    Any amplitude off the two branches, however small, rules the form out.
+    A state with no amplitude off the two branches qualifies at any weights.
+    Amplitude off them (an executed schedule's rounding residue) is dropped
+    only when ``_near_two_branch`` holds, the bound ``is_ghz_class`` trusts;
+    a and b are then the entries p and ~p.
     """
     n = state.layout.n_subsystems
     if state.layout.dims != (2,) * n:
@@ -393,7 +396,10 @@ def complementary_branches(state: StateVector) -> tuple[int, complex, complex] |
     full = 2**n - 1
     p = min(int(support[0]), full ^ int(support[0]))
     if support.size > 2 or any(int(i) not in (p, full ^ p) for i in support):
-        return None
+        if not _near_two_branch(state):
+            return None
+        p = int(np.argmax(np.abs(amps)))
+        p = min(p, full ^ p)
     return p, complex(amps[p]), complex(amps[full ^ p])
 
 
@@ -416,6 +422,16 @@ def _near_two_branch_bound(state: StateVector) -> float:
     return float(dev + np.linalg.norm(rest))
 
 
+def _near_two_branch(state: StateVector) -> bool:
+    """True when ``_near_two_branch_bound`` places every cut of a qubit state
+    inside ``_GHZ_TOL``, with ``_WEYL_MARGIN`` to spare for SVD rounding."""
+    n = state.layout.n_subsystems
+    return (
+        state.layout.dims == (2,) * n
+        and _near_two_branch_bound(state) <= _GHZ_TOL - _WEYL_MARGIN
+    )
+
+
 def is_ghz_class(state: StateVector) -> bool:
     """True when every bipartition has Schmidt spectrum (1/sqrt2, 1/sqrt2).
 
@@ -426,10 +442,7 @@ def is_ghz_class(state: StateVector) -> bool:
     """
     n = state.layout.n_subsystems
     target = 1 / np.sqrt(2)
-    near = (
-        state.layout.dims == (2,) * n
-        and _near_two_branch_bound(state) <= _GHZ_TOL - _WEYL_MARGIN
-    )
+    near = _near_two_branch(state)
     for part in bipartitions(n):
         sv = schmidt_spectrum(state, part)
         if abs(sv[0] - target) > _GHZ_TOL or abs(sv[1] - target) > _GHZ_TOL:

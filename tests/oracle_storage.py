@@ -7,6 +7,11 @@ coupling, encode/decode into a cavity, chain growth by Bell-pair merging,
 QND parity measurement, photon loss, no-jump drift, waiting-time loss
 trajectories and repump correction.  Its cost grows as d^k, so it is
 practical for a few cavities only.  Only tests import it.
+
+It also keeps the factored route's plain protocol loop: a parity projection
+that always masks (``project_parity_full``) and a trajectory that runs every
+round itself (``run_protected_unshared``), the references for the no-op
+projection and for the shared pair prefix of ``cat_code.run_protected``.
 """
 from __future__ import annotations
 
@@ -17,11 +22,18 @@ from scipy.optimize import brentq
 
 from entpipe.cat_code import (
     CavitySpec,
+    FactoredChain,
+    ProtectionResult,
     TrajectoryRecord,
     _gram_schmidt_complete,
     _rng_from_seed,
+    _with_cavity,
     cat_column,
     coherent_column,
+    factored_chain,
+    fc_loss_segment,
+    fc_parity_probability,
+    fc_repump,
     recovery_matrix,
     required_levels,
 )
@@ -440,3 +452,73 @@ def repump_correct(
         if s == -1:
             out = apply_local(out, recovery_matrix(spec, a_dec), (cavs[j],))
     return out
+
+
+# ------------------------------------------------- factored protocol loop
+
+def project_parity_full(fc: FactoredChain, j: int, outcome: int) -> FactoredChain:
+    """Parity projection of cavity j that masks both columns every time."""
+    mask = (np.arange(fc.spec.dim) % 2 == 0) if outcome == 1 else (
+        np.arange(fc.spec.dim) % 2 == 1
+    )
+    return _with_cavity(
+        fc, j, np.where(mask, fc.branch0[j], 0.0), np.where(mask, fc.branch1[j], 0.0)
+    ).normalized()
+
+
+def run_protected_unshared(
+    spec: CavitySpec,
+    k: int,
+    duration: float,
+    syndrome_interval: float,
+    seed,
+    correct: bool = True,
+) -> ProtectionResult:
+    """``cat_code.run_protected`` with every round run here, from t = 0.
+
+    No state is kept between calls and every parity round masks, so this
+    is the reference for the pair prefix that ``run_protected`` shares.
+    """
+    if syndrome_interval <= 0:
+        raise ValueError("syndrome interval must be positive")
+    rng = _rng_from_seed(seed)
+    fc = factored_chain(spec, k)
+    t = 0.0
+    last_repump = np.zeros(k)
+    all_jumps: list[list[float]] = [[] for _ in range(k)]
+    outcomes: list[list[int]] = [[] for _ in range(k)]
+    meas_times: list[float] = []
+    while t < duration - 1e-15:
+        seg = min(syndrome_interval, duration - t)
+        fc, jumps = fc_loss_segment(fc, seg, rng, t_offset=t)
+        for j in range(k):
+            all_jumps[j].extend(jumps[j])
+        t += seg
+        meas_times.append(t)
+        syndrome = []
+        for j in range(k):
+            p_even = fc_parity_probability(fc, j)
+            out = 1 if rng.random() < p_even else -1
+            fc = project_parity_full(fc, j, out)
+            outcomes[j].append(out)
+            syndrome.append(out)
+        if correct:
+            for j, s in enumerate(syndrome):
+                if s == -1:
+                    decayed = spec.alpha * np.exp(-spec.kappa * (t - last_repump[j]) / 2)
+                    fc = fc_repump(fc, j, decayed)
+                    last_repump[j] = t
+    record = TrajectoryRecord(
+        jump_times=tuple(tuple(js) for js in all_jumps),
+        parity_outcomes=tuple(tuple(o) for o in outcomes),
+        measurement_times=tuple(meas_times),
+        seed=seed if isinstance(seed, int) else -1,
+        final_state=fc,
+    )
+    record.validate(restored_each_round=correct)
+    return ProtectionResult(
+        seed=record.seed,
+        corrected=correct,
+        record=record,
+        final_logical_fidelity=fc.logical_fidelity(),
+    )

@@ -64,7 +64,9 @@ from oracle_storage import (
     no_jump_drift,
     parity_measure,
     parity_operator,
+    project_parity_full,
     repump_correct,
+    run_protected_unshared,
     vacuum,
 )
 
@@ -503,6 +505,103 @@ def test_protected_scales_to_seven_cavities():
     assert isinstance(res.record.final_state, FactoredChain)
 
 
+def _trajectory(res):
+    rec = res.record
+    return (
+        rec.jump_times, rec.parity_outcomes, rec.measurement_times, rec.seed,
+        res.corrected, res.final_logical_fidelity,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(0, 7),
+    kappa=st.sampled_from([0.0, 1.0, 8.0]),
+    rounds=st.integers(1, 3),
+    frac=st.sampled_from([0.0, 0.37]),
+    seed=st.integers(0, 2**32 - 1),
+    first=st.booleans(),
+)
+def test_shared_pair_prefix_matches_unshared_runs(k, kappa, rounds, frac, seed, first):
+    """Runs that resume from the fork memo equal independent runs, in either order.
+
+    Of four calls with one key, the first and third run from t = 0 and
+    store their fork point, the second and fourth resume from it.  A
+    ``SeedSequence`` seed neither reads nor writes the memo."""
+    spec = CavitySpec(ALPHA, NMAX, kappa=kappa)
+    interval = 0.05
+    args = (spec, k, interval * (rounds + frac), interval)
+    ref = {c: _trajectory(run_protected_unshared(*args, seed, correct=c)) for c in (True, False)}
+    key = args + (seed,)
+    cat_code._FORK.clear()
+    for i, c in enumerate((first, not first, first, first)):
+        res = run_protected(*args, seed, correct=c)
+        assert _trajectory(res) == ref[c]
+        assert (key in cat_code._FORK) == (i % 2 == 0)
+        assert len(cat_code._FORK) <= 1
+    memo = list(cat_code._FORK.items())
+    seq = np.random.SeedSequence(seed)
+    for c in (first, not first):
+        got = _trajectory(run_protected(*args, seq, correct=c))
+        assert got == _trajectory(run_protected_unshared(*args, seq, correct=c))
+    assert list(cat_code._FORK) == [key for key, _ in memo]
+    assert all(cat_code._FORK[key] is entry for key, entry in memo)
+
+
+def test_resumed_run_owns_its_chain():
+    # no round reads -1 at kappa = 0, so the fork point is the final chain
+    spec = CavitySpec(ALPHA, NMAX, kappa=0.0)
+    a = run_protected(spec, 3, 0.1, 0.05, 5, correct=False).record.final_state
+    b = run_protected(spec, 3, 0.1, 0.05, 5, correct=True).record.final_state
+    assert a is not b
+    for u, v in zip(a.branch0 + a.branch1, b.branch0 + b.branch1):
+        assert u is not v and np.array_equal(u, v)
+
+
+def _assert_same_chain(a, b):
+    assert (a.weight0, a.weight1) == (b.weight0, b.weight1)
+    assert a.sq_norms0 == b.sq_norms0 and a.sq_norms1 == b.sq_norms1
+    for u, v in zip(a.branch0 + a.branch1, b.branch0 + b.branch1):
+        assert np.array_equal(u, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("drift"), st.floats(0.0, 0.3)),
+            st.tuples(st.just("loss"), st.integers(0, 3)),
+        ),
+        max_size=8,
+    ),
+)
+def test_parity_projection_skips_exact_parity_columns(k, ops):
+    """Drift and loss keep parity exactly, so every projection is a renormalisation."""
+    fc = factored_chain(SPEC, k)
+    for op, arg in ops:
+        fc = fc_drift(fc, arg) if op == "drift" else fc_apply_loss(fc, arg % k)
+    for j in range(k):
+        p_even = fc_parity_probability(fc, j)
+        outcome = 1 if p_even > 0.5 else -1
+        got = fc_project_parity(fc, j, outcome)
+        assert got.branch0[j] is fc.branch0[j] and got.branch1[j] is fc.branch1[j]
+        _assert_same_chain(got, project_parity_full(fc, j, outcome))
+
+
+@pytest.mark.parametrize("outcome", [1, -1])
+@pytest.mark.parametrize("drift", [0.01, 0.05])
+def test_parity_projection_masks_repump_residue(outcome, drift):
+    """A repumped column carries rounding residue on odd Fock numbers: project it."""
+    fc = fc_apply_loss(fc_drift(factored_chain(SPEC, 3), drift), 1)
+    fc = fc_repump(fc_project_parity(fc, 1, -1), 1, ALPHA * np.exp(-SPEC.kappa * drift / 2))
+    rejected = 1 if outcome == 1 else 0
+    assert fc.branch0[1][rejected::2].any() and fc.branch1[1][rejected::2].any()
+    got = fc_project_parity(fc, 1, outcome)
+    assert got.branch0[1] is not fc.branch0[1]
+    _assert_same_chain(got, project_parity_full(fc, 1, outcome))
+
+
 # ------------------------------------------- factored chain bookkeeping
 
 # From-scratch evaluations: every column norm recomputed, dense annihilation.
@@ -618,11 +717,19 @@ def test_sq_norm_equals_numpy_norm_squared(re, im, log_scale, stride):
     tols=st.sampled_from([(1e-16, 1e-14), (2e-12, 4 * np.finfo(float).eps), (1e-6, 1e-6)]),
 )
 @example(terms=[(1.0, 2.0)], horizon=4.0, level=4.8e-166, tols=(1e-16, 1e-14))
+@example(
+    terms=[(0.7546439986487252, 0.0), (0.03125, 0.0), (0.5, 0.0), (0.03125, 0.0), (0.03125, 0.0)],
+    horizon=1.0,
+    level=0.9999999999999999,
+    tols=(1e-16, 1e-14),
+)
 def test_brentq_matches_scipy_on_survival_functions(terms, horizon, level, tols):
     """Decreasing sums of exponentials, the shape of every jump-time root.
 
-    The explicit example's values near the root are ~1e-166, so a step's
-    denominator underflows to zero; C then gets inf and bisects."""
+    The first example's values near the root are ~1e-166, so a step's
+    denominator underflows to zero; C then gets inf and bisects.  In the
+    second the normalised weights sum to 1 - 2^-52, so r must stay below
+    survival(0.0), not below 1.0, for the bracket to change sign."""
     weights = np.array([w for w, _ in terms])
     weights /= weights.sum()
     rates = np.array([10.0**lg for _, lg in terms])
@@ -631,7 +738,7 @@ def test_brentq_matches_scipy_on_survival_functions(terms, horizon, level, tols)
         return float(np.sum(weights * np.exp(-rates * x)))
 
     r = survival(horizon) + level * (1.0 - survival(horizon))
-    assume(survival(horizon) < r < 1.0)
+    assume(survival(horizon) < r < survival(0.0))
 
     def f(x):
         return survival(x) - r
@@ -662,6 +769,22 @@ def test_brentq_matches_scipy_on_chain_survival():
 def test_brentq_same_sign_bracket_is_convergence_error():
     with pytest.raises(ConvergenceError, match="sign change"):
         cat_code.brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-12)
+
+
+def test_brentq_and_scipy_refuse_a_level_above_the_survival_at_zero():
+    """Weights summing to 1 - 2^-52 and r = 1 - 2^-53: no sign change on [0, 1]."""
+    weights = np.array([0.7546439986487252, 0.03125, 0.5, 0.03125, 0.03125])
+    weights /= weights.sum()
+    r = float(np.nextafter(1.0, 0.0))
+    assert float(np.sum(weights)) < r < 1.0
+
+    def f(x):
+        return float(np.sum(weights * np.exp(-x))) - r
+
+    with pytest.raises(ConvergenceError, match="sign change"):
+        cat_code.brentq(f, 0.0, 1.0, 1e-16, 1e-14)
+    with pytest.raises(ValueError, match="different signs"):
+        scipy_brentq(f, 0.0, 1.0, xtol=1e-16, rtol=1e-14)
 
 
 def test_brentq_maxiter_exhaustion_is_convergence_error():

@@ -42,7 +42,7 @@ from entpipe.photon_swap import (
     sweep_surface,
 )
 from entpipe.runner import _dimensionless_reference, run_swap, run_sweep
-from entpipe.spin_register import canonical_ghz
+from entpipe.spin_register import canonical_ghz, execute, plan_ghz
 from oracle_register import all_cuts_ghz_class, dense_rails
 from oracle_swap import (
     AmplitudeState,
@@ -638,6 +638,32 @@ def test_register_swap_rejects_non_ghz():
     assert all_cuts_ghz_class(rotated)
     with pytest.raises(NotGhzClassError):
         register_swap(rotated, 0.9)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 10])
+def test_register_swap_reads_an_executed_schedule(n):
+    """An executed plan carries rounding residue on every entry; it is dropped."""
+    register = execute(plan_ghz(n, 1e8, 1e8)[0])
+    amps = register.amplitudes
+    assert np.count_nonzero(amps) == 2**n
+    photons, herald = register_swap(register, 0.95)
+    assert photons.pattern == int("10" * n, 2)
+    assert (photons.a, photons.b) == (amps[0], amps[-1])
+    assert herald == pytest.approx(0.95**n, abs=1e-15)
+
+
+@pytest.mark.parametrize("eps, accepted", [(1e-12, True), (1e-9, True), (1e-7, False)])
+def test_register_swap_third_branch_tolerance(eps, accepted):
+    """A third branch is dropped only inside the GHZ tolerance (1e-8)."""
+    amps = canonical_ghz(4).amplitudes.copy()
+    amps[0b0110] = eps
+    register = StateVector(amps / np.linalg.norm(amps), qubits(4))
+    if accepted:
+        photons, _ = register_swap(register, 0.95)
+        assert (photons.a, photons.b) == (register.amplitudes[0], register.amplitudes[-1])
+    else:
+        with pytest.raises(NotGhzClassError):
+            register_swap(register, 0.95)
 
 
 def test_register_swap_rejects_bad_inputs():

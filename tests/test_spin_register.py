@@ -254,19 +254,26 @@ def _w_state():
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, two_branch",
     [
-        lambda: execute(plan_ghz(6, J1, J2, canonical=False)[0]),
-        lambda: execute(plan_ghz(7, J1, J2, canonical=False)[0]),
-        lambda: plus_register(4),
-        _w_state,
-        _rotated_ghz,
+        (lambda: execute(plan_ghz(6, J1, J2, canonical=False)[0]), True),
+        (lambda: execute(plan_ghz(7, J1, J2, canonical=False)[0]), True),
+        (lambda: plus_register(4), False),
+        (_w_state, False),
+        (_rotated_ghz, False),
     ],
     ids=["raw_plan_6", "raw_plan_7", "plus_register", "w", "rotated_ghz"],
 )
-def test_wide_support_ghz_check_matches_all_cuts(make):
+def test_wide_support_ghz_check_matches_all_cuts(make, two_branch):
+    """An executed plan is two branches plus rounding residue on every entry."""
     state = make()
-    assert complementary_branches(state) is None
+    assert np.count_nonzero(state.amplitudes) > 2
+    branches = complementary_branches(state)
+    assert (branches is not None) == two_branch
+    if two_branch:
+        p, a, b = branches
+        full = state.amplitudes.size - 1
+        assert (a, b) == (state.amplitudes[p], state.amplitudes[full ^ p]) and p < full ^ p
     assert is_ghz_class(state) == all_cuts_ghz_class(state)
 
 
