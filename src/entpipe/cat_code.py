@@ -19,18 +19,26 @@ chain growth, parity measurement, loss and repump on full state vectors)
 is kept in ``tests/oracle_storage.py`` as the cross-check for the factored
 one; it is practical for a few cavities only.
 
-Cost of the factored route for k cavities of dimension d: loss, repump and
-a parity projection that removes amplitude act on one cavity, O(d); a
-projection onto the parity a cavity already has (every cavity no repump has
-touched, since drift and loss keep parity exactly) only renormalises.
-Drift, a jump (flux of every channel) and a parity round are O(kd), plus
-O(k^2) scalar products that keep the float results of a from-scratch
-evaluation bit for bit.  The corrected and uncorrected runs of a seed agree
-up to the first round that reads -1, so a pair costs that shared prefix
-once plus the two suffixes after it.
+Cost of the factored route for k cavities of dimension d.  Cavities that
+hold the same column share one read-only array: a fresh chain holds the
+two code columns in every slot, and drift maps each distinct column to one
+decayed column, so a cavity gets a column of its own only when a loss or
+repump hits it.  Drift and a jump (the flux of every channel) cost O(m d)
+array work for the m <= 2k distinct columns, plus O(k) scalar work per
+cavity: products over the stored per-cavity norms that keep the float
+results of a from-scratch evaluation bit for bit.  Loss, repump and a
+parity projection that removes amplitude replace one cavity's columns,
+O(d); a projection onto the parity a cavity already has (every cavity no
+repump has touched, since drift and loss keep parity exactly) only
+renormalises.  A parity round reads each cavity's even weight, O(kd).  The
+corrected and uncorrected runs of a seed agree up to the first round that
+reads -1, so a pair costs that shared prefix once plus the two suffixes
+after it.
 
 Memoised per process, in bounded stores that fill on first use:
-  - the nominal code columns per (alpha, n_max), 8 entries;
+  - the nominal code columns per (alpha, n_max), 8 entries, shared by
+    every fresh chain;
+  - the annihilation operator's sqrt(n) factor per dimension, 8 entries;
   - the repump isometry per (spec, decayed amplitude), 32 entries;
   - the fork point of the last ``run_protected`` call per (spec, k,
     duration, syndrome interval, int seed), one entry, which the next call
@@ -171,6 +179,12 @@ def _rng_from_seed(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(int(seed)))
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only in place."""
+    a.flags.writeable = False
+    return a
+
+
 # ---------------------------------------------------------------- recovery
 
 @functools.lru_cache(maxsize=32)
@@ -197,9 +211,7 @@ def recovery_matrix(spec: CavitySpec, decayed_alpha: complex) -> np.ndarray:
     tgt = _lowdin([t0, t1])
     full_s = _gram_schmidt_complete(src, n_max + 1)
     full_t = _gram_schmidt_complete(tgt, n_max + 1)
-    out = np.stack(full_t, axis=1) @ np.stack(full_s, axis=1).conj().T
-    out.flags.writeable = False
-    return out
+    return _frozen(np.stack(full_t, axis=1) @ np.stack(full_s, axis=1).conj().T)
 
 
 # --------------------------------------------------------- factored chains
@@ -207,11 +219,31 @@ def recovery_matrix(spec: CavitySpec, decayed_alpha: complex) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _code_columns(alpha: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Nominal code columns (|C_a+>, |C_ia+>) as read-only arrays, memoised."""
-    plus = cat_column(alpha, 1, n_max)
-    rot = cat_column(1j * alpha, 1, n_max)
-    plus.flags.writeable = False
-    rot.flags.writeable = False
-    return plus, rot
+    return _frozen(cat_column(alpha, 1, n_max)), _frozen(cat_column(1j * alpha, 1, n_max))
+
+
+def _distinct(columns: tuple[np.ndarray, ...]) -> tuple[list[np.ndarray], list[int]]:
+    """The distinct column objects (by identity), and each column's index among them."""
+    slot: dict[int, int] = {}
+    unique: list[np.ndarray] = []
+    index: list[int] = []
+    for c in columns:
+        i = slot.get(id(c))
+        if i is None:
+            i = slot[id(c)] = len(unique)
+            unique.append(c)
+        index.append(i)
+    return unique, index
+
+
+def _map_columns(fc: FactoredChain, f) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Both branches with ``f`` applied once per distinct column, results read-only.
+
+    Cavities that shared a column share its image.
+    """
+    unique, index = _distinct(fc.branch0 + fc.branch1)
+    cols = [_frozen(f(c)) for c in unique]
+    return tuple(cols[i] for i in index[: fc.k]), tuple(cols[i] for i in index[fc.k :])
 
 
 def _sq_norm(c: np.ndarray) -> float:
@@ -226,7 +258,16 @@ def _sq_norm(c: np.ndarray) -> float:
 
 
 def _squared_norms(columns: tuple[np.ndarray, ...]) -> tuple[float, ...]:
-    return tuple(_sq_norm(c) for c in columns)
+    """``_sq_norm`` of every column, computed once per distinct column object."""
+    unique, index = _distinct(columns)
+    norms = [_sq_norm(c) for c in unique]
+    return tuple(norms[i] for i in index)
+
+
+@functools.lru_cache(maxsize=8)
+def _lowering_factor(dim: int) -> np.ndarray:
+    """sqrt(1), ..., sqrt(dim - 1), the annihilation operator's entries, read-only."""
+    return _frozen(np.sqrt(np.arange(1, dim, dtype=float)))
 
 
 def _lower(col: np.ndarray) -> np.ndarray:
@@ -236,7 +277,7 @@ def _lower(col: np.ndarray) -> np.ndarray:
     output entry of that product has one nonzero term.
     """
     out = np.zeros(col.shape, dtype=np.complex128)
-    out[:-1] = np.sqrt(np.arange(1, col.shape[0], dtype=float)) * col[1:]
+    out[:-1] = _lowering_factor(col.shape[0]) * col[1:]
     return out
 
 
@@ -250,9 +291,11 @@ class FactoredChain:
     the form closed, which is what makes long chains tractable.
 
     ``sq_norms0``/``sq_norms1`` hold ``np.linalg.norm(col) ** 2`` of every
-    column; ``None`` (the default) computes them from the columns.  The
-    ``fc_*`` operations keep them current: one touching cavity j recomputes
-    only j's entries, O(d); drift recomputes all of them, O(kd).  Norms,
+    column; ``None`` (the default) computes them from the columns, once per
+    distinct column object.  The ``fc_*`` operations keep them current: one
+    touching cavity j recomputes only j's entries, O(d); drift recomputes
+    one per distinct column, O(d) each.  Columns are read-only arrays, and
+    cavities holding equal columns may share one object.  Norms,
     parity probabilities and jump fluxes then multiply stored values left to
     right, as ``np.prod`` over freshly computed norms would, so the results
     are bit-identical to a from-scratch evaluation.  Code that swaps columns
@@ -333,8 +376,8 @@ def factored_chain(spec: CavitySpec, k: int) -> FactoredChain:
     return FactoredChain(
         weight0=2**-0.5,
         weight1=2**-0.5,
-        branch0=tuple(plus.copy() for _ in range(k)),
-        branch1=tuple(rot.copy() for _ in range(k)),
+        branch0=(plus,) * k,
+        branch1=(rot,) * k,
         spec=spec,
     )
 
@@ -343,20 +386,16 @@ def _with_cavity(fc: FactoredChain, j: int, u: np.ndarray, v: np.ndarray) -> Fac
     """``fc`` with cavity j's columns set to (u, v); only j's norms are recomputed."""
     b0, b1 = list(fc.branch0), list(fc.branch1)
     s0, s1 = list(fc.sq_norms0), list(fc.sq_norms1)
-    b0[j], b1[j] = u, v
+    b0[j], b1[j] = _frozen(u), _frozen(v)
     s0[j], s1[j] = _sq_norm(u), _sq_norm(v)
     return FactoredChain(fc.weight0, fc.weight1, tuple(b0), tuple(b1), fc.spec, tuple(s0), tuple(s1))
 
 
 def fc_drift(fc: FactoredChain, tau: float) -> FactoredChain:
+    """No-jump evolution over tau, renormalised; each distinct column decays once."""
     decay = np.exp(-fc.spec.kappa * tau * np.arange(fc.spec.dim) / 2)
-    return FactoredChain(
-        fc.weight0,
-        fc.weight1,
-        tuple(u * decay for u in fc.branch0),
-        tuple(v * decay for v in fc.branch1),
-        fc.spec,
-    ).normalized()
+    branch0, branch1 = _map_columns(fc, lambda c: c * decay)
+    return FactoredChain(fc.weight0, fc.weight1, branch0, branch1, fc.spec).normalized()
 
 
 def fc_apply_loss(fc: FactoredChain, j: int) -> FactoredChain:
@@ -415,14 +454,20 @@ def _fc_survival(fc: FactoredChain):
 
 
 def _fc_jump_flux(fc: FactoredChain) -> np.ndarray:
-    """Loss flux kappa <a^dag a> of every cavity, from the stored norms."""
+    """Loss flux kappa <a^dag a> of every cavity, from the stored norms.
+
+    The lowered norm of each distinct column is computed once.
+    """
     n2 = fc.norm_squared()
     w0, w1 = abs(fc.weight0) ** 2, abs(fc.weight1) ** 2
-    flux = np.empty(fc.k)
-    for j in range(fc.k):
+    k = fc.k
+    unique, index = _distinct(fc.branch0 + fc.branch1)
+    lowered = [_sq_norm(_lower(c)) for c in unique]
+    flux = np.empty(k)
+    for j in range(k):
         s0, s1 = list(fc.sq_norms0), list(fc.sq_norms1)
-        s0[j] = _sq_norm(_lower(fc.branch0[j]))
-        s1[j] = _sq_norm(_lower(fc.branch1[j]))
+        s0[j] = lowered[index[j]]
+        s1[j] = lowered[index[k + j]]
         flux[j] = fc.spec.kappa * (w0 * math.prod(s0) + w1 * math.prod(s1)) / n2
     return flux
 
@@ -559,10 +604,11 @@ def run_protected(
     if fork is not None:
         fc, rng_state, t, all_jumps, outcomes, meas_times, syndrome = fork
         rng.bit_generator.state = rng_state
-        # the pair partner may return the stored chain: hand back a private copy
+        # the pair partner may return the stored chain: hand back a private
+        # copy, one per distinct column so cavities that shared a column still do
+        branch0, branch1 = _map_columns(fc, np.copy)
         fc = FactoredChain(
-            fc.weight0, fc.weight1, tuple(u.copy() for u in fc.branch0),
-            tuple(v.copy() for v in fc.branch1), spec, fc.sq_norms0, fc.sq_norms1,
+            fc.weight0, fc.weight1, branch0, branch1, spec, fc.sq_norms0, fc.sq_norms1
         )
     else:
         fc = factored_chain(spec, k)

@@ -115,11 +115,12 @@ def apply_local(state: StateVector, op: np.ndarray, sites: Sequence[int]) -> Sta
     d_site = prod(dims[s] for s in sites)
     if op.shape != (d_site, d_site):
         raise LayoutError(f"operator shape {op.shape} does not match site dims {d_site}")
-    arr = state.amplitudes.reshape(dims)
-    arr = np.moveaxis(arr, sites, range(len(sites)))
+    perm = sites + tuple(i for i in range(len(dims)) if i not in sites)
+    arr = state.amplitudes.reshape(dims).transpose(perm)
     moved_shape = arr.shape
     arr = op @ arr.reshape(d_site, -1)
-    arr = np.moveaxis(arr.reshape(moved_shape), range(len(sites)), sites)
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    arr = arr.reshape(moved_shape).transpose(inverse)
     return StateVector(arr.reshape(-1), state.layout)
 
 

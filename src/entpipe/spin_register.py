@@ -6,9 +6,17 @@ rotations and Z phase corrections are treated as instantaneous.  A register of
 n dots is entangled by preparing Bell pairs in parallel (one ZZ interval),
 then absorbing one pair (or the final unpaired dot) at a time into a growing
 block; each absorption costs one ZZ interval plus one exchange interval.
+
+``execute`` builds each distinct gate once per process: the coupling
+unitaries per (kind, strength, duration), the pulse rotations per (angle,
+axis phase) and the Z phase gates per angle sit in bounded memos as
+read-only arrays.  A plan of any size holds two distinct coupling gates
+(one ZZ and one exchange interval), so repeated runs pay for two matrix
+exponentials in all; every step is still applied to the state.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import pi
 
@@ -355,20 +363,43 @@ def execute(schedule: Schedule) -> StateVector:
     return state
 
 
+@functools.lru_cache(maxsize=32)
+def _coupling_gate(kind: str, strength: float, duration: float) -> np.ndarray:
+    """exp(-i*duration*generator) of a coupling interval, memoised read-only."""
+    gen = heisenberg_matrix(strength) if kind == "heisenberg" else ising_matrix(strength)
+    u = scipy.linalg.expm(-1j * duration * gen)
+    u.flags.writeable = False
+    return u
+
+
+@functools.lru_cache(maxsize=32)
+def _rotation_gate(angle: float, axis_phase: float) -> np.ndarray:
+    """``rotation(angle, axis_phase)``, memoised read-only."""
+    u = rotation(angle, axis_phase)
+    u.flags.writeable = False
+    return u
+
+
+@functools.lru_cache(maxsize=32)
+def _phase_gate(phi: float) -> np.ndarray:
+    """diag(1, e^{i phi}), memoised read-only."""
+    u = np.diag([1.0, np.exp(1j * phi)]).astype(np.complex128)
+    u.flags.writeable = False
+    return u
+
+
 def _apply_step(state: StateVector, st: ScheduleStep) -> StateVector:
     if st.coupling is not None:
-        gen = st.coupling.matrix()
-        u = scipy.linalg.expm(-1j * st.duration * gen)
-        return apply_local(state, u, st.coupling.pair)
+        c = st.coupling
+        return apply_local(state, _coupling_gate(c.kind, c.strength, st.duration), c.pair)
     p = st.pulse
     if p.z_corrections is not None:
         amps = state.amplitudes * np.exp(1j * p.global_phase)
         out = StateVector(amps, state.layout)
         for dot, phi in sorted(p.z_corrections.items()):
-            gate = np.diag([1.0, np.exp(1j * phi)]).astype(np.complex128)
-            out = apply_local(out, gate, (dot,))
+            out = apply_local(out, _phase_gate(phi), (dot,))
         return out
-    return apply_local(state, rotation(p.angle, p.axis_phase), (p.target,))
+    return apply_local(state, _rotation_gate(p.angle, p.axis_phase), (p.target,))
 
 
 def bipartitions(n: int):

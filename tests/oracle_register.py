@@ -5,6 +5,9 @@ locally (``entpipe.spin_register.execute``).  ``dense_execute`` instead
 embeds every generator and pulse in the full 2^n register space
 (``embed_operator``) and multiplies dense Pade exponentials, so the fast
 path's axis bookkeeping is checked against an independent route.
+``moveaxis_apply_local`` is the earlier form of ``hilbert.apply_local``
+(axes moved by ``np.moveaxis`` rather than one transpose and its inverse),
+kept to check that the two agree bit for bit.
 
 The other helpers build test states and check them: product states
 (``tensor_states``), one block merge at a time (``merge_blocks``, which the
@@ -86,6 +89,22 @@ def embed_operator(layout: SubsystemLayout, op: np.ndarray, sites: Sequence[int]
     mat = mat.transpose(tuple(inv) + tuple(n + j for j in inv))
     d = layout.total_dim
     return np.ascontiguousarray(mat.reshape(d, d))
+
+
+def moveaxis_apply_local(state: StateVector, op: np.ndarray, sites: Sequence[int]) -> StateVector:
+    """``apply_local`` with the axes moved by two ``np.moveaxis`` calls."""
+    sites = state.layout.check_sites(sites)
+    dims = state.layout.dims
+    op = np.asarray(op, dtype=np.complex128)
+    d_site = int(np.prod([dims[s] for s in sites]))
+    if op.shape != (d_site, d_site):
+        raise LayoutError(f"operator shape {op.shape} does not match site dims {d_site}")
+    arr = state.amplitudes.reshape(dims)
+    arr = np.moveaxis(arr, sites, range(len(sites)))
+    moved_shape = arr.shape
+    arr = op @ arr.reshape(d_site, -1)
+    arr = np.moveaxis(arr.reshape(moved_shape), range(len(sites)), sites)
+    return StateVector(arr.reshape(-1), state.layout)
 
 
 def dense_execute(schedule: Schedule) -> StateVector:

@@ -646,31 +646,40 @@ def _scratch_survival(fc, tau):
     return float(p0 + p1)
 
 
-_OPS = st.one_of(
-    st.tuples(st.just("drift"), st.floats(0.0, 0.3)),
-    st.tuples(st.just("loss"), st.integers(0, 3)),
-    st.tuples(st.just("parity"), st.integers(0, 3), st.booleans()),
-    st.tuples(st.just("repump"), st.integers(0, 3), st.sampled_from([0.0, 0.01, 0.025, 0.05])),
-)
+def _ops(max_cavity):
+    return st.one_of(
+        st.tuples(st.just("drift"), st.floats(0.0, 0.3)),
+        st.tuples(st.just("loss"), st.integers(0, max_cavity)),
+        st.tuples(st.just("parity"), st.integers(0, max_cavity), st.booleans()),
+        st.tuples(
+            st.just("repump"), st.integers(0, max_cavity),
+            st.sampled_from([0.0, 0.01, 0.025, 0.05]),
+        ),
+    )
+
+
+def _apply_op(fc, op):
+    """One drift, loss, parity projection or repump; cavity indices wrap at k."""
+    if op[0] == "drift":
+        return fc_drift(fc, op[1])
+    j = op[1] % fc.k
+    if op[0] == "loss":
+        return fc_apply_loss(fc, j)
+    if op[0] == "parity":
+        p_even = fc_parity_probability(fc, j)
+        outcome = 1 if op[2] else -1
+        if (p_even if outcome == 1 else 1 - p_even) < 1e-6:
+            outcome = -outcome
+        return fc_project_parity(fc, j, outcome)
+    return fc_repump(fc, j, ALPHA * np.exp(-op[2]))
 
 
 @settings(max_examples=40, deadline=None)
-@given(k=st.integers(1, 4), ops=st.lists(_OPS, min_size=1, max_size=12))
+@given(k=st.integers(1, 4), ops=st.lists(_ops(3), min_size=1, max_size=12))
 def test_factored_chain_stored_norms_track_columns(k, ops):
     fc = factored_chain(SPEC, k)
     for op in ops:
-        if op[0] == "drift":
-            fc = fc_drift(fc, op[1])
-        elif op[0] == "loss":
-            fc = fc_apply_loss(fc, op[1] % k)
-        elif op[0] == "parity":
-            j = op[1] % k
-            p_even = fc_parity_probability(fc, j)
-            outcome = 1 if op[2] else -1
-            if (p_even if outcome == 1 else 1 - p_even) < 1e-6:
-                outcome = -outcome
-            fc = fc_project_parity(fc, j, outcome)
-        else:
+        if op[0] == "repump":
             decayed = ALPHA * np.exp(-op[2])
             r = recovery_matrix(SPEC, decayed)
             assert np.max(np.abs(r @ r.conj().T - np.eye(NMAX + 1))) < 1e-12
@@ -678,7 +687,7 @@ def test_factored_chain_stored_norms_track_columns(k, ops):
             with pytest.raises(ValueError):
                 r[0, 0] = 1.0
             assert recovery_matrix(SPEC, decayed) is r
-            fc = fc_repump(fc, op[1] % k, decayed)
+        fc = _apply_op(fc, op)
         for cols, sq in ((fc.branch0, fc.sq_norms0), (fc.branch1, fc.sq_norms1)):
             assert all(s == np.linalg.norm(c) ** 2 for c, s in zip(cols, sq))
         assert abs(fc.normalized().norm_squared() - 1.0) <= 1e-12
@@ -691,6 +700,48 @@ def test_factored_chain_stored_norms_track_columns(k, ops):
         survival = cat_code._fc_survival(fc)
         for tau in (0.0, 0.01, 0.2):
             assert survival(tau) == _scratch_survival(fc, tau)
+
+
+def _one_copy_per_cavity(fc):
+    return FactoredChain(
+        fc.weight0, fc.weight1, tuple(u.copy() for u in fc.branch0),
+        tuple(v.copy() for v in fc.branch1), fc.spec,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 9), ops=st.lists(_ops(8), min_size=1, max_size=12))
+def test_shared_columns_match_one_copy_per_cavity(k, ops):
+    """Cavities sharing one column object evolve as private copies would, bit for bit."""
+    shared = factored_chain(SPEC, k)
+    plus, rot = cat_code._code_columns(SPEC.alpha, SPEC.n_max)
+    assert all(u is plus for u in shared.branch0) and all(v is rot for v in shared.branch1)
+    private = _one_copy_per_cavity(shared)
+    for op in ops:
+        shared, private = _apply_op(shared, op), _apply_op(private, op)
+        _assert_same_chain(shared, private)
+        assert np.array_equal(cat_code._fc_jump_flux(shared), cat_code._fc_jump_flux(private))
+        assert cat_code._fc_survival(shared)(0.05) == cat_code._fc_survival(private)(0.05)
+        for c in shared.branch0 + shared.branch1:
+            assert not c.flags.writeable
+            with pytest.raises(ValueError):
+                c[0] = 0.0
+    # drift maps each distinct column to one: the sharing survives it
+    assert len({id(c) for c in fc_drift(shared, 0.01).branch0}) == len(
+        {id(c) for c in shared.branch0}
+    )
+
+
+def test_resumed_chain_keeps_column_sharing():
+    # no jumps at kappa = 0: the stored chain holds the two code columns
+    spec = CavitySpec(ALPHA, NMAX, kappa=0.0)
+    a = run_protected(spec, 4, 0.1, 0.05, 6, correct=False).record.final_state
+    b = run_protected(spec, 4, 0.1, 0.05, 6, correct=True).record.final_state
+    assert len({id(c) for c in a.branch0 + a.branch1}) == 2
+    assert len({id(c) for c in b.branch0 + b.branch1}) == 2
+    assert not {id(c) for c in a.branch0 + a.branch1} & {id(c) for c in b.branch0 + b.branch1}
+    for c in a.branch0 + a.branch1 + b.branch0 + b.branch1:
+        assert not c.flags.writeable
 
 
 @settings(max_examples=200, deadline=None)

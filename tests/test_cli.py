@@ -14,7 +14,7 @@ import pytest
 import entpipe.cat_code
 import entpipe.photon_swap
 import entpipe.runner
-from entpipe.cli import main
+from entpipe.cli import build_parser, main
 from entpipe.config import default_config, serialize
 
 
@@ -224,6 +224,15 @@ def test_pipeline_report_golden_values(tmp_path):
         "per_dot_success": 0.95,
         "polarization_photons": 5,
     }
+
+
+def test_ghz_state_golden_digest(tmp_path):
+    # the executed amplitudes themselves, not only their fidelity
+    cfg = write_cfg(tmp_path, register={"n_dots": 10})
+    out = tmp_path / "out"
+    assert main(["ghz", "--config", str(cfg), "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "ghz_state.json").read_bytes()).hexdigest()
+    assert digest == "c471f5d004debb4c79d2576ce6e8595dc56f660345213c18bb216b2e8d535a12"
 
 
 def test_swap_series_golden_digest(tmp_path):
@@ -595,6 +604,27 @@ def test_unconverged_jump_time_is_exit_3(tmp_path, monkeypatch, capsys):
     assert main(["protect", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 3
     assert "[protect] did not converge: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_reused_parser_carries_nothing_between_calls(tmp_path):
+    cfg = write_cfg(tmp_path, register={"n_dots": 4})
+    out = tmp_path / "out"
+    plain = ["ghz", "--config", str(cfg), "--out", str(out)]
+
+    def artifacts():
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    build_parser.cache_clear()
+    assert main(plain) == 0
+    first = artifacts()
+    flagged = ["ghz", "--config", str(cfg), "--out", str(tmp_path / "flagged"),
+               "--seed", "99", "--format", "json", "--workers", "2"]
+    assert main(flagged) == 0
+    rep = json.load(open(tmp_path / "flagged" / "ghz_report.json"))
+    assert rep["config"]["run"]["base_seed"] == 99 and rep["config"]["run"]["format"] == "json"
+    assert main(plain) == 0
+    assert artifacts() == first
+    assert build_parser() is build_parser()
 
 
 # ----------------------------------------------------------- import graph

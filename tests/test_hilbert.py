@@ -17,7 +17,7 @@ from entpipe.hilbert import (
     qubits,
     schmidt_spectrum,
 )
-from oracle_register import concat_layouts, embed_operator, tensor_states
+from oracle_register import concat_layouts, embed_operator, moveaxis_apply_local, tensor_states
 
 
 def random_state(rng, dims):
@@ -84,6 +84,23 @@ def test_apply_local_two_site_matches_embedding():
     direct = apply_local(psi, op, (3, 0))
     full = embed_operator(layout, op, (3, 0))
     assert np.allclose(direct.amplitudes, full @ psi.amplitudes, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.lists(st.integers(2, 4), min_size=1, max_size=5),
+    data=st.data(),
+    seed=st.integers(0, 10**6),
+)
+def test_apply_local_matches_moveaxis_route_bit_for_bit(dims, data, seed):
+    """One transpose and its inverse move the same axes as two moveaxis calls."""
+    n_sites = data.draw(st.integers(1, min(3, len(dims))))
+    sites = tuple(data.draw(st.permutations(range(len(dims))))[:n_sites])
+    rng = np.random.default_rng(seed)
+    psi = random_state(rng, dims)
+    op = random_unitary(rng, int(np.prod([dims[s] for s in sites])))
+    got = apply_local(psi, op, sites)
+    assert np.array_equal(got.amplitudes, moveaxis_apply_local(psi, op, sites).amplitudes)
 
 
 def test_embed_operator_identity_elsewhere():

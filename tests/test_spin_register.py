@@ -209,6 +209,42 @@ def test_raw_plan_needs_at_most_one_flip(n):
     assert fidelity(fixed, canonical_ghz(n)) >= 1 - 1e-9
 
 
+def test_execute_builds_each_distinct_coupling_gate_once(monkeypatch):
+    # 13 coupling steps, but only one ZZ and one exchange interval
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counted(a):
+        calls.append(a)
+        return expm(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    entpipe.spin_register._coupling_gate.cache_clear()
+    schedule = plan_ghz(10, J1, J2)[0]
+    first, again = execute(schedule), execute(schedule)
+    assert sum(st.coupling is not None for st in schedule.steps) == 13
+    assert len(calls) == 2
+    assert np.array_equal(first.amplitudes, again.amplitudes)
+
+
+def test_memoised_gates_are_read_only_and_exact():
+    sr = entpipe.spin_register
+    pairs = [
+        (sr._coupling_gate("ising", J2, pi / (4 * J2)),
+         scipy.linalg.expm(-1j * (pi / (4 * J2)) * ising_matrix(J2))),
+        (sr._coupling_gate("heisenberg", J1, pi / (8 * J1)),
+         scipy.linalg.expm(-1j * (pi / (8 * J1)) * heisenberg_matrix(J1))),
+        (sr._rotation_gate(pi, pi / 4), rotation(pi, pi / 4)),
+        (sr._phase_gate(-pi / 2), np.diag([1.0, np.exp(-1j * pi / 2)])),
+    ]
+    for gate, fresh in pairs:
+        assert np.array_equal(gate, fresh)
+        assert not gate.flags.writeable
+        with pytest.raises(ValueError):
+            gate[0, 0] = 0.0
+    assert sr._rotation_gate(pi, pi / 4) is pairs[2][0]
+
+
 def test_canonical_correction_rejects_product_state():
     with pytest.raises(NotGhzClassError):
         canonical_correction(plus_register(3))
