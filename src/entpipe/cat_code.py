@@ -38,7 +38,6 @@ after it.
 Memoised per process, in bounded stores that fill on first use:
   - the nominal code columns per (alpha, n_max), 8 entries, shared by
     every fresh chain;
-  - the annihilation operator's sqrt(n) factor per dimension, 8 entries;
   - the repump isometry per (spec, decayed amplitude), 32 entries;
   - the fork point of the last ``run_protected`` call per (spec, k,
     duration, syndrome interval, int seed), one entry, which the next call
@@ -53,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NullStateError, TruncationError
-from .hilbert import StateVector, SubsystemLayout
+from .hilbert import StateVector, SubsystemLayout, read_only
 
 _GS_TOL = 1e-7
 
@@ -179,12 +178,6 @@ def _rng_from_seed(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(int(seed)))
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """``a``, made read-only in place."""
-    a.flags.writeable = False
-    return a
-
-
 # ---------------------------------------------------------------- recovery
 
 @functools.lru_cache(maxsize=32)
@@ -211,7 +204,7 @@ def recovery_matrix(spec: CavitySpec, decayed_alpha: complex) -> np.ndarray:
     tgt = _lowdin([t0, t1])
     full_s = _gram_schmidt_complete(src, n_max + 1)
     full_t = _gram_schmidt_complete(tgt, n_max + 1)
-    return _frozen(np.stack(full_t, axis=1) @ np.stack(full_s, axis=1).conj().T)
+    return read_only(np.stack(full_t, axis=1) @ np.stack(full_s, axis=1).conj().T)
 
 
 # --------------------------------------------------------- factored chains
@@ -219,7 +212,7 @@ def recovery_matrix(spec: CavitySpec, decayed_alpha: complex) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _code_columns(alpha: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Nominal code columns (|C_a+>, |C_ia+>) as read-only arrays, memoised."""
-    return _frozen(cat_column(alpha, 1, n_max)), _frozen(cat_column(1j * alpha, 1, n_max))
+    return read_only(cat_column(alpha, 1, n_max)), read_only(cat_column(1j * alpha, 1, n_max))
 
 
 def _distinct(columns: tuple[np.ndarray, ...]) -> tuple[list[np.ndarray], list[int]]:
@@ -242,7 +235,7 @@ def _map_columns(fc: FactoredChain, f) -> tuple[tuple[np.ndarray, ...], tuple[np
     Cavities that shared a column share its image.
     """
     unique, index = _distinct(fc.branch0 + fc.branch1)
-    cols = [_frozen(f(c)) for c in unique]
+    cols = [read_only(f(c)) for c in unique]
     return tuple(cols[i] for i in index[: fc.k]), tuple(cols[i] for i in index[fc.k :])
 
 
@@ -264,12 +257,6 @@ def _squared_norms(columns: tuple[np.ndarray, ...]) -> tuple[float, ...]:
     return tuple(norms[i] for i in index)
 
 
-@functools.lru_cache(maxsize=8)
-def _lowering_factor(dim: int) -> np.ndarray:
-    """sqrt(1), ..., sqrt(dim - 1), the annihilation operator's entries, read-only."""
-    return _frozen(np.sqrt(np.arange(1, dim, dtype=float)))
-
-
 def _lower(col: np.ndarray) -> np.ndarray:
     """Annihilation operator on one Fock column as a shifted multiply.
 
@@ -277,7 +264,7 @@ def _lower(col: np.ndarray) -> np.ndarray:
     output entry of that product has one nonzero term.
     """
     out = np.zeros(col.shape, dtype=np.complex128)
-    out[:-1] = _lowering_factor(col.shape[0]) * col[1:]
+    out[:-1] = np.sqrt(np.arange(1, col.shape[0], dtype=float)) * col[1:]
     return out
 
 
@@ -386,7 +373,7 @@ def _with_cavity(fc: FactoredChain, j: int, u: np.ndarray, v: np.ndarray) -> Fac
     """``fc`` with cavity j's columns set to (u, v); only j's norms are recomputed."""
     b0, b1 = list(fc.branch0), list(fc.branch1)
     s0, s1 = list(fc.sq_norms0), list(fc.sq_norms1)
-    b0[j], b1[j] = _frozen(u), _frozen(v)
+    b0[j], b1[j] = read_only(u), read_only(v)
     s0[j], s1[j] = _sq_norm(u), _sq_norm(v)
     return FactoredChain(fc.weight0, fc.weight1, tuple(b0), tuple(b1), fc.spec, tuple(s0), tuple(s1))
 

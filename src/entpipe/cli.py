@@ -8,7 +8,6 @@ file; see ``config.apply_env`` for the recognized EP_* variables.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 from pathlib import Path
@@ -18,9 +17,7 @@ from .errors import ConfigError, ConvergenceError, EntpipeError
 from .runner import STAGES, write_stage_result
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built once per process; ``parse_args`` keeps no state."""
     parser = argparse.ArgumentParser(
         prog="entpipe",
         description="Quantum-dot entanglement pipeline simulator.",

@@ -107,6 +107,12 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only in place (for arrays held in shared memos)."""
+    a.flags.writeable = False
+    return a
+
+
 def apply_local(state: StateVector, op: np.ndarray, sites: Sequence[int]) -> StateVector:
     """Apply an operator that acts only on ``sites`` (in the given order)."""
     sites = state.layout.check_sites(sites)

@@ -7,12 +7,11 @@ n dots is entangled by preparing Bell pairs in parallel (one ZZ interval),
 then absorbing one pair (or the final unpaired dot) at a time into a growing
 block; each absorption costs one ZZ interval plus one exchange interval.
 
-``execute`` builds each distinct gate once per process: the coupling
-unitaries per (kind, strength, duration), the pulse rotations per (angle,
-axis phase) and the Z phase gates per angle sit in bounded memos as
-read-only arrays.  A plan of any size holds two distinct coupling gates
-(one ZZ and one exchange interval), so repeated runs pay for two matrix
-exponentials in all; every step is still applied to the state.
+``execute`` builds each distinct coupling unitary once per process: the
+gates per (kind, strength, duration) sit in a bounded memo as read-only
+arrays.  A plan of any size holds two distinct coupling gates (one ZZ and
+one exchange interval), so repeated runs pay for two matrix exponentials in
+all; every step is still applied to the state.
 """
 from __future__ import annotations
 
@@ -24,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ScheduleError
-from .hilbert import StateVector, apply_local, qubits, schmidt_spectrum
+from .hilbert import StateVector, apply_local, qubits, read_only, schmidt_spectrum
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -63,6 +62,13 @@ def ising_matrix(j: float) -> np.ndarray:
     return j * np.kron(SIGMA_Z, SIGMA_Z)
 
 
+def coupling_matrix(kind: str, strength: float) -> np.ndarray:
+    """Generator of a "heisenberg" or "ising" coupling of the given strength."""
+    if kind == "heisenberg":
+        return heisenberg_matrix(strength)
+    return ising_matrix(strength)
+
+
 def rotation(angle: float, axis_phase: float) -> np.ndarray:
     """Single-dot rotation exp(-i*angle/2*(cos(phi) X + sin(phi) Y))."""
     c, s = np.cos(angle / 2), np.sin(angle / 2)
@@ -89,9 +95,7 @@ class CouplingSpec:
         object.__setattr__(self, "pair", (int(a), int(b)))
 
     def matrix(self) -> np.ndarray:
-        if self.kind == "heisenberg":
-            return heisenberg_matrix(self.strength)
-        return ising_matrix(self.strength)
+        return coupling_matrix(self.kind, self.strength)
 
 
 @dataclass(frozen=True)
@@ -366,26 +370,7 @@ def execute(schedule: Schedule) -> StateVector:
 @functools.lru_cache(maxsize=32)
 def _coupling_gate(kind: str, strength: float, duration: float) -> np.ndarray:
     """exp(-i*duration*generator) of a coupling interval, memoised read-only."""
-    gen = heisenberg_matrix(strength) if kind == "heisenberg" else ising_matrix(strength)
-    u = scipy.linalg.expm(-1j * duration * gen)
-    u.flags.writeable = False
-    return u
-
-
-@functools.lru_cache(maxsize=32)
-def _rotation_gate(angle: float, axis_phase: float) -> np.ndarray:
-    """``rotation(angle, axis_phase)``, memoised read-only."""
-    u = rotation(angle, axis_phase)
-    u.flags.writeable = False
-    return u
-
-
-@functools.lru_cache(maxsize=32)
-def _phase_gate(phi: float) -> np.ndarray:
-    """diag(1, e^{i phi}), memoised read-only."""
-    u = np.diag([1.0, np.exp(1j * phi)]).astype(np.complex128)
-    u.flags.writeable = False
-    return u
+    return read_only(scipy.linalg.expm(-1j * duration * coupling_matrix(kind, strength)))
 
 
 def _apply_step(state: StateVector, st: ScheduleStep) -> StateVector:
@@ -397,9 +382,10 @@ def _apply_step(state: StateVector, st: ScheduleStep) -> StateVector:
         amps = state.amplitudes * np.exp(1j * p.global_phase)
         out = StateVector(amps, state.layout)
         for dot, phi in sorted(p.z_corrections.items()):
-            out = apply_local(out, _phase_gate(phi), (dot,))
+            gate = np.diag([1.0, np.exp(1j * phi)]).astype(np.complex128)
+            out = apply_local(out, gate, (dot,))
         return out
-    return apply_local(state, _rotation_gate(p.angle, p.axis_phase), (p.target,))
+    return apply_local(state, rotation(p.angle, p.axis_phase), (p.target,))
 
 
 def bipartitions(n: int):

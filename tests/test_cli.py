@@ -14,7 +14,7 @@ import pytest
 import entpipe.cat_code
 import entpipe.photon_swap
 import entpipe.runner
-from entpipe.cli import build_parser, main
+from entpipe.cli import main
 from entpipe.config import default_config, serialize
 
 
@@ -604,27 +604,6 @@ def test_unconverged_jump_time_is_exit_3(tmp_path, monkeypatch, capsys):
     assert main(["protect", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 3
     assert "[protect] did not converge: " in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_reused_parser_carries_nothing_between_calls(tmp_path):
-    cfg = write_cfg(tmp_path, register={"n_dots": 4})
-    out = tmp_path / "out"
-    plain = ["ghz", "--config", str(cfg), "--out", str(out)]
-
-    def artifacts():
-        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-
-    build_parser.cache_clear()
-    assert main(plain) == 0
-    first = artifacts()
-    flagged = ["ghz", "--config", str(cfg), "--out", str(tmp_path / "flagged"),
-               "--seed", "99", "--format", "json", "--workers", "2"]
-    assert main(flagged) == 0
-    rep = json.load(open(tmp_path / "flagged" / "ghz_report.json"))
-    assert rep["config"]["run"]["base_seed"] == 99 and rep["config"]["run"]["format"] == "json"
-    assert main(plain) == 0
-    assert artifacts() == first
-    assert build_parser() is build_parser()
 
 
 # ----------------------------------------------------------- import graph

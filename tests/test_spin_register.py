@@ -234,15 +234,13 @@ def test_memoised_gates_are_read_only_and_exact():
          scipy.linalg.expm(-1j * (pi / (4 * J2)) * ising_matrix(J2))),
         (sr._coupling_gate("heisenberg", J1, pi / (8 * J1)),
          scipy.linalg.expm(-1j * (pi / (8 * J1)) * heisenberg_matrix(J1))),
-        (sr._rotation_gate(pi, pi / 4), rotation(pi, pi / 4)),
-        (sr._phase_gate(-pi / 2), np.diag([1.0, np.exp(-1j * pi / 2)])),
     ]
     for gate, fresh in pairs:
         assert np.array_equal(gate, fresh)
         assert not gate.flags.writeable
         with pytest.raises(ValueError):
             gate[0, 0] = 0.0
-    assert sr._rotation_gate(pi, pi / 4) is pairs[2][0]
+    assert sr._coupling_gate("ising", J2, pi / (4 * J2)) is pairs[0][0]
 
 
 def test_canonical_correction_rejects_product_state():
