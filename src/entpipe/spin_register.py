@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from math import pi
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ScheduleError
 from .hilbert import StateVector, apply_local, qubits, read_only, schmidt_spectrum
@@ -369,7 +368,13 @@ def execute(schedule: Schedule) -> StateVector:
 
 @functools.lru_cache(maxsize=32)
 def _coupling_gate(kind: str, strength: float, duration: float) -> np.ndarray:
-    """exp(-i*duration*generator) of a coupling interval, memoised read-only."""
+    """exp(-i*duration*generator) of a coupling interval, memoised read-only.
+
+    scipy.linalg is imported on a memo miss, so stages that run no schedule
+    never load it; ``expm`` is looked up on the module at call time.
+    """
+    import scipy.linalg
+
     return read_only(scipy.linalg.expm(-1j * duration * coupling_matrix(kind, strength)))
 
 

@@ -263,6 +263,24 @@ def test_sweep_surface_golden_digest(tmp_path):
     assert digest == "e72f28a57dfbd252b270708e19e230a42cda803ba70781b7b02c63f22062faf2"
 
 
+def test_sweep_report_discrepancy_golden_values(tmp_path):
+    # the fixed Krylov reference point and the printed formula beside it
+    cfg = write_cfg(
+        tmp_path,
+        sweep={"d_min": 1.0, "d_max": 3.0, "gamma_min": 1.0, "gamma_max": 3.0,
+               "points_per_axis": 2},
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = json.load(open(out / "sweep_report.json"))
+    assert rep["discrepancy"] == {
+        "abs_diff": 96.6544466143938,
+        "p_closed": 96.96488123978082,
+        "p_ode": 0.3104346253870148,
+        "params": {"d": 1.0, "gamma1": 1.0, "gamma2": 1.0, "t": 6.0},
+    }
+
+
 # ------------------------------------------------------------------ swap
 
 def test_swap_series_and_discrepancy_report(tmp_path):
@@ -621,3 +639,48 @@ def test_cli_import_leaves_out_scipy_optimize_and_integrate():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_out_scipy_sparse_and_linalg():
+    # only the sweep's Krylov reference and the schedule gates need them
+    code = (
+        "import sys, entpipe.cli; "
+        "print(sorted(m for m in ('scipy.sparse', 'scipy.sparse.linalg', 'scipy.linalg', "
+        "'scipy.special') if m in sys.modules))"
+    )
+    assert _fresh_python(code) == "['scipy.special']"
+
+
+@pytest.mark.parametrize(
+    "stage, doc, loaded",
+    [
+        ("protect", {"storage": {"kappa": 25000.0, "trajectories": 2}}, []),
+        ("ghz", {}, ["scipy.linalg"]),
+        ("sweep", {"sweep": {"d_min": 1.0, "d_max": 3.0, "gamma_min": 1.0, "gamma_max": 3.0,
+                             "points_per_axis": 2}},
+         ["scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"]),
+    ],
+)
+def test_stage_loads_only_the_scipy_modules_it_uses(tmp_path, stage, doc, loaded):
+    # a fresh process runs the stage, so a broken deferred import fails here
+    # even though the oracles have loaded every module in this process
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    argv = [stage, "--config", str(cfg), "--out", str(tmp_path / "out"), "--workers", "1"]
+    code = (
+        f"import sys; from entpipe.cli import main; rc = main({argv!r}); "
+        "print(rc, sorted(m for m in ('scipy.sparse', 'scipy.sparse.linalg', 'scipy.linalg') "
+        "if m in sys.modules))"
+    )
+    assert _fresh_python(code).splitlines()[-1] == f"0 {loaded}"
+
+
+def _fresh_python(code: str) -> str:
+    """Standard output of ``python -c code`` in a new process importing this src/."""
+    src = Path(entpipe.runner.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
