@@ -19,21 +19,27 @@ chain growth, parity measurement, loss and repump on full state vectors)
 is kept in ``tests/oracle_storage.py`` as the cross-check for the factored
 one; it is practical for a few cavities only.
 
-Cost of the factored route for k cavities of dimension d.  Cavities that
-hold the same column share one read-only array: a fresh chain holds the
-two code columns in every slot, and drift maps each distinct column to one
-decayed column, so a cavity gets a column of its own only when a loss or
-repump hits it.  Drift and a jump (the flux of every channel) cost O(m d)
-array work for the m <= 2k distinct columns, plus O(k) scalar work per
-cavity: products over the stored per-cavity norms that keep the float
+Cost of the factored route for k cavities of dimension d.  A chain holds
+its columns as a table of m <= 2k distinct read-only columns, and each
+cavity holds an index into it per branch.  A fresh chain's table is the two
+code columns; drift maps each entry to one decayed entry, so a cavity gets
+an entry of its own only when a loss or repump hits it.  Drift and a jump
+(the flux of every channel) cost O(m d) array work, plus O(k) scalar work
+per cavity: products over the stored per-cavity norms that keep the float
 results of a from-scratch evaluation bit for bit.  Loss, repump and a
-parity projection that removes amplitude replace one cavity's columns,
-O(d); a projection onto the parity a cavity already has (every cavity no
-repump has touched, since drift and loss keep parity exactly) only
-renormalises.  A parity round reads each cavity's even weight, O(kd).  The
-corrected and uncorrected runs of a seed agree up to the first round that
-reads -1, so a pair costs that shared prefix once plus the two suffixes
-after it.
+parity projection that removes amplitude give cavity j new columns, O(d):
+an entry no other cavity uses is replaced, else j gets a new one, so the
+table never holds a column that no cavity uses.  A projection onto the
+parity a cavity already has (every cavity no repump has touched, since
+drift and loss keep parity exactly) only renormalises.  A parity round
+reads each entry's even weight and parity flags once, O(md), from a memo
+the chain carries.  The corrected and uncorrected runs of a seed agree up
+to the first round that reads -1, so a pair costs that shared prefix once
+plus the two suffixes after it.
+
+Memoised per chain: each table entry's even weight and whether it has even
+and odd amplitude, filled on first use; a derived chain gets a copy without
+the entries it replaces.
 
 Memoised per process, in bounded stores that fill on first use:
   - the nominal code columns per (alpha, n_max), 8 entries, shared by
@@ -47,7 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -215,30 +221,6 @@ def _code_columns(alpha: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return read_only(cat_column(alpha, 1, n_max)), read_only(cat_column(1j * alpha, 1, n_max))
 
 
-def _distinct(columns: tuple[np.ndarray, ...]) -> tuple[list[np.ndarray], list[int]]:
-    """The distinct column objects (by identity), and each column's index among them."""
-    slot: dict[int, int] = {}
-    unique: list[np.ndarray] = []
-    index: list[int] = []
-    for c in columns:
-        i = slot.get(id(c))
-        if i is None:
-            i = slot[id(c)] = len(unique)
-            unique.append(c)
-        index.append(i)
-    return unique, index
-
-
-def _map_columns(fc: FactoredChain, f) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Both branches with ``f`` applied once per distinct column, results read-only.
-
-    Cavities that shared a column share its image.
-    """
-    unique, index = _distinct(fc.branch0 + fc.branch1)
-    cols = [read_only(f(c)) for c in unique]
-    return tuple(cols[i] for i in index[: fc.k]), tuple(cols[i] for i in index[fc.k :])
-
-
 def _sq_norm(c: np.ndarray) -> float:
     """``np.linalg.norm(c) ** 2``, bit for bit, without its dispatch overhead.
 
@@ -248,13 +230,6 @@ def _sq_norm(c: np.ndarray) -> float:
     x = c.ravel(order="K")
     re, im = x.real, x.imag
     return np.sqrt(re.dot(re) + im.dot(im)) ** 2
-
-
-def _squared_norms(columns: tuple[np.ndarray, ...]) -> tuple[float, ...]:
-    """``_sq_norm`` of every column, computed once per distinct column object."""
-    unique, index = _distinct(columns)
-    norms = [_sq_norm(c) for c in unique]
-    return tuple(norms[i] for i in index)
 
 
 def _lower(col: np.ndarray) -> np.ndarray:
@@ -268,7 +243,7 @@ def _lower(col: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FactoredChain:
     """Two-branch product chain: w0|0> prod u_j + w1|1> prod v_j.
 
@@ -277,17 +252,23 @@ class FactoredChain:
     targets all reduce to per-cavity vector work.  Protocol operations keep
     the form closed, which is what makes long chains tractable.
 
-    ``sq_norms0``/``sq_norms1`` hold ``np.linalg.norm(col) ** 2`` of every
-    column; ``None`` (the default) computes them from the columns, once per
-    distinct column object.  The ``fc_*`` operations keep them current: one
-    touching cavity j recomputes only j's entries, O(d); drift recomputes
-    one per distinct column, O(d) each.  Columns are read-only arrays, and
-    cavities holding equal columns may share one object.  Norms,
-    parity probabilities and jump fluxes then multiply stored values left to
-    right, as ``np.prod`` over freshly computed norms would, so the results
-    are bit-identical to a from-scratch evaluation.  Code that swaps columns
-    through ``dataclasses.replace`` must pass ``sq_norms0=None,
-    sq_norms1=None`` with them.
+    The columns are held as a table: ``cols`` are the distinct read-only
+    columns, and cavity j's columns are ``cols[slot0[j]]`` and
+    ``cols[slot1[j]]`` (``branch0``/``branch1`` give them per cavity).
+    Every entry is used by some cavity, so the table holds at most 2k.
+    ``sq_norms0``/``sq_norms1`` hold ``np.linalg.norm(col) ** 2`` per
+    cavity; norms, parity probabilities and jump fluxes multiply them left
+    to right in cavity order, as ``np.prod`` over freshly computed norms
+    would, so the results are bit-identical to a from-scratch evaluation.
+    Each entry's even weight and parity flags are memoised per chain on
+    first use; a chain derived from this one copies the memo and drops the
+    entries it replaces, so no chain sees another's memo change.
+
+    ``FactoredChain(weight0, weight1, branch0, branch1, spec)`` builds the
+    table from per-cavity columns, sharing an entry among the cavities that
+    pass one array object, and makes the columns read-only.  The ``fc_*``
+    operations build chains from tables directly and recompute nothing they
+    keep.
 
     Equality and hashing are by identity: the array fields have no single
     truth value, so a field-wise ``==`` could not answer.
@@ -295,21 +276,42 @@ class FactoredChain:
 
     weight0: complex
     weight1: complex
-    branch0: tuple[np.ndarray, ...]
-    branch1: tuple[np.ndarray, ...]
     spec: CavitySpec
-    sq_norms0: tuple[float, ...] | None = None
-    sq_norms1: tuple[float, ...] | None = None
+    cols: tuple[np.ndarray, ...]
+    slot0: tuple[int, ...]
+    slot1: tuple[int, ...]
+    sq_norms0: tuple[float, ...]
+    sq_norms1: tuple[float, ...]
+    _memo: list = field(repr=False)
 
-    def __post_init__(self):
-        if self.sq_norms0 is None:
-            object.__setattr__(self, "sq_norms0", _squared_norms(self.branch0))
-        if self.sq_norms1 is None:
-            object.__setattr__(self, "sq_norms1", _squared_norms(self.branch1))
+    def __init__(self, weight0, weight1, branch0, branch1, spec: CavitySpec):
+        columns = tuple(branch0) + tuple(branch1)
+        index: dict[int, int] = {}
+        cols = []
+        for c in columns:
+            if id(c) not in index:
+                index[id(c)] = len(cols)
+                cols.append(read_only(c))
+        slots = tuple(index[id(c)] for c in columns)
+        norms = [_sq_norm(c) for c in cols]
+        k = len(branch0)
+        chain = _chain(
+            weight0, weight1, spec, tuple(cols), slots[:k], slots[k:],
+            _per_cavity(norms, slots[:k]), _per_cavity(norms, slots[k:]), [None] * len(cols),
+        )
+        self.__dict__.update(chain.__dict__)
 
     @property
     def k(self) -> int:
-        return len(self.branch0)
+        return len(self.slot0)
+
+    @property
+    def branch0(self) -> tuple[np.ndarray, ...]:
+        return tuple([self.cols[i] for i in self.slot0])
+
+    @property
+    def branch1(self) -> tuple[np.ndarray, ...]:
+        return tuple([self.cols[i] for i in self.slot1])
 
     def norm_squared(self) -> float:
         p0 = math.prod(self.sq_norms0)
@@ -318,9 +320,9 @@ class FactoredChain:
 
     def normalized(self) -> "FactoredChain":
         scale = 1.0 / np.sqrt(self.norm_squared())
-        return FactoredChain(
-            self.weight0 * scale, self.weight1 * scale, self.branch0, self.branch1,
-            self.spec, self.sq_norms0, self.sq_norms1,
+        return _chain(
+            self.weight0 * scale, self.weight1 * scale, self.spec, self.cols, self.slot0,
+            self.slot1, self.sq_norms0, self.sq_norms1, list(self._memo),
         )
 
     def state_vector(self) -> StateVector:
@@ -337,6 +339,32 @@ class FactoredChain:
         ov0, ov1, nrm = _code_overlaps(self)
         amp = (self.weight0 * ov0 + self.weight1 * ov1) / (np.sqrt(2) * nrm)
         return float(abs(amp) ** 2)
+
+
+def _chain(weight0, weight1, spec, cols, slot0, slot1, sq_norms0, sq_norms1, memo):
+    """A chain with the given fields, set past ``__init__`` and the frozen guard."""
+    fc = object.__new__(FactoredChain)
+    fc.__dict__.update(
+        weight0=weight0, weight1=weight1, spec=spec, cols=cols, slot0=slot0, slot1=slot1,
+        sq_norms0=sq_norms0, sq_norms1=sq_norms1, _memo=memo,
+    )
+    return fc
+
+
+def _per_cavity(values: list, slots: tuple[int, ...]) -> tuple:
+    return tuple([values[i] for i in slots])
+
+
+def _parity_entry(fc: FactoredChain, i: int) -> tuple[float, bool, bool]:
+    """Table entry i's even weight and whether it has even / odd amplitude, memoised."""
+    got = fc._memo[i]
+    if got is None:
+        c = fc.cols[i]
+        even = c[::2]
+        got = fc._memo[i] = (
+            _sq_norm(even), np.count_nonzero(even) > 0, np.count_nonzero(c[1::2]) > 0
+        )
+    return got
 
 
 def _code_overlaps(fc: FactoredChain) -> tuple[complex, complex, float]:
@@ -370,23 +398,44 @@ def factored_chain(spec: CavitySpec, k: int) -> FactoredChain:
 
 
 def _with_cavity(fc: FactoredChain, j: int, u: np.ndarray, v: np.ndarray) -> FactoredChain:
-    """``fc`` with cavity j's columns set to (u, v); only j's norms are recomputed."""
-    b0, b1 = list(fc.branch0), list(fc.branch1)
+    """``fc`` with cavity j's columns set to (u, v); only j's norms are recomputed.
+
+    A column that no other cavity uses is replaced in the new table; one
+    that others share stays, and j gets a new entry.
+    """
+    k = len(fc.slot0)
+    cols, memo = list(fc.cols), list(fc._memo)
+    slots = list(fc.slot0 + fc.slot1)
+    for pos, col in ((j, u), (k + j, v)):
+        i = slots[pos]
+        if slots.count(i) > 1:
+            slots[pos] = i = len(cols)
+            cols.append(None)
+            memo.append(None)
+        cols[i] = read_only(col)
+        memo[i] = None
     s0, s1 = list(fc.sq_norms0), list(fc.sq_norms1)
-    b0[j], b1[j] = read_only(u), read_only(v)
     s0[j], s1[j] = _sq_norm(u), _sq_norm(v)
-    return FactoredChain(fc.weight0, fc.weight1, tuple(b0), tuple(b1), fc.spec, tuple(s0), tuple(s1))
+    return _chain(
+        fc.weight0, fc.weight1, fc.spec, tuple(cols), tuple(slots[:k]), tuple(slots[k:]),
+        tuple(s0), tuple(s1), memo,
+    )
 
 
 def fc_drift(fc: FactoredChain, tau: float) -> FactoredChain:
-    """No-jump evolution over tau, renormalised; each distinct column decays once."""
+    """No-jump evolution over tau, renormalised; each table entry decays once."""
     decay = np.exp(-fc.spec.kappa * tau * np.arange(fc.spec.dim) / 2)
-    branch0, branch1 = _map_columns(fc, lambda c: c * decay)
-    return FactoredChain(fc.weight0, fc.weight1, branch0, branch1, fc.spec).normalized()
+    cols = tuple([read_only(c * decay) for c in fc.cols])
+    norms = [_sq_norm(c) for c in cols]
+    return _chain(
+        fc.weight0, fc.weight1, fc.spec, cols, fc.slot0, fc.slot1,
+        _per_cavity(norms, fc.slot0), _per_cavity(norms, fc.slot1), [None] * len(cols),
+    ).normalized()
 
 
 def fc_apply_loss(fc: FactoredChain, j: int) -> FactoredChain:
-    return _with_cavity(fc, j, _lower(fc.branch0[j]), _lower(fc.branch1[j])).normalized()
+    u, v = fc.cols[fc.slot0[j]], fc.cols[fc.slot1[j]]
+    return _with_cavity(fc, j, _lower(u), _lower(v)).normalized()
 
 
 def fc_parity_probability(fc: FactoredChain, j: int) -> float:
@@ -394,7 +443,7 @@ def fc_parity_probability(fc: FactoredChain, j: int) -> float:
     n2 = fc.norm_squared()
     p0 = abs(fc.weight0) ** 2 * math.prod(fc.sq_norms0[:j] + fc.sq_norms0[j + 1 :])
     p1 = abs(fc.weight1) ** 2 * math.prod(fc.sq_norms1[:j] + fc.sq_norms1[j + 1 :])
-    w = p0 * _sq_norm(fc.branch0[j][::2]) + p1 * _sq_norm(fc.branch1[j][::2])
+    w = p0 * _parity_entry(fc, fc.slot0[j])[0] + p1 * _parity_entry(fc, fc.slot1[j])[0]
     return float(w / n2)
 
 
@@ -403,15 +452,15 @@ def fc_project_parity(fc: FactoredChain, j: int, outcome: int) -> FactoredChain:
 
     Drift and loss keep a column's parity, so a column that no repump has
     touched has exactly zero amplitude on the rejected Fock numbers.  When
-    that holds for both branches (``any()``, not a squared norm, which
-    underflows to zero below ~1e-162) the projection would change no entry,
-    so the chain is only renormalised.
+    that holds for both branches (a count of nonzero entries, not a squared
+    norm, which underflows to zero below ~1e-162) the projection would
+    change no entry, so the chain is only renormalised.
     """
     rejected = 1 if outcome == 1 else 0
-    u, v = fc.branch0[j], fc.branch1[j]
-    if not (u[rejected::2].any() or v[rejected::2].any()):
+    i0, i1 = fc.slot0[j], fc.slot1[j]
+    if not (_parity_entry(fc, i0)[1 + rejected] or _parity_entry(fc, i1)[1 + rejected]):
         return fc.normalized()
-    u, v = u.copy(), v.copy()
+    u, v = fc.cols[i0].copy(), fc.cols[i1].copy()
     u[rejected::2] = 0.0
     v[rejected::2] = 0.0
     return _with_cavity(fc, j, u, v).normalized()
@@ -419,23 +468,26 @@ def fc_project_parity(fc: FactoredChain, j: int, outcome: int) -> FactoredChain:
 
 def fc_repump(fc: FactoredChain, j: int, decayed_alpha: complex) -> FactoredChain:
     r = recovery_matrix(fc.spec, decayed_alpha)
-    return _with_cavity(fc, j, r @ fc.branch0[j], r @ fc.branch1[j]).normalized()
+    u, v = fc.cols[fc.slot0[j]], fc.cols[fc.slot1[j]]
+    return _with_cavity(fc, j, r @ u, r @ v).normalized()
 
 
 def _fc_survival(fc: FactoredChain):
     """No-jump probability tau -> ||exp(-kappa tau n/2) psi||^2 of a normalized chain.
 
-    |u|^2 of all 2k columns is stacked once, so an evaluation is one
-    exponential, one row-sum and two products.
+    |u|^2 of the table's m <= 2k entries is stacked once, so an evaluation
+    is one exponential, one row-sum and two products over the cavities.
     """
-    k = fc.k
-    weights = np.abs(np.stack(fc.branch0 + fc.branch1)) ** 2
+    weights = np.abs(np.stack(fc.cols)) ** 2
     n = np.arange(fc.spec.dim)
+    kappa = fc.spec.kappa
     w0, w1 = abs(fc.weight0) ** 2, abs(fc.weight1) ** 2
+    slot0, slot1 = fc.slot0, fc.slot1
 
     def survival(tau: float) -> float:
-        sums = (weights * np.exp(-fc.spec.kappa * tau * n)).sum(axis=1).tolist()
-        return float(w0 * math.prod(sums[:k]) + w1 * math.prod(sums[k:]))
+        sums = (weights * np.exp(-kappa * tau * n)).sum(axis=1).tolist()
+        row = sums.__getitem__
+        return float(w0 * math.prod(map(row, slot0)) + w1 * math.prod(map(row, slot1)))
 
     return survival
 
@@ -443,20 +495,33 @@ def _fc_survival(fc: FactoredChain):
 def _fc_jump_flux(fc: FactoredChain) -> np.ndarray:
     """Loss flux kappa <a^dag a> of every cavity, from the stored norms.
 
-    The lowered norm of each distinct column is computed once.
+    Each table entry is lowered once.
     """
     n2 = fc.norm_squared()
     w0, w1 = abs(fc.weight0) ** 2, abs(fc.weight1) ** 2
-    k = fc.k
-    unique, index = _distinct(fc.branch0 + fc.branch1)
-    lowered = [_sq_norm(_lower(c)) for c in unique]
-    flux = np.empty(k)
-    for j in range(k):
+    lowered = [_sq_norm(_lower(c)) for c in fc.cols]
+    flux = np.empty(fc.k)
+    for j, (i0, i1) in enumerate(zip(fc.slot0, fc.slot1)):
         s0, s1 = list(fc.sq_norms0), list(fc.sq_norms1)
-        s0[j] = lowered[index[j]]
-        s1[j] = lowered[index[k + j]]
+        s0[j] = lowered[i0]
+        s1[j] = lowered[i1]
         flux[j] = fc.spec.kappa * (w0 * math.prod(s0) + w1 * math.prod(s1)) / n2
     return flux
+
+
+def _jump_cavity(flux: np.ndarray, u: float) -> int:
+    """``rng.choice(len(flux), p=flux / flux.sum())`` for the draw u = ``rng.random()``.
+
+    numpy's own steps (cumulative sum, rescaled by its last entry, then a
+    right-sided search), so the index is the same.  A flux that is not
+    finite, is negative or sums to zero raises ``ConvergenceError``.
+    """
+    total = flux.sum()
+    if not (np.isfinite(total) and total > 0 and (flux >= 0).all()):
+        raise ConvergenceError(f"jump flux {flux.tolist()} is not a distribution")
+    cdf = (flux / total).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(u, side="right"))
 
 
 def brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
@@ -540,8 +605,7 @@ def fc_loss_segment(
         tau_star = brentq(lambda x: survival(x) - r, 0.0, remaining, xtol=1e-16, rtol=1e-14)
         fc = fc_drift(fc, tau_star)
         t += tau_star
-        flux = _fc_jump_flux(fc)
-        j = int(rng.choice(fc.k, p=flux / flux.sum()))
+        j = _jump_cavity(_fc_jump_flux(fc), rng.random())
         fc = fc_apply_loss(fc, j)
         jumps[j].append(t_offset + t)
     return fc, jumps
@@ -592,10 +656,10 @@ def run_protected(
         fc, rng_state, t, all_jumps, outcomes, meas_times, syndrome = fork
         rng.bit_generator.state = rng_state
         # the pair partner may return the stored chain: hand back a private
-        # copy, one per distinct column so cavities that shared a column still do
-        branch0, branch1 = _map_columns(fc, np.copy)
-        fc = FactoredChain(
-            fc.weight0, fc.weight1, branch0, branch1, spec, fc.sq_norms0, fc.sq_norms1
+        # copy of its table, so cavities that shared a column still do
+        fc = _chain(
+            fc.weight0, fc.weight1, spec, tuple([read_only(c.copy()) for c in fc.cols]),
+            fc.slot0, fc.slot1, fc.sq_norms0, fc.sq_norms1, list(fc._memo),
         )
     else:
         fc = factored_chain(spec, k)

@@ -674,6 +674,20 @@ def _apply_op(fc, op):
     return fc_repump(fc, j, ALPHA * np.exp(-op[2]))
 
 
+def _assert_table(fc, prev):
+    """The column table holds only live entries and its memo matches fresh values."""
+    used = set(fc.slot0 + fc.slot1)
+    assert used == set(range(len(fc.cols))) and len(fc.cols) <= 2 * fc.k
+    assert len(fc._memo) == len(fc.cols)
+    for j in range(fc.k):
+        assert fc.branch0[j] is fc.cols[fc.slot0[j]] and fc.branch1[j] is fc.cols[fc.slot1[j]]
+    for c, got in zip(fc.cols, fc._memo):
+        if got is not None:
+            assert got == (np.linalg.norm(c[::2]) ** 2, bool(c[::2].any()), bool(c[1::2].any()))
+    # a derived chain never shares the memo it fills with its source
+    assert fc._memo is not prev._memo
+
+
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(1, 4), ops=st.lists(_ops(3), min_size=1, max_size=12))
 def test_factored_chain_stored_norms_track_columns(k, ops):
@@ -687,7 +701,8 @@ def test_factored_chain_stored_norms_track_columns(k, ops):
             with pytest.raises(ValueError):
                 r[0, 0] = 1.0
             assert recovery_matrix(SPEC, decayed) is r
-        fc = _apply_op(fc, op)
+        fc, prev = _apply_op(fc, op), fc
+        _assert_table(fc, prev)
         for cols, sq in ((fc.branch0, fc.sq_norms0), (fc.branch1, fc.sq_norms1)):
             assert all(s == np.linalg.norm(c) ** 2 for c, s in zip(cols, sq))
         assert abs(fc.normalized().norm_squared() - 1.0) <= 1e-12
@@ -700,6 +715,7 @@ def test_factored_chain_stored_norms_track_columns(k, ops):
         survival = cat_code._fc_survival(fc)
         for tau in (0.0, 0.01, 0.2):
             assert survival(tau) == _scratch_survival(fc, tau)
+        _assert_table(fc, prev)
 
 
 def _one_copy_per_cavity(fc):
@@ -718,8 +734,10 @@ def test_shared_columns_match_one_copy_per_cavity(k, ops):
     assert all(u is plus for u in shared.branch0) and all(v is rot for v in shared.branch1)
     private = _one_copy_per_cavity(shared)
     for op in ops:
+        prev = shared
         shared, private = _apply_op(shared, op), _apply_op(private, op)
         _assert_same_chain(shared, private)
+        _assert_table(shared, prev)
         assert np.array_equal(cat_code._fc_jump_flux(shared), cat_code._fc_jump_flux(private))
         assert cat_code._fc_survival(shared)(0.05) == cat_code._fc_survival(private)(0.05)
         for c in shared.branch0 + shared.branch1:
@@ -756,6 +774,28 @@ def test_sq_norm_equals_numpy_norm_squared(re, im, log_scale, stride):
     col = (np.array(re[:size]) + 1j * np.array(im[:size])) * 10.0**log_scale
     for c in (col, col[::stride]):
         assert cat_code._sq_norm(c) == np.linalg.norm(c) ** 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    flux=st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-300, 1e300)), min_size=1, max_size=9
+    ).filter(any),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_jump_cavity_matches_numpy_choice(flux, seed):
+    flux = np.array(flux)
+    want = np.random.default_rng(seed).choice(len(flux), p=flux / flux.sum())
+    assert cat_code._jump_cavity(flux, np.random.default_rng(seed).random()) == want
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "flux", [[0.0, 0.0], [math.nan, 1.0], [math.inf, 1.0], [-1e-300, 1.0], [1e308, 1e308]]
+)
+def test_jump_flux_that_is_no_distribution_is_convergence_error(flux):
+    with pytest.raises(ConvergenceError, match="not a distribution"):
+        cat_code._jump_cavity(np.array(flux), 0.5)
 
 
 # ------------------------------------------------------------- Brent root

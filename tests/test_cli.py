@@ -201,6 +201,45 @@ def test_protect_trajectories_golden_digest(tmp_path):
     assert digest == "6e6a4c95dc047883f280a6004192a70a9bd8761cc6d9362154b4e95def3791e5"
 
 
+# kappa t = 0.4: several jumps per segment, repumps, projections that mask
+# repump residue, and cavities whose columns are replaced more than once.
+# The report echoes out_dir, so its values are pinned, not its digest.
+@pytest.mark.parametrize(
+    "n_dots, digest, jumps, fidelities, gain, gain_sigma",
+    [
+        (
+            2, "43246d132cb65669c2bda53c3afb9b541acec7aa7107224d3acd4811577497c6", 62,
+            {"corrected_mean": 0.6539582937088869, "uncorrected_mean": 0.36456238045116945},
+            0.28939591325771746, 2.6860171641444253,
+        ),
+        (
+            4, "b2aea4096f007f285673ea41518f84eb65aeb0d28cf577550ed7fa419af2c671", 220,
+            {"corrected_mean": 0.5178681188500823, "uncorrected_mean": 0.027908599119790694},
+            0.48995951973029167, 5.85493227796561,
+        ),
+    ],
+)
+def test_protect_high_loss_golden_values(tmp_path, n_dots, digest, jumps, fidelities, gain,
+                                         gain_sigma):
+    cfg = write_cfg(
+        tmp_path, register={"n_dots": n_dots}, storage={"kappa": 100000.0, "trajectories": 24}
+    )
+    out = tmp_path / "out"
+    assert main(["protect", "--config", str(cfg), "--out", str(out), "--seed", "2718"]) == 0
+    csv_path = out / "protect_trajectories.csv"
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
+    assert sum(int(row["jumps"]) for row in read_csv(csv_path)) == jumps
+    rep = json.load(open(out / "protect_report.json"))
+    assert rep["fidelities"] == fidelities
+    assert rep["stats"] == {
+        "cavities": n_dots - 1,
+        "gain": gain,
+        "gain_sigma": gain_sigma,
+        "kappa_t": 0.39999999999999997,
+        "trajectories": 24,
+    }
+
+
 def test_pipeline_report_golden_values(tmp_path):
     cfg = write_cfg(
         tmp_path, register={"n_dots": 10}, storage={"kappa": 25000.0}, swap={"p_success": 0.95}
