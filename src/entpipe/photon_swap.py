@@ -8,12 +8,14 @@ probability P(t).  One route computes P: the model's exact continuum form
 psi(t) = (d^2/2pi)^{1/4} e^{-d^2 t^2/4} entering at t = 0 (the paper's
 half-pulse convention), the emitter amplitude is
 a(s) = -sqrt(gamma1) int_0^s psi(t') e^{-Gamma (s - t')/2} dt', an erfcx
-expression (``_emitter_amplitude``), and P(t) = gamma2 int_0^t |a(s)|^2 ds
-is a cumulative Gauss-Legendre quadrature on panels sized from the
-timescales 1/d and 1/Gamma.  The swap stage and the sweep both evaluate it
-out to the same ``horizon``.  P does not depend on the lower splitting w2:
-only the bright combination of the two rails couples to the emitter (the
-even/odd decomposition of Shen & Fan, PRL 95, 213001 (2005)).
+expression (``_emitter_amplitude``; ``erfcx`` is Weideman's rational
+expansion, written here in numpy, so importing the module loads no scipy),
+and P(t) = gamma2 int_0^t |a(s)|^2 ds is a cumulative Gauss-Legendre
+quadrature on panels sized from the timescales 1/d and 1/Gamma.  The swap
+stage and the sweep both evaluate it out to the same ``horizon``.  P does
+not depend on the lower splitting w2: only the bright combination of the
+two rails couples to the emitter (the even/odd decomposition of Shen & Fan,
+PRL 95, 213001 (2005)).
 
 The sweep report also carries one fixed reference propagation (d = gamma = 1,
 t = 6) of the continuum discretized on a uniform frequency grid with
@@ -27,8 +29,8 @@ Its P sits O(Gamma / window) above the continuum form (about 4e-3 at
 +-12 Gamma).  It stays until the benchmark's tracer no longer needs its
 spans; ``tests/oracle_swap.py`` keeps the Krylov sweep loop, the two-rail
 generator and the adaptive-integrator routes as the oracles of both routes.
-This reference is the only user of ``scipy.sparse`` and
-``scipy.sparse.linalg``: ``_arrowhead`` and ``expm_multiply`` import them on
+This reference is the module's only use of scipy (``scipy.sparse`` and
+``scipy.sparse.linalg``): ``_arrowhead`` and ``expm_multiply`` import them on
 first use, so importing the package, and every stage but ``sweep``, leaves
 them unloaded.
 
@@ -44,12 +46,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-# scipy.special stays a top-level import on purpose.  Deferred, it would
-# still cost 40-65 ms on first use even after scipy.sparse.linalg is loaded
-# (perfbench's reference task loads it before every timed stretch), and that
-# would land inside the sweep's timed wall, which is itself about 50 ms.
-from scipy.special import erfcx
 
 from .errors import GridError, LayoutError, NotGhzClassError
 from .hilbert import StateVector
@@ -318,6 +314,68 @@ def closed_form_report(dot: ThreeLevelDot, mode: GaussianMode, t: float, p_ode: 
 
 # ---------------------------------------------------- continuum closed form
 
+# erfcx(x) = e^{x^2} erfc(x) = w(ix), from Weideman's rational expansion of
+# the Faddeeva function w (J. A. C. Weideman, SIAM J. Numer. Anal. 31, 1497
+# (1994)).  On the imaginary axis it reads
+#   erfcx(x) = 1/(sqrt(pi) (L + x)) + 2 P(Z)/(L + x)^2,  Z = (L - x)/(L + x),
+# P of degree N - 1, L = sqrt(N / sqrt 2), and Z sweeps [-1, 1] as x runs
+# over [0, inf).
+_ERFCX_L = math.sqrt(40 / math.sqrt(2))  # N = 40
+# P's coefficients, z^0 first: Weideman's recipe (the real part of the
+# discrete Fourier transform of e^{-t^2} (L^2 + t^2) at t = L tan(k pi / 4N),
+# |k| < 2N) for this float L, summed in 50-digit arithmetic and rounded
+# once.  numpy.fft reproduces them to within 2 eps.
+_ERFCX_COEFFS = np.array([
+    2.8996245093897053, 2.61605415276186, 2.201513794878312, 1.7253830848179776,
+    1.256381567576513, 0.8472174576593817, 0.5266528988277086, 0.2998943799615006,
+    0.15504263802479493, 0.07182361779074335, 0.02920291647124186, 0.01004818624278342,
+    0.0027054056330737897, 0.0004398070159869664, -3.939363145489577e-05, -5.5913092642483174e-05,
+    -1.8007447144750946e-05, -1.0660138984947105e-06, 1.4835661132200783e-06, 5.91213695189949e-07,
+    1.4198642399935523e-08, -6.351773485044292e-08, -1.8315616783040445e-08, 3.249746518043703e-09,
+    3.01778054000907e-09, 2.1086006347066422e-10, -3.563233986597654e-10, -9.05512445092828e-11,
+    3.472726709304553e-11, 1.771449521401118e-11, -2.727602315820052e-12, -2.9076883421828657e-12,
+    1.203145821938811e-13, 4.532966678260672e-13, 1.3725620586715298e-14, -7.074086260286856e-14,
+    -5.409310282882108e-15, 1.1357687198999245e-14, 1.1280735623643963e-15, -1.8996949473949275e-15,
+])
+_ERFCX_COEFFS.setflags(write=False)
+# 2P, which the formula uses, as 2 c_0 plus five blocks of eight: row j
+# holds the coefficients of z^(8j+8) .. z^(8j+1), padded with a zero at
+# z^40.  Doubling is exact, so these give 2P bit for bit.
+_ERFCX_BLOCKS = np.append(2 * _ERFCX_COEFFS[1:], 0.0).reshape(5, 8)[:, ::-1].copy()
+_ERFCX_2C0 = 2 * float(_ERFCX_COEFFS[0])
+_ERFCX_X_CAP = 1e150  # Z is already -1.0 here, so capping x changes no Z
+_RSQRT_PI = 1 / math.sqrt(math.pi)
+
+
+def erfcx(x):
+    """e^{x^2} erfc(x) for x >= 0, elementwise; NaN gives NaN and inf gives 0.
+
+    Its relative error is about 4 eps at worst, as is that of
+    ``scipy.special.erfcx``, and the two agree to about 4 eps.  A call is a
+    fixed, short run of whole-array operations, as a panel pass has only a
+    few hundred nodes: four products give z^8 .. z^1, one product with the
+    5x8 block gives P as a polynomial in z^8, and Horner in z^8 sums it.
+    The powers run downwards so that a dot product taken in index order adds
+    the small high-order terms first, which keeps the block sums as
+    accurate as Horner in z.  Z takes x capped at ``_ERFCX_X_CAP``, so
+    x = inf never forms inf / inf.
+    """
+    x = np.asarray(x, dtype=float)
+    q = 1.0 / (_ERFCX_L + x)
+    xc = np.minimum(x, _ERFCX_X_CAP)
+    z = (_ERFCX_L - xc) / (_ERFCX_L + xc)
+    powers = np.empty((8,) + z.shape)  # row k: z^(8-k)
+    powers[7] = z
+    powers[6] = z * z
+    np.multiply(powers[6:], powers[6], out=powers[4:6])
+    np.multiply(powers[4:], powers[4], out=powers[:4])
+    blocks = _ERFCX_BLOCKS @ powers
+    acc = blocks[4]
+    for row in blocks[3::-1]:
+        acc = acc * powers[0] + row
+    return _RSQRT_PI * q + (acc + _ERFCX_2C0) * q * q
+
+
 def _emitter_amplitude(u: np.ndarray, r: float) -> np.ndarray:
     """Emitter amplitude of the continuum model, scaled to be O(1): r J(u).
 
@@ -333,13 +391,11 @@ def _emitter_amplitude(u: np.ndarray, r: float) -> np.ndarray:
     """
     x0 = r / 2
     x1 = u / 2 - x0
-    gauss = np.exp(-np.minimum(u, _GAUSS_CUTOFF) ** 2 / 4)
-    j = np.empty_like(u)
-    before = x1 <= 0
-    j[before] = gauss[before] * erfcx(-x1[before])
-    after = ~before
-    j[after] = 2 * np.exp(-x0 * (u[after] - x0)) - gauss[after] * erfcx(x1[after])
-    j -= np.exp(-x0 * u) * erfcx(x0)
+    e = erfcx(np.append(np.abs(x1), x0))  # one call per panel pass
+    j = np.exp(-np.minimum(u, _GAUSS_CUTOFF) ** 2 / 4) * e[:-1]
+    after = x1 > 0
+    j[after] = 2 * np.exp(-x0 * (u[after] - x0)) - j[after]
+    j -= np.exp(-x0 * u) * e[-1]
     return r * j
 
 
@@ -389,11 +445,14 @@ def continuum_probability(
     P = sqrt(pi/2) (gamma1/Gamma) (gamma2/Gamma) int_0^{d t} (r J)^2 du, one
     cumulative pass over the panels of ``_time_panels`` for all ``times``.
     With both rates zero the emitter never couples: P = 0 and no nodes.
+    Times must be finite and nonnegative: the quadrature starts at t = 0.
     """
     if d <= 0 or gamma1 < 0 or gamma2 < 0:
         raise ValueError("need a positive bandwidth and nonnegative rates")
-    g_tot = gamma1 + gamma2
     times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        raise ValueError("times must be finite and nonnegative")
+    g_tot = gamma1 + gamma2
     if g_tot == 0 or not np.any(times > 0):
         return np.zeros(times.shape), 0
     r = g_tot / d

@@ -681,13 +681,15 @@ def test_cli_import_leaves_out_scipy_optimize_and_integrate():
 
 
 def test_cli_import_leaves_out_scipy_sparse_and_linalg():
-    # only the sweep's Krylov reference and the schedule gates need them
+    # only the sweep's Krylov reference and the schedule gates need scipy;
+    # scipy.special would also pull in numpy.testing (with unittest),
+    # numpy.f2py and charset_normalizer, most of the set-up time
     code = (
         "import sys, entpipe.cli; "
-        "print(sorted(m for m in ('scipy.sparse', 'scipy.sparse.linalg', 'scipy.linalg', "
-        "'scipy.special') if m in sys.modules))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in "
+        "('numpy.testing', 'numpy.f2py', 'unittest', 'charset_normalizer')))"
     )
-    assert _fresh_python(code) == "['scipy.special']"
+    assert _fresh_python(code) == "[]"
 
 
 @pytest.mark.parametrize(
@@ -698,20 +700,23 @@ def test_cli_import_leaves_out_scipy_sparse_and_linalg():
         ("sweep", {"sweep": {"d_min": 1.0, "d_max": 3.0, "gamma_min": 1.0, "gamma_max": 3.0,
                              "points_per_axis": 2}},
          ["scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"]),
+        ("swap", {}, []),
+        ("pipeline", {"swap": {"p_success": "simulate"}}, ["scipy.linalg"]),
     ],
 )
 def test_stage_loads_only_the_scipy_modules_it_uses(tmp_path, stage, doc, loaded):
     # a fresh process runs the stage, so a broken deferred import fails here
-    # even though the oracles have loaded every module in this process
+    # even though the oracles have loaded every module in this process; a
+    # stage that needs none of these loads no scipy module at all
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     argv = [stage, "--config", str(cfg), "--out", str(tmp_path / "out"), "--workers", "1"]
     code = (
         f"import sys; from entpipe.cli import main; rc = main({argv!r}); "
-        "print(rc, sorted(m for m in ('scipy.sparse', 'scipy.sparse.linalg', 'scipy.linalg') "
-        "if m in sys.modules))"
+        "print(rc, 'scipy' in sys.modules, sorted(m for m in ('scipy.sparse', "
+        "'scipy.sparse.linalg', 'scipy.linalg', 'scipy.special') if m in sys.modules))"
     )
-    assert _fresh_python(code).splitlines()[-1] == f"0 {loaded}"
+    assert _fresh_python(code).splitlines()[-1] == f"0 {bool(loaded)} {loaded}"
 
 
 def _fresh_python(code: str) -> str:

@@ -8,15 +8,17 @@ Krylov propagation of the oracle's two-rail generator (the merged-rail
 route), and against exact invariances (norm conservation, dimensionless
 rescaling, rail-splitting independence).  The continuum closed form is
 checked against a direct double integral and against Krylov as the window
-widens.  The printed closed-form probability is exercised only as a
-recorded comparison, never as a reference.
+widens; its in-module ``erfcx`` is checked against ``scipy.special.erfcx``
+and its coefficient table against Weideman's FFT recipe.  The printed
+closed-form probability is exercised only as a recorded comparison, never
+as a reference.
 """
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply
@@ -28,12 +30,15 @@ from entpipe.photon_swap import (
     GaussianMode,
     SpectralGrid,
     ThreeLevelDot,
+    _ERFCX_COEFFS,
+    _ERFCX_L,
     _cumulative_panels,
     _time_panels,
     closed_form_emission,
     closed_form_report,
     continuum_probability,
     conversion_probability,
+    erfcx,
     gaussian_mode,
     propagate_static,
     register_swap,
@@ -587,6 +592,47 @@ def test_continuum_node_rule_matches_doubled_nodes(log_d, log_ratio, fraction):
     fine = _cumulative_panels(halved, r)[::2]
     scale = math.sqrt(math.pi / 2) / 4  # P per unit of the integral at gamma1 = gamma2
     assert scale * np.max(np.abs(coarse - fine)) <= 1e-9
+
+
+@pytest.mark.parametrize("times", [[-3.0, 1.0, 6.0], [1.0, math.nan], [math.inf], [-0.5]])
+def test_continuum_refuses_negative_or_nonfinite_times(times):
+    # the quadrature starts at t = 0; a negative time used to stretch the
+    # cumulative sum back to it (P = 44.36 at t = 1 for [-3, 1, 6])
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        continuum_probability(1.0, 1.0, 1.0, times)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(0.0, 1e300))
+@example(x=0.0)
+@example(x=5e-324)
+@example(x=1.7e308)
+def test_erfcx_within_4_ulp_of_scipy(x):
+    # an ulp here is eps |scipy's value|, never below the subnormal spacing
+    ref = special.erfcx(x)
+    assert abs(erfcx(x) - ref) <= 4 * max(np.finfo(float).eps * ref, np.spacing(ref))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_erfcx_of_inf_is_zero_and_of_nan_is_nan():
+    assert erfcx(math.inf) == 0.0
+    out = erfcx(np.array([math.inf, math.nan, 0.5]))
+    assert out[0] == 0.0 and math.isnan(out[1])
+    assert out[2] == pytest.approx(special.erfcx(0.5), rel=4 * np.finfo(float).eps, abs=0)
+
+
+def test_erfcx_coefficients_follow_weidemans_fft_recipe():
+    """The table is Weideman's (1994) recipe: P's coefficients are the real
+    part of the DFT of f(t) = e^{-t^2} (L^2 + t^2) at t = L tan(theta/2),
+    theta = k pi / M, |k| < M = 2N, with f = 0 at theta = pi."""
+    n = _ERFCX_COEFFS.size
+    m = 2 * n
+    k = np.arange(-m + 1, m)
+    t = _ERFCX_L * np.tan(k * np.pi / (2 * m))
+    f = np.concatenate(([0.0], np.exp(-t**2) * (_ERFCX_L**2 + t**2)))
+    a = np.real(np.fft.fft(np.fft.fftshift(f))) / (2 * m)
+    assert _ERFCX_L == math.sqrt(n / math.sqrt(2))
+    assert np.max(np.abs(a[1 : n + 1] - _ERFCX_COEFFS)) <= 4 * np.finfo(float).eps
 
 
 # ------------------------------------------------------------ register swap
