@@ -1,45 +1,49 @@
 #!/usr/bin/env python3
 """Correction gain versus integrated loss.
 
-For each loss strength kappa*t the script runs paired corrected and
-uncorrected trajectories on a three-cavity chain (shared seeds, so the
-comparison is variance-reduced) and writes one CSV row with the means,
-the gain, and its significance.
+For each loss strength kappa*t the script runs the ``protect`` stage:
+paired corrected and uncorrected trajectories on a chain of three cavities
+by default (shared seeds, so the comparison is variance-reduced), and
+writes one CSV row with the means, the gain, and its significance.  Every
+point's config passes ``config.validate`` before anything is computed.
 """
 import argparse
 import csv
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import numpy as np
-
-from entpipe.cat_code import CavitySpec, run_protected
-from entpipe.runner import derive_seed
+from entpipe.config import PipelineConfig, default_config, validate
+from entpipe.runner import run_protect
 
 
-def study_point(kappa_t: float, pairs: int, base_seed: int,
-                alpha: float, n_max: int, cavities: int) -> dict:
-    duration, tau = 4.0e-6, 1.0e-6
-    spec = CavitySpec(alpha=alpha, n_max=n_max, kappa=kappa_t / duration)
-    cor = np.empty(pairs)
-    unc = np.empty(pairs)
-    for i in range(pairs):
-        seed = derive_seed(base_seed, i)
-        cor[i] = run_protected(spec, cavities, duration, tau, seed, correct=True).final_logical_fidelity
-        unc[i] = run_protected(spec, cavities, duration, tau, seed, correct=False).final_logical_fidelity
-    diff = cor - unc
-    sem = float(np.std(diff, ddof=1) / math.sqrt(pairs))
-    gain = float(np.mean(diff))
+def study_config(kappa_t: float, pairs: int, base_seed: int,
+                 alpha: float, n_max: int, cavities: int) -> PipelineConfig:
+    """The ``protect`` stage's config for one loss strength: k cavities
+    hold a (k + 1)-dot register, and kappa spreads kappa_t over the rounds."""
+    cfg = default_config()
+    st = cfg.storage
+    return replace(
+        cfg,
+        register=replace(cfg.register, n_dots=cavities + 1),
+        storage=replace(st, alpha=alpha, n_max=n_max, trajectories=pairs,
+                        kappa=kappa_t / (st.rounds * st.tau_syn)),
+        run=replace(cfg.run, base_seed=base_seed),
+    )
+
+
+def study_point(kappa_t: float, cfg: PipelineConfig) -> dict:
+    report = run_protect(cfg).report
     return {
         "kappa_t": kappa_t,
-        "corrected_mean": float(np.mean(cor)),
-        "uncorrected_mean": float(np.mean(unc)),
-        "gain": gain,
-        "gain_sigma": gain / sem if sem > 0 else float("inf"),
-        "pairs": pairs,
+        "corrected_mean": report.fidelities["corrected_mean"],
+        "uncorrected_mean": report.fidelities["uncorrected_mean"],
+        "gain": report.stats["gain"],
+        "gain_sigma": report.stats["gain_sigma"],
+        "pairs": report.stats["trajectories"],
     }
 
 
@@ -55,17 +59,20 @@ def main() -> int:
     ap.add_argument("--out", default="runs/protection_study.csv")
     args = ap.parse_args()
 
-    bad_kt = [kt for kt in args.kappa_t if not (math.isfinite(kt) and kt >= 0)]
-    if bad_kt or args.pairs < 2:
-        problem = (f"--kappa-t must be finite and >= 0, got {bad_kt[0]}" if bad_kt
-                   else f"--pairs must be at least 2 for a significance, got {args.pairs}")
-        print(f"config error: {problem}", file=sys.stderr)
+    problems = [f"--kappa-t must be finite and >= 0, got {kt}"
+                for kt in args.kappa_t if not (math.isfinite(kt) and kt >= 0)]
+    if args.pairs < 2:
+        problems.append(f"--pairs must be at least 2 for a significance, got {args.pairs}")
+    configs = [study_config(kt, args.pairs, args.seed, args.alpha, args.n_max,
+                            args.cavities) for kt in args.kappa_t]
+    problems += [q for cfg in configs for q in validate(cfg)]
+    if problems:
+        print(f"config error: {problems[0]}", file=sys.stderr)
         return 2
 
     rows = []
-    for kt in args.kappa_t:
-        row = study_point(kt, args.pairs, args.seed, args.alpha, args.n_max,
-                          args.cavities)
+    for kt, cfg in zip(args.kappa_t, configs):
+        row = study_point(kt, cfg)
         rows.append(row)
         print(f"kappa_t={kt:<6g} corrected={row['corrected_mean']:.4f} "
               f"uncorrected={row['uncorrected_mean']:.4f} "

@@ -18,25 +18,25 @@ from .runner import STAGES, write_stage_result
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every stage: they all take the same five flags."""
+    lines = ["stages:"]
+    for name, run in STAGES.items():
+        summary = (run.__doc__ or "").partition("\n")[0]
+        lines.append(f"  {name:<10}{summary}")
     parser = argparse.ArgumentParser(
         prog="entpipe",
         description="Quantum-dot entanglement pipeline simulator.",
+        epilog="\n".join(lines),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "ghz": "Plan and execute a register entangling schedule.",
-        "protect": "Run paired protected/unprotected storage trajectories.",
-        "swap": "Time-resolve the photon frequency conversion probability.",
-        "sweep": "Map long-time conversion probability over a parameter box.",
-        "pipeline": "Run the full register-to-polarization chain.",
-    }
-    for name, desc in descriptions.items():
-        cmd = sub.add_parser(name, help=desc)
-        cmd.add_argument("--config", help="JSON config file")
-        cmd.add_argument("--out", help="output directory (default from config)")
-        cmd.add_argument("--seed", type=int, help="base seed override")
-        cmd.add_argument("--workers", type=int, help="process pool size")
-        cmd.add_argument("--format", choices=("csv", "json"), help="table format")
+    parser.add_argument(
+        "command", choices=STAGES, metavar="stage", help="one of the stages listed below"
+    )
+    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument("--out", help="output directory (default from config)")
+    parser.add_argument("--seed", type=int, help="base seed override")
+    parser.add_argument("--workers", type=int, help="process pool size")
+    parser.add_argument("--format", choices=("csv", "json"), help="table format")
     return parser
 
 

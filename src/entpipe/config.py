@@ -17,8 +17,8 @@ from .photon_swap import horizon
 _FORMATS = ("csv", "json")
 _DIMENSIONLESS = "dimensionless"
 # Largest Gamma/d, d/Gamma and horizon a conversion run may reach: every
-# time and rate ratio of the continuum form stays finite in float64, also
-# through the sweep's plateau extensions.
+# time and rate ratio of the continuum form stays finite in float64 out to
+# the horizon, where the swap series and every sweep point end.
 _RATE_RANGE = 1e305
 
 

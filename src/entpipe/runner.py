@@ -35,7 +35,7 @@ from .photon_swap import (
     horizon,
     propagate_static,
     register_swap,
-    sweep_surface,
+    sweep_point,
 )
 from .polarization import ConversionSpec, convert_register, polarization_ghz
 from .spin_register import canonical_ghz, execute, is_ghz_class, plan_ghz
@@ -176,6 +176,7 @@ def write_table(out_dir: Path, name: str, fieldnames: list, rows: list, fmt: str
 # -------------------------------------------------------------- ghz stage
 
 def run_ghz(cfg: PipelineConfig) -> StageResult:
+    """Plan and execute a register entangling schedule."""
     reg = cfg.register
     schedule, timing = plan_ghz(reg.n_dots, reg.j1_hz, reg.j2_hz)
     state = execute(schedule)
@@ -219,7 +220,12 @@ def _protect_pair(args) -> tuple[dict, dict]:
     return tuple(rows)
 
 
+def _sweep_point(args) -> dict:
+    return sweep_point(*args)
+
+
 def run_protect(cfg: PipelineConfig) -> StageResult:
+    """Run paired protected/unprotected storage trajectories."""
     st = cfg.storage
     spec = CavitySpec(alpha=st.alpha, n_max=st.n_max, kappa=st.kappa)
     k = cfg.register.n_dots - 1
@@ -275,6 +281,7 @@ def _longtime_success(cfg: PipelineConfig) -> float:
 
 
 def run_swap(cfg: PipelineConfig) -> StageResult:
+    """Time-resolve the photon frequency conversion probability."""
     sw = cfg.swap
     times, p, n_t = _swap_series(cfg)
     t_end = float(times[-1])
@@ -306,12 +313,12 @@ def _dimensionless_reference() -> tuple:
 
 
 def run_sweep(cfg: PipelineConfig) -> StageResult:
+    """Map long-time conversion probability over a parameter box."""
     sv = cfg.sweep
     d_vals = np.geomspace(sv.d_min, sv.d_max, sv.points_per_axis)
     g_vals = np.geomspace(sv.gamma_min, sv.gamma_max, sv.points_per_axis)
-    rows = sweep_surface(
-        d_vals, g_vals, map_fn=lambda f, items: parallel_map(f, items, cfg.run.workers)
-    )
+    points = [(float(d), float(g)) for d in d_vals for g in g_vals]  # d outer, gamma inner
+    rows = parallel_map(_sweep_point, points, cfg.run.workers)
     all_converged = all(r["converged"] for r in rows)
     surface_max = max(r["p_longtime"] for r in rows)
     dot, mode, grid, t = _dimensionless_reference()
@@ -339,6 +346,7 @@ def run_sweep(cfg: PipelineConfig) -> StageResult:
 # --------------------------------------------------------- pipeline stage
 
 def run_pipeline(cfg: PipelineConfig) -> StageResult:
+    """Run the full register-to-polarization chain."""
     n = cfg.register.n_dots
     if n % 2 != 0:
         raise ConfigError(

@@ -28,7 +28,6 @@ import scipy.sparse
 
 from entpipe.errors import GridError, StepSizeError
 from entpipe.photon_swap import (
-    _MAX_EXTENSIONS,
     _PLATEAU_TOL,
     GaussianMode,
     SpectralGrid,
@@ -41,6 +40,7 @@ from entpipe.photon_swap import (
 )
 
 _NORM_DRIFT_HARD = 1e-4
+_MAX_EXTENSIONS = 6  # Krylov sweep attempts, each 1.5x longer than the last
 
 
 def grid_points_for(t_end: float, half: float) -> int:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -37,6 +38,39 @@ def write_cfg(tmp_path, **section_updates):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+# -------------------------------------------------------------- front end
+
+@pytest.mark.parametrize("argv", [[], ["bogus"]], ids=["no_stage", "unknown_stage"])
+def test_missing_or_unknown_stage_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: entpipe" in capsys.readouterr().err
+
+
+def test_help_lists_every_stage_with_its_driver_summary(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name, run in entpipe.runner.STAGES.items():
+        summary = run.__doc__.partition("\n")[0]
+        assert summary and re.search(rf"^  {name} +{re.escape(summary)}$", out, re.MULTILINE)
+
+
+def test_flags_before_the_stage_write_the_same_bytes(tmp_path):
+    # the report echoes --out, so both runs write to the same directory
+    out = tmp_path / "out"
+
+    def artifacts(argv):
+        assert main(argv) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    before = artifacts(["--seed", "7", "ghz", "--out", str(out)])
+    assert b'"base_seed": 7,' in before["ghz_report.json"]
+    assert before == artifacts(["ghz", "--seed", "7", "--out", str(out)])
 
 
 # ------------------------------------------------------------------- ghz
@@ -612,9 +646,8 @@ def test_convergence_error_is_exit_3(tmp_path, monkeypatch, capsys):
 
 
 def test_unconverged_sweep_rows_are_exit_3(tmp_path, monkeypatch, capsys):
-    # one attempt per point against an unreachable plateau tolerance
+    # an unreachable plateau tolerance
     monkeypatch.setattr(entpipe.photon_swap, "_PLATEAU_TOL", -1.0)
-    monkeypatch.setattr(entpipe.photon_swap, "_MAX_EXTENSIONS", 1)
     cfg = write_cfg(
         tmp_path,
         sweep={"d_min": 1.0, "d_max": 3.0, "gamma_min": 1.0, "gamma_max": 3.0,

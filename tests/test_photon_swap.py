@@ -23,6 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply
 
+import entpipe.photon_swap
 from entpipe.config import default_config
 from entpipe.errors import GridError, LayoutError, NotGhzClassError, StepSizeError
 from entpipe.hilbert import StateVector, apply_local, qubits, schmidt_spectrum
@@ -32,6 +33,7 @@ from entpipe.photon_swap import (
     ThreeLevelDot,
     _ERFCX_COEFFS,
     _ERFCX_L,
+    _PLATEAU_TOL,
     _cumulative_panels,
     _time_panels,
     closed_form_emission,
@@ -43,8 +45,8 @@ from entpipe.photon_swap import (
     propagate_static,
     register_swap,
     static_generator,
+    horizon,
     sweep_point,
-    sweep_surface,
 )
 from entpipe.runner import _dimensionless_reference, run_swap, run_sweep
 from entpipe.spin_register import canonical_ghz, execute, plan_ghz
@@ -469,7 +471,10 @@ def test_sweep_point_validation():
 
 
 def test_sweep_surface_ordering():
-    rows = sweep_surface(np.array([0.5, 1.0]), np.array([0.5, 1.0]))
+    cfg = default_config()
+    box = {"d_min": 0.5, "d_max": 1.0, "gamma_min": 0.5, "gamma_max": 1.0, "points_per_axis": 2}
+    [(name, _, rows)] = run_sweep(replace(cfg, sweep=replace(cfg.sweep, **box))).tables
+    assert name == "sweep_surface"
     assert [(r["d"], r["gamma"]) for r in rows] == [
         (0.5, 0.5),
         (0.5, 1.0),
@@ -477,6 +482,28 @@ def test_sweep_surface_ordering():
         (1.0, 1.0),
     ]
     assert all(r["converged"] == 1 for r in rows)
+
+
+def test_plateau_gap_stays_below_tolerance_at_every_rate_ratio():
+    # in u = d t the gap between P(0.9 t_end) and P(t_end) depends on
+    # r = Gamma / d alone, so one horizon settles every float64 box
+    ratios = np.concatenate((np.geomspace(1e-300, 1e300, 601), np.geomspace(1e-2, 1e2, 201)))
+    gaps = []
+    for r in ratios:
+        t = horizon(1.0, r)
+        (p_late, p_end), _ = continuum_probability(1.0, r / 2, r / 2, [0.9 * t, t])
+        gaps.append(abs(p_end - p_late))
+    assert max(gaps) < _PLATEAU_TOL / 10
+    assert all(sweep_point(1.0, r / 2)["converged"] == 1 for r in ratios[::20])
+
+
+def test_unconverged_sweep_row_ends_at_its_horizon(monkeypatch):
+    converged = sweep_point(0.7, 1.3)
+    monkeypatch.setattr(entpipe.photon_swap, "_PLATEAU_TOL", -1.0)
+    row = sweep_point(0.7, 1.3)
+    assert row["converged"] == 0
+    assert row["t_end"] == horizon(0.7, 2.6) == converged["t_end"]
+    assert row["p_longtime"] == converged["p_longtime"]
 
 
 # ---------------------------------------------------- continuum closed form

@@ -69,9 +69,13 @@ def test_surface_sweep_rejects_bad_input_before_running(tmp_path, args, problem)
         ("run_protection_study.py", ["--kappa-t", "-1"], "config error: --kappa-t "),
         ("run_protection_study.py", ["--kappa-t", "nan"], "config error: --kappa-t "),
         ("run_protection_study.py", ["--pairs", "0"], "config error: --pairs "),
+        ("run_protection_study.py", ["--n-max", "5"], "config error: storage.n_max: "),
+        ("run_protection_study.py", ["--alpha", "0"], "config error: storage.alpha: "),
+        ("run_protection_study.py", ["--cavities", "0"], "config error: register.n_dots: "),
     ],
     ids=["demo_zero_dots", "demo_over_cap", "demo_p_success_2", "demo_negative_kappa",
-         "study_negative_kappa_t", "study_nan_kappa_t", "study_zero_pairs"],
+         "study_negative_kappa_t", "study_nan_kappa_t", "study_zero_pairs",
+         "study_n_max_below_truncation", "study_zero_alpha", "study_zero_cavities"],
 )
 def test_script_rejects_bad_input_before_running(tmp_path, script, args, problem):
     proc = subprocess.run(
