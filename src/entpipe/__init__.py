@@ -3,11 +3,12 @@
 Subpackages cover the GHZ preparation schedule on exchange-coupled quantum
 dots, bosonic cat-code storage with parity tracking, photon frequency
 conversion through a scattering interface, and dual-rail to polarization
-conversion, plus a CLI that chains them end to end.
+conversion, plus a CLI that chains them end to end.  The CLI module
+(``entpipe.cli``) is left out of the imports below, so that
+``python -m entpipe.cli`` first loads it as ``__main__``.
 """
 from . import (
     cat_code,
-    cli,
     config,
     errors,
     hilbert,
@@ -19,7 +20,6 @@ from . import (
 
 __all__ = [
     "cat_code",
-    "cli",
     "config",
     "errors",
     "hilbert",

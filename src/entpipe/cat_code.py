@@ -7,9 +7,10 @@ the cavity amplitude axis (alpha vs i*alpha) correlated with the qubit:
 
 Photon loss flips a cavity's photon-number parity, so single losses are
 detected by quantum non-demolition parity measurements and undone by an
-idealized repump isometry.  Trajectory evolution uses exact waiting-time
-sampling of jump times (no time grid): between jumps the no-jump drift
-exp(-kappa*t*n/2) acts, at a jump the annihilation operator acts.
+idealized repump map on the code space.  Trajectory evolution uses exact
+waiting-time sampling of jump times (no time grid): between jumps the
+no-jump drift exp(-kappa*t*n/2) acts, at a jump the annihilation operator
+acts.
 
 The two-branch product structure is preserved by every protocol operation,
 so the chain is stored factored (per-branch, per-cavity Fock columns) and
@@ -19,32 +20,39 @@ chain growth, parity measurement, loss and repump on full state vectors)
 is kept in ``tests/oracle_storage.py`` as the cross-check for the factored
 one; it is practical for a few cavities only.
 
+Every column along a trajectory has a definite parity, even or odd, in
+exact float arithmetic, not only to rounding: the code columns are even
+cats, whose odd entries cancel exactly; drift scales each Fock amplitude by
+a positive factor and loss shifts the column by one, so neither turns a
+zero entry nonzero; and the repump map's odd rows are exact zeros, so a
+repumped column is even.  Hence every parity read has a fixed outcome.
+
 Cost of the factored route for k cavities of dimension d.  A chain holds
 its columns as a table of m <= 2k distinct read-only columns, and each
 cavity holds an index into it per branch.  A fresh chain's table is the two
 code columns; drift maps each entry to one decayed entry, so a cavity gets
 an entry of its own only when a loss or repump hits it.  Drift and a jump
-(the flux of every channel) cost O(m d) array work, plus O(k) scalar work
-per cavity: products over the stored per-cavity norms that keep the float
-results of a from-scratch evaluation bit for bit.  Loss, repump and a
-parity projection that removes amplitude give cavity j new columns, O(d):
-an entry no other cavity uses is replaced, else j gets a new one, so the
-table never holds a column that no cavity uses.  A projection onto the
-parity a cavity already has (every cavity no repump has touched, since
-drift and loss keep parity exactly) only renormalises.  A parity round
-reads each entry's even weight and parity flags once, O(md), from a memo
-the chain carries.  The corrected and uncorrected runs of a seed agree up
-to the first round that reads -1, so a pair costs that shared prefix once
-plus the two suffixes after it.
+(the flux of every channel) are one array operation each on the stacked
+(m, d) table, plus O(k) scalar work: products over the stored per-cavity
+norms.  Loss, repump and a parity projection that removes amplitude give
+cavity j new columns, O(d): an entry no other cavity uses is replaced, else
+j gets a new one, so the table never holds a column that no cavity uses.
+A parity round reads each entry's parity once from a memo the chain
+carries.  When both of a cavity's columns have one parity, as they always
+do in the protocol, its probability is exactly 1.0 or 0.0, and a projection
+onto the parity a cavity already has returns the chain unchanged.  The
+corrected and uncorrected runs of a seed agree up to the first round that
+reads -1, so a pair costs that shared prefix once plus the two suffixes
+after it.
 
-Memoised per chain: each table entry's even weight and whether it has even
-and odd amplitude, filled on first use; a derived chain gets a copy without
+Memoised per chain: each table entry's parity (even, odd or both), filled
+on first use and carried through drift; a derived chain gets a copy without
 the entries it replaces.
 
 Memoised per process, in bounded stores that fill on first use:
   - the nominal code columns per (alpha, n_max), 8 entries, shared by
     every fresh chain;
-  - the repump isometry per (spec, decayed amplitude), 32 entries;
+  - the repump map per (spec, decayed amplitude), 32 entries;
   - the fork point of the last ``run_protected`` call per (spec, k,
     duration, syndrome interval, int seed), one entry, which the next call
     with the same arguments resumes from and removes.
@@ -59,8 +67,6 @@ import numpy as np
 
 from .errors import ConvergenceError, NullStateError, TruncationError
 from .hilbert import StateVector, SubsystemLayout, read_only
-
-_GS_TOL = 1e-7
 
 
 def required_levels(alpha: complex) -> int:
@@ -112,25 +118,6 @@ def cat_column(alpha: complex, sign: int, n_max: int) -> np.ndarray:
 
 
 # ------------------------------------------------------ orthonormalization
-
-def _gram_schmidt_complete(fixed: list[np.ndarray], dim: int) -> list[np.ndarray]:
-    """Extend fixed orthonormal columns to a full basis, deterministically."""
-    basis = [np.asarray(v, dtype=np.complex128) for v in fixed]
-    for i in range(dim):
-        v = np.zeros(dim, dtype=np.complex128)
-        v[i] = 1.0
-        for _ in range(2):  # second pass restores orthogonality lost to roundoff
-            for b in basis:
-                v = v - b * np.vdot(b, v)
-        nrm = np.linalg.norm(v)
-        if nrm > _GS_TOL:
-            basis.append(v / nrm)
-        if len(basis) == dim:
-            break
-    if len(basis) != dim:
-        raise ConvergenceError("orthonormal completion failed")
-    return basis
-
 
 def _lowdin(columns: list[np.ndarray]) -> list[np.ndarray]:
     """Symmetric orthonormalization, closest orthonormal set to the inputs."""
@@ -188,15 +175,19 @@ def _rng_from_seed(seed) -> np.random.Generator:
 
 @functools.lru_cache(maxsize=32)
 def recovery_matrix(spec: CavitySpec, decayed_alpha: complex) -> np.ndarray:
-    """Ideal repump isometry for a cavity with confirmed odd parity.
+    """Ideal repump for a cavity with confirmed odd parity, on the code space.
 
     Maps the decayed odd cats back onto nominal even cats:
         |C_a'->  ->  |C_a+>        |C_ia'->  ->  -i |C_ia+>
     The -i undoes the branch phase imprinted by the annihilation operator
     (a C_ia+ is proportional to i a' C_ia-), so recovery inverts the known
     loss channel on both logical branches without reading the branch.
-    Sources and targets are symmetrically orthonormalized and completed to
-    full unitaries by deterministic Gram-Schmidt.
+    Sources and targets are symmetrically orthonormalized, and the map is
+    the rank-2 partial isometry tgt @ src^dagger: it carries span{src} onto
+    span{tgt} and annihilates the rest, which holds only truncation and
+    rounding residue of a lost code state.  The targets' odd Fock entries
+    are exact zeros (|a> + |-a> cancels them term by term), so are the
+    matrix's odd rows, and a repumped column has no odd amplitude at all.
 
     Memoised: a repeat call returns the same read-only array.  The decayed
     amplitudes of a run take few distinct values (one per repump interval).
@@ -206,11 +197,9 @@ def recovery_matrix(spec: CavitySpec, decayed_alpha: complex) -> np.ndarray:
     s1 = cat_column(1j * decayed_alpha, -1, n_max)
     t0 = cat_column(spec.alpha, 1, n_max)
     t1 = -1j * cat_column(1j * spec.alpha, 1, n_max)
-    src = _lowdin([s0, s1])
-    tgt = _lowdin([t0, t1])
-    full_s = _gram_schmidt_complete(src, n_max + 1)
-    full_t = _gram_schmidt_complete(tgt, n_max + 1)
-    return read_only(np.stack(full_t, axis=1) @ np.stack(full_s, axis=1).conj().T)
+    src = np.stack(_lowdin([s0, s1]), axis=1)
+    tgt = np.stack(_lowdin([t0, t1]), axis=1)
+    return read_only(tgt @ src.conj().T)
 
 
 # --------------------------------------------------------- factored chains
@@ -221,15 +210,15 @@ def _code_columns(alpha: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return read_only(cat_column(alpha, 1, n_max)), read_only(cat_column(1j * alpha, 1, n_max))
 
 
-def _sq_norm(c: np.ndarray) -> float:
-    """``np.linalg.norm(c) ** 2``, bit for bit, without its dispatch overhead.
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of a complex array (a 0-d array for a column).
 
-    Repeats numpy's default-norm path for a complex vector: ravel, the real
-    and imaginary dot products, the square root, then the square.
+    Sums re^2 and im^2 along the last axis in one reduction.  A row of a
+    stacked table gets the same float as the column on its own, so stored
+    norms do not depend on whether a column was normed alone or in a table.
     """
-    x = c.ravel(order="K")
-    re, im = x.real, x.imag
-    return np.sqrt(re.dot(re) + im.dot(im)) ** 2
+    x = np.ascontiguousarray(a).view(np.float64)
+    return (x * x).sum(axis=-1)
 
 
 def _lower(col: np.ndarray) -> np.ndarray:
@@ -256,13 +245,13 @@ class FactoredChain:
     columns, and cavity j's columns are ``cols[slot0[j]]`` and
     ``cols[slot1[j]]`` (``branch0``/``branch1`` give them per cavity).
     Every entry is used by some cavity, so the table holds at most 2k.
-    ``sq_norms0``/``sq_norms1`` hold ``np.linalg.norm(col) ** 2`` per
-    cavity; norms, parity probabilities and jump fluxes multiply them left
-    to right in cavity order, as ``np.prod`` over freshly computed norms
-    would, so the results are bit-identical to a from-scratch evaluation.
-    Each entry's even weight and parity flags are memoised per chain on
-    first use; a chain derived from this one copies the memo and drops the
-    entries it replaces, so no chain sees another's memo change.
+    ``sq_norms0``/``sq_norms1`` hold each cavity's squared column norm
+    (``_sq_norms``); norms and parity probabilities multiply them left to
+    right in cavity order, as ``np.prod`` over freshly computed norms would,
+    so the results are bit-identical to a from-scratch evaluation.  Each
+    entry's parity is memoised per chain on first use; a chain derived from
+    this one copies the memo and drops the entries it replaces, so no chain
+    sees another's memo change.
 
     ``FactoredChain(weight0, weight1, branch0, branch1, spec)`` builds the
     table from per-cavity columns, sharing an entry among the cavities that
@@ -293,7 +282,7 @@ class FactoredChain:
                 index[id(c)] = len(cols)
                 cols.append(read_only(c))
         slots = tuple(index[id(c)] for c in columns)
-        norms = [_sq_norm(c) for c in cols]
+        norms = [float(_sq_norms(c)) for c in cols]
         k = len(branch0)
         chain = _chain(
             weight0, weight1, spec, tuple(cols), slots[:k], slots[k:],
@@ -355,15 +344,17 @@ def _per_cavity(values: list, slots: tuple[int, ...]) -> tuple:
     return tuple([values[i] for i in slots])
 
 
-def _parity_entry(fc: FactoredChain, i: int) -> tuple[float, bool, bool]:
-    """Table entry i's even weight and whether it has even / odd amplitude, memoised."""
+def _parity(fc: FactoredChain, i: int) -> int:
+    """Table entry i's parity, memoised: +1 without odd amplitude, -1 without
+    even amplitude, 0 with both.
+
+    Whether any entry is nonzero decides, not a squared norm, which
+    underflows to zero below ~1e-162.
+    """
     got = fc._memo[i]
     if got is None:
         c = fc.cols[i]
-        even = c[::2]
-        got = fc._memo[i] = (
-            _sq_norm(even), np.count_nonzero(even) > 0, np.count_nonzero(c[1::2]) > 0
-        )
+        got = fc._memo[i] = 1 if not c[1::2].any() else (-1 if not c[::2].any() else 0)
     return got
 
 
@@ -415,7 +406,7 @@ def _with_cavity(fc: FactoredChain, j: int, u: np.ndarray, v: np.ndarray) -> Fac
         cols[i] = read_only(col)
         memo[i] = None
     s0, s1 = list(fc.sq_norms0), list(fc.sq_norms1)
-    s0[j], s1[j] = _sq_norm(u), _sq_norm(v)
+    s0[j], s1[j] = float(_sq_norms(u)), float(_sq_norms(v))
     return _chain(
         fc.weight0, fc.weight1, fc.spec, tuple(cols), tuple(slots[:k]), tuple(slots[k:]),
         tuple(s0), tuple(s1), memo,
@@ -423,13 +414,20 @@ def _with_cavity(fc: FactoredChain, j: int, u: np.ndarray, v: np.ndarray) -> Fac
 
 
 def fc_drift(fc: FactoredChain, tau: float) -> FactoredChain:
-    """No-jump evolution over tau, renormalised; each table entry decays once."""
+    """No-jump evolution over tau, renormalised.
+
+    The stacked (m, d) table decays in one broadcast multiply and its rows,
+    the new entries, are normed in one reduction.  Decay scales every Fock
+    amplitude by a positive factor, so an entry of one parity keeps it and
+    its memoised parity carries over.
+    """
     decay = np.exp(-fc.spec.kappa * tau * np.arange(fc.spec.dim) / 2)
-    cols = tuple([read_only(c * decay) for c in fc.cols])
-    norms = [_sq_norm(c) for c in cols]
+    table = read_only(np.stack(fc.cols) * decay)
+    norms = _sq_norms(table).tolist()
     return _chain(
-        fc.weight0, fc.weight1, fc.spec, cols, fc.slot0, fc.slot1,
-        _per_cavity(norms, fc.slot0), _per_cavity(norms, fc.slot1), [None] * len(cols),
+        fc.weight0, fc.weight1, fc.spec, tuple(table), fc.slot0, fc.slot1,
+        _per_cavity(norms, fc.slot0), _per_cavity(norms, fc.slot1),
+        [p or None for p in fc._memo],
     ).normalized()
 
 
@@ -439,27 +437,34 @@ def fc_apply_loss(fc: FactoredChain, j: int) -> FactoredChain:
 
 
 def fc_parity_probability(fc: FactoredChain, j: int) -> float:
-    """Probability of outcome +1 on cavity j."""
+    """Probability of outcome +1 on cavity j.
+
+    Exactly 1.0 or 0.0 when both of j's columns have the one parity, which
+    drift, loss and repump keep (see the module notes); otherwise the even
+    weights of j's columns over the chain norm.
+    """
+    p = _parity(fc, fc.slot0[j])
+    if p and p == _parity(fc, fc.slot1[j]):
+        return 1.0 if p == 1 else 0.0
     n2 = fc.norm_squared()
     p0 = abs(fc.weight0) ** 2 * math.prod(fc.sq_norms0[:j] + fc.sq_norms0[j + 1 :])
     p1 = abs(fc.weight1) ** 2 * math.prod(fc.sq_norms1[:j] + fc.sq_norms1[j + 1 :])
-    w = p0 * _parity_entry(fc, fc.slot0[j])[0] + p1 * _parity_entry(fc, fc.slot1[j])[0]
-    return float(w / n2)
+    even0 = float(_sq_norms(fc.cols[fc.slot0[j]][::2]))
+    even1 = float(_sq_norms(fc.cols[fc.slot1[j]][::2]))
+    return float((p0 * even0 + p1 * even1) / n2)
 
 
 def fc_project_parity(fc: FactoredChain, j: int, outcome: int) -> FactoredChain:
     """Project cavity j onto parity ``outcome`` (+1 even, -1 odd) and renormalise.
 
-    Drift and loss keep a column's parity, so a column that no repump has
-    touched has exactly zero amplitude on the rejected Fock numbers.  When
-    that holds for both branches (a count of nonzero entries, not a squared
-    norm, which underflows to zero below ~1e-162) the projection would
-    change no entry, so the chain is only renormalised.
+    When both of j's columns already have that parity the projection
+    removes nothing, and ``fc`` itself is returned.  Otherwise the rejected
+    Fock numbers are masked in j's columns.
     """
-    rejected = 1 if outcome == 1 else 0
     i0, i1 = fc.slot0[j], fc.slot1[j]
-    if not (_parity_entry(fc, i0)[1 + rejected] or _parity_entry(fc, i1)[1 + rejected]):
-        return fc.normalized()
+    if _parity(fc, i0) == outcome == _parity(fc, i1):
+        return fc
+    rejected = 1 if outcome == 1 else 0
     u, v = fc.cols[i0].copy(), fc.cols[i1].copy()
     u[rejected::2] = 0.0
     v[rejected::2] = 0.0
@@ -467,6 +472,8 @@ def fc_project_parity(fc: FactoredChain, j: int, outcome: int) -> FactoredChain:
 
 
 def fc_repump(fc: FactoredChain, j: int, decayed_alpha: complex) -> FactoredChain:
+    """Repump cavity j, which must have read -1: an even column lies outside
+    the map's odd source space and would be sent to zero."""
     r = recovery_matrix(fc.spec, decayed_alpha)
     u, v = fc.cols[fc.slot0[j]], fc.cols[fc.slot1[j]]
     return _with_cavity(fc, j, r @ u, r @ v).normalized()
@@ -495,18 +502,20 @@ def _fc_survival(fc: FactoredChain):
 def _fc_jump_flux(fc: FactoredChain) -> np.ndarray:
     """Loss flux kappa <a^dag a> of every cavity, from the stored norms.
 
-    Each table entry is lowered once.
+    ||a c||^2 = sum_n n |c_n|^2, so one weighted row sum over the stacked
+    table gives every entry's lowered weight (a row's sum does not depend on
+    the other rows, so cavities sharing a column get the flux that private
+    copies would).  Lowering cavity j scales each branch's weight by its
+    lowered weight over its stored norm.
     """
-    n2 = fc.norm_squared()
-    w0, w1 = abs(fc.weight0) ** 2, abs(fc.weight1) ** 2
-    lowered = [_sq_norm(_lower(c)) for c in fc.cols]
-    flux = np.empty(fc.k)
-    for j, (i0, i1) in enumerate(zip(fc.slot0, fc.slot1)):
-        s0, s1 = list(fc.sq_norms0), list(fc.sq_norms1)
-        s0[j] = lowered[i0]
-        s1[j] = lowered[i1]
-        flux[j] = fc.spec.kappa * (w0 * math.prod(s0) + w1 * math.prod(s1)) / n2
-    return flux
+    x = np.stack(fc.cols).view(np.float64)
+    lowered = (x * x * np.repeat(np.arange(fc.spec.dim, dtype=float), 2)).sum(axis=-1)
+    b0 = abs(fc.weight0) ** 2 * math.prod(fc.sq_norms0)
+    b1 = abs(fc.weight1) ** 2 * math.prod(fc.sq_norms1)
+    return fc.spec.kappa * (
+        b0 * lowered[list(fc.slot0)] / np.array(fc.sq_norms0)
+        + b1 * lowered[list(fc.slot1)] / np.array(fc.sq_norms1)
+    ) / (b0 + b1)
 
 
 def _jump_cavity(flux: np.ndarray, u: float) -> int:
@@ -589,8 +598,11 @@ def brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100
 def fc_loss_segment(
     fc: FactoredChain, duration: float, rng: np.random.Generator, t_offset: float = 0.0
 ) -> tuple[FactoredChain, list[list[float]]]:
-    """Waiting-time trajectory evolution of a factored chain over a segment."""
-    fc = fc.normalized()
+    """Waiting-time trajectory evolution of a factored chain over a segment.
+
+    ``fc`` must be normalised: the survival function reads its weights as
+    probabilities.  The chain returned is normalised too.
+    """
     t = 0.0
     jumps: list[list[float]] = [[] for _ in range(fc.k)]
     if fc.spec.kappa == 0 or fc.k == 0:
@@ -693,9 +705,10 @@ def run_protected(
         t += seg
         meas_times.append(t)
         syndrome = []
+        draws = rng.random(k).tolist()  # the stream of k ``rng.random()`` calls
         for j in range(k):
             p_even = fc_parity_probability(fc, j)
-            out = 1 if rng.random() < p_even else -1
+            out = 1 if draws[j] < p_even else -1
             fc = fc_project_parity(fc, j, out)
             outcomes[j].append(out)
             syndrome.append(out)

@@ -17,14 +17,6 @@ class TruncationError(EntpipeError):
     """Fock-space truncation is too small for the requested amplitude."""
 
 
-class CodeSubspaceError(EntpipeError):
-    """Input state lies outside the logical code subspace."""
-
-
-class ChainFormError(EntpipeError):
-    """State is not of qubit-plus-cat-cavities chain form."""
-
-
 class NullStateError(EntpipeError):
     """Requested superposition is the null vector (e.g. odd cat at alpha=0)."""
 
@@ -35,10 +27,6 @@ class RailSubspaceError(EntpipeError):
 
 class GridError(EntpipeError):
     """Spectral grid is too narrow or too coarse for the requested mode."""
-
-
-class StepSizeError(EntpipeError):
-    """Integration step does not resolve the fastest dynamical scale."""
 
 
 class NotGhzClassError(EntpipeError):

@@ -364,9 +364,11 @@ def run_pipeline(cfg: PipelineConfig) -> StageResult:
     if st.kappa == 0.0:
         chain = factored_chain(spec, k)
     else:
+        # a SeedSequence gives the int seed's stream without storing a fork
+        # point for a pair partner that never runs
         res = run_protected(
             spec, k, st.rounds * st.tau_syn, st.tau_syn,
-            derive_seed(cfg.run.base_seed, 0), correct=True,
+            np.random.SeedSequence(derive_seed(cfg.run.base_seed, 0)), correct=True,
         )
         chain = res.record.final_state
     c0, c1 = fc_logical_amplitudes(chain)

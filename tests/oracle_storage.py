@@ -11,7 +11,10 @@ practical for a few cavities only.  Only tests import it.
 It also keeps the factored route's plain protocol loop: a parity projection
 that always masks (``project_parity_full``) and a trajectory that runs every
 round itself (``run_protected_unshared``), the references for the no-op
-projection and for the shared pair prefix of ``cat_code.run_protected``.
+projection and for the shared pair prefix of ``cat_code.run_protected``;
+and the full-unitary repump that completes the code-space map by
+Gram-Schmidt (``recovery_unitary``), whose rounding residue on odd Fock
+numbers exercises the masking path of ``cat_code.fc_project_parity``.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from entpipe.cat_code import (
     FactoredChain,
     ProtectionResult,
     TrajectoryRecord,
-    _gram_schmidt_complete,
+    _lowdin,
     _rng_from_seed,
     _with_cavity,
     cat_column,
@@ -37,11 +40,39 @@ from entpipe.cat_code import (
     recovery_matrix,
     required_levels,
 )
-from entpipe.errors import ChainFormError, CodeSubspaceError, LayoutError, TruncationError
+from entpipe.errors import ConvergenceError, EntpipeError, LayoutError, TruncationError
 from entpipe.hilbert import StateVector, SubsystemLayout, apply_local, fidelity
 from oracle_register import merge_blocks, tensor_states
 
 _SUBSPACE_TOL = 1e-6
+_GS_TOL = 1e-7
+
+
+class CodeSubspaceError(EntpipeError):
+    """Input state lies outside the logical code subspace."""
+
+
+class ChainFormError(EntpipeError):
+    """State is not of qubit-plus-cat-cavities chain form."""
+
+
+def _gram_schmidt_complete(fixed: list[np.ndarray], dim: int) -> list[np.ndarray]:
+    """Extend fixed orthonormal columns to a full basis, deterministically."""
+    basis = [np.asarray(v, dtype=np.complex128) for v in fixed]
+    for i in range(dim):
+        v = np.zeros(dim, dtype=np.complex128)
+        v[i] = 1.0
+        for _ in range(2):  # second pass restores orthogonality lost to roundoff
+            for b in basis:
+                v = v - b * np.vdot(b, v)
+        nrm = np.linalg.norm(v)
+        if nrm > _GS_TOL:
+            basis.append(v / nrm)
+        if len(basis) == dim:
+            break
+    if len(basis) != dim:
+        raise ConvergenceError("orthonormal completion failed")
+    return basis
 
 
 @dataclass(frozen=True)
@@ -433,6 +464,26 @@ def loss_trajectory(
         seed=seed if isinstance(seed, int) else -1,
         final_state=final,
     )
+
+
+def recovery_unitary(spec: CavitySpec, decayed_alpha: complex) -> np.ndarray:
+    """``cat_code.recovery_matrix`` completed to a full unitary.
+
+    The Loewdin sources and targets are each completed to a basis by
+    deterministic Gram-Schmidt, so the map agrees with the package's rank-2
+    one on the code space, and carries the complement's rounding residue
+    onto odd Fock numbers.
+    """
+    n_max = spec.n_max
+    src = _lowdin(
+        [cat_column(decayed_alpha, -1, n_max), cat_column(1j * decayed_alpha, -1, n_max)]
+    )
+    tgt = _lowdin(
+        [cat_column(spec.alpha, 1, n_max), -1j * cat_column(1j * spec.alpha, 1, n_max)]
+    )
+    full_s = _gram_schmidt_complete(src, n_max + 1)
+    full_t = _gram_schmidt_complete(tgt, n_max + 1)
+    return np.stack(full_t, axis=1) @ np.stack(full_s, axis=1).conj().T
 
 
 def repump_correct(

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.integrate
 import scipy.sparse
 
-from entpipe.errors import GridError, StepSizeError
+from entpipe.errors import EntpipeError, GridError
 from entpipe.photon_swap import (
     _PLATEAU_TOL,
     GaussianMode,
@@ -38,6 +38,11 @@ from entpipe.photon_swap import (
     gaussian_mode,
     propagate_static,
 )
+
+
+class StepSizeError(EntpipeError):
+    """Integration step does not resolve the fastest dynamical scale."""
+
 
 _NORM_DRIFT_HARD = 1e-4
 _MAX_EXTENSIONS = 6  # Krylov sweep attempts, each 1.5x longer than the last

@@ -25,7 +25,7 @@ from scipy.sparse.linalg import expm_multiply
 
 import entpipe.photon_swap
 from entpipe.config import default_config
-from entpipe.errors import GridError, LayoutError, NotGhzClassError, StepSizeError
+from entpipe.errors import GridError, LayoutError, NotGhzClassError
 from entpipe.hilbert import StateVector, apply_local, qubits, schmidt_spectrum
 from entpipe.photon_swap import (
     GaussianMode,
@@ -53,6 +53,7 @@ from entpipe.spin_register import canonical_ghz, execute, plan_ghz
 from oracle_register import all_cuts_ghz_class, dense_rails
 from oracle_swap import (
     AmplitudeState,
+    StepSizeError,
     grid_for_dot,
     integrate_dynamics,
     integrate_lab_frame,
