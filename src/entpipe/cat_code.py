@@ -472,10 +472,15 @@ def fc_project_parity(fc: FactoredChain, j: int, outcome: int) -> FactoredChain:
 
 
 def fc_repump(fc: FactoredChain, j: int, decayed_alpha: complex) -> FactoredChain:
-    """Repump cavity j, which must have read -1: an even column lies outside
-    the map's odd source space and would be sent to zero."""
-    r = recovery_matrix(fc.spec, decayed_alpha)
+    """Repump cavity j, which must have read -1.
+
+    The map acts on the odd code space only and would send even amplitude
+    to zero, so a column with any even amplitude raises ``ValueError``.
+    """
     u, v = fc.cols[fc.slot0[j]], fc.cols[fc.slot1[j]]
+    if u[::2].any() or v[::2].any():
+        raise ValueError(f"cavity {j} has even amplitude: only a cavity that read -1 is repumped")
+    r = recovery_matrix(fc.spec, decayed_alpha)
     return _with_cavity(fc, j, r @ u, r @ v).normalized()
 
 
@@ -506,16 +511,19 @@ def _fc_jump_flux(fc: FactoredChain) -> np.ndarray:
     table gives every entry's lowered weight (a row's sum does not depend on
     the other rows, so cavities sharing a column get the flux that private
     copies would).  Lowering cavity j scales each branch's weight by its
-    lowered weight over its stored norm.
+    lowered weight over its stored norm.  A branch of weight zero (one of
+    its columns is zero) adds nothing and is left out, so no ratio divides
+    by a zero norm.
     """
     x = np.stack(fc.cols).view(np.float64)
     lowered = (x * x * np.repeat(np.arange(fc.spec.dim, dtype=float), 2)).sum(axis=-1)
     b0 = abs(fc.weight0) ** 2 * math.prod(fc.sq_norms0)
     b1 = abs(fc.weight1) ** 2 * math.prod(fc.sq_norms1)
-    return fc.spec.kappa * (
-        b0 * lowered[list(fc.slot0)] / np.array(fc.sq_norms0)
-        + b1 * lowered[list(fc.slot1)] / np.array(fc.sq_norms1)
-    ) / (b0 + b1)
+    flux = np.zeros(fc.k)
+    for b, slots, sq_norms in ((b0, fc.slot0, fc.sq_norms0), (b1, fc.slot1, fc.sq_norms1)):
+        if b:
+            flux += b * lowered[list(slots)] / np.array(sq_norms)
+    return fc.spec.kappa * flux / (b0 + b1)
 
 
 def _jump_cavity(flux: np.ndarray, u: float) -> int:

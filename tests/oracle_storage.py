@@ -508,13 +508,20 @@ def repump_correct(
 # ------------------------------------------------- factored protocol loop
 
 def project_parity_full(fc: FactoredChain, j: int, outcome: int) -> FactoredChain:
-    """Parity projection of cavity j that masks both columns every time."""
+    """Parity projection of cavity j that masks both columns every time.
+
+    The chain is renormalised when the mask removes amplitude.  A mask that
+    removes none leaves the state as it was, normalisation included, which
+    is decided from the masked columns, not from any parity memo.
+    """
     mask = (np.arange(fc.spec.dim) % 2 == 0) if outcome == 1 else (
         np.arange(fc.spec.dim) % 2 == 1
     )
-    return _with_cavity(
-        fc, j, np.where(mask, fc.branch0[j], 0.0), np.where(mask, fc.branch1[j], 0.0)
-    ).normalized()
+    u, v = np.where(mask, fc.branch0[j], 0.0), np.where(mask, fc.branch1[j], 0.0)
+    masked = _with_cavity(fc, j, u, v)
+    if np.array_equal(u, fc.branch0[j]) and np.array_equal(v, fc.branch1[j]):
+        return masked
+    return masked.normalized()
 
 
 def run_protected_unshared(

@@ -547,13 +547,9 @@ def test_shared_pair_prefix_matches_unshared_runs(k, kappa, rounds, frac, seed, 
 
     Of four calls with one key, the first and third run from t = 0 and
     store their fork point, the second and fourth resume from it; each must
-    equal, bit for bit, a run from t = 0 that finds the memo empty.  A
-    ``SeedSequence`` seed neither reads nor writes the memo.
-
-    The masking oracle renormalises after every projection, which moves the
-    weights by an ulp and with them Brent's root within its tolerance
-    (rtol 1e-14): it reads the same outcomes and jump counts, and its jump
-    times and fidelity differ by rounding only."""
+    equal, bit for bit, a run from t = 0 that finds the memo empty, and that
+    run must equal the masking oracle bit for bit.  A ``SeedSequence`` seed
+    neither reads nor writes the memo."""
     spec = CavitySpec(ALPHA, NMAX, kappa=kappa)
     interval = 0.05
     args = (spec, k, interval * (rounds + frac), interval)
@@ -561,12 +557,7 @@ def test_shared_pair_prefix_matches_unshared_runs(k, kappa, rounds, frac, seed, 
     for c in (True, False):
         cat_code._FORK.clear()
         ref[c] = _trajectory(run_protected(*args, seed, correct=c))
-        oracle = _trajectory(run_protected_unshared(*args, seed, correct=c))
-        assert oracle[1:5] == ref[c][1:5]
-        assert [len(js) for js in oracle[0]] == [len(js) for js in ref[c][0]]
-        for a, b in zip(sum(oracle[0], ()), sum(ref[c][0], ())):
-            assert abs(a - b) <= 1e-13 * b
-        assert abs(oracle[5] - ref[c][5]) <= 1e-12
+        assert _trajectory(run_protected_unshared(*args, seed, correct=c)) == ref[c]
     key = args + (seed,)
     cat_code._FORK.clear()
     for i, c in enumerate((first, not first, first, first)):
@@ -578,6 +569,7 @@ def test_shared_pair_prefix_matches_unshared_runs(k, kappa, rounds, frac, seed, 
     seq = np.random.SeedSequence(seed)
     for c in (first, not first):
         got = _trajectory(run_protected(*args, seq, correct=c))
+        assert got == _trajectory(run_protected_unshared(*args, seq, correct=c))
         assert got[:3] + got[4:] == ref[c][:3] + ref[c][4:] and got[3] == -1
     assert list(cat_code._FORK) == [key for key, _ in memo]
     assert all(cat_code._FORK[key] is entry for key, entry in memo)
@@ -652,13 +644,7 @@ def test_parity_projection_skips_exact_parity_columns(k, ops):
         assert p_even in (0.0, 1.0)
         outcome = 1 if p_even == 1.0 else -1
         assert fc_project_parity(fc, j, outcome) is fc
-        # masking changes no entry; renormalising moves the weights by rounding only
-        masked = project_parity_full(fc, j, outcome)
-        assert masked.sq_norms0 == fc.sq_norms0 and masked.sq_norms1 == fc.sq_norms1
-        for u, v in zip(masked.branch0 + masked.branch1, fc.branch0 + fc.branch1):
-            assert np.array_equal(u, v)
-        assert abs(masked.weight0 - fc.weight0) <= 1e-15 * abs(fc.weight0)
-        assert abs(masked.weight1 - fc.weight1) <= 1e-15 * abs(fc.weight1)
+        _assert_same_chain(fc, project_parity_full(fc, j, outcome))
 
 
 @pytest.mark.parametrize("outcome", [1, -1])
@@ -714,6 +700,24 @@ def _scratch_flux(fc):
         b0[j], b1[j] = a @ b0[j], a @ b1[j]
         flux[j] = fc.spec.kappa * _scratch_norm_squared(fc, b0, b1) / n2
     return flux
+
+
+def _scratch_ratio_flux(fc):
+    """The package's flux formula on per-cavity columns with fresh norms:
+    each branch weight times lowered weight over norm, zero branches left out."""
+    n = np.repeat(np.arange(fc.spec.dim, dtype=float), 2)
+
+    def lowered(c):
+        x = c.view(np.float64)
+        return float((x * x * n).sum())
+
+    b0 = abs(fc.weight0) ** 2 * math.prod([_sq(u) for u in fc.branch0])
+    b1 = abs(fc.weight1) ** 2 * math.prod([_sq(v) for v in fc.branch1])
+    flux = np.zeros(fc.k)
+    for b, cols in ((b0, fc.branch0), (b1, fc.branch1)):
+        if b:
+            flux += b * np.array([lowered(c) for c in cols]) / np.array([_sq(c) for c in cols])
+    return fc.spec.kappa * flux / (b0 + b1)
 
 
 def _scratch_parity_probability(fc, j):
@@ -811,12 +815,50 @@ def test_factored_chain_stored_norms_track_columns(k, ops):
                 assert got == (1.0 if p == 1 else 0.0) and abs(got - scratch) <= 1e-15
             else:
                 assert got == scratch
-        # each flux is a ratio to the stored norm, not a product over the others
-        assert np.allclose(cat_code._fc_jump_flux(fc), _scratch_flux(fc), rtol=1e-14, atol=0)
+        # each flux is a ratio to the stored norm: bit for bit with fresh
+        # norms, and the dense product over the other norms to rounding
+        flux = cat_code._fc_jump_flux(fc)
+        assert np.array_equal(flux, _scratch_ratio_flux(fc))
+        assert np.allclose(flux, _scratch_flux(fc), rtol=1e-14, atol=0)
         survival = cat_code._fc_survival(fc)
         for tau in (0.0, 0.01, 0.2):
             assert survival(tau) == _scratch_survival(fc, tau)
         _assert_table(fc, prev)
+
+
+def _emptied_branch_chain():
+    """Cavity 0 holds an even cat on branch 0 and a coherent state on branch
+    1; projecting it onto odd parity leaves branch 0 with a zero column."""
+    plus, rot = cat_code._code_columns(ALPHA, NMAX)
+    mixed = coherent_column(ALPHA, NMAX)
+    fc = FactoredChain(2**-0.5, 2**-0.5, (plus, plus), (mixed / np.linalg.norm(mixed), rot), SPEC)
+    fc = fc_project_parity(fc, 0, -1)
+    assert fc.sq_norms0[0] == 0.0 and not fc.branch0[0].any() and fc.sq_norms1[0] > 0
+    return fc
+
+
+def test_jump_flux_leaves_out_an_emptied_branch():
+    fc = _emptied_branch_chain()
+    flux = cat_code._fc_jump_flux(fc)
+    assert np.isfinite(flux).all() and (flux > 0).all()
+    assert np.array_equal(flux, _scratch_ratio_flux(fc))
+    assert np.allclose(flux, _scratch_flux(fc), rtol=1e-14, atol=0)
+    assert cat_code._jump_cavity(flux, 0.5) in (0, 1)
+
+
+def test_repump_rejects_even_amplitude():
+    fc = fc_drift(factored_chain(SPEC, 2), 0.05)
+    decayed = ALPHA * np.exp(-SPEC.kappa * 0.05 / 2)
+    with pytest.raises(ValueError, match="even amplitude"):
+        fc_repump(fc, 0, decayed)
+    emptied = _emptied_branch_chain()
+    with pytest.raises(ValueError, match="even amplitude"):
+        fc_repump(emptied, 1, decayed)
+    # an odd column with a zero partner is repumped: the zero column stays zero
+    got = fc_repump(emptied, 0, ALPHA)
+    assert not got.branch0[0].any() and not got.branch1[0][1::2].any()
+    # and a lost cavity, the protocol's case, is
+    assert fc_parity_probability(fc_repump(fc_apply_loss(fc, 0), 0, decayed), 0) == 1.0
 
 
 def _one_copy_per_cavity(fc):
