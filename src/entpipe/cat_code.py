@@ -28,30 +28,34 @@ zero entry nonzero; and the repump map's odd rows are exact zeros, so a
 repumped column is even.  Hence every parity read has a fixed outcome.
 
 Cost of the factored route for k cavities of dimension d.  A chain holds
-its columns as a table of m <= 2k distinct read-only columns, and each
-cavity holds an index into it per branch.  A fresh chain's table is the two
-code columns; drift maps each entry to one decayed entry, so a cavity gets
-an entry of its own only when a loss or repump hits it.  Drift and a jump
-(the flux of every channel) are one array operation each on the stacked
-(m, d) table, plus O(k) scalar work: products over the stored per-cavity
-norms.  Loss, repump and a parity projection that removes amplitude give
-cavity j new columns, O(d): an entry no other cavity uses is replaced, else
-j gets a new one, so the table never holds a column that no cavity uses.
-A parity round reads each entry's parity once from a memo the chain
-carries.  When both of a cavity's columns have one parity, as they always
-do in the protocol, its probability is exactly 1.0 or 0.0, and a projection
-onto the parity a cavity already has returns the chain unchanged.  The
-corrected and uncorrected runs of a seed agree up to the first round that
-reads -1, so a pair costs that shared prefix once plus the two suffixes
-after it.
+its columns as the rows of one read-only (m, d) table, m <= 2k distinct
+columns, and each cavity holds a row index into it per branch.  A fresh
+chain's table is the two code columns; drift maps each row to one decayed
+row, so a cavity gets a row of its own only when a loss or repump hits it.
+Drift, the survival function of a jump time and the flux of every jump
+channel read the table as it is stored: one array operation each, plus O(k)
+scalar work (products over the stored per-cavity norms).  Loss, repump and
+a parity projection that removes amplitude write cavity j's new rows into
+one copy of the table, O(m d): a row no other cavity uses is overwritten,
+else j gets a row appended, so the table never holds a row that no cavity
+uses.  Every operation renormalises as it builds its chain, so it builds
+one chain.  A parity round reads each row's parity once from a memo the
+chain carries.  When both of a cavity's columns have one parity, as they
+always do in the protocol, its probability is exactly 1.0 or 0.0, and a
+projection onto the parity a cavity already has returns the chain
+unchanged.  The corrected and uncorrected runs of a seed agree up to the
+first round that reads -1, so a pair costs that shared prefix once plus the
+two suffixes after it.
 
-Memoised per chain: each table entry's parity (even, odd or both), filled
-on first use and carried through drift; a derived chain gets a copy without
-the entries it replaces.
+Memoised per chain: each table row's parity (even, odd or both), filled on
+first use and carried through drift; a derived chain gets a copy without
+the rows it replaces.  The per-row and per-cavity column views (``cols``,
+``branch0``, ``branch1``) are made on first use.
 
 Memoised per process, in bounded stores that fill on first use:
-  - the nominal code columns per (alpha, n_max), 8 entries, shared by
-    every fresh chain;
+  - the nominal code columns per (alpha, n_max), 8 entries, which every
+    fresh chain's table copies;
+  - the Fock weights n of the jump flux per dimension, 8 entries;
   - the repump map per (spec, decayed amplitude), 32 entries;
   - the fork point of the last ``run_protected`` call per (spec, k,
     duration, syndrome interval, int seed), one entry, which the next call
@@ -210,6 +214,12 @@ def _code_columns(alpha: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return read_only(cat_column(alpha, 1, n_max)), read_only(cat_column(1j * alpha, 1, n_max))
 
 
+@functools.lru_cache(maxsize=8)
+def _fock_weights(dim: int) -> np.ndarray:
+    """n for each float of a (dim,) complex column viewed as float64 pairs."""
+    return read_only(np.repeat(np.arange(dim, dtype=float), 2))
+
+
 def _sq_norms(a: np.ndarray) -> np.ndarray:
     """Squared norm of each row of a complex array (a 0-d array for a column).
 
@@ -241,23 +251,25 @@ class FactoredChain:
     targets all reduce to per-cavity vector work.  Protocol operations keep
     the form closed, which is what makes long chains tractable.
 
-    The columns are held as a table: ``cols`` are the distinct read-only
-    columns, and cavity j's columns are ``cols[slot0[j]]`` and
-    ``cols[slot1[j]]`` (``branch0``/``branch1`` give them per cavity).
-    Every entry is used by some cavity, so the table holds at most 2k.
-    ``sq_norms0``/``sq_norms1`` hold each cavity's squared column norm
-    (``_sq_norms``); norms and parity probabilities multiply them left to
-    right in cavity order, as ``np.prod`` over freshly computed norms would,
-    so the results are bit-identical to a from-scratch evaluation.  Each
-    entry's parity is memoised per chain on first use; a chain derived from
-    this one copies the memo and drops the entries it replaces, so no chain
-    sees another's memo change.
+    The distinct columns are the rows of ``table``, one read-only C-ordered
+    (m, d) complex array, and cavity j's columns are rows ``slot0[j]`` and
+    ``slot1[j]``.  Every row is used by some cavity, so m <= 2k.  No
+    operation writes a table in place: a derived chain that changes rows
+    holds a new table.  ``cols`` (one view per row) and ``branch0`` /
+    ``branch1`` (one per cavity) are made on first use and kept, so
+    ``branch0[j] is cols[slot0[j]]``.  ``sq_norms0``/``sq_norms1`` hold
+    each cavity's squared column norm (``_sq_norms``); norms and parity
+    probabilities multiply them left to right in cavity order, as
+    ``np.prod`` over freshly computed norms would, so the results are
+    bit-identical to a from-scratch evaluation.  Each row's parity is
+    memoised per chain on first use; a chain derived from this one copies
+    the memo and drops the rows it replaces, so no chain sees another's
+    memo change.
 
     ``FactoredChain(weight0, weight1, branch0, branch1, spec)`` builds the
-    table from per-cavity columns, sharing an entry among the cavities that
-    pass one array object, and makes the columns read-only.  The ``fc_*``
-    operations build chains from tables directly and recompute nothing they
-    keep.
+    table from per-cavity columns, one row for the cavities that pass one
+    array object.  The ``fc_*`` operations build chains from tables
+    directly and recompute nothing they keep.
 
     Equality and hashing are by identity: the array fields have no single
     truth value, so a field-wise ``==`` could not answer.
@@ -266,7 +278,7 @@ class FactoredChain:
     weight0: complex
     weight1: complex
     spec: CavitySpec
-    cols: tuple[np.ndarray, ...]
+    table: np.ndarray
     slot0: tuple[int, ...]
     slot1: tuple[int, ...]
     sq_norms0: tuple[float, ...]
@@ -276,17 +288,17 @@ class FactoredChain:
     def __init__(self, weight0, weight1, branch0, branch1, spec: CavitySpec):
         columns = tuple(branch0) + tuple(branch1)
         index: dict[int, int] = {}
-        cols = []
         for c in columns:
-            if id(c) not in index:
-                index[id(c)] = len(cols)
-                cols.append(read_only(c))
+            index.setdefault(id(c), len(index))
+        table = np.empty((len(index), spec.dim), dtype=np.complex128)
+        for c in columns:
+            table[index[id(c)]] = c
         slots = tuple(index[id(c)] for c in columns)
-        norms = [float(_sq_norms(c)) for c in cols]
+        norms = _sq_norms(table).tolist()
         k = len(branch0)
         chain = _chain(
-            weight0, weight1, spec, tuple(cols), slots[:k], slots[k:],
-            _per_cavity(norms, slots[:k]), _per_cavity(norms, slots[k:]), [None] * len(cols),
+            weight0, weight1, spec, read_only(table), slots[:k], slots[k:],
+            _per_cavity(norms, slots[:k]), _per_cavity(norms, slots[k:]), [None] * len(index),
         )
         self.__dict__.update(chain.__dict__)
 
@@ -294,24 +306,25 @@ class FactoredChain:
     def k(self) -> int:
         return len(self.slot0)
 
-    @property
-    def branch0(self) -> tuple[np.ndarray, ...]:
-        return tuple([self.cols[i] for i in self.slot0])
+    @functools.cached_property
+    def cols(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.table)
 
-    @property
+    @functools.cached_property
+    def branch0(self) -> tuple[np.ndarray, ...]:
+        return _per_cavity(self.cols, self.slot0)
+
+    @functools.cached_property
     def branch1(self) -> tuple[np.ndarray, ...]:
-        return tuple([self.cols[i] for i in self.slot1])
+        return _per_cavity(self.cols, self.slot1)
 
     def norm_squared(self) -> float:
-        p0 = math.prod(self.sq_norms0)
-        p1 = math.prod(self.sq_norms1)
-        return float(abs(self.weight0) ** 2 * p0 + abs(self.weight1) ** 2 * p1)
+        return _norm_squared(self.weight0, self.weight1, self.sq_norms0, self.sq_norms1)
 
     def normalized(self) -> "FactoredChain":
-        scale = 1.0 / np.sqrt(self.norm_squared())
-        return _chain(
-            self.weight0 * scale, self.weight1 * scale, self.spec, self.cols, self.slot0,
-            self.slot1, self.sq_norms0, self.sq_norms1, list(self._memo),
+        return _normalized(
+            self.weight0, self.weight1, self.spec, self.table, self.slot0, self.slot1,
+            self.sq_norms0, self.sq_norms1, list(self._memo),
         )
 
     def state_vector(self) -> StateVector:
@@ -330,22 +343,36 @@ class FactoredChain:
         return float(abs(amp) ** 2)
 
 
-def _chain(weight0, weight1, spec, cols, slot0, slot1, sq_norms0, sq_norms1, memo):
+def _chain(weight0, weight1, spec, table, slot0, slot1, sq_norms0, sq_norms1, memo):
     """A chain with the given fields, set past ``__init__`` and the frozen guard."""
     fc = object.__new__(FactoredChain)
     fc.__dict__.update(
-        weight0=weight0, weight1=weight1, spec=spec, cols=cols, slot0=slot0, slot1=slot1,
+        weight0=weight0, weight1=weight1, spec=spec, table=table, slot0=slot0, slot1=slot1,
         sq_norms0=sq_norms0, sq_norms1=sq_norms1, _memo=memo,
     )
     return fc
 
 
-def _per_cavity(values: list, slots: tuple[int, ...]) -> tuple:
+def _norm_squared(weight0, weight1, sq_norms0, sq_norms1) -> float:
+    p0 = math.prod(sq_norms0)
+    p1 = math.prod(sq_norms1)
+    return float(abs(weight0) ** 2 * p0 + abs(weight1) ** 2 * p1)
+
+
+def _normalized(weight0, weight1, spec, table, slot0, slot1, sq_norms0, sq_norms1, memo):
+    """``_chain`` of these fields with the weights scaled to unit norm."""
+    scale = 1.0 / np.sqrt(_norm_squared(weight0, weight1, sq_norms0, sq_norms1))
+    return _chain(
+        weight0 * scale, weight1 * scale, spec, table, slot0, slot1, sq_norms0, sq_norms1, memo
+    )
+
+
+def _per_cavity(values, slots: tuple[int, ...]) -> tuple:
     return tuple([values[i] for i in slots])
 
 
 def _parity(fc: FactoredChain, i: int) -> int:
-    """Table entry i's parity, memoised: +1 without odd amplitude, -1 without
+    """Table row i's parity, memoised: +1 without odd amplitude, -1 without
     even amplitude, 0 with both.
 
     Whether any entry is nonzero decides, not a squared norm, which
@@ -353,18 +380,24 @@ def _parity(fc: FactoredChain, i: int) -> int:
     """
     got = fc._memo[i]
     if got is None:
-        c = fc.cols[i]
+        c = fc.table[i]
         got = fc._memo[i] = 1 if not c[1::2].any() else (-1 if not c[::2].any() else 0)
     return got
 
 
 def _code_overlaps(fc: FactoredChain) -> tuple[complex, complex, float]:
-    """Each branch's overlap with its nominal code product, and the chain norm."""
-    plus, rot = _code_columns(fc.spec.alpha, fc.spec.n_max)
+    """Each branch's overlap with its nominal code product, and the chain norm.
+
+    One ``np.vdot`` per row a branch uses, multiplied in cavity order.
+    """
     nrm = np.sqrt(fc.norm_squared())
-    ov0 = np.prod([np.vdot(plus, u) for u in fc.branch0]) if fc.k else 1.0
-    ov1 = np.prod([np.vdot(rot, v) for v in fc.branch1]) if fc.k else 1.0
-    return ov0, ov1, nrm
+    if not fc.k:
+        return 1.0, 1.0, nrm
+    out = []
+    for code, slots in zip(_code_columns(fc.spec.alpha, fc.spec.n_max), (fc.slot0, fc.slot1)):
+        ov = {i: np.vdot(code, fc.table[i]) for i in set(slots)}
+        out.append(np.prod(_per_cavity(ov, slots)))
+    return out[0], out[1], nrm
 
 
 def fc_logical_amplitudes(fc: FactoredChain) -> tuple[complex, complex]:
@@ -389,26 +422,32 @@ def factored_chain(spec: CavitySpec, k: int) -> FactoredChain:
 
 
 def _with_cavity(fc: FactoredChain, j: int, u: np.ndarray, v: np.ndarray) -> FactoredChain:
-    """``fc`` with cavity j's columns set to (u, v); only j's norms are recomputed.
+    """``fc`` with cavity j's columns set to (u, v), renormalised; only j's
+    norms are recomputed.
 
-    A column that no other cavity uses is replaced in the new table; one
-    that others share stays, and j gets a new entry.
+    The new table is one copy of ``fc.table``: a row that no other cavity
+    uses is overwritten, and for one that others share j gets a row
+    appended.
     """
     k = len(fc.slot0)
-    cols, memo = list(fc.cols), list(fc._memo)
+    memo = list(fc._memo)
     slots = list(fc.slot0 + fc.slot1)
-    for pos, col in ((j, u), (k + j, v)):
+    rows = []
+    for pos in (j, k + j):
         i = slots[pos]
         if slots.count(i) > 1:
-            slots[pos] = i = len(cols)
-            cols.append(None)
+            slots[pos] = i = len(memo)
             memo.append(None)
-        cols[i] = read_only(col)
         memo[i] = None
+        rows.append(i)
+    m = len(fc._memo)
+    table = np.empty((len(memo), fc.spec.dim), dtype=np.complex128)
+    table[:m] = fc.table
+    table[rows[0]], table[rows[1]] = u, v
     s0, s1 = list(fc.sq_norms0), list(fc.sq_norms1)
     s0[j], s1[j] = float(_sq_norms(u)), float(_sq_norms(v))
-    return _chain(
-        fc.weight0, fc.weight1, fc.spec, tuple(cols), tuple(slots[:k]), tuple(slots[k:]),
+    return _normalized(
+        fc.weight0, fc.weight1, fc.spec, read_only(table), tuple(slots[:k]), tuple(slots[k:]),
         tuple(s0), tuple(s1), memo,
     )
 
@@ -416,24 +455,23 @@ def _with_cavity(fc: FactoredChain, j: int, u: np.ndarray, v: np.ndarray) -> Fac
 def fc_drift(fc: FactoredChain, tau: float) -> FactoredChain:
     """No-jump evolution over tau, renormalised.
 
-    The stacked (m, d) table decays in one broadcast multiply and its rows,
-    the new entries, are normed in one reduction.  Decay scales every Fock
-    amplitude by a positive factor, so an entry of one parity keeps it and
-    its memoised parity carries over.
+    The table decays in one broadcast multiply and its rows are normed in
+    one reduction.  Decay scales every Fock amplitude by a positive factor,
+    so a row of one parity keeps it and its memoised parity carries over.
     """
     decay = np.exp(-fc.spec.kappa * tau * np.arange(fc.spec.dim) / 2)
-    table = read_only(np.stack(fc.cols) * decay)
+    table = read_only(fc.table * decay)
     norms = _sq_norms(table).tolist()
-    return _chain(
-        fc.weight0, fc.weight1, fc.spec, tuple(table), fc.slot0, fc.slot1,
+    return _normalized(
+        fc.weight0, fc.weight1, fc.spec, table, fc.slot0, fc.slot1,
         _per_cavity(norms, fc.slot0), _per_cavity(norms, fc.slot1),
         [p or None for p in fc._memo],
-    ).normalized()
+    )
 
 
 def fc_apply_loss(fc: FactoredChain, j: int) -> FactoredChain:
-    u, v = fc.cols[fc.slot0[j]], fc.cols[fc.slot1[j]]
-    return _with_cavity(fc, j, _lower(u), _lower(v)).normalized()
+    """A photon lost from cavity j, renormalised."""
+    return _with_cavity(fc, j, _lower(fc.table[fc.slot0[j]]), _lower(fc.table[fc.slot1[j]]))
 
 
 def fc_parity_probability(fc: FactoredChain, j: int) -> float:
@@ -449,8 +487,8 @@ def fc_parity_probability(fc: FactoredChain, j: int) -> float:
     n2 = fc.norm_squared()
     p0 = abs(fc.weight0) ** 2 * math.prod(fc.sq_norms0[:j] + fc.sq_norms0[j + 1 :])
     p1 = abs(fc.weight1) ** 2 * math.prod(fc.sq_norms1[:j] + fc.sq_norms1[j + 1 :])
-    even0 = float(_sq_norms(fc.cols[fc.slot0[j]][::2]))
-    even1 = float(_sq_norms(fc.cols[fc.slot1[j]][::2]))
+    even0 = float(_sq_norms(fc.table[fc.slot0[j]][::2]))
+    even1 = float(_sq_norms(fc.table[fc.slot1[j]][::2]))
     return float((p0 * even0 + p1 * even1) / n2)
 
 
@@ -465,32 +503,32 @@ def fc_project_parity(fc: FactoredChain, j: int, outcome: int) -> FactoredChain:
     if _parity(fc, i0) == outcome == _parity(fc, i1):
         return fc
     rejected = 1 if outcome == 1 else 0
-    u, v = fc.cols[i0].copy(), fc.cols[i1].copy()
+    u, v = fc.table[i0].copy(), fc.table[i1].copy()
     u[rejected::2] = 0.0
     v[rejected::2] = 0.0
-    return _with_cavity(fc, j, u, v).normalized()
+    return _with_cavity(fc, j, u, v)
 
 
 def fc_repump(fc: FactoredChain, j: int, decayed_alpha: complex) -> FactoredChain:
-    """Repump cavity j, which must have read -1.
+    """Repump cavity j, which must have read -1, and renormalise.
 
     The map acts on the odd code space only and would send even amplitude
     to zero, so a column with any even amplitude raises ``ValueError``.
     """
-    u, v = fc.cols[fc.slot0[j]], fc.cols[fc.slot1[j]]
+    u, v = fc.table[fc.slot0[j]], fc.table[fc.slot1[j]]
     if u[::2].any() or v[::2].any():
         raise ValueError(f"cavity {j} has even amplitude: only a cavity that read -1 is repumped")
     r = recovery_matrix(fc.spec, decayed_alpha)
-    return _with_cavity(fc, j, r @ u, r @ v).normalized()
+    return _with_cavity(fc, j, r @ u, r @ v)
 
 
 def _fc_survival(fc: FactoredChain):
     """No-jump probability tau -> ||exp(-kappa tau n/2) psi||^2 of a normalized chain.
 
-    |u|^2 of the table's m <= 2k entries is stacked once, so an evaluation
-    is one exponential, one row-sum and two products over the cavities.
+    |u|^2 of the table's m <= 2k rows is taken once, so an evaluation is
+    one exponential, one row-sum and two products over the cavities.
     """
-    weights = np.abs(np.stack(fc.cols)) ** 2
+    weights = np.abs(fc.table) ** 2
     n = np.arange(fc.spec.dim)
     kappa = fc.spec.kappa
     w0, w1 = abs(fc.weight0) ** 2, abs(fc.weight1) ** 2
@@ -507,16 +545,16 @@ def _fc_survival(fc: FactoredChain):
 def _fc_jump_flux(fc: FactoredChain) -> np.ndarray:
     """Loss flux kappa <a^dag a> of every cavity, from the stored norms.
 
-    ||a c||^2 = sum_n n |c_n|^2, so one weighted row sum over the stacked
-    table gives every entry's lowered weight (a row's sum does not depend on
-    the other rows, so cavities sharing a column get the flux that private
+    ||a c||^2 = sum_n n |c_n|^2, so one weighted row sum over the table
+    gives every row's lowered weight (a row's sum does not depend on the
+    other rows, so cavities sharing a column get the flux that private
     copies would).  Lowering cavity j scales each branch's weight by its
     lowered weight over its stored norm.  A branch of weight zero (one of
     its columns is zero) adds nothing and is left out, so no ratio divides
     by a zero norm.
     """
-    x = np.stack(fc.cols).view(np.float64)
-    lowered = (x * x * np.repeat(np.arange(fc.spec.dim, dtype=float), 2)).sum(axis=-1)
+    x = fc.table.view(np.float64)
+    lowered = (x * x * _fock_weights(fc.spec.dim)).sum(axis=-1)
     b0 = abs(fc.weight0) ** 2 * math.prod(fc.sq_norms0)
     b1 = abs(fc.weight1) ** 2 * math.prod(fc.sq_norms1)
     flux = np.zeros(fc.k)
@@ -619,10 +657,16 @@ def fc_loss_segment(
         r = rng.random()
         remaining = duration - t
         survival = _fc_survival(fc)
-        if survival(remaining) >= r:
+        at_end = survival(remaining)
+        if at_end >= r:
             fc = fc_drift(fc, remaining)
             break
-        tau_star = brentq(lambda x: survival(x) - r, 0.0, remaining, xtol=1e-16, rtol=1e-14)
+        # Brent's first two evaluations are the bracket ends: reuse the one
+        # at ``remaining`` (survival is a pure function, so it is the same float)
+        tau_star = brentq(
+            lambda x: (at_end if x == remaining else survival(x)) - r,
+            0.0, remaining, xtol=1e-16, rtol=1e-14,
+        )
         fc = fc_drift(fc, tau_star)
         t += tau_star
         j = _jump_cavity(_fc_jump_flux(fc), rng.random())
@@ -676,9 +720,9 @@ def run_protected(
         fc, rng_state, t, all_jumps, outcomes, meas_times, syndrome = fork
         rng.bit_generator.state = rng_state
         # the pair partner may return the stored chain: hand back a private
-        # copy of its table, so cavities that shared a column still do
+        # copy of its table, so cavities that shared a row still do
         fc = _chain(
-            fc.weight0, fc.weight1, spec, tuple([read_only(c.copy()) for c in fc.cols]),
+            fc.weight0, fc.weight1, spec, read_only(fc.table.copy()),
             fc.slot0, fc.slot1, fc.sq_norms0, fc.sq_norms1, list(fc._memo),
         )
     else:

@@ -10,7 +10,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -113,12 +112,15 @@ def parallel_map(fn, items, workers: int) -> list:
     """Order-preserving map, serial below two workers.
 
     The pool never exceeds the item count or the CPU count: a forked pool
-    starts all of its processes at the first submit.
+    starts all of its processes at the first submit.  ``concurrent.futures``
+    (and with it ``multiprocessing``) is imported only when a pool is used.
     """
     items = list(items)
     workers = min(workers, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(items) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunk))

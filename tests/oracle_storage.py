@@ -511,17 +511,16 @@ def project_parity_full(fc: FactoredChain, j: int, outcome: int) -> FactoredChai
     """Parity projection of cavity j that masks both columns every time.
 
     The chain is renormalised when the mask removes amplitude.  A mask that
-    removes none leaves the state as it was, normalisation included, which
+    removes none leaves the chain as it was, normalisation included, which
     is decided from the masked columns, not from any parity memo.
     """
     mask = (np.arange(fc.spec.dim) % 2 == 0) if outcome == 1 else (
         np.arange(fc.spec.dim) % 2 == 1
     )
     u, v = np.where(mask, fc.branch0[j], 0.0), np.where(mask, fc.branch1[j], 0.0)
-    masked = _with_cavity(fc, j, u, v)
     if np.array_equal(u, fc.branch0[j]) and np.array_equal(v, fc.branch1[j]):
-        return masked
-    return masked.normalized()
+        return fc
+    return _with_cavity(fc, j, u, v)
 
 
 def run_protected_unshared(

@@ -614,6 +614,9 @@ def test_resumed_run_owns_its_chain():
     assert a is not b
     for u, v in zip(a.branch0 + a.branch1, b.branch0 + b.branch1):
         assert u is not v and np.array_equal(u, v)
+    # the resumed chain's table is a private read-only copy of the stored one
+    assert b.table.flags.owndata and not b.table.flags.writeable
+    assert not np.shares_memory(a.table, b.table)
 
 
 def _assert_same_chain(a, b):
@@ -654,7 +657,7 @@ def test_parity_projection_masks_repump_residue(outcome, drift):
     Fock numbers: the projection masks it."""
     fc = fc_apply_loss(fc_drift(factored_chain(SPEC, 3), drift), 1)
     full = recovery_unitary(SPEC, ALPHA * np.exp(-SPEC.kappa * drift / 2))
-    fc = cat_code._with_cavity(fc, 1, full @ fc.branch0[1], full @ fc.branch1[1]).normalized()
+    fc = cat_code._with_cavity(fc, 1, full @ fc.branch0[1], full @ fc.branch1[1])
     rejected = 1 if outcome == 1 else 0
     assert fc.branch0[1][rejected::2].any() and fc.branch1[1][rejected::2].any()
     got = fc_project_parity(fc, 1, outcome)
@@ -776,6 +779,7 @@ def _assert_table(fc, prev):
     used = set(fc.slot0 + fc.slot1)
     assert used == set(range(len(fc.cols))) and len(fc.cols) <= 2 * fc.k
     assert len(fc._memo) == len(fc.cols)
+    assert fc.table.shape == (len(fc.cols), fc.spec.dim) and fc.table.flags.c_contiguous
     for j in range(fc.k):
         assert fc.branch0[j] is fc.cols[fc.slot0[j]] and fc.branch1[j] is fc.cols[fc.slot1[j]]
     for c, got in zip(fc.cols, fc._memo):
@@ -874,11 +878,17 @@ def test_shared_columns_match_one_copy_per_cavity(k, ops):
     """Cavities sharing one column object evolve as private copies would, bit for bit."""
     shared = factored_chain(SPEC, k)
     plus, rot = cat_code._code_columns(SPEC.alpha, SPEC.n_max)
-    assert all(u is plus for u in shared.branch0) and all(v is rot for v in shared.branch1)
+    # every cavity of a fresh chain holds the two rows that are the code columns
+    (i0,), (i1,) = set(shared.slot0), set(shared.slot1)
+    assert np.array_equal(shared.table[i0], plus) and np.array_equal(shared.table[i1], rot)
     private = _one_copy_per_cavity(shared)
     for op in ops:
-        prev = shared
+        prev, prev_private = shared, private
+        before = (prev.table.tobytes(), prev_private.table.tobytes())
         shared, private = _apply_op(shared, op), _apply_op(private, op)
+        # no operation writes its source's table in place
+        assert (prev.table.tobytes(), prev_private.table.tobytes()) == before
+        assert not shared.table.flags.writeable and not private.table.flags.writeable
         _assert_same_chain(shared, private)
         _assert_table(shared, prev)
         assert np.array_equal(cat_code._fc_jump_flux(shared), cat_code._fc_jump_flux(private))

@@ -1,4 +1,5 @@
 """End-to-end CLI runs: exit codes, artifacts, determinism."""
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -622,7 +623,7 @@ class _RecordingPool:
 def test_parallel_map_caps_pool_size(monkeypatch, workers, n_items, cpus, size):
     # a forked pool starts all max_workers processes at once, so an oversized
     # request (EP_WORKERS=5000) must shrink to the items and the CPUs
-    monkeypatch.setattr(entpipe.runner, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     items = list(range(n_items))
@@ -753,6 +754,15 @@ def test_stage_loads_only_the_scipy_modules_it_uses(tmp_path, stage, doc, loaded
         "'scipy.sparse.linalg', 'scipy.linalg', 'scipy.special') if m in sys.modules))"
     )
     assert _fresh_python(code).splitlines()[-1] == f"0 {bool(loaded)} {loaded}"
+
+
+def test_cli_import_leaves_out_process_pools():
+    # parallel_map imports the pool only when it starts one (--workers 2 and up)
+    code = (
+        "import sys, entpipe.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    assert _fresh_python(code) == "[]"
 
 
 def test_module_form_runs_without_runtime_warning():
