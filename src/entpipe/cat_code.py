@@ -25,7 +25,10 @@ exact float arithmetic, not only to rounding: the code columns are even
 cats, whose odd entries cancel exactly; drift scales each Fock amplitude by
 a positive factor and loss shifts the column by one, so neither turns a
 zero entry nonzero; and the repump map's odd rows are exact zeros, so a
-repumped column is even.  Hence every parity read has a fixed outcome.
+repumped column is even.  A chain therefore carries each cavity's parity
+as a field, set by the operation that writes the cavity, and every parity
+read has a fixed outcome: its probability is exactly 1.0 or 0.0, and the
+projection onto the parity a cavity has returns the chain unchanged.
 
 Cost of the factored route for k cavities of dimension d.  A chain holds
 its columns as the rows of one read-only (m, d) table, m <= 2k distinct
@@ -34,23 +37,13 @@ chain's table is the two code columns; drift maps each row to one decayed
 row, so a cavity gets a row of its own only when a loss or repump hits it.
 Drift, the survival function of a jump time and the flux of every jump
 channel read the table as it is stored: one array operation each, plus O(k)
-scalar work (products over the stored per-cavity norms).  Loss, repump and
-a parity projection that removes amplitude write cavity j's new rows into
-one copy of the table, O(m d): a row no other cavity uses is overwritten,
-else j gets a row appended, so the table never holds a row that no cavity
-uses.  Every operation renormalises as it builds its chain, so it builds
-one chain.  A parity round reads each row's parity once from a memo the
-chain carries.  When both of a cavity's columns have one parity, as they
-always do in the protocol, its probability is exactly 1.0 or 0.0, and a
-projection onto the parity a cavity already has returns the chain
-unchanged.  The corrected and uncorrected runs of a seed agree up to the
-first round that reads -1, so a pair costs that shared prefix once plus the
-two suffixes after it.
-
-Memoised per chain: each table row's parity (even, odd or both), filled on
-first use and carried through drift; a derived chain gets a copy without
-the rows it replaces.  The per-row and per-cavity column views (``cols``,
-``branch0``, ``branch1``) are made on first use.
+scalar work (products over the stored per-cavity norms).  Loss and repump
+write cavity j's new rows into one copy of the table, O(m d): a row no
+other cavity uses is overwritten, else j gets a row appended, so the table
+never holds a row that no cavity uses.  A parity round is O(k) field reads.
+The corrected and uncorrected runs of a seed agree up to the first round
+that reads -1, so a pair costs that shared prefix once plus the two
+suffixes after it.
 
 Memoised per process, in bounded stores that fill on first use:
   - the nominal code columns per (alpha, n_max), 8 entries, which every
@@ -58,14 +51,15 @@ Memoised per process, in bounded stores that fill on first use:
   - the Fock weights n of the jump flux per dimension, 8 entries;
   - the repump map per (spec, decayed amplitude), 32 entries;
   - the fork point of the last ``run_protected`` call per (spec, k,
-    duration, syndrome interval, int seed), one entry, which the next call
-    with the same arguments resumes from and removes.
+    duration, syndrome interval, integer seed), one entry, which the next
+    call with the same arguments resumes from and removes.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -242,7 +236,7 @@ def _lower(col: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class FactoredChain:
     """Two-branch product chain: w0|0> prod u_j + w1|1> prod v_j.
 
@@ -255,21 +249,15 @@ class FactoredChain:
     (m, d) complex array, and cavity j's columns are rows ``slot0[j]`` and
     ``slot1[j]``.  Every row is used by some cavity, so m <= 2k.  No
     operation writes a table in place: a derived chain that changes rows
-    holds a new table.  ``cols`` (one view per row) and ``branch0`` /
-    ``branch1`` (one per cavity) are made on first use and kept, so
-    ``branch0[j] is cols[slot0[j]]``.  ``sq_norms0``/``sq_norms1`` hold
-    each cavity's squared column norm (``_sq_norms``); norms and parity
-    probabilities multiply them left to right in cavity order, as
-    ``np.prod`` over freshly computed norms would, so the results are
-    bit-identical to a from-scratch evaluation.  Each row's parity is
-    memoised per chain on first use; a chain derived from this one copies
-    the memo and drops the rows it replaces, so no chain sees another's
-    memo change.
+    holds a new table.  ``sq_norms0``/``sq_norms1`` hold each cavity's
+    squared column norm (``_sq_norms``); norms multiply them left to right
+    in cavity order, as ``np.prod`` over freshly computed norms would, so
+    the results are bit-identical to a from-scratch evaluation.
 
-    ``FactoredChain(weight0, weight1, branch0, branch1, spec)`` builds the
-    table from per-cavity columns, one row for the cavities that pass one
-    array object.  The ``fc_*`` operations build chains from tables
-    directly and recompute nothing they keep.
+    ``parity[j]`` is the photon-number parity both of cavity j's columns
+    have: +1 (no odd amplitude) or -1 (no even amplitude).  The operation
+    that writes a cavity sets it: the code columns and a repump give +1, a
+    loss flips it, drift keeps it (see the module notes).
 
     Equality and hashing are by identity: the array fields have no single
     truth value, so a field-wise ``==`` could not answer.
@@ -283,57 +271,31 @@ class FactoredChain:
     slot1: tuple[int, ...]
     sq_norms0: tuple[float, ...]
     sq_norms1: tuple[float, ...]
-    _memo: list = field(repr=False)
-
-    def __init__(self, weight0, weight1, branch0, branch1, spec: CavitySpec):
-        columns = tuple(branch0) + tuple(branch1)
-        index: dict[int, int] = {}
-        for c in columns:
-            index.setdefault(id(c), len(index))
-        table = np.empty((len(index), spec.dim), dtype=np.complex128)
-        for c in columns:
-            table[index[id(c)]] = c
-        slots = tuple(index[id(c)] for c in columns)
-        norms = _sq_norms(table).tolist()
-        k = len(branch0)
-        chain = _chain(
-            weight0, weight1, spec, read_only(table), slots[:k], slots[k:],
-            _per_cavity(norms, slots[:k]), _per_cavity(norms, slots[k:]), [None] * len(index),
-        )
-        self.__dict__.update(chain.__dict__)
+    parity: tuple[int, ...]
 
     @property
     def k(self) -> int:
         return len(self.slot0)
 
-    @functools.cached_property
-    def cols(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.table)
-
-    @functools.cached_property
-    def branch0(self) -> tuple[np.ndarray, ...]:
-        return _per_cavity(self.cols, self.slot0)
-
-    @functools.cached_property
-    def branch1(self) -> tuple[np.ndarray, ...]:
-        return _per_cavity(self.cols, self.slot1)
-
     def norm_squared(self) -> float:
-        return _norm_squared(self.weight0, self.weight1, self.sq_norms0, self.sq_norms1)
+        p0 = math.prod(self.sq_norms0)
+        p1 = math.prod(self.sq_norms1)
+        return float(abs(self.weight0) ** 2 * p0 + abs(self.weight1) ** 2 * p1)
 
     def normalized(self) -> "FactoredChain":
-        return _normalized(
-            self.weight0, self.weight1, self.spec, self.table, self.slot0, self.slot1,
-            self.sq_norms0, self.sq_norms1, list(self._memo),
+        scale = 1.0 / np.sqrt(self.norm_squared())
+        return FactoredChain(
+            self.weight0 * scale, self.weight1 * scale, self.spec, self.table,
+            self.slot0, self.slot1, self.sq_norms0, self.sq_norms1, self.parity,
         )
 
     def state_vector(self) -> StateVector:
         d = self.spec.dim
         b0 = np.array([1.0], dtype=np.complex128)
         b1 = np.array([1.0], dtype=np.complex128)
-        for u, v in zip(self.branch0, self.branch1):
-            b0 = np.kron(b0, u)
-            b1 = np.kron(b1, v)
+        for i0, i1 in zip(self.slot0, self.slot1):
+            b0 = np.kron(b0, self.table[i0])
+            b1 = np.kron(b1, self.table[i1])
         amps = np.concatenate([self.weight0 * b0, self.weight1 * b1])
         return StateVector.from_amplitudes(amps, SubsystemLayout((2,) + (d,) * self.k))
 
@@ -343,60 +305,16 @@ class FactoredChain:
         return float(abs(amp) ** 2)
 
 
-def _chain(weight0, weight1, spec, table, slot0, slot1, sq_norms0, sq_norms1, memo):
-    """A chain with the given fields, set past ``__init__`` and the frozen guard."""
-    fc = object.__new__(FactoredChain)
-    fc.__dict__.update(
-        weight0=weight0, weight1=weight1, spec=spec, table=table, slot0=slot0, slot1=slot1,
-        sq_norms0=sq_norms0, sq_norms1=sq_norms1, _memo=memo,
-    )
-    return fc
-
-
-def _norm_squared(weight0, weight1, sq_norms0, sq_norms1) -> float:
-    p0 = math.prod(sq_norms0)
-    p1 = math.prod(sq_norms1)
-    return float(abs(weight0) ** 2 * p0 + abs(weight1) ** 2 * p1)
-
-
-def _normalized(weight0, weight1, spec, table, slot0, slot1, sq_norms0, sq_norms1, memo):
-    """``_chain`` of these fields with the weights scaled to unit norm."""
-    scale = 1.0 / np.sqrt(_norm_squared(weight0, weight1, sq_norms0, sq_norms1))
-    return _chain(
-        weight0 * scale, weight1 * scale, spec, table, slot0, slot1, sq_norms0, sq_norms1, memo
-    )
-
-
-def _per_cavity(values, slots: tuple[int, ...]) -> tuple:
-    return tuple([values[i] for i in slots])
-
-
-def _parity(fc: FactoredChain, i: int) -> int:
-    """Table row i's parity, memoised: +1 without odd amplitude, -1 without
-    even amplitude, 0 with both.
-
-    Whether any entry is nonzero decides, not a squared norm, which
-    underflows to zero below ~1e-162.
-    """
-    got = fc._memo[i]
-    if got is None:
-        c = fc.table[i]
-        got = fc._memo[i] = 1 if not c[1::2].any() else (-1 if not c[::2].any() else 0)
-    return got
-
-
 def _code_overlaps(fc: FactoredChain) -> tuple[complex, complex, float]:
     """Each branch's overlap with its nominal code product, and the chain norm.
 
     One ``np.vdot`` per row a branch uses, multiplied in cavity order.
     """
     nrm = np.sqrt(fc.norm_squared())
-    if not fc.k:
-        return 1.0, 1.0, nrm
     out = []
     for code, slots in zip(_code_columns(fc.spec.alpha, fc.spec.n_max), (fc.slot0, fc.slot1)):
         ov = {i: np.vdot(code, fc.table[i]) for i in set(slots)}
-        out.append(np.prod(_per_cavity(ov, slots)))
+        out.append(np.prod([ov[i] for i in slots]))
     return out[0], out[1], nrm
 
 
@@ -411,45 +329,43 @@ def fc_logical_amplitudes(fc: FactoredChain) -> tuple[complex, complex]:
 
 
 def factored_chain(spec: CavitySpec, k: int) -> FactoredChain:
-    plus, rot = _code_columns(spec.alpha, spec.n_max)
+    """The fresh chain (|0> |C_a+>^k + |1> |C_ia+>^k) / sqrt(2): one table row
+    per code column, shared by every cavity."""
+    if k:
+        table = np.stack(_code_columns(spec.alpha, spec.n_max))
+    else:
+        table = np.empty((0, spec.dim), dtype=np.complex128)
+    norms = tuple(_sq_norms(table).tolist())
     return FactoredChain(
-        weight0=2**-0.5,
-        weight1=2**-0.5,
-        branch0=(plus,) * k,
-        branch1=(rot,) * k,
-        spec=spec,
+        2**-0.5, 2**-0.5, spec, read_only(table), (0,) * k, (1,) * k,
+        norms[:1] * k, norms[1:] * k, (1,) * k,
     )
 
 
-def _with_cavity(fc: FactoredChain, j: int, u: np.ndarray, v: np.ndarray) -> FactoredChain:
-    """``fc`` with cavity j's columns set to (u, v), renormalised; only j's
-    norms are recomputed.
+def _with_cavity(
+    fc: FactoredChain, j: int, u: np.ndarray, v: np.ndarray, parity: int
+) -> FactoredChain:
+    """``fc`` with cavity j's columns set to (u, v) of the given parity,
+    renormalised; only j's norms are recomputed.
 
     The new table is one copy of ``fc.table``: a row that no other cavity
     uses is overwritten, and for one that others share j gets a row
     appended.
     """
-    k = len(fc.slot0)
-    memo = list(fc._memo)
+    k, n = fc.k, len(fc.table)
     slots = list(fc.slot0 + fc.slot1)
-    rows = []
     for pos in (j, k + j):
-        i = slots[pos]
-        if slots.count(i) > 1:
-            slots[pos] = i = len(memo)
-            memo.append(None)
-        memo[i] = None
-        rows.append(i)
-    m = len(fc._memo)
-    table = np.empty((len(memo), fc.spec.dim), dtype=np.complex128)
-    table[:m] = fc.table
-    table[rows[0]], table[rows[1]] = u, v
+        if slots.count(slots[pos]) > 1:
+            slots[pos], n = n, n + 1
+    table = np.empty((n, fc.spec.dim), dtype=np.complex128)
+    table[: len(fc.table)] = fc.table
+    table[slots[j]], table[slots[k + j]] = u, v
     s0, s1 = list(fc.sq_norms0), list(fc.sq_norms1)
     s0[j], s1[j] = float(_sq_norms(u)), float(_sq_norms(v))
-    return _normalized(
+    return FactoredChain(
         fc.weight0, fc.weight1, fc.spec, read_only(table), tuple(slots[:k]), tuple(slots[k:]),
-        tuple(s0), tuple(s1), memo,
-    )
+        tuple(s0), tuple(s1), fc.parity[:j] + (parity,) + fc.parity[j + 1 :],
+    ).normalized()
 
 
 def fc_drift(fc: FactoredChain, tau: float) -> FactoredChain:
@@ -457,56 +373,39 @@ def fc_drift(fc: FactoredChain, tau: float) -> FactoredChain:
 
     The table decays in one broadcast multiply and its rows are normed in
     one reduction.  Decay scales every Fock amplitude by a positive factor,
-    so a row of one parity keeps it and its memoised parity carries over.
+    so every cavity keeps its parity.
     """
     decay = np.exp(-fc.spec.kappa * tau * np.arange(fc.spec.dim) / 2)
     table = read_only(fc.table * decay)
-    norms = _sq_norms(table).tolist()
-    return _normalized(
+    norm = _sq_norms(table).tolist().__getitem__
+    return FactoredChain(
         fc.weight0, fc.weight1, fc.spec, table, fc.slot0, fc.slot1,
-        _per_cavity(norms, fc.slot0), _per_cavity(norms, fc.slot1),
-        [p or None for p in fc._memo],
-    )
+        tuple(map(norm, fc.slot0)), tuple(map(norm, fc.slot1)), fc.parity,
+    ).normalized()
 
 
 def fc_apply_loss(fc: FactoredChain, j: int) -> FactoredChain:
-    """A photon lost from cavity j, renormalised."""
-    return _with_cavity(fc, j, _lower(fc.table[fc.slot0[j]]), _lower(fc.table[fc.slot1[j]]))
+    """A photon lost from cavity j, renormalised; j's parity flips."""
+    u, v = _lower(fc.table[fc.slot0[j]]), _lower(fc.table[fc.slot1[j]])
+    return _with_cavity(fc, j, u, v, -fc.parity[j])
 
 
 def fc_parity_probability(fc: FactoredChain, j: int) -> float:
-    """Probability of outcome +1 on cavity j.
-
-    Exactly 1.0 or 0.0 when both of j's columns have the one parity, which
-    drift, loss and repump keep (see the module notes); otherwise the even
-    weights of j's columns over the chain norm.
-    """
-    p = _parity(fc, fc.slot0[j])
-    if p and p == _parity(fc, fc.slot1[j]):
-        return 1.0 if p == 1 else 0.0
-    n2 = fc.norm_squared()
-    p0 = abs(fc.weight0) ** 2 * math.prod(fc.sq_norms0[:j] + fc.sq_norms0[j + 1 :])
-    p1 = abs(fc.weight1) ** 2 * math.prod(fc.sq_norms1[:j] + fc.sq_norms1[j + 1 :])
-    even0 = float(_sq_norms(fc.table[fc.slot0[j]][::2]))
-    even1 = float(_sq_norms(fc.table[fc.slot1[j]][::2]))
-    return float((p0 * even0 + p1 * even1) / n2)
+    """Probability of outcome +1 on cavity j: exactly 1.0 or 0.0, since both
+    of j's columns have parity ``fc.parity[j]``."""
+    return 1.0 if fc.parity[j] == 1 else 0.0
 
 
 def fc_project_parity(fc: FactoredChain, j: int, outcome: int) -> FactoredChain:
-    """Project cavity j onto parity ``outcome`` (+1 even, -1 odd) and renormalise.
+    """Project cavity j onto parity ``outcome`` (+1 even, -1 odd).
 
-    When both of j's columns already have that parity the projection
-    removes nothing, and ``fc`` itself is returned.  Otherwise the rejected
-    Fock numbers are masked in j's columns.
+    Onto the parity j has the projection removes nothing, and ``fc`` itself
+    is returned; the other outcome has probability zero and raises
+    ``NullStateError``.
     """
-    i0, i1 = fc.slot0[j], fc.slot1[j]
-    if _parity(fc, i0) == outcome == _parity(fc, i1):
-        return fc
-    rejected = 1 if outcome == 1 else 0
-    u, v = fc.table[i0].copy(), fc.table[i1].copy()
-    u[rejected::2] = 0.0
-    v[rejected::2] = 0.0
-    return _with_cavity(fc, j, u, v)
+    if outcome != fc.parity[j]:
+        raise NullStateError(f"cavity {j} has parity {fc.parity[j]:+d}, not {outcome:+d}")
+    return fc
 
 
 def fc_repump(fc: FactoredChain, j: int, decayed_alpha: complex) -> FactoredChain:
@@ -514,12 +413,13 @@ def fc_repump(fc: FactoredChain, j: int, decayed_alpha: complex) -> FactoredChai
 
     The map acts on the odd code space only and would send even amplitude
     to zero, so a column with any even amplitude raises ``ValueError``.
+    The repumped columns are even (the map's odd rows are exact zeros).
     """
     u, v = fc.table[fc.slot0[j]], fc.table[fc.slot1[j]]
     if u[::2].any() or v[::2].any():
         raise ValueError(f"cavity {j} has even amplitude: only a cavity that read -1 is repumped")
     r = recovery_matrix(fc.spec, decayed_alpha)
-    return _with_cavity(fc, j, r @ u, r @ v)
+    return _with_cavity(fc, j, r @ u, r @ v, 1)
 
 
 def _fc_survival(fc: FactoredChain):
@@ -705,14 +605,16 @@ def run_protected(
     yields a paired comparison.
 
     The two runs of a pair are identical up to the first round that reads
-    a -1, before its repump (the fork point).  For an int seed the run
-    stores its state there (at the end when no round reads -1), and the
-    next run with the same arguments, either ``correct``, resumes from it
-    instead of repeating the prefix.  Results are the same in either order
-    and whether the entry is used or not.
+    a -1, before its repump (the fork point).  For an integer seed (any
+    ``numbers.Integral``) the run stores its state there (at the end when
+    no round reads -1), and the next run with the same arguments, either
+    ``correct``, resumes from it instead of repeating the prefix.  Results
+    are the same in either order and whether the entry is used or not.
     """
     if syndrome_interval <= 0:
         raise ValueError("syndrome interval must be positive")
+    if isinstance(seed, numbers.Integral):
+        seed = int(seed)
     key = (spec, k, duration, syndrome_interval, seed) if isinstance(seed, int) else None
     fork = _FORK.pop(key, None) if key is not None else None
     rng = _rng_from_seed(seed)
@@ -721,10 +623,7 @@ def run_protected(
         rng.bit_generator.state = rng_state
         # the pair partner may return the stored chain: hand back a private
         # copy of its table, so cavities that shared a row still do
-        fc = _chain(
-            fc.weight0, fc.weight1, spec, read_only(fc.table.copy()),
-            fc.slot0, fc.slot1, fc.sq_norms0, fc.sq_norms1, list(fc._memo),
-        )
+        fc = replace(fc, table=read_only(fc.table.copy()))
     else:
         fc = factored_chain(spec, k)
         t = 0.0
@@ -734,8 +633,11 @@ def run_protected(
         syndrome: list[int] = []
     store = fork is None and key is not None
     last_repump = np.zeros(k)
+    # t sums the intervals: a sum short of ``duration`` by rounding only
+    # must not start one more round
+    end = duration - 1e-9 * syndrome_interval
     while True:
-        if store and (-1 in syndrome or not t < duration - 1e-15):
+        if store and (-1 in syndrome or not t < end):
             _FORK.clear()
             _FORK[key] = (
                 fc, rng.bit_generator.state, t, [list(js) for js in all_jumps],
@@ -748,7 +650,7 @@ def run_protected(
                     decayed = spec.alpha * np.exp(-spec.kappa * (t - last_repump[j]) / 2)
                     fc = fc_repump(fc, j, decayed)
                     last_repump[j] = t
-        if not t < duration - 1e-15:
+        if not t < end:
             break
         seg = min(syndrome_interval, duration - t)
         fc, jumps = fc_loss_segment(fc, seg, rng, t_offset=t)

@@ -15,12 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cat_code import (
-    CavitySpec,
-    factored_chain,
-    fc_logical_amplitudes,
-    run_protected,
-)
+from .cat_code import CavitySpec, fc_logical_amplitudes, run_protected
 from .config import PipelineConfig, serialize
 from .errors import ConfigError
 from .hilbert import StateVector, fidelity, qubits
@@ -363,16 +358,12 @@ def run_pipeline(cfg: PipelineConfig) -> StageResult:
 
     spec = CavitySpec(alpha=st.alpha, n_max=st.n_max, kappa=st.kappa)
     k = n - 1
-    if st.kappa == 0.0:
-        chain = factored_chain(spec, k)
-    else:
-        # a SeedSequence gives the int seed's stream without storing a fork
-        # point for a pair partner that never runs
-        res = run_protected(
-            spec, k, st.rounds * st.tau_syn, st.tau_syn,
-            np.random.SeedSequence(derive_seed(cfg.run.base_seed, 0)), correct=True,
-        )
-        chain = res.record.final_state
+    # a SeedSequence gives the int seed's stream without storing a fork
+    # point for a pair partner that never runs
+    chain = run_protected(
+        spec, k, st.rounds * st.tau_syn, st.tau_syn,
+        np.random.SeedSequence(derive_seed(cfg.run.base_seed, 0)), correct=True,
+    ).record.final_state
     c0, c1 = fc_logical_amplitudes(chain)
     code_weight = abs(c0) ** 2 + abs(c1) ** 2
     fid_protect = chain.logical_fidelity()

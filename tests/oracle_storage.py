@@ -10,14 +10,17 @@ practical for a few cavities only.  Only tests import it.
 
 It also keeps the factored route's plain protocol loop: a parity projection
 that always masks (``project_parity_full``) and a trajectory that runs every
-round itself (``run_protected_unshared``), the references for the no-op
-projection and for the shared pair prefix of ``cat_code.run_protected``;
-and the full-unitary repump that completes the code-space map by
-Gram-Schmidt (``recovery_unitary``), whose rounding residue on odd Fock
-numbers exercises the masking path of ``cat_code.fc_project_parity``.
+round itself (``run_protected_unshared``), the references for the parity
+field's projection and for the shared pair prefix of
+``cat_code.run_protected``; the chain built from per-cavity columns with
+each cavity's parity scanned from them (``chain_from_columns``); and the
+full-unitary repump that completes the code-space map by Gram-Schmidt
+(``recovery_unitary``), the reference for the package's rank-2 map on the
+code space.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +33,7 @@ from entpipe.cat_code import (
     TrajectoryRecord,
     _lowdin,
     _rng_from_seed,
-    _with_cavity,
+    _sq_norms,
     cat_column,
     coherent_column,
     factored_chain,
@@ -40,8 +43,14 @@ from entpipe.cat_code import (
     recovery_matrix,
     required_levels,
 )
-from entpipe.errors import ConvergenceError, EntpipeError, LayoutError, TruncationError
-from entpipe.hilbert import StateVector, SubsystemLayout, apply_local, fidelity
+from entpipe.errors import (
+    ConvergenceError,
+    EntpipeError,
+    LayoutError,
+    NullStateError,
+    TruncationError,
+)
+from entpipe.hilbert import StateVector, SubsystemLayout, apply_local, fidelity, read_only
 from oracle_register import merge_blocks, tensor_states
 
 _SUBSPACE_TOL = 1e-6
@@ -461,7 +470,7 @@ def loss_trajectory(
         jump_times=tuple(tuple(js) for js in jumps),
         parity_outcomes=tuple(() for _ in cavs),
         measurement_times=(),
-        seed=seed if isinstance(seed, int) else -1,
+        seed=int(seed) if isinstance(seed, numbers.Integral) else -1,
         final_state=final,
     )
 
@@ -507,20 +516,62 @@ def repump_correct(
 
 # ------------------------------------------------- factored protocol loop
 
+def chain_from_columns(weight0, weight1, branch0, branch1, spec: CavitySpec) -> FactoredChain:
+    """A chain holding the given per-cavity columns: one table row per
+    distinct array object, so cavities that pass one object share a row.
+
+    Each cavity's parity is scanned from its two columns: +1 when neither
+    has odd amplitude, -1 when neither has even amplitude.  A cavity whose
+    columns are mixed or disagree raises ``ValueError``: no protocol
+    operation makes one.
+    """
+    columns = tuple(branch0) + tuple(branch1)
+    index: dict[int, int] = {}
+    for c in columns:
+        index.setdefault(id(c), len(index))
+    table = np.empty((len(index), spec.dim), dtype=np.complex128)
+    for c in columns:
+        table[index[id(c)]] = c
+    slots = tuple(index[id(c)] for c in columns)
+    norms = _sq_norms(table).tolist()
+    parity = []
+    for j, (u, v) in enumerate(zip(branch0, branch1)):
+        if not (u[1::2].any() or v[1::2].any()):
+            parity.append(1)
+        elif not (u[::2].any() or v[::2].any()):
+            parity.append(-1)
+        else:
+            raise ValueError(f"cavity {j}'s columns have no common parity")
+    k = len(branch0)
+    return FactoredChain(
+        weight0, weight1, spec, read_only(table), slots[:k], slots[k:],
+        tuple(norms[i] for i in slots[:k]), tuple(norms[i] for i in slots[k:]), tuple(parity),
+    )
+
+
+def branch_columns(fc: FactoredChain) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Each branch's per-cavity columns, as views of the chain's table rows."""
+    return tuple(fc.table[i] for i in fc.slot0), tuple(fc.table[i] for i in fc.slot1)
+
+
 def project_parity_full(fc: FactoredChain, j: int, outcome: int) -> FactoredChain:
     """Parity projection of cavity j that masks both columns every time.
 
-    The chain is renormalised when the mask removes amplitude.  A mask that
-    removes none leaves the chain as it was, normalisation included, which
-    is decided from the masked columns, not from any parity memo.
+    Decided from the masked columns, not from ``fc.parity``.  A mask that
+    removes nothing leaves the chain as it was, normalisation included; one
+    that leaves no amplitude raises ``NullStateError``; otherwise the chain
+    is rebuilt from its columns and renormalised.
     """
-    mask = (np.arange(fc.spec.dim) % 2 == 0) if outcome == 1 else (
-        np.arange(fc.spec.dim) % 2 == 1
-    )
-    u, v = np.where(mask, fc.branch0[j], 0.0), np.where(mask, fc.branch1[j], 0.0)
-    if np.array_equal(u, fc.branch0[j]) and np.array_equal(v, fc.branch1[j]):
+    keep = np.arange(fc.spec.dim) % 2 == (0 if outcome == 1 else 1)
+    b0, b1 = map(list, branch_columns(fc))
+    u, v = np.where(keep, b0[j], 0.0), np.where(keep, b1[j], 0.0)
+    if np.array_equal(u, b0[j]) and np.array_equal(v, b1[j]):
         return fc
-    return _with_cavity(fc, j, u, v)
+    b0[j], b1[j] = u, v
+    masked = chain_from_columns(fc.weight0, fc.weight1, b0, b1, fc.spec)
+    if not masked.norm_squared():
+        raise NullStateError(f"outcome {outcome:+d} leaves cavity {j} no amplitude")
+    return masked.normalized()
 
 
 def run_protected_unshared(
@@ -545,7 +596,7 @@ def run_protected_unshared(
     all_jumps: list[list[float]] = [[] for _ in range(k)]
     outcomes: list[list[int]] = [[] for _ in range(k)]
     meas_times: list[float] = []
-    while t < duration - 1e-15:
+    while t < duration - 1e-9 * syndrome_interval:
         seg = min(syndrome_interval, duration - t)
         fc, jumps = fc_loss_segment(fc, seg, rng, t_offset=t)
         for j in range(k):
@@ -569,7 +620,7 @@ def run_protected_unshared(
         jump_times=tuple(tuple(js) for js in all_jumps),
         parity_outcomes=tuple(tuple(o) for o in outcomes),
         measurement_times=tuple(meas_times),
-        seed=seed if isinstance(seed, int) else -1,
+        seed=int(seed) if isinstance(seed, numbers.Integral) else -1,
         final_state=fc,
     )
     record.validate(restored_each_round=correct)

@@ -7,6 +7,7 @@ against the dense state-vector route (the ``oracle_storage`` test module)
 operation by operation; the in-module Brent root is checked bit for bit
 against ``scipy.optimize.brentq``.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -47,9 +48,11 @@ from oracle_storage import (
     _gram_schmidt_complete,
     annihilation,
     apply_loss,
+    branch_columns,
     cat,
     cat_normalization,
     cat_overlap,
+    chain_from_columns,
     chain_state,
     chain_weights,
     coherent,
@@ -374,7 +377,7 @@ def test_recovery_matrix_is_partial_isometry():
     # whatever it acts on, the result has no odd amplitude at all
     lost = fc_apply_loss(fc_drift(factored_chain(SPEC, 1), 0.05), 0)
     rng = np.random.default_rng(5)
-    for u in (lost.branch0[0], lost.branch1[0], rng.normal(size=NMAX + 1) + 1j):
+    for u in (*lost.table, rng.normal(size=NMAX + 1) + 1j):
         assert not (r @ u)[1::2].any()
     # memoised: the repeat call hands back the same read-only array
     assert recovery_matrix(SPEC, decayed) is r
@@ -585,15 +588,17 @@ def test_shared_pair_prefix_matches_unshared_runs(k, kappa, rounds, frac, seed, 
 )
 def test_trajectory_columns_keep_definite_parity(k, kappa_t, rounds, correct, seed):
     """At every parity read of a trajectory, each table column has even or odd
-    amplitude but never both, and the read's probability is exactly 0 or 1."""
+    amplitude but never both, each cavity's parity field is its columns'
+    parity, and the read's probability is exactly 0 or 1."""
     interval = 0.05
     spec = CavitySpec(ALPHA, NMAX, kappa=kappa_t / (interval * rounds))
     real = cat_code.fc_parity_probability
     reads = []
 
     def checked(fc, j):
-        for c in fc.cols:
+        for c in fc.table:
             assert not (c[::2].any() and c[1::2].any())
+        _assert_parity_field(fc)
         p = real(fc, j)
         reads.append(p)
         return p
@@ -606,14 +611,41 @@ def test_trajectory_columns_keep_definite_parity(k, kappa_t, rounds, correct, se
     assert set(reads) <= {0.0, 1.0}
 
 
+@pytest.mark.parametrize("rounds", [10, 1000])
+def test_run_makes_one_measurement_per_round(rounds):
+    """``rounds`` intervals of 0.1 sum to ``rounds * 0.1`` only to rounding;
+    the run still ends after exactly ``rounds`` syndrome rounds."""
+    args = (CavitySpec(ALPHA, NMAX, kappa=0.01), 1, rounds * 0.1, 0.1, 3)
+    cat_code._FORK.clear()
+    for run in (run_protected, run_protected_unshared):
+        times = run(*args).record.measurement_times
+        assert len(times) == rounds
+        assert abs(times[-1] - rounds * 0.1) <= 1e-9
+
+
+def test_numpy_integer_seed_runs_as_the_int_seed():
+    """An ``np.int64`` seed records the int, and stores and resumes the fork
+    point under the int's key."""
+    args = (SPEC, 3, 0.2, 0.05)
+    cat_code._FORK.clear()
+    ref = {c: _trajectory(run_protected_unshared(*args, 7, correct=c)) for c in (True, False)}
+    got = _trajectory(run_protected(*args, np.int64(7), correct=True))
+    assert got == ref[True] and type(got[3]) is int
+    assert list(cat_code._FORK) == [args + (7,)]
+    assert _trajectory(run_protected(*args, 7, correct=False)) == ref[False]
+    assert not cat_code._FORK
+    for c in (True, False):
+        assert _trajectory(run_protected_unshared(*args, np.int64(7), correct=c)) == ref[c]
+
+
 def test_resumed_run_owns_its_chain():
     # no round reads -1 at kappa = 0, so the fork point is the final chain
     spec = CavitySpec(ALPHA, NMAX, kappa=0.0)
     a = run_protected(spec, 3, 0.1, 0.05, 5, correct=False).record.final_state
     b = run_protected(spec, 3, 0.1, 0.05, 5, correct=True).record.final_state
     assert a is not b
-    for u, v in zip(a.branch0 + a.branch1, b.branch0 + b.branch1):
-        assert u is not v and np.array_equal(u, v)
+    _assert_same_chain(a, b)
+    assert (a.slot0, a.slot1) == (b.slot0, b.slot1) and np.array_equal(a.table, b.table)
     # the resumed chain's table is a private read-only copy of the stored one
     assert b.table.flags.owndata and not b.table.flags.writeable
     assert not np.shares_memory(a.table, b.table)
@@ -622,7 +654,8 @@ def test_resumed_run_owns_its_chain():
 def _assert_same_chain(a, b):
     assert (a.weight0, a.weight1) == (b.weight0, b.weight1)
     assert a.sq_norms0 == b.sq_norms0 and a.sq_norms1 == b.sq_norms1
-    for u, v in zip(a.branch0 + a.branch1, b.branch0 + b.branch1):
+    assert a.parity == b.parity
+    for u, v in zip(sum(branch_columns(a), ()), sum(branch_columns(b), ())):
         assert np.array_equal(u, v)
 
 
@@ -650,21 +683,6 @@ def test_parity_projection_skips_exact_parity_columns(k, ops):
         _assert_same_chain(fc, project_parity_full(fc, j, outcome))
 
 
-@pytest.mark.parametrize("outcome", [1, -1])
-@pytest.mark.parametrize("drift", [0.01, 0.05])
-def test_parity_projection_masks_repump_residue(outcome, drift):
-    """A column repumped by the full unitary carries rounding residue on odd
-    Fock numbers: the projection masks it."""
-    fc = fc_apply_loss(fc_drift(factored_chain(SPEC, 3), drift), 1)
-    full = recovery_unitary(SPEC, ALPHA * np.exp(-SPEC.kappa * drift / 2))
-    fc = cat_code._with_cavity(fc, 1, full @ fc.branch0[1], full @ fc.branch1[1])
-    rejected = 1 if outcome == 1 else 0
-    assert fc.branch0[1][rejected::2].any() and fc.branch1[1][rejected::2].any()
-    got = fc_project_parity(fc, 1, outcome)
-    assert got.branch0[1] is not fc.branch0[1]
-    _assert_same_chain(got, project_parity_full(fc, 1, outcome))
-
-
 @pytest.mark.parametrize("drift", [0.01, 0.05])
 def test_repump_leaves_exact_even_columns(drift):
     """The code-space repump leaves no odd residue: the next parity read is
@@ -673,8 +691,8 @@ def test_repump_leaves_exact_even_columns(drift):
     assert fc_parity_probability(fc, 1) == 0.0
     assert fc_project_parity(fc, 1, -1) is fc
     fc = fc_repump(fc, 1, ALPHA * np.exp(-SPEC.kappa * drift / 2))
-    assert not fc.branch0[1][1::2].any() and not fc.branch1[1][1::2].any()
-    assert fc_parity_probability(fc, 1) == 1.0
+    assert not fc.table[fc.slot0[1]][1::2].any() and not fc.table[fc.slot1[1]][1::2].any()
+    assert fc.parity[1] == 1 and fc_parity_probability(fc, 1) == 1.0
     assert fc_project_parity(fc, 1, 1) is fc
 
 
@@ -687,8 +705,8 @@ def _sq(c):
 
 
 def _scratch_norm_squared(fc, b0=None, b1=None):
-    b0 = fc.branch0 if b0 is None else b0
-    b1 = fc.branch1 if b1 is None else b1
+    b0 = branch_columns(fc)[0] if b0 is None else b0
+    b1 = branch_columns(fc)[1] if b1 is None else b1
     return abs(fc.weight0) ** 2 * np.prod([_sq(u) for u in b0]) + abs(
         fc.weight1
     ) ** 2 * np.prod([_sq(v) for v in b1])
@@ -699,7 +717,7 @@ def _scratch_flux(fc):
     n2 = _scratch_norm_squared(fc)
     flux = np.empty(fc.k)
     for j in range(fc.k):
-        b0, b1 = list(fc.branch0), list(fc.branch1)
+        b0, b1 = map(list, branch_columns(fc))
         b0[j], b1[j] = a @ b0[j], a @ b1[j]
         flux[j] = fc.spec.kappa * _scratch_norm_squared(fc, b0, b1) / n2
     return flux
@@ -714,10 +732,11 @@ def _scratch_ratio_flux(fc):
         x = c.view(np.float64)
         return float((x * x * n).sum())
 
-    b0 = abs(fc.weight0) ** 2 * math.prod([_sq(u) for u in fc.branch0])
-    b1 = abs(fc.weight1) ** 2 * math.prod([_sq(v) for v in fc.branch1])
+    branch0, branch1 = branch_columns(fc)
+    b0 = abs(fc.weight0) ** 2 * math.prod([_sq(u) for u in branch0])
+    b1 = abs(fc.weight1) ** 2 * math.prod([_sq(v) for v in branch1])
     flux = np.zeros(fc.k)
-    for b, cols in ((b0, fc.branch0), (b1, fc.branch1)):
+    for b, cols in ((b0, branch0), (b1, branch1)):
         if b:
             flux += b * np.array([lowered(c) for c in cols]) / np.array([_sq(c) for c in cols])
     return fc.spec.kappa * flux / (b0 + b1)
@@ -725,9 +744,10 @@ def _scratch_ratio_flux(fc):
 
 def _scratch_parity_probability(fc, j):
     even = np.arange(fc.spec.dim) % 2 == 0
-    p0 = abs(fc.weight0) ** 2 * np.prod([_sq(u) for i, u in enumerate(fc.branch0) if i != j])
-    p1 = abs(fc.weight1) ** 2 * np.prod([_sq(v) for i, v in enumerate(fc.branch1) if i != j])
-    w = p0 * _sq(fc.branch0[j][even]) + p1 * _sq(fc.branch1[j][even])
+    branch0, branch1 = branch_columns(fc)
+    p0 = abs(fc.weight0) ** 2 * np.prod([_sq(u) for i, u in enumerate(branch0) if i != j])
+    p1 = abs(fc.weight1) ** 2 * np.prod([_sq(v) for i, v in enumerate(branch1) if i != j])
+    w = p0 * _sq(branch0[j][even]) + p1 * _sq(branch1[j][even])
     return float(w / _scratch_norm_squared(fc))
 
 
@@ -738,8 +758,9 @@ def _parity_code(c):
 
 def _scratch_survival(fc, tau):
     decay = np.exp(-fc.spec.kappa * tau * np.arange(fc.spec.dim))
-    p0 = abs(fc.weight0) ** 2 * np.prod([float(np.sum(np.abs(u) ** 2 * decay)) for u in fc.branch0])
-    p1 = abs(fc.weight1) ** 2 * np.prod([float(np.sum(np.abs(v) ** 2 * decay)) for v in fc.branch1])
+    branch0, branch1 = branch_columns(fc)
+    p0 = abs(fc.weight0) ** 2 * np.prod([float(np.sum(np.abs(u) ** 2 * decay)) for u in branch0])
+    p1 = abs(fc.weight1) ** 2 * np.prod([float(np.sum(np.abs(v) ** 2 * decay)) for v in branch1])
     return float(p0 + p1)
 
 
@@ -774,20 +795,22 @@ def _apply_op(fc, op):
     return fc_repump(fc, j, ALPHA * np.exp(-op[2]))
 
 
-def _assert_table(fc, prev):
-    """The column table holds only live entries and its memo matches fresh values."""
-    used = set(fc.slot0 + fc.slot1)
-    assert used == set(range(len(fc.cols))) and len(fc.cols) <= 2 * fc.k
-    assert len(fc._memo) == len(fc.cols)
-    assert fc.table.shape == (len(fc.cols), fc.spec.dim) and fc.table.flags.c_contiguous
+def _assert_parity_field(fc):
+    """Each cavity's parity field is the scanned parity of both of its rows."""
+    assert len(fc.parity) == fc.k
     for j in range(fc.k):
-        assert fc.branch0[j] is fc.cols[fc.slot0[j]] and fc.branch1[j] is fc.cols[fc.slot1[j]]
-    for c, got in zip(fc.cols, fc._memo):
-        if got is not None:
-            assert got == _parity_code(c)
-    # a derived chain never shares the memo it fills with its source; a
-    # projection that removes nothing hands back the source itself
-    assert fc is prev or fc._memo is not prev._memo
+        got = (_parity_code(fc.table[fc.slot0[j]]), _parity_code(fc.table[fc.slot1[j]]))
+        assert got == (fc.parity[j], fc.parity[j])
+
+
+def _assert_table(fc):
+    """The column table holds only live rows, the parity field matches the
+    rows, and the chain holds its dataclass fields and nothing else."""
+    m = len(fc.table)
+    assert set(fc.slot0 + fc.slot1) == set(range(m)) and m <= 2 * fc.k
+    assert fc.table.shape == (m, fc.spec.dim) and fc.table.flags.c_contiguous
+    _assert_parity_field(fc)
+    assert set(vars(fc)) == {f.name for f in dataclasses.fields(FactoredChain)}
 
 
 @settings(max_examples=40, deadline=None)
@@ -804,21 +827,17 @@ def test_factored_chain_stored_norms_track_columns(k, ops):
             with pytest.raises(ValueError):
                 r[0, 0] = 1.0
             assert recovery_matrix(SPEC, decayed) is r
-        fc, prev = _apply_op(fc, op), fc
-        _assert_table(fc, prev)
-        for cols, sq in ((fc.branch0, fc.sq_norms0), (fc.branch1, fc.sq_norms1)):
+        fc = _apply_op(fc, op)
+        _assert_table(fc)
+        for cols, sq in zip(branch_columns(fc), (fc.sq_norms0, fc.sq_norms1)):
             assert all(s == _sq(c) for c, s in zip(cols, sq))
         assert abs(fc.normalized().norm_squared() - 1.0) <= 1e-12
         # the incremental arithmetic repeats a from-scratch evaluation bit for bit
         assert fc.norm_squared() == _scratch_norm_squared(fc)
         for j in range(k):
+            # one parity: the read is certain, the weight ratio is 1 to rounding
             got, scratch = fc_parity_probability(fc, j), _scratch_parity_probability(fc, j)
-            p = _parity_code(fc.branch0[j])
-            if p and p == _parity_code(fc.branch1[j]):
-                # one parity: the read is certain, the weight ratio is 1 to rounding
-                assert got == (1.0 if p == 1 else 0.0) and abs(got - scratch) <= 1e-15
-            else:
-                assert got == scratch
+            assert got == (1.0 if fc.parity[j] == 1 else 0.0) and abs(got - scratch) <= 1e-15
         # each flux is a ratio to the stored norm: bit for bit with fresh
         # norms, and the dense product over the other norms to rounding
         flux = cat_code._fc_jump_flux(fc)
@@ -827,17 +846,16 @@ def test_factored_chain_stored_norms_track_columns(k, ops):
         survival = cat_code._fc_survival(fc)
         for tau in (0.0, 0.01, 0.2):
             assert survival(tau) == _scratch_survival(fc, tau)
-        _assert_table(fc, prev)
+        _assert_table(fc)
 
 
 def _emptied_branch_chain():
-    """Cavity 0 holds an even cat on branch 0 and a coherent state on branch
-    1; projecting it onto odd parity leaves branch 0 with a zero column."""
+    """Cavity 0 holds a zero column on branch 0 and an odd cat on branch 1,
+    so branch 0 has weight zero; cavity 1 holds the code columns."""
     plus, rot = cat_code._code_columns(ALPHA, NMAX)
-    mixed = coherent_column(ALPHA, NMAX)
-    fc = FactoredChain(2**-0.5, 2**-0.5, (plus, plus), (mixed / np.linalg.norm(mixed), rot), SPEC)
-    fc = fc_project_parity(fc, 0, -1)
-    assert fc.sq_norms0[0] == 0.0 and not fc.branch0[0].any() and fc.sq_norms1[0] > 0
+    odd = cat_column(1j * ALPHA, -1, NMAX)
+    fc = chain_from_columns(2**-0.5, 2**-0.5, (np.zeros(NMAX + 1), plus), (odd, rot), SPEC)
+    assert fc.parity == (-1, 1) and fc.sq_norms0[0] == 0.0 and fc.sq_norms1[0] > 0
     return fc
 
 
@@ -860,15 +878,49 @@ def test_repump_rejects_even_amplitude():
         fc_repump(emptied, 1, decayed)
     # an odd column with a zero partner is repumped: the zero column stays zero
     got = fc_repump(emptied, 0, ALPHA)
-    assert not got.branch0[0].any() and not got.branch1[0][1::2].any()
+    assert not got.table[got.slot0[0]].any() and not got.table[got.slot1[0]][1::2].any()
     # and a lost cavity, the protocol's case, is
     assert fc_parity_probability(fc_repump(fc_apply_loss(fc, 0), 0, decayed), 0) == 1.0
 
 
+def test_repump_refuses_a_cavity_of_parity_plus_one():
+    """Drifted, repumped and twice-lost cavities all have parity +1: none is repumped."""
+    fc = fc_drift(factored_chain(SPEC, 3), 0.05)
+    fc = fc_repump(fc_apply_loss(fc, 1), 1, ALPHA * np.exp(-SPEC.kappa * 0.05 / 2))
+    fc = fc_apply_loss(fc_apply_loss(fc, 2), 2)
+    assert fc.parity == (1, 1, 1)
+    for j in range(3):
+        with pytest.raises(ValueError, match="even amplitude"):
+            fc_repump(fc, j, ALPHA)
+
+
+def test_projection_onto_a_parity_the_cavity_lacks_is_null_state():
+    """That outcome has probability zero; the masking oracle leaves no amplitude either."""
+    lost = fc_apply_loss(fc_drift(factored_chain(SPEC, 3), 0.05), 1)
+    for fc, j, lacking in ((lost, 0, -1), (lost, 1, 1), (_emptied_branch_chain(), 0, 1)):
+        assert fc_parity_probability(fc, j) == (1.0 if lacking == -1 else 0.0)
+        with pytest.raises(NullStateError):
+            fc_project_parity(fc, j, lacking)
+        with pytest.raises(NullStateError):
+            project_parity_full(fc, j, lacking)
+
+
+def test_chain_from_columns_refuses_mixed_or_disagreeing_cavities():
+    plus, rot = cat_code._code_columns(ALPHA, NMAX)
+    odd = cat_column(ALPHA, -1, NMAX)
+    mixed = coherent_column(ALPHA, NMAX)
+    for b0, b1 in (((plus,), (odd,)), ((mixed,), (mixed,)), ((plus, mixed), (rot, rot))):
+        with pytest.raises(ValueError, match="no common parity"):
+            chain_from_columns(2**-0.5, 2**-0.5, b0, b1, SPEC)
+    # one row per array object: cavity 1 passes ``odd`` on both branches
+    fc = chain_from_columns(2**-0.5, 2**-0.5, (plus, odd), (rot, odd), SPEC)
+    assert fc.parity == (1, -1) and len(fc.table) == 3 and fc.slot0[1] == fc.slot1[1]
+
+
 def _one_copy_per_cavity(fc):
-    return FactoredChain(
-        fc.weight0, fc.weight1, tuple(u.copy() for u in fc.branch0),
-        tuple(v.copy() for v in fc.branch1), fc.spec,
+    b0, b1 = branch_columns(fc)
+    return chain_from_columns(
+        fc.weight0, fc.weight1, [u.copy() for u in b0], [v.copy() for v in b1], fc.spec
     )
 
 
@@ -890,17 +942,17 @@ def test_shared_columns_match_one_copy_per_cavity(k, ops):
         assert (prev.table.tobytes(), prev_private.table.tobytes()) == before
         assert not shared.table.flags.writeable and not private.table.flags.writeable
         _assert_same_chain(shared, private)
-        _assert_table(shared, prev)
+        _assert_table(shared)
         assert np.array_equal(cat_code._fc_jump_flux(shared), cat_code._fc_jump_flux(private))
         assert cat_code._fc_survival(shared)(0.05) == cat_code._fc_survival(private)(0.05)
-        for c in shared.branch0 + shared.branch1:
+        for c in shared.table:
             assert not c.flags.writeable
             with pytest.raises(ValueError):
                 c[0] = 0.0
     # drift maps each distinct column to one: the sharing survives it
-    assert len({id(c) for c in fc_drift(shared, 0.01).branch0}) == len(
-        {id(c) for c in shared.branch0}
-    )
+    drifted = fc_drift(shared, 0.01)
+    assert (drifted.slot0, drifted.slot1) == (shared.slot0, shared.slot1)
+    assert len(drifted.table) == len(shared.table)
 
 
 def test_resumed_chain_keeps_column_sharing():
@@ -908,11 +960,10 @@ def test_resumed_chain_keeps_column_sharing():
     spec = CavitySpec(ALPHA, NMAX, kappa=0.0)
     a = run_protected(spec, 4, 0.1, 0.05, 6, correct=False).record.final_state
     b = run_protected(spec, 4, 0.1, 0.05, 6, correct=True).record.final_state
-    assert len({id(c) for c in a.branch0 + a.branch1}) == 2
-    assert len({id(c) for c in b.branch0 + b.branch1}) == 2
-    assert not {id(c) for c in a.branch0 + a.branch1} & {id(c) for c in b.branch0 + b.branch1}
-    for c in a.branch0 + a.branch1 + b.branch0 + b.branch1:
-        assert not c.flags.writeable
+    for fc in (a, b):
+        assert (fc.slot0, fc.slot1) == ((0,) * 4, (1,) * 4) and len(fc.table) == 2
+        assert not fc.table.flags.writeable
+    assert not np.shares_memory(a.table, b.table)
 
 
 @settings(max_examples=200, deadline=None)

@@ -237,8 +237,9 @@ def test_protect_trajectories_golden_digest(tmp_path):
     assert digest == "132a7ad34d9969eb157552318a2ccd6083c95766fda35da87000a480520fdb26"
 
 
-# kappa t = 0.4: several jumps per segment, repumps, projections that mask
-# repump residue, and cavities whose columns are replaced more than once.
+# kappa t = 0.4: several jumps per segment, repumps, and cavities whose
+# columns are replaced more than once.  Every parity read is certain, so
+# every projection returns its chain unchanged.
 # The report echoes out_dir, so its values are pinned, not its digest.
 @pytest.mark.parametrize(
     "n_dots, digest, jumps, fidelities, gain, gain_sigma",
