@@ -285,8 +285,12 @@ def apply_env(cfg: PipelineConfig, environ) -> PipelineConfig:
     """Fold EP_* environment overrides into a config.
 
     Shorthands EP_SEED, EP_OUT, EP_WORKERS, EP_FORMAT hit the run section;
-    EP_<SECTION>__<FIELD> reaches any field.
+    EP_<SECTION>__<FIELD> reaches any field.  Without an EP_* key ``cfg``
+    itself is returned.
     """
+    overrides = {key: raw for key, raw in environ.items() if key.startswith("EP_")}
+    if not overrides:
+        return cfg
     doc = serialize(cfg)
     problems: list[str] = []
     shorthand = {
@@ -295,9 +299,7 @@ def apply_env(cfg: PipelineConfig, environ) -> PipelineConfig:
         "EP_WORKERS": ("run", "workers"),
         "EP_FORMAT": ("run", "format"),
     }
-    for key, raw in sorted(environ.items()):
-        if not key.startswith("EP_"):
-            continue
+    for key, raw in sorted(overrides.items()):
         if key in shorthand:
             section, field = shorthand[key]
         elif "__" in key:

@@ -1067,6 +1067,40 @@ def test_brentq_matches_scipy_on_chain_survival():
             )
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    ops=st.lists(_ops(3), min_size=1, max_size=12),
+    remaining=st.floats(0.01, 0.5),
+    level=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_log_space_jump_time_matches_scipy_on_the_linear_form(k, ops, remaining, level):
+    """The jump-time root solves ln S = ln r; scipy's Brent on S - r has the
+    same root, so the two lie within the sum of their tolerances."""
+    fc = factored_chain(SPEC, k)
+    for op in ops:
+        fc = _apply_op(fc, op)
+    survival = cat_code._fc_survival(fc)
+    at_end = survival(remaining)
+    r = at_end + level * (1.0 - at_end)
+    assume(at_end < r < survival(0.0))
+    got = cat_code._jump_time(survival, remaining, at_end, r)
+    want = scipy_brentq(lambda x: survival(x) - r, 0.0, remaining, xtol=1e-16, rtol=1e-14)
+    assert abs(got - want) <= 2 * (1e-16 + 1e-14 * want)
+
+
+def test_jump_time_of_an_underflowing_survival_is_finite():
+    """Cavity 1 has lost a photon, so it has no vacuum amplitude, and at
+    kappa tau = 1e4 the survival is 0.0: the log is clamped there, and the
+    root is where S falls to r."""
+    fc = fc_apply_loss(factored_chain(CavitySpec(ALPHA, NMAX, kappa=1e4), 3), 1)
+    survival = cat_code._fc_survival(fc)
+    assert survival(1.0) == 0.0
+    tau = cat_code._jump_time(survival, 1.0, 0.0, 0.5)
+    want = scipy_brentq(lambda x: survival(x) - 0.5, 0.0, 1.0, xtol=1e-16, rtol=1e-14)
+    assert abs(tau - want) <= 2 * (1e-16 + 1e-14 * want)
+
+
 def test_brentq_same_sign_bracket_is_convergence_error():
     with pytest.raises(ConvergenceError, match="sign change"):
         cat_code.brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-12)

@@ -223,6 +223,10 @@ def test_seed_flag_changes_trajectories(tmp_path):
 # commits.  The protect and pipeline pins were re-pinned when the repump
 # became the code-space map and parity reads of definite-parity cavities
 # exact: jump counts and parity outcomes kept, fidelities moved by <= 2e-15.
+# They were re-pinned again when the jump-time root moved to ln S - ln r:
+# jump times moved within Brent's xtol (<= 1e-16 s), jump counts and parity
+# outcomes kept, report values by <= 3 ulp, and CSV fidelities flipped only
+# between 0 and <= 1.5e-31 on trajectories with a logical error.
 # The swap and sweep pins are the continuum closed form; Krylov at the old
 # windows (+-20 Gamma for the swap, +-12 Gamma for the sweep) sat
 # 2e-3..4e-3 above it.  The continuum P does not
@@ -233,8 +237,10 @@ def test_protect_trajectories_golden_digest(tmp_path):
     cfg = write_cfg(tmp_path, register={"n_dots": 8}, storage={"kappa": 25000.0, "trajectories": 24})
     out = tmp_path / "out"
     assert main(["protect", "--config", str(cfg), "--out", str(out), "--seed", "2718"]) == 0
-    digest = hashlib.sha256((out / "protect_trajectories.csv").read_bytes()).hexdigest()
-    assert digest == "132a7ad34d9969eb157552318a2ccd6083c95766fda35da87000a480520fdb26"
+    csv_path = out / "protect_trajectories.csv"
+    digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    assert digest == "526dbd2ce91ec9f420a2d0b51bc803e150d1a1e1fdcba420cbfc25643a3d905b"
+    assert sum(int(row["jumps"]) for row in read_csv(csv_path)) == 136
 
 
 # kappa t = 0.4: several jumps per segment, repumps, and cavities whose
@@ -245,15 +251,15 @@ def test_protect_trajectories_golden_digest(tmp_path):
     "n_dots, digest, jumps, fidelities, gain, gain_sigma",
     [
         pytest.param(
-            2, "3828ed6be2a4998152d52dea5b4b686b5f6d2a01e530bfd7171e6cc9772c5fd7", 62,
+            2, "3db486ebac0517d7b0d59b85d4e1aa0c4d2490fc486a49a2162df677ce832a9e", 62,
             {"corrected_mean": 0.6539582937088869, "uncorrected_mean": 0.36456238045116945},
-            0.2893959132577175, 2.6860171641444257,
+            0.28939591325771746, 2.6860171641444253,
             id="n_dots_2",
         ),
         pytest.param(
-            4, "03a2965e875b8f751b332dd75260e8436e425a1b9e19dc23d3c8971d87452e41", 220,
+            4, "f7f63a4c64e0e774db9273a3bbcfc8a968b5a9a6b34c7df9bf389489301542b9", 220,
             {"corrected_mean": 0.5178681188500823, "uncorrected_mean": 0.02790859911979068},
-            0.48995951973029167, 5.854932277965611,
+            0.48995951973029167, 5.85493227796561,
             id="n_dots_4",
         ),
     ],
@@ -289,7 +295,7 @@ def test_pipeline_report_golden_values(tmp_path):
     assert rep["fidelities"] == {
         "final_polarization": 0.9252139446595629,
         "ghz": 0.9999999999999991,
-        "storage_logical": 0.9252139446595625,
+        "storage_logical": 0.9252139446595627,
     }
     assert rep["heralds"] == {
         "conversion": 0.3486784401000001,
@@ -302,6 +308,72 @@ def test_pipeline_report_golden_values(tmp_path):
         "per_dot_success": 0.95,
         "polarization_photons": 5,
     }
+
+
+def _recorded_protect(tmp_path, monkeypatch, n_dots, kappa, trajectories):
+    """Run ``protect`` serially; return its exit code and each run's
+    (corrected, jump counts, parity outcomes)."""
+    runs = []
+    real = entpipe.runner.run_protected
+
+    def recording(*args, **kwargs):
+        res = real(*args, **kwargs)
+        runs.append((res.corrected, res.record.jump_counts, res.record.parity_outcomes))
+        return res
+
+    monkeypatch.setattr(entpipe.runner, "run_protected", recording)
+    cfg = write_cfg(
+        tmp_path, register={"n_dots": n_dots},
+        storage={"kappa": kappa, "trajectories": trajectories},
+    )
+    out = tmp_path / "out"
+    argv = ["protect", "--config", str(cfg), "--out", str(out), "--seed", "2718", "--workers", "1"]
+    return main(argv), runs
+
+
+def test_protect_survival_underflow_runs(tmp_path, monkeypatch):
+    """At kappa t = 4e6 the survival underflows to 0.0 within a segment: the
+    jump-time root clamps it, and the jumps and parities are those of the
+    root on S - r, which needs no clamp."""
+    code, runs = _recorded_protect(tmp_path, monkeypatch, 4, 1e12, 3)
+    assert code == 0
+    always_even = ((1,) * 4,) * 3
+    assert runs == [
+        (correct, counts, always_even)
+        for counts in ((4, 4, 8), (8, 4, 2), (6, 4, 4))
+        for correct in (True, False)
+    ]
+
+
+def test_jump_time_root_needs_few_survival_evaluations(tmp_path, monkeypatch):
+    """Evaluations of the survival function per jump-time root, the bracket
+    end included, on the golden-digest config: 5.98 on ln S - ln r against
+    7.64 on S - r.  The count is deterministic."""
+    evaluations = [0]
+    per_root = []
+    real_survival, real_brentq = entpipe.cat_code._fc_survival, entpipe.cat_code.brentq
+
+    def counted_survival(fc):
+        survival = real_survival(fc)
+        evaluations[0] = 0
+
+        def counted(tau):
+            evaluations[0] += 1
+            return survival(tau)
+
+        return counted
+
+    def counted_brentq(*args, **kwargs):
+        root = real_brentq(*args, **kwargs)
+        per_root.append(evaluations[0])
+        return root
+
+    monkeypatch.setattr(entpipe.cat_code, "_fc_survival", counted_survival)
+    monkeypatch.setattr(entpipe.cat_code, "brentq", counted_brentq)
+    code, runs = _recorded_protect(tmp_path, monkeypatch, 8, 25000.0, 24)
+    assert code == 0 and len(runs) == 48
+    assert len(per_root) == 97
+    assert sum(per_root) / len(per_root) <= 6.5
 
 
 def test_ghz_state_golden_digest(tmp_path):

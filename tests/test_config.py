@@ -120,6 +120,14 @@ def test_env_unknown_variable_rejected():
         apply_env(default_config(), {"EP_NOPE": "1"})
 
 
+def test_env_without_overrides_returns_the_config_itself():
+    cfg = replace(default_config(), run=replace(default_config().run, base_seed=5))
+    assert apply_env(cfg, {}) is cfg
+    assert apply_env(cfg, {"HOME": "/", "PATH": "", "XEP_SEED": "1"}) is cfg
+    with pytest.raises(ConfigError):
+        apply_env(cfg, {"HOME": "/", "EP_NOPE": "1"})
+
+
 def test_env_bad_value_rejected():
     with pytest.raises(ConfigError):
         apply_env(default_config(), {"EP_SEED": "not-a-number"})
