@@ -286,10 +286,10 @@ class FactoredChain:
         return _norm_squared(self.weight0, self.weight1, self.sq_norms0, self.sq_norms1)
 
     def normalized(self) -> "FactoredChain":
-        w0, w1 = _unit_weights(self.weight0, self.weight1, self.sq_norms0, self.sq_norms1)
         return FactoredChain(
-            w0, w1, self.spec, self.table,
-            self.slot0, self.slot1, self.sq_norms0, self.sq_norms1, self.parity,
+            *_unit_weights(self.weight0, self.weight1, self.sq_norms0, self.sq_norms1),
+            self.spec, self.table, self.slot0, self.slot1, self.sq_norms0, self.sq_norms1,
+            self.parity,
         )
 
     def state_vector(self) -> StateVector:
@@ -313,7 +313,7 @@ def _norm_squared(w0: complex, w1: complex, sq_norms0, sq_norms1) -> float:
     return float(abs(w0) ** 2 * math.prod(sq_norms0) + abs(w1) ** 2 * math.prod(sq_norms1))
 
 
-def _unit_weights(w0: complex, w1: complex, sq_norms0, sq_norms1):
+def _unit_weights(w0: complex, w1: complex, sq_norms0, sq_norms1) -> tuple[complex, complex]:
     """The branch weights scaled so that the chain they weight has norm one.
 
     Operations scale the weights before they build the chain they return,
