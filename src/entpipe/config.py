@@ -123,14 +123,10 @@ def _coerce(section: str, name: str, annotation: str, value, problems: list[str]
     if annotation == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             try:
-                ivalue = int(str(value))
+                return int(str(value))
             except ValueError:
                 problems.append(f"{tag}: expected an integer, got {value!r}")
                 return None
-            if isinstance(value, float) and value != ivalue:
-                problems.append(f"{tag}: expected an integer, got {value!r}")
-                return None
-            return ivalue
         return value
     if annotation == "float":
         try:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cat_code import CavitySpec, fc_logical_amplitudes, run_protected
+from .cat_code import CavitySpec, fc_logical_amplitudes, run_protected, start_protected
 from .config import PipelineConfig, serialize
 from .errors import ConfigError
 from .hilbert import StateVector, fidelity, qubits
@@ -202,13 +202,13 @@ def run_ghz(cfg: PipelineConfig) -> StageResult:
 # ---------------------------------------------------------- protect stage
 
 def _protect_pair(args) -> tuple[dict, dict]:
-    spec, k, duration, interval, seed = args
+    prefix = start_protected(*args)
     rows = []
     for correct in (True, False):
-        res = run_protected(spec, k, duration, interval, seed, correct=correct)
+        res = run_protected(prefix, correct=correct)
         rows.append(
             {
-                "seed": seed,
+                "seed": res.seed,
                 "corrected": int(correct),
                 "jumps": sum(res.record.jump_counts),
                 "final_logical_fidelity": res.final_logical_fidelity,
@@ -358,12 +358,10 @@ def run_pipeline(cfg: PipelineConfig) -> StageResult:
 
     spec = CavitySpec(alpha=st.alpha, n_max=st.n_max, kappa=st.kappa)
     k = n - 1
-    # a SeedSequence gives the int seed's stream without storing a fork
-    # point for a pair partner that never runs
-    chain = run_protected(
-        spec, k, st.rounds * st.tau_syn, st.tau_syn,
-        np.random.SeedSequence(derive_seed(cfg.run.base_seed, 0)), correct=True,
-    ).record.final_state
+    prefix = start_protected(
+        spec, k, st.rounds * st.tau_syn, st.tau_syn, derive_seed(cfg.run.base_seed, 0)
+    )
+    chain = run_protected(prefix, correct=True).record.final_state
     c0, c1 = fc_logical_amplitudes(chain)
     code_weight = abs(c0) ** 2 + abs(c1) ** 2
     fid_protect = chain.logical_fidelity()

@@ -11,16 +11,15 @@ practical for a few cavities only.  Only tests import it.
 It also keeps the factored route's plain protocol loop: a parity projection
 that always masks (``project_parity_full``) and a trajectory that runs every
 round itself (``run_protected_unshared``), the references for the parity
-field's projection and for the shared pair prefix of
-``cat_code.run_protected``; the chain built from per-cavity columns with
-each cavity's parity scanned from them (``chain_from_columns``); and the
+field's projection and for the pair prefix that ``cat_code.start_protected``
+shares; the chain built from per-cavity columns with each cavity's parity
+scanned from them (``chain_from_columns``); and the
 full-unitary repump that completes the code-space map by Gram-Schmidt
 (``recovery_unitary``), the reference for the package's rank-2 map on the
 code space.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,6 @@ from entpipe.cat_code import (
     ProtectionResult,
     TrajectoryRecord,
     _lowdin,
-    _rng_from_seed,
     _sq_norms,
     cat_column,
     coherent_column,
@@ -429,7 +427,7 @@ def loss_trajectory(
         if state.layout.dims[site] != spec.dim:
             raise LayoutError("CavitySpec dimension mismatch")
     kappas = [s.kappa for s in specs]
-    rng = _rng_from_seed(seed)
+    rng = np.random.default_rng(seed)
     rates = _rate_vector(state.layout, kappas)
     amps = state.amplitudes.copy()
     t = 0.0
@@ -470,7 +468,7 @@ def loss_trajectory(
         jump_times=tuple(tuple(js) for js in jumps),
         parity_outcomes=tuple(() for _ in cavs),
         measurement_times=(),
-        seed=int(seed) if isinstance(seed, numbers.Integral) else -1,
+        seed=int(seed),
         final_state=final,
     )
 
@@ -584,12 +582,13 @@ def run_protected_unshared(
 ) -> ProtectionResult:
     """``cat_code.run_protected`` with every round run here, from t = 0.
 
-    No state is kept between calls and every parity round masks, so this
-    is the reference for the pair prefix that ``run_protected`` shares.
+    Every parity round masks and no prefix is shared, so this is the
+    reference for a run that ``cat_code.run_protected`` continues from a
+    ``start_protected`` prefix.
     """
     if syndrome_interval <= 0:
         raise ValueError("syndrome interval must be positive")
-    rng = _rng_from_seed(seed)
+    rng = np.random.default_rng(seed)
     fc = factored_chain(spec, k)
     t = 0.0
     last_repump = np.zeros(k)
@@ -620,7 +619,7 @@ def run_protected_unshared(
         jump_times=tuple(tuple(js) for js in all_jumps),
         parity_outcomes=tuple(tuple(o) for o in outcomes),
         measurement_times=tuple(meas_times),
-        seed=int(seed) if isinstance(seed, numbers.Integral) else -1,
+        seed=int(seed),
         final_state=fc,
     )
     record.validate(restored_each_round=correct)

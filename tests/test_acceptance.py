@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from entpipe.cat_code import CavitySpec, cat_column, run_protected
+from entpipe.cat_code import CavitySpec, cat_column, run_protected, start_protected
 from entpipe.cli import main as cli_main
 from entpipe.config import default_config, serialize
 from entpipe.errors import NotGhzClassError
@@ -173,7 +173,7 @@ def test_05_parity_outcomes_track_jump_counts(capsys):
     exceptions = 0
     outcomes_seen = 0
     for i in range(1000):
-        res = run_protected(spec, 1, 4 * tau, tau, seed=20_000 + i, correct=True)
+        res = run_protected(start_protected(spec, 1, 4 * tau, tau, seed=20_000 + i), correct=True)
         rec = res.record
         for jumps, outs in zip(rec.jump_times, rec.parity_outcomes):
             prev = 0.0
@@ -201,8 +201,9 @@ def test_06_correction_gain_at_three_loss_strengths(capsys):
         diffs = np.empty(1000)
         for i in range(1000):
             seed = 50_000 + i
-            cor = run_protected(spec, 3, duration, tau, seed, correct=True)
-            unc = run_protected(spec, 3, duration, tau, seed, correct=False)
+            prefix = start_protected(spec, 3, duration, tau, seed)
+            cor = run_protected(prefix, correct=True)
+            unc = run_protected(prefix, correct=False)
             diffs[i] = cor.final_logical_fidelity - unc.final_logical_fidelity
         gain = float(np.mean(diffs))
         sem = float(np.std(diffs, ddof=1) / math.sqrt(len(diffs)))

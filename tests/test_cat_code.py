@@ -7,6 +7,7 @@ against the dense state-vector route (the ``oracle_storage`` test module)
 operation by operation; the in-module Brent root is checked bit for bit
 against ``scipy.optimize.brentq``.
 """
+import copy
 import dataclasses
 import math
 
@@ -16,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
-from entpipe import cat_code
+from entpipe import cat_code, runner
 from entpipe.cat_code import (
     CavitySpec,
     FactoredChain,
@@ -32,6 +33,7 @@ from entpipe.cat_code import (
     recovery_matrix,
     required_levels,
     run_protected,
+    start_protected,
 )
 from entpipe.errors import (
     ConvergenceError,
@@ -469,8 +471,9 @@ def test_factored_matches_dense_route():
 
 
 def test_protected_run_records_are_consistent():
-    res_c = run_protected(SPEC, 2, 0.2, 0.05, 7, correct=True)
-    res_u = run_protected(SPEC, 2, 0.2, 0.05, 7, correct=False)
+    prefix = start_protected(SPEC, 2, 0.2, 0.05, 7)
+    res_c = run_protected(prefix, correct=True)
+    res_u = run_protected(prefix, correct=False)
     res_c.record.validate(restored_each_round=True)
     res_u.record.validate(restored_each_round=False)
     # identical random streams: the paired arms see the same jump history
@@ -479,7 +482,7 @@ def test_protected_run_records_are_consistent():
 
 
 def test_record_validation_catches_tampering():
-    res = run_protected(SPEC, 1, 0.2, 0.05, 11, correct=True)
+    res = run_protected(start_protected(SPEC, 1, 0.2, 0.05, 11), correct=True)
     rec = res.record
     if all(len(j) == 0 for j in rec.jump_times):
         flipped = tuple((-o[0],) + o[1:] for o in rec.parity_outcomes)
@@ -500,8 +503,9 @@ def test_record_validation_catches_tampering():
 def test_protection_gain_single_grid_point():
     diffs = []
     for s in range(300):
-        rc = run_protected(SPEC, 2, 0.05, 0.05, s, correct=True)
-        ru = run_protected(SPEC, 2, 0.05, 0.05, s, correct=False)
+        prefix = start_protected(SPEC, 2, 0.05, 0.05, s)
+        rc = run_protected(prefix, correct=True)
+        ru = run_protected(prefix, correct=False)
         diffs.append(rc.final_logical_fidelity - ru.final_logical_fidelity)
     d = np.asarray(diffs)
     se = d.std(ddof=1) / np.sqrt(d.size)
@@ -513,17 +517,17 @@ def test_factored_chain_and_record_compare_by_identity():
     a, b = factored_chain(SPEC, 2), factored_chain(SPEC, 2)
     assert a == a and a != b
     assert hash(a) == hash(a) != hash(b)
-    rec = run_protected(SPEC, 2, 0.1, 0.05, 3).record
+    rec = run_protected(start_protected(SPEC, 2, 0.1, 0.05, 3)).record
     same = TrajectoryRecord(
         rec.jump_times, rec.parity_outcomes, rec.measurement_times, rec.seed, rec.final_state
     )
     assert rec == same and hash(rec) == hash(same)
-    other = run_protected(SPEC, 2, 0.1, 0.05, 3).record
+    other = run_protected(start_protected(SPEC, 2, 0.1, 0.05, 3)).record
     assert rec != other
 
 
 def test_protected_scales_to_seven_cavities():
-    res = run_protected(SPEC, 7, 0.1, 0.05, 42, correct=True)
+    res = run_protected(start_protected(SPEC, 7, 0.1, 0.05, 42), correct=True)
     assert 0.5 < res.final_logical_fidelity <= 1.0
     assert isinstance(res.record.final_state, FactoredChain)
 
@@ -546,36 +550,47 @@ def _trajectory(res):
     first=st.booleans(),
 )
 def test_shared_pair_prefix_matches_unshared_runs(k, kappa, rounds, frac, seed, first):
-    """Runs that resume from the fork memo equal runs without it, in either order.
+    """Runs from one shared prefix equal runs from t = 0, in either order.
 
-    Of four calls with one key, the first and third run from t = 0 and
-    store their fork point, the second and fourth resume from it; each must
-    equal, bit for bit, a run from t = 0 that finds the memo empty, and that
-    run must equal the masking oracle bit for bit.  A ``SeedSequence`` seed
-    neither reads nor writes the memo."""
+    From one ``start_protected`` prefix, three runs (``first``, then the
+    other arm, then ``first`` again) each equal the masking oracle's run
+    from t = 0 bit for bit, and the prefix compares equal before and after
+    them.  An ``np.int64`` seed runs as the int seed and records the int."""
     spec = CavitySpec(ALPHA, NMAX, kappa=kappa)
     interval = 0.05
     args = (spec, k, interval * (rounds + frac), interval)
-    ref = {}
+    ref = {c: _trajectory(run_protected_unshared(*args, seed, correct=c)) for c in (True, False)}
+    prefix = start_protected(*args, seed)
+    before = prefix._replace(rng_state=copy.deepcopy(prefix.rng_state))
+    table = prefix.record.final_state.table.tobytes()
+    for c in (first, not first, first):
+        assert _trajectory(run_protected(prefix, correct=c)) == ref[c]
+    assert prefix == before and prefix.record.final_state.table.tobytes() == table
+    wide = start_protected(*args, np.int64(seed))
     for c in (True, False):
-        cat_code._FORK.clear()
-        ref[c] = _trajectory(run_protected(*args, seed, correct=c))
-        assert _trajectory(run_protected_unshared(*args, seed, correct=c)) == ref[c]
-    key = args + (seed,)
-    cat_code._FORK.clear()
-    for i, c in enumerate((first, not first, first, first)):
-        res = run_protected(*args, seed, correct=c)
-        assert _trajectory(res) == ref[c]
-        assert (key in cat_code._FORK) == (i % 2 == 0)
-        assert len(cat_code._FORK) <= 1
-    memo = list(cat_code._FORK.items())
-    seq = np.random.SeedSequence(seed)
-    for c in (first, not first):
-        got = _trajectory(run_protected(*args, seq, correct=c))
-        assert got == _trajectory(run_protected_unshared(*args, seq, correct=c))
-        assert got[:3] + got[4:] == ref[c][:3] + ref[c][4:] and got[3] == -1
-    assert list(cat_code._FORK) == [key for key, _ in memo]
-    assert all(cat_code._FORK[key] is entry for key, entry in memo)
+        got = _trajectory(run_protected(wide, correct=c))
+        assert got == ref[c] and type(got[3]) is int
+
+
+def _module_state() -> dict:
+    """A deep copy of every module-level dict, list and set of the storage
+    and runner modules."""
+    return {
+        (mod.__name__, name): copy.deepcopy(value)
+        for mod in (cat_code, runner)
+        for name, value in vars(mod).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set))
+    }
+
+
+def test_storage_runs_leave_module_state_unchanged():
+    """A lone run and a ``protect`` pair leave no trace in module state: a
+    pair shares its prefix as a value, not through a module-level store."""
+    spec = CavitySpec(ALPHA, NMAX, kappa=8.0)
+    before = _module_state()
+    run_protected(start_protected(spec, 3, 0.2, 0.05, 7), correct=True)
+    runner._protect_pair((spec, 3, 0.2, 0.05, 8))
+    assert _module_state() == before
 
 
 @settings(max_examples=30, deadline=None)
@@ -603,10 +618,9 @@ def test_trajectory_columns_keep_definite_parity(k, kappa_t, rounds, correct, se
         reads.append(p)
         return p
 
-    cat_code._FORK.clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cat_code, "fc_parity_probability", checked)
-        run_protected(spec, k, interval * rounds, interval, seed, correct=correct)
+        run_protected(start_protected(spec, k, interval * rounds, interval, seed), correct=correct)
     assert len(reads) == k * rounds
     assert set(reads) <= {0.0, 1.0}
 
@@ -616,39 +630,10 @@ def test_run_makes_one_measurement_per_round(rounds):
     """``rounds`` intervals of 0.1 sum to ``rounds * 0.1`` only to rounding;
     the run still ends after exactly ``rounds`` syndrome rounds."""
     args = (CavitySpec(ALPHA, NMAX, kappa=0.01), 1, rounds * 0.1, 0.1, 3)
-    cat_code._FORK.clear()
-    for run in (run_protected, run_protected_unshared):
-        times = run(*args).record.measurement_times
+    for res in (run_protected(start_protected(*args)), run_protected_unshared(*args)):
+        times = res.record.measurement_times
         assert len(times) == rounds
         assert abs(times[-1] - rounds * 0.1) <= 1e-9
-
-
-def test_numpy_integer_seed_runs_as_the_int_seed():
-    """An ``np.int64`` seed records the int, and stores and resumes the fork
-    point under the int's key."""
-    args = (SPEC, 3, 0.2, 0.05)
-    cat_code._FORK.clear()
-    ref = {c: _trajectory(run_protected_unshared(*args, 7, correct=c)) for c in (True, False)}
-    got = _trajectory(run_protected(*args, np.int64(7), correct=True))
-    assert got == ref[True] and type(got[3]) is int
-    assert list(cat_code._FORK) == [args + (7,)]
-    assert _trajectory(run_protected(*args, 7, correct=False)) == ref[False]
-    assert not cat_code._FORK
-    for c in (True, False):
-        assert _trajectory(run_protected_unshared(*args, np.int64(7), correct=c)) == ref[c]
-
-
-def test_resumed_run_owns_its_chain():
-    # no round reads -1 at kappa = 0, so the fork point is the final chain
-    spec = CavitySpec(ALPHA, NMAX, kappa=0.0)
-    a = run_protected(spec, 3, 0.1, 0.05, 5, correct=False).record.final_state
-    b = run_protected(spec, 3, 0.1, 0.05, 5, correct=True).record.final_state
-    assert a is not b
-    _assert_same_chain(a, b)
-    assert (a.slot0, a.slot1) == (b.slot0, b.slot1) and np.array_equal(a.table, b.table)
-    # the resumed chain's table is a private read-only copy of the stored one
-    assert b.table.flags.owndata and not b.table.flags.writeable
-    assert not np.shares_memory(a.table, b.table)
 
 
 def _assert_same_chain(a, b):
@@ -956,14 +941,14 @@ def test_shared_columns_match_one_copy_per_cavity(k, ops):
 
 
 def test_resumed_chain_keeps_column_sharing():
-    # no jumps at kappa = 0: the stored chain holds the two code columns
+    # no jumps at kappa = 0: the prefix's chain holds the two code columns
     spec = CavitySpec(ALPHA, NMAX, kappa=0.0)
-    a = run_protected(spec, 4, 0.1, 0.05, 6, correct=False).record.final_state
-    b = run_protected(spec, 4, 0.1, 0.05, 6, correct=True).record.final_state
+    prefix = start_protected(spec, 4, 0.1, 0.05, 6)
+    a = run_protected(prefix, correct=False).record.final_state
+    b = run_protected(prefix, correct=True).record.final_state
     for fc in (a, b):
         assert (fc.slot0, fc.slot1) == ((0,) * 4, (1,) * 4) and len(fc.table) == 2
         assert not fc.table.flags.writeable
-    assert not np.shares_memory(a.table, b.table)
 
 
 @settings(max_examples=200, deadline=None)

@@ -52,10 +52,12 @@ def test_type_errors_are_aggregated():
 
 
 def test_int_fields_reject_fractions():
-    doc = serialize(default_config())
-    doc["register"]["n_dots"] = 4.5
-    with pytest.raises(ConfigError):
-        parse_config(doc)
+    # a float is refused even when its value is a whole number
+    for value in (4.5, 4.0, 1e20):
+        doc = serialize(default_config())
+        doc["register"]["n_dots"] = value
+        with pytest.raises(ConfigError):
+            parse_config(doc)
 
 
 @pytest.mark.parametrize(
