@@ -15,7 +15,6 @@ from .errors import ConfigError
 from .photon_swap import horizon
 
 _FORMATS = ("csv", "json")
-_DIMENSIONLESS = "dimensionless"
 # Largest Gamma/d, d/Gamma and horizon a conversion run may reach: every
 # time and rate ratio of the continuum form stays finite in float64 out to
 # the horizon, where the swap series and every sweep point end.
@@ -45,10 +44,8 @@ class StorageConfig:
 
 @dataclass(frozen=True)
 class SwapConfig:
-    """Photon conversion stage: emitter, input mode, heralding."""
+    """Photon conversion stage: decay rates, input bandwidth, heralding."""
 
-    w1: float = 1e9
-    w2: float = 0.0
     gamma1: float = 5e7
     gamma2: float = 5e7
     d: float = 5e7
@@ -57,9 +54,8 @@ class SwapConfig:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Conversion-probability surface over bandwidth and decay rate."""
+    """Conversion-probability surface over a dimensionless (d, gamma) box."""
 
-    unit: str = _DIMENSIONLESS
     d_min: float = 0.1
     d_max: float = 10.0
     gamma_min: float = 0.1
@@ -220,8 +216,6 @@ def validate(cfg: PipelineConfig) -> list[str]:
     if st.trajectories < 1:
         p.append("storage.trajectories: need at least one trajectory")
     sw = cfg.swap
-    if not sw.w1 > sw.w2 >= 0:
-        p.append("swap: frequencies must satisfy w1 > w2 >= 0")
     rates_ok = sw.gamma1 >= 0 and sw.gamma2 >= 0
     if not rates_ok:
         p.append("swap: decay rates cannot be negative")
@@ -238,8 +232,6 @@ def validate(cfg: PipelineConfig) -> list[str]:
     elif not 0 < sw.p_success <= 1:
         p.append(f"swap.p_success: must lie in (0,1], got {sw.p_success}")
     sv = cfg.sweep
-    if sv.unit != _DIMENSIONLESS:
-        p.append(f"sweep.unit: must be {_DIMENSIONLESS!r}, got {sv.unit!r}")
     d_ok = 0 < sv.d_min < sv.d_max
     g_ok = 0 < sv.gamma_min < sv.gamma_max
     if not d_ok:

@@ -92,7 +92,6 @@ class StageResult:
     report: RunReport
     tables: list = field(default_factory=list)  # (name, fieldnames, rows)
     documents: list = field(default_factory=list)  # (name, json-able object)
-    converged: bool = True
 
 
 # ------------------------------------------------------------ determinism
@@ -283,9 +282,7 @@ def run_swap(cfg: PipelineConfig) -> StageResult:
     times, p, n_t = _swap_series(cfg)
     t_end = float(times[-1])
     rows = [{"t": float(t), "p": float(pv)} for t, pv in zip(times, p)]
-    dot = ThreeLevelDot(w1=sw.w1, w2=sw.w2, gamma1=sw.gamma1, gamma2=sw.gamma2)
-    mode = GaussianMode(d=sw.d, center=sw.w1)
-    discrepancy = closed_form_report(dot, mode, t_end, float(p[-1]))
+    discrepancy = closed_form_report(sw.gamma1, sw.gamma2, sw.d, t_end, float(p[-1]))
     report = RunReport(
         stage="swap",
         heralds={"p_longtime": float(p[-1])},
@@ -316,28 +313,19 @@ def run_sweep(cfg: PipelineConfig) -> StageResult:
     g_vals = np.geomspace(sv.gamma_min, sv.gamma_max, sv.points_per_axis)
     points = [(float(d), float(g)) for d in d_vals for g in g_vals]  # d outer, gamma inner
     rows = parallel_map(_sweep_point, points, cfg.run.workers)
-    all_converged = all(r["converged"] for r in rows)
     surface_max = max(r["p_longtime"] for r in rows)
     dot, mode, grid, t = _dimensionless_reference()
     p_ref = conversion_probability(grid, propagate_static(dot, mode, grid, np.array([t])))
-    discrepancy = closed_form_report(dot, mode, t, float(p_ref[0]))
+    discrepancy = closed_form_report(dot.gamma1, dot.gamma2, mode.d, t, float(p_ref[0]))
     report = RunReport(
         stage="sweep",
         heralds={"surface_max": surface_max},
         discrepancy=discrepancy,
-        stats={
-            "points": len(rows),
-            "all_converged": int(all_converged),
-            "unit": sv.unit,
-        },
+        stats={"points": len(rows)},
         config=_echo(cfg),
     )
     fieldnames = ["d", "gamma", "p_longtime", "converged", "t_end", "n_t"]
-    return StageResult(
-        report,
-        tables=[("sweep_surface", fieldnames, rows)],
-        converged=all_converged,
-    )
+    return StageResult(report, tables=[("sweep_surface", fieldnames, rows)])
 
 
 # --------------------------------------------------------- pipeline stage

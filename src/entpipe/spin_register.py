@@ -7,11 +7,13 @@ n dots is entangled by preparing Bell pairs in parallel (one ZZ interval),
 then absorbing one pair (or the final unpaired dot) at a time into a growing
 block; each absorption costs one ZZ interval plus one exchange interval.
 
-``execute`` builds each distinct coupling unitary once per process: the
-gates per (kind, strength, duration) sit in a bounded memo as read-only
-arrays.  A plan of any size holds two distinct coupling gates (one ZZ and
-one exchange interval), so repeated runs pay for two matrix exponentials in
-all; every step is still applied to the state.
+``execute`` builds each distinct coupling unitary once per process, in
+closed form from theta = strength * duration (the ZZ gate is diagonal, and
+XX + YY + ZZ = 2 SWAP - 1 with SWAP^2 = 1); the gates per (kind, strength,
+duration) sit in a bounded memo as read-only arrays.  A plan of any size
+holds two distinct coupling gates (one ZZ and one exchange interval), so
+repeated runs build two 4x4 gates in all; every step is still applied to
+the state.
 """
 from __future__ import annotations
 
@@ -24,11 +26,12 @@ import numpy as np
 from .errors import ScheduleError
 from .hilbert import StateVector, apply_local, qubits, read_only, schmidt_spectrum
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
 _ALLOWED_PULSE_ANGLES = (pi / 2, pi)
+
+# ZZ is diag(1, -1, -1, 1); SWAP exchanges the two dots' states.
+_ZZ_DIAG = np.array([1.0, -1.0, -1.0, 1.0])
+_EYE4 = np.eye(4)
+_SWAP = np.eye(4)[[0, 2, 1, 3]]
 
 # The pi pulse used when absorbing a Bell pair rotates about the equatorial
 # axis at angle -pi/4, i.e. a branch phase difference of pi/2 between the
@@ -47,25 +50,6 @@ _GHZ_TOL = 1e-8
 # Slack below _GHZ_TOL for the Weyl-bound shortcut in is_ghz_class: covers
 # the SVD's backward error (~dim * eps) and the rounding of the bound itself.
 _WEYL_MARGIN = 1e-10
-
-
-def heisenberg_matrix(j: float) -> np.ndarray:
-    """Two-dot isotropic exchange generator j*(XX + YY + ZZ)."""
-    return j * (
-        np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y) + np.kron(SIGMA_Z, SIGMA_Z)
-    )
-
-
-def ising_matrix(j: float) -> np.ndarray:
-    """Two-dot longitudinal generator j*(ZZ)."""
-    return j * np.kron(SIGMA_Z, SIGMA_Z)
-
-
-def coupling_matrix(kind: str, strength: float) -> np.ndarray:
-    """Generator of a "heisenberg" or "ising" coupling of the given strength."""
-    if kind == "heisenberg":
-        return heisenberg_matrix(strength)
-    return ising_matrix(strength)
 
 
 def rotation(angle: float, axis_phase: float) -> np.ndarray:
@@ -92,9 +76,6 @@ class CouplingSpec:
         if self.strength <= 0:
             raise ScheduleError("coupling strength must be positive")
         object.__setattr__(self, "pair", (int(a), int(b)))
-
-    def matrix(self) -> np.ndarray:
-        return coupling_matrix(self.kind, self.strength)
 
 
 @dataclass(frozen=True)
@@ -370,12 +351,16 @@ def execute(schedule: Schedule) -> StateVector:
 def _coupling_gate(kind: str, strength: float, duration: float) -> np.ndarray:
     """exp(-i*duration*generator) of a coupling interval, memoised read-only.
 
-    scipy.linalg is imported on a memo miss, so stages that run no schedule
-    never load it; ``expm`` is looked up on the module at call time.
+    With theta = strength * duration: exp(-i theta ZZ) is
+    diag(e^{-i theta}, e^{i theta}, e^{i theta}, e^{-i theta}), and since
+    XX + YY + ZZ = 2 SWAP - 1, exp(-i theta (XX + YY + ZZ)) is
+    e^{i theta} (cos 2theta - i sin 2theta SWAP).
     """
-    import scipy.linalg
-
-    return read_only(scipy.linalg.expm(-1j * duration * coupling_matrix(kind, strength)))
+    theta = strength * duration
+    if kind == "ising":
+        return read_only(np.diag(np.exp(-1j * theta * _ZZ_DIAG)))
+    exchange = np.cos(2 * theta) * _EYE4 - 1j * np.sin(2 * theta) * _SWAP
+    return read_only(np.exp(1j * theta) * exchange)
 
 
 def _apply_step(state: StateVector, st: ScheduleStep) -> StateVector:

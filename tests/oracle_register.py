@@ -1,10 +1,12 @@
 """Dense register tools that only tests use, and the oracle for ``execute``.
 
-The package runs a schedule by applying each two-dot exponential or pulse
-locally (``entpipe.spin_register.execute``).  ``dense_execute`` instead
-embeds every generator and pulse in the full 2^n register space
-(``embed_operator``) and multiplies dense Pade exponentials, so the fast
-path's axis bookkeeping is checked against an independent route.
+The package runs a schedule by applying each two-dot gate, written in
+closed form, or pulse locally (``entpipe.spin_register.execute``).
+``dense_execute`` instead builds every coupling generator from Pauli
+matrices (``coupling_matrix``), embeds it and every pulse in the full 2^n
+register space (``embed_operator``) and multiplies dense Pade
+exponentials, so both the closed-form gates and the fast path's axis
+bookkeeping are checked against an independent route.
 ``moveaxis_apply_local`` is the earlier form of ``hilbert.apply_local``
 (axes moved by ``np.moveaxis`` rather than one transpose and its inverse),
 kept to check that the two agree bit for bit.
@@ -36,7 +38,6 @@ from entpipe.hilbert import StateVector, SubsystemLayout, apply_local, qubits, s
 from entpipe.polarization import _ORIGINAL, _SHIFTED, ConversionSpec, TwoBranchRails
 from entpipe.spin_register import (
     _GHZ_TOL,
-    SIGMA_X,
     Schedule,
     _apply_step,
     _merge_pair_steps,
@@ -50,6 +51,29 @@ _CORRELATION_TOL = 1e-8
 
 # Largest weight outside the one-excitation-per-pair rail subspace.
 _LEAK_TOL = 1e-9
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+
+
+def heisenberg_matrix(j: float) -> np.ndarray:
+    """Two-dot isotropic exchange generator j*(XX + YY + ZZ)."""
+    return j * (
+        np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y) + np.kron(SIGMA_Z, SIGMA_Z)
+    )
+
+
+def ising_matrix(j: float) -> np.ndarray:
+    """Two-dot longitudinal generator j*(ZZ)."""
+    return j * np.kron(SIGMA_Z, SIGMA_Z)
+
+
+def coupling_matrix(kind: str, strength: float) -> np.ndarray:
+    """Generator of a "heisenberg" or "ising" coupling of the given strength."""
+    if kind == "heisenberg":
+        return heisenberg_matrix(strength)
+    return ising_matrix(strength)
 
 
 def concat_layouts(a: SubsystemLayout, b: SubsystemLayout) -> SubsystemLayout:
@@ -113,7 +137,8 @@ def dense_execute(schedule: Schedule) -> StateVector:
     amps = plus_register(schedule.n_dots).amplitudes.copy()
     for st in schedule.steps:
         if st.coupling is not None:
-            h = embed_operator(layout, st.coupling.matrix(), st.coupling.pair)
+            c = st.coupling
+            h = embed_operator(layout, coupling_matrix(c.kind, c.strength), c.pair)
             amps = scipy.linalg.expm(-1j * st.duration * h) @ amps
         elif st.pulse.z_corrections is not None:
             amps = amps * np.exp(1j * st.pulse.global_phase)

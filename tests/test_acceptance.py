@@ -39,10 +39,9 @@ from entpipe.spin_register import (
     build_bell,
     execute,
     is_ghz_class,
-    ising_matrix,
     plan_ghz,
 )
-from oracle_register import canonical_correction, dense_execute
+from oracle_register import canonical_correction, dense_execute, ising_matrix
 from oracle_storage import decode, encode
 from oracle_swap import integrate_dynamics, swap_probability
 

@@ -70,11 +70,9 @@ def test_int_fields_reject_fractions():
         ("storage", "n_max", 3, "n_max"),
         ("storage", "tau_syn", 0.0, "tau_syn"),
         ("storage", "rounds", 0, "rounds"),
-        ("swap", "w2", 2e9, "w2"),
         ("swap", "d", 0.0, "d"),
         ("swap", "p_success", 0.0, "p_success"),
         ("swap", "p_success", "guess", "p_success"),
-        ("sweep", "unit", "hertz", "unit"),
         ("sweep", "points_per_axis", 1, "points_per_axis"),
         ("sweep", "d_min", 20.0, "d_"),
         ("conversion", "eta_bbo", 1.5, "eta_bbo"),

@@ -16,7 +16,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
             "run_surface_sweep.py",
             ["--points", "2", "--d-min", "1", "--d-max", "3", "--gamma-min", "1",
              "--gamma-max", "3", "--out", "surface"],
-            r"^surface max: 0\.\d{6} \(4 points, all converged: True\)$",
+            r"^surface max: 0\.\d{6} \(4 points\)$",
         ),
         (
             "run_protection_study.py",

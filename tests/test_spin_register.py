@@ -10,7 +10,7 @@ from math import pi
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entpipe.errors import NotGhzClassError, ScheduleError
@@ -31,8 +31,6 @@ from entpipe.spin_register import (
     canonical_ghz,
     complementary_branches,
     execute,
-    heisenberg_matrix,
-    ising_matrix,
     is_ghz_class,
     plan_ghz,
     plus_register,
@@ -44,6 +42,8 @@ from oracle_register import (
     all_cuts_ghz_class,
     canonical_correction,
     dense_execute,
+    heisenberg_matrix,
+    ising_matrix,
     merge_blocks,
     tensor_states,
 )
@@ -66,7 +66,7 @@ def test_heisenberg_is_swap_affine():
 
 def test_exchange_interval_phases():
     # At t = pi/(8 J1) the triplet picks up e^{-i pi/8}, the singlet e^{+3 i pi/8}.
-    u = scipy.linalg.expm(-1j * (pi / (8 * J1)) * heisenberg_matrix(J1))
+    u = entpipe.spin_register._coupling_gate("heisenberg", J1, pi / (8 * J1))
     triplet = np.array([1, 0, 0, 0], dtype=complex)
     singlet = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
     assert np.allclose(u @ triplet, np.exp(-1j * pi / 8) * triplet, atol=1e-12)
@@ -74,7 +74,7 @@ def test_exchange_interval_phases():
 
 
 def test_ising_interval_phases():
-    u = scipy.linalg.expm(-1j * (pi / (4 * J2)) * ising_matrix(J2))
+    u = entpipe.spin_register._coupling_gate("ising", J2, pi / (4 * J2))
     assert np.allclose(np.diag(u), np.exp(1j * np.array([-1, 1, 1, -1]) * pi / 4), atol=1e-12)
 
 
@@ -209,38 +209,52 @@ def test_raw_plan_needs_at_most_one_flip(n):
     assert fidelity(fixed, canonical_ghz(n)) >= 1 - 1e-9
 
 
-def test_execute_builds_each_distinct_coupling_gate_once(monkeypatch):
+def test_execute_builds_each_distinct_coupling_gate_once():
     # 13 coupling steps, but only one ZZ and one exchange interval
-    calls = []
-    expm = scipy.linalg.expm
-
-    def counted(a):
-        calls.append(a)
-        return expm(a)
-
-    monkeypatch.setattr(scipy.linalg, "expm", counted)
-    entpipe.spin_register._coupling_gate.cache_clear()
+    gate = entpipe.spin_register._coupling_gate
+    gate.cache_clear()
     schedule = plan_ghz(10, J1, J2)[0]
     first, again = execute(schedule), execute(schedule)
     assert sum(st.coupling is not None for st in schedule.steps) == 13
-    assert len(calls) == 2
+    assert gate.cache_info().misses == 2
+    assert gate.cache_info().hits == 2 * 13 - 2
     assert np.array_equal(first.amplitudes, again.amplitudes)
 
 
 def test_memoised_gates_are_read_only_and_exact():
     sr = entpipe.spin_register
-    pairs = [
-        (sr._coupling_gate("ising", J2, pi / (4 * J2)),
-         scipy.linalg.expm(-1j * (pi / (4 * J2)) * ising_matrix(J2))),
-        (sr._coupling_gate("heisenberg", J1, pi / (8 * J1)),
-         scipy.linalg.expm(-1j * (pi / (8 * J1)) * heisenberg_matrix(J1))),
-    ]
-    for gate, fresh in pairs:
-        assert np.array_equal(gate, fresh)
+    ising = sr._coupling_gate("ising", J2, pi / (4 * J2))
+    exchange = sr._coupling_gate("heisenberg", J1, pi / (8 * J1))
+    assert np.array_equal(ising, scipy.linalg.expm(-1j * (pi / (4 * J2)) * ising_matrix(J2)))
+    fresh = scipy.linalg.expm(-1j * (pi / (8 * J1)) * heisenberg_matrix(J1))
+    assert np.max(np.abs(exchange - fresh)) <= 4e-16
+    for gate in (ising, exchange):
         assert not gate.flags.writeable
         with pytest.raises(ValueError):
             gate[0, 0] = 0.0
-    assert sr._coupling_gate("ising", J2, pi / (4 * J2)) is pairs[0][0]
+    assert sr._coupling_gate("ising", J2, pi / (4 * J2)) is ising
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_j=st.floats(-6.0, 15.0), theta=st.floats(0.0, pi))
+@example(log_j=8.0, theta=pi / 4)
+@example(log_j=8.0, theta=pi / 8)
+def test_closed_form_gates_match_expm(log_j, theta):
+    """The Ising gate equals scipy's Pade ``expm`` bit for bit at every theta.
+    The exchange gate is within 4e-16 of it at the schedule's interval
+    (duration pi/(8 J)), and within 2e-15 up to theta = pi, where ``expm``'s
+    own rounding grows (the closed form stays within 2.5e-16 of the exact
+    exponential there)."""
+    j = 10.0**log_j
+    t = theta / j
+    sr = entpipe.spin_register
+    ising = sr._coupling_gate("ising", j, t)
+    assert np.array_equal(ising, scipy.linalg.expm(-1j * t * ising_matrix(j)))
+    exchange = sr._coupling_gate("heisenberg", j, t)
+    assert np.max(np.abs(exchange - scipy.linalg.expm(-1j * t * heisenberg_matrix(j)))) <= 2e-15
+    t = pi / (8 * j)
+    exchange = sr._coupling_gate("heisenberg", j, t)
+    assert np.max(np.abs(exchange - scipy.linalg.expm(-1j * t * heisenberg_matrix(j)))) <= 4e-16
 
 
 def test_canonical_correction_rejects_product_state():
