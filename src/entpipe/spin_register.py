@@ -7,13 +7,18 @@ n dots is entangled by preparing Bell pairs in parallel (one ZZ interval),
 then absorbing one pair (or the final unpaired dot) at a time into a growing
 block; each absorption costs one ZZ interval plus one exchange interval.
 
-``execute`` builds each distinct coupling unitary once per process, in
-closed form from theta = strength * duration (the ZZ gate is diagonal, and
-XX + YY + ZZ = 2 SWAP - 1 with SWAP^2 = 1); the gates per (kind, strength,
-duration) sit in a bounded memo as read-only arrays.  A plan of any size
-holds two distinct coupling gates (one ZZ and one exchange interval), so
-repeated runs build two 4x4 gates in all; every step is still applied to
-the state.
+``execute`` walks the schedule once and cuts it into groups: maximal runs of
+consecutive steps that together touch at most three dots (a global-phase
+step joins the group it follows, and a single step on more dots is a group
+of its own).  Each group is composed into one gate on its dots and applied
+to the register with one ``apply_local`` call.  The group gate is built from
+the steps relabelled to positions 0..k-1 within the group, so groups that
+differ only in which dots they touch share one gate: a 10-dot plan applies
+9 group gates (five Bell pairs, four absorptions) and builds 3 distinct ones.
+Group gates sit in a bounded memo as read-only arrays; it is the module's
+only memo.  The coupling unitaries inside them are written in closed form
+from theta = strength * duration (the ZZ gate is diagonal, and
+XX + YY + ZZ = 2 SWAP - 1 with SWAP^2 = 1).
 """
 from __future__ import annotations
 
@@ -27,6 +32,9 @@ from .errors import ScheduleError
 from .hilbert import StateVector, apply_local, qubits, read_only, schmidt_spectrum
 
 _ALLOWED_PULSE_ANGLES = (pi / 2, pi)
+
+# Most dots a step group may touch together; a 3-dot group gate is 8x8.
+_GROUP_DOTS = 3
 
 # ZZ is diag(1, -1, -1, 1); SWAP exchanges the two dots' states.
 _ZZ_DIAG = np.array([1.0, -1.0, -1.0, 1.0])
@@ -340,16 +348,86 @@ def report_from_schedule(schedule: Schedule) -> TimingReport:
 
 
 def execute(schedule: Schedule) -> StateVector:
-    """Run a schedule from |+>^n, exactly."""
+    """Run a schedule from |+>^n, exactly, one group gate per step group."""
     state = plus_register(schedule.n_dots)
-    for st in schedule.steps:
-        state = _apply_step(state, st)
+    for dots, steps in _step_groups(schedule.steps):
+        pos = {dot: i for i, dot in enumerate(dots)}
+        key = tuple(_step_key(st, pos) for st in steps)
+        # A group wider than _GROUP_DOTS is one wide z-correction layer; its
+        # 2^k-square gate is built for the call and not kept in the memo.
+        build = _group_gate if len(dots) <= _GROUP_DOTS else _group_gate.__wrapped__
+        state = apply_local(state, build(key, len(dots)), dots)
     return state
 
 
+def _step_groups(steps):
+    """Yield (dots, steps) per group: maximal runs of consecutive steps whose
+    dots together number at most ``_GROUP_DOTS``, in schedule order.
+
+    ``dots`` lists the group's dots in order of first touch.  A step that
+    touches no dot joins the current group; a step on more dots than
+    ``_GROUP_DOTS`` shares its group with no other dot-touching step.
+    """
+    dots: list[int] = []
+    run: list[ScheduleStep] = []
+    for st in steps:
+        step_dots = _step_dots(st)
+        union = dots + [d for d in step_dots if d not in dots]
+        if dots and step_dots and len(union) > _GROUP_DOTS:
+            yield tuple(dots), run
+            dots, run = list(step_dots), []
+        else:
+            dots = union
+        run.append(st)
+    if run:
+        yield tuple(dots), run
+
+
+def _step_key(st: ScheduleStep, pos: dict[int, int]) -> tuple:
+    """A step as a hashable tuple, its dots relabelled to group positions."""
+    if st.coupling is not None:
+        c = st.coupling
+        return (c.kind, (pos[c.pair[0]], pos[c.pair[1]]), c.strength, st.duration)
+    p = st.pulse
+    if p.z_corrections is None:
+        return ("pulse", (pos[p.target],), p.angle, p.axis_phase)
+    z_angles = tuple(sorted((pos[dot], phi) for dot, phi in p.z_corrections.items()))
+    return ("z", z_angles, p.global_phase)
+
+
 @functools.lru_cache(maxsize=32)
+def _group_gate(key: tuple, k: int) -> np.ndarray:
+    """The 2^k-square unitary of a group's steps (``_step_key`` tuples, in
+    schedule order) on group positions 0..k-1, memoised read-only."""
+    gate = np.eye(2**k, dtype=np.complex128)
+    for step in key:
+        kind = step[0]
+        if kind == "z":
+            _, z_angles, global_phase = step
+            gate *= np.exp(1j * global_phase)
+            for i, phi in z_angles:
+                gate = _left_apply(gate, np.diag([1.0, np.exp(1j * phi)]), (i,), k)
+        elif kind == "pulse":
+            _, sites, angle, axis_phase = step
+            gate = _left_apply(gate, rotation(angle, axis_phase), sites, k)
+        else:
+            _, sites, strength, duration = step
+            gate = _left_apply(gate, _coupling_gate(kind, strength, duration), sites, k)
+    return read_only(gate)
+
+
+def _left_apply(gate: np.ndarray, op: np.ndarray, sites: tuple[int, ...], k: int) -> np.ndarray:
+    """op (acting on ``sites``, extended by identity) times a k-dot gate."""
+    perm = sites + tuple(i for i in range(k) if i not in sites) + (k,)
+    arr = gate.reshape((2,) * k + (2**k,)).transpose(perm)
+    moved_shape = arr.shape
+    arr = (op @ arr.reshape(op.shape[0], -1)).reshape(moved_shape)
+    inverse = sorted(range(k + 1), key=perm.__getitem__)
+    return arr.transpose(inverse).reshape(2**k, 2**k)
+
+
 def _coupling_gate(kind: str, strength: float, duration: float) -> np.ndarray:
-    """exp(-i*duration*generator) of a coupling interval, memoised read-only.
+    """exp(-i*duration*generator) of a coupling interval.
 
     With theta = strength * duration: exp(-i theta ZZ) is
     diag(e^{-i theta}, e^{i theta}, e^{i theta}, e^{-i theta}), and since
@@ -358,24 +436,9 @@ def _coupling_gate(kind: str, strength: float, duration: float) -> np.ndarray:
     """
     theta = strength * duration
     if kind == "ising":
-        return read_only(np.diag(np.exp(-1j * theta * _ZZ_DIAG)))
+        return np.diag(np.exp(-1j * theta * _ZZ_DIAG))
     exchange = np.cos(2 * theta) * _EYE4 - 1j * np.sin(2 * theta) * _SWAP
-    return read_only(np.exp(1j * theta) * exchange)
-
-
-def _apply_step(state: StateVector, st: ScheduleStep) -> StateVector:
-    if st.coupling is not None:
-        c = st.coupling
-        return apply_local(state, _coupling_gate(c.kind, c.strength, st.duration), c.pair)
-    p = st.pulse
-    if p.z_corrections is not None:
-        amps = state.amplitudes * np.exp(1j * p.global_phase)
-        out = StateVector(amps, state.layout)
-        for dot, phi in sorted(p.z_corrections.items()):
-            gate = np.diag([1.0, np.exp(1j * phi)]).astype(np.complex128)
-            out = apply_local(out, gate, (dot,))
-        return out
-    return apply_local(state, rotation(p.angle, p.axis_phase), (p.target,))
+    return np.exp(1j * theta) * exchange
 
 
 def bipartitions(n: int):

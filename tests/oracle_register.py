@@ -1,12 +1,15 @@
 """Dense register tools that only tests use, and the oracle for ``execute``.
 
-The package runs a schedule by applying each two-dot gate, written in
-closed form, or pulse locally (``entpipe.spin_register.execute``).
-``dense_execute`` instead builds every coupling generator from Pauli
-matrices (``coupling_matrix``), embeds it and every pulse in the full 2^n
-register space (``embed_operator``) and multiplies dense Pade
-exponentials, so both the closed-form gates and the fast path's axis
-bookkeeping are checked against an independent route.
+The package runs a schedule one group gate at a time: consecutive steps on
+at most three dots are composed into one gate, applied locally
+(``entpipe.spin_register.execute``).  Two oracles check it.
+``step_execute`` applies every step on its own, each two-dot gate in
+closed form and each pulse locally (``apply_step``, the route ``execute``
+took before steps were grouped).  ``dense_execute`` instead builds every
+coupling generator from Pauli matrices (``coupling_matrix``), embeds it
+and every pulse in the full 2^n register space (``embed_operator``) and
+multiplies dense Pade exponentials, so both the closed-form gates and the
+fast path's axis bookkeeping are checked against an independent route.
 ``moveaxis_apply_local`` is the earlier form of ``hilbert.apply_local``
 (axes moved by ``np.moveaxis`` rather than one transpose and its inverse),
 kept to check that the two agree bit for bit.
@@ -39,7 +42,8 @@ from entpipe.polarization import _ORIGINAL, _SHIFTED, ConversionSpec, TwoBranchR
 from entpipe.spin_register import (
     _GHZ_TOL,
     Schedule,
-    _apply_step,
+    ScheduleStep,
+    _coupling_gate,
     _merge_pair_steps,
     bipartitions,
     plus_register,
@@ -131,6 +135,30 @@ def moveaxis_apply_local(state: StateVector, op: np.ndarray, sites: Sequence[int
     return StateVector(arr.reshape(-1), state.layout)
 
 
+def apply_step(state: StateVector, st: ScheduleStep) -> StateVector:
+    """One schedule step applied to the state on its own."""
+    if st.coupling is not None:
+        c = st.coupling
+        return apply_local(state, _coupling_gate(c.kind, c.strength, st.duration), c.pair)
+    p = st.pulse
+    if p.z_corrections is not None:
+        amps = state.amplitudes * np.exp(1j * p.global_phase)
+        out = StateVector(amps, state.layout)
+        for dot, phi in sorted(p.z_corrections.items()):
+            gate = np.diag([1.0, np.exp(1j * phi)]).astype(np.complex128)
+            out = apply_local(out, gate, (dot,))
+        return out
+    return apply_local(state, rotation(p.angle, p.axis_phase), (p.target,))
+
+
+def step_execute(schedule: Schedule) -> StateVector:
+    """Run a schedule from |+>^n one step at a time."""
+    state = plus_register(schedule.n_dots)
+    for st in schedule.steps:
+        state = apply_step(state, st)
+    return state
+
+
 def dense_execute(schedule: Schedule) -> StateVector:
     """Run a schedule from |+>^n through full-space dense exponentials only."""
     layout = qubits(schedule.n_dots)
@@ -175,7 +203,7 @@ def merge_blocks(
         )
     steps = _merge_pair_steps(contact_a, contact_b, j1, j2, 0, canonicalize)
     for st in steps:
-        state = _apply_step(state, st)
+        state = apply_step(state, st)
     return state
 
 

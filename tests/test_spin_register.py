@@ -1,9 +1,10 @@
 """Schedule-builder tests.
 
-The executed schedules are cross-checked against an independent oracle
-(``oracle_register.dense_execute``) that embeds every generator in the full
-register space and multiplies dense Pade exponentials, rather than reusing
-the two-dot fast path of ``execute``.
+The executed schedules are cross-checked against two oracles: an
+independent one (``oracle_register.dense_execute``) that embeds every
+generator in the full register space and multiplies dense Pade
+exponentials, and the step-by-step route (``oracle_register.step_execute``)
+that ``execute``'s group gates replaced.
 """
 from math import pi
 
@@ -45,6 +46,7 @@ from oracle_register import (
     heisenberg_matrix,
     ising_matrix,
     merge_blocks,
+    step_execute,
     tensor_states,
 )
 
@@ -209,30 +211,126 @@ def test_raw_plan_needs_at_most_one_flip(n):
     assert fidelity(fixed, canonical_ghz(n)) >= 1 - 1e-9
 
 
-def test_execute_builds_each_distinct_coupling_gate_once():
-    # 13 coupling steps, but only one ZZ and one exchange interval
-    gate = entpipe.spin_register._coupling_gate
+def test_execute_builds_each_distinct_group_gate_once():
+    # 9 groups (five Bell pairs, four absorptions) but 3 distinct gates: the
+    # Bell pairs share one, the first three absorptions another, and the
+    # last absorption carries the plan's closing phase step
+    gate = entpipe.spin_register._group_gate
     gate.cache_clear()
     schedule = plan_ghz(10, J1, J2)[0]
-    first, again = execute(schedule), execute(schedule)
-    assert sum(st.coupling is not None for st in schedule.steps) == 13
-    assert gate.cache_info().misses == 2
-    assert gate.cache_info().hits == 2 * 13 - 2
+    first = execute(schedule)
+    assert (gate.cache_info().misses, gate.cache_info().hits) == (3, 6)
+    again = execute(schedule)
+    assert (gate.cache_info().misses, gate.cache_info().hits) == (3, 15)
     assert np.array_equal(first.amplitudes, again.amplitudes)
 
 
-def test_memoised_gates_are_read_only_and_exact():
+def test_group_gates_are_read_only_and_unitary():
+    keys = _plan_group_keys()
+    assert len(keys) >= 4
+    for key, k in keys:
+        gate = entpipe.spin_register._group_gate(key, k)
+        assert not gate.flags.writeable
+        with pytest.raises(ValueError):
+            gate[0, 0] = 0.0
+        assert np.max(np.abs(gate.conj().T @ gate - np.eye(2**k))) <= 1e-15
+
+
+def _plan_group_keys():
+    """(key, k) of every group gate that plans of 2..10 dots apply."""
+    keys = set()
+    for n in range(2, 11):
+        for canonical in (True, False):
+            sch = plan_ghz(n, J1, J2, canonical=canonical)[0]
+            for dots, steps in entpipe.spin_register._step_groups(sch.steps):
+                pos = {dot: i for i, dot in enumerate(dots)}
+                keys.add((tuple(entpipe.spin_register._step_key(s, pos) for s in steps), len(dots)))
+    return keys
+
+
+def test_coupling_gates_are_exact():
     sr = entpipe.spin_register
     ising = sr._coupling_gate("ising", J2, pi / (4 * J2))
     exchange = sr._coupling_gate("heisenberg", J1, pi / (8 * J1))
     assert np.array_equal(ising, scipy.linalg.expm(-1j * (pi / (4 * J2)) * ising_matrix(J2)))
     fresh = scipy.linalg.expm(-1j * (pi / (8 * J1)) * heisenberg_matrix(J1))
     assert np.max(np.abs(exchange - fresh)) <= 4e-16
-    for gate in (ising, exchange):
-        assert not gate.flags.writeable
-        with pytest.raises(ValueError):
-            gate[0, 0] = 0.0
-    assert sr._coupling_gate("ising", J2, pi / (4 * J2)) is ising
+
+
+@pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "raw"])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_grouped_execute_matches_step_oracle(n, canonical):
+    sch = plan_ghz(n, J1, J2, canonical=canonical)[0]
+    state = execute(sch)
+    assert np.max(np.abs(state.amplitudes - step_execute(sch).amplitudes)) <= 1e-15
+    if canonical:
+        assert fidelity(state, canonical_ghz(n)) >= 1 - 1e-9
+
+
+def test_execute_makes_one_local_call_per_group(monkeypatch):
+    """Cost tripwire: a plan of n dots is applied in at most n - 1 group
+    gates (9 at n = 10), not one call per step (34 at n = 10)."""
+    calls = []
+
+    def counted(state, op, sites):
+        calls.append(sites)
+        return apply_local(state, op, sites)
+
+    monkeypatch.setattr(entpipe.spin_register, "apply_local", counted)
+    for n in range(2, 11):
+        calls.clear()
+        execute(plan_ghz(n, J1, J2)[0])
+        assert 1 <= len(calls) <= n - 1
+    assert len(calls) == 9
+
+
+def _dots(step):
+    if step.coupling is not None:
+        return step.coupling.pair
+    if step.pulse.z_corrections is not None:
+        return tuple(step.pulse.z_corrections)
+    return (step.pulse.target,)
+
+
+@st.composite
+def random_schedules(draw):
+    """Both coupling kinds on random pairs for random durations, pi/2 and pi
+    pulses at random axis phases, z-correction layers on 0-4 dots (none:
+    a pure global-phase step)."""
+    n = draw(st.integers(2, 6))
+    dot = st.integers(0, n - 1)
+    phase = st.floats(-pi, pi)
+    steps = []
+    for _ in range(draw(st.integers(1, 14))):
+        what = draw(st.sampled_from(["ising", "heisenberg", "pulse", "z"]))
+        if what == "pulse":
+            pulse = PulseSpec(target=draw(dot), angle=draw(st.sampled_from([pi / 2, pi])),
+                              axis_phase=draw(phase))
+            steps.append(ScheduleStep(0, pulse=pulse))
+        elif what == "z":
+            dots = draw(st.lists(dot, max_size=min(4, n), unique=True))
+            z = {d: draw(phase) for d in dots}
+            steps.append(ScheduleStep(0, pulse=PulseSpec(z_corrections=z,
+                                                          global_phase=draw(phase))))
+        else:
+            pair = draw(st.lists(dot, min_size=2, max_size=2, unique=True))
+            j = 10.0 ** draw(st.floats(6.0, 10.0))
+            steps.append(ScheduleStep(0, coupling=CouplingSpec(what, j, tuple(pair)),
+                                      duration=draw(st.floats(0.01, 2.0)) / j))
+    return Schedule(tuple(steps), n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sch=random_schedules())
+def test_grouped_execute_matches_oracles_on_random_schedules(sch):
+    fused = execute(sch).amplitudes
+    assert np.max(np.abs(fused - dense_execute(sch).amplitudes)) <= 1e-12
+    assert np.max(np.abs(fused - step_execute(sch).amplitudes)) <= 1e-13
+    groups = list(entpipe.spin_register._step_groups(sch.steps))
+    assert [s for _, steps in groups for s in steps] == list(sch.steps)
+    for dots, steps in groups:
+        assert set(dots) == {d for s in steps for d in _dots(s)}
+        assert len(dots) <= 3 or sum(1 for s in steps if _dots(s)) == 1
 
 
 @settings(max_examples=200, deadline=None)
