@@ -8,13 +8,14 @@ then absorbing one pair (or the final unpaired dot) at a time into a growing
 block; each absorption costs one ZZ interval plus one exchange interval.
 
 ``execute`` walks the schedule once and cuts it into groups: maximal runs of
-consecutive steps that together touch at most three dots (a global-phase
-step joins the group it follows, and a single step on more dots is a group
-of its own).  Each group is composed into one gate on its dots and applied
-to the register with one ``apply_local`` call.  The group gate is built from
-the steps relabelled to positions 0..k-1 within the group, so groups that
-differ only in which dots they touch share one gate: a 10-dot plan applies
-9 group gates (five Bell pairs, four absorptions) and builds 3 distinct ones.
+consecutive steps that together touch at most three dots (a step that
+touches no dot, a global phase, joins the current group, and a single step
+on more dots is a group of its own).  Each group is composed into one gate
+on its dots and applied to the register with one ``apply_local`` call.
+The group gate is built from the steps relabelled to positions 0..k-1
+within the group, so groups that differ only in which dots they touch
+share one gate: a 10-dot plan applies 9 group gates (five Bell pairs, four
+absorptions) and builds 3 distinct ones.
 Group gates sit in a bounded memo as read-only arrays; it is the module's
 only memo.  The coupling unitaries inside them are written in closed form
 from theta = strength * duration (the ZZ gate is diagonal, and

@@ -284,14 +284,6 @@ def test_execute_makes_one_local_call_per_group(monkeypatch):
     assert len(calls) == 9
 
 
-def _dots(step):
-    if step.coupling is not None:
-        return step.coupling.pair
-    if step.pulse.z_corrections is not None:
-        return tuple(step.pulse.z_corrections)
-    return (step.pulse.target,)
-
-
 @st.composite
 def random_schedules(draw):
     """Both coupling kinds on random pairs for random durations, pi/2 and pi
@@ -326,11 +318,12 @@ def test_grouped_execute_matches_oracles_on_random_schedules(sch):
     fused = execute(sch).amplitudes
     assert np.max(np.abs(fused - dense_execute(sch).amplitudes)) <= 1e-12
     assert np.max(np.abs(fused - step_execute(sch).amplitudes)) <= 1e-13
-    groups = list(entpipe.spin_register._step_groups(sch.steps))
+    sr = entpipe.spin_register
+    groups = list(sr._step_groups(sch.steps))
     assert [s for _, steps in groups for s in steps] == list(sch.steps)
     for dots, steps in groups:
-        assert set(dots) == {d for s in steps for d in _dots(s)}
-        assert len(dots) <= 3 or sum(1 for s in steps if _dots(s)) == 1
+        assert set(dots) == {d for s in steps for d in sr._step_dots(s)}
+        assert len(dots) <= 3 or sum(1 for s in steps if sr._step_dots(s)) == 1
 
 
 @settings(max_examples=200, deadline=None)
