@@ -30,8 +30,9 @@ class GridError(EntpipeError):
 
 
 class NotGhzClassError(EntpipeError):
-    """State failed the GHZ-class check, or is GHZ-class but not two
-    complementary branches (the swap needs a|p> + b|~p>)."""
+    """A register failed the GHZ-class check, or is GHZ-class but not two
+    complementary branches a|p> + b|~p>, the form the pipeline carries from
+    the executed register on (``spin_register.ghz_branches``)."""
 
 
 class ScheduleError(EntpipeError):

@@ -4,11 +4,14 @@ Subsystems are ordered big-endian: the first subsystem in a layout is the
 slowest-varying index of the flat amplitude vector, matching the ordering of
 ``numpy.kron``.  Global phases are physical here -- no operation silently
 renormalizes or strips them.
+
+A qubit register on two complementary branches, a|p> + b|~p>, is held as
+its pattern and two amplitudes (``TwoBranch``), never as the 2^n vector.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import hypot, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -105,6 +108,41 @@ class StateVector:
         if self.layout.dims != other.layout.dims:
             raise LayoutError("overlap requires identical layouts")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
+
+
+@dataclass(frozen=True)
+class TwoBranch:
+    """Qubit register a|p> + b|~p> on n qubits: one pattern, two amplitudes.
+
+    ``pattern`` holds the n big-endian bits of the first branch; the second
+    branch is its bitwise complement.  Like ``StateVector`` it refuses a
+    norm off 1 by more than ``_NORM_TOL``.
+    """
+
+    n: int
+    pattern: int
+    a: complex
+    b: complex
+
+    def __post_init__(self):
+        if self.n < 1 or not 0 <= self.pattern < 2**self.n:
+            raise LayoutError(f"pattern {self.pattern} needs one bit per qubit of {self.n}")
+        object.__setattr__(self, "a", complex(self.a))
+        object.__setattr__(self, "b", complex(self.b))
+        norm = hypot(abs(self.a), abs(self.b))
+        if abs(norm - 1.0) > _NORM_TOL:
+            raise NormalizationError(f"state norm {norm!r} deviates from 1 beyond {_NORM_TOL}")
+
+    def ghz_fidelity(self) -> float:
+        """Fidelity with (|0..0> + |1..1>)/sqrt(2); 0.0 on any other pattern."""
+        if self.pattern == 0:
+            x0, x1 = self.a, self.b
+        elif self.pattern == 2**self.n - 1:
+            x0, x1 = self.b, self.a
+        else:
+            return 0.0
+        s = 1 / np.sqrt(2)
+        return float(abs(x0.conjugate() * s + x1.conjugate() * s) ** 2)
 
 
 def read_only(a: np.ndarray) -> np.ndarray:

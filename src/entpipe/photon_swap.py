@@ -48,10 +48,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import GridError, LayoutError, NotGhzClassError
-from .hilbert import StateVector
-from .polarization import _ORIGINAL, _SHIFTED, TwoBranchRails
-from .spin_register import complementary_branches, is_ghz_class
+from .errors import GridError
+from .hilbert import TwoBranch
+from .polarization import _ORIGINAL, _SHIFTED
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -503,29 +502,19 @@ def sweep_point(d: float, gamma: float) -> dict:
 # ---------------------------------------------------------- register swap
 
 def register_swap(
-    register: StateVector, p_success: float | list[float]
-) -> tuple[TwoBranchRails, float]:
-    """Heralded map from a two-branch GHZ-class dot register to dual-rail photons.
+    register: TwoBranch, p_success: float | list[float]
+) -> tuple[TwoBranch, float]:
+    """Heralded map from a two-branch dot register to dual-rail photons.
 
     Per dot: the |0> branch emits into the shifted-frequency rail (|10>),
     the |1> branch leaves the input photon on the original rail (|01>); the
-    dots decouple in |1>.  The register must be a|p> + b|~p> on two
-    complementary dot patterns with balanced weights, so the photons are the
-    rail pattern of p, its complement and the same two amplitudes, built in
-    O(n) without the 4^n rail vector.  Amplitude on other patterns is
-    dropped only within the GHZ tolerance (``complementary_branches``), as
-    an executed schedule leaves it.  Any other register, GHZ-class or not,
-    raises NotGhzClassError.  The herald probability is the product of
-    the per-dot conversion successes.
+    dots decouple in |1>.  A register a|p> + b|~p> on n dots becomes the
+    rail register on 2n qubits with the rail pattern of p and the same two
+    amplitudes, in O(n).  The GHZ-class checks are made on the executed
+    register (``spin_register.ghz_branches``).  The herald probability is
+    the product of the per-dot conversion successes.
     """
-    n = register.layout.n_subsystems
-    if register.layout.dims != (2,) * n:
-        raise LayoutError("register must be a qubit register")
-    branches = complementary_branches(register)
-    if branches is None:
-        raise NotGhzClassError("register is not two complementary computational branches")
-    if n > 1 and not is_ghz_class(register):
-        raise NotGhzClassError("register state is not GHZ-class")
+    n = register.n
     probs = [p_success] * n if np.isscalar(p_success) else list(p_success)
     if len(probs) != n:
         raise ValueError("need one success probability per dot")
@@ -533,9 +522,8 @@ def register_swap(
         if not 0 < p <= 1:
             raise ValueError("success probabilities must lie in (0, 1]")
     herald = float(np.prod(probs))
-    dots, a, b = branches
     rails = 0
     for dot_i in range(n):
-        bit = (dots >> (n - 1 - dot_i)) & 1
+        bit = (register.pattern >> (n - 1 - dot_i)) & 1
         rails = (rails << 2) | (_ORIGINAL if bit else _SHIFTED)
-    return TwoBranchRails(n, rails, a, b), herald
+    return TwoBranch(2 * n, rails, register.a, register.b), herald

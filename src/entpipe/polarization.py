@@ -9,18 +9,17 @@ scalar success probabilities.  Two source photons feed one heralded
 polarization photon, so a 2q-photon dual-rail register yields q
 polarization qubits and the herald probabilities multiply.
 
-The register arrives from the swap as two complementary branches
-(``TwoBranchRails``), never as a dense 4^m rail vector, and the conversion
-maps branch to branch; the dense forms are test oracles.
+The register arrives from the swap as two complementary branches on 2m
+rail qubits (``hilbert.TwoBranch``), never as a dense 4^m rail vector, and
+the conversion maps branch to branch, to a ``TwoBranch`` on q = m/2
+polarization qubits; the dense forms are test oracles.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import LayoutError, RailSubspaceError
-from .hilbert import StateVector, qubits
+from .hilbert import TwoBranch
 
 # big-endian pair indices within one photon's two rail qubits
 _SHIFTED = 2  # |10>
@@ -48,46 +47,27 @@ class ConversionSpec:
         return self.eta_bbo * self.detector_efficiency
 
 
-@dataclass(frozen=True)
-class TwoBranchRails:
-    """Dual-rail register a|p> + b|~p>: one rail pattern and two amplitudes.
-
-    ``pattern`` holds two big-endian bits per photon, |10> for the shifted
-    rail and |01> for the original one; the second branch is its bitwise
-    complement, so both branches carry one excitation in every rail pair.
-    """
-
-    n_photons: int
-    pattern: int
-    a: complex
-    b: complex
-
-    def __post_init__(self):
-        if self.n_photons < 1 or not 0 <= self.pattern < 4**self.n_photons:
-            raise LayoutError("rail pattern needs one bit pair per photon")
-        if any(pair not in (_SHIFTED, _ORIGINAL) for pair in self.pairs()):
-            raise RailSubspaceError("a rail pair holds zero or two excitations")
-
-    def pairs(self) -> list[int]:
-        """Rail bits of each photon in the first branch, first photon first."""
-        m = self.n_photons
-        return [(self.pattern >> 2 * (m - 1 - i)) & 0b11 for i in range(m)]
-
-
-def convert_register(rails: TwoBranchRails, spec: ConversionSpec) -> tuple[StateVector, float]:
+def convert_register(rails: TwoBranch, spec: ConversionSpec) -> tuple[TwoBranch, float]:
     """Convert a two-branch dual-rail register, two source photons per output photon.
 
-    Branch transport per output qubit: |10,10> -> |H>, |01,01> -> |V>, so
-    a|p> + b|~p> maps to a|P> + b|~P> on q = m/2 polarization qubits in O(q).
-    The register must hold an even number of photons, and the two photons
-    of each pair must sit on the same rail; the herald probability is
-    herald_one per output photon.
+    ``rails.pattern`` holds two big-endian bits per photon, |10> for the
+    shifted rail and |01> for the original one, and the second branch is
+    its complement.  Branch transport per output qubit: |10,10> -> |H>,
+    |01,01> -> |V>, so a|p> + b|~p> maps to a|P> + b|~P> on q = m/2
+    polarization qubits in O(q).  Every rail pair must hold one excitation,
+    the register an even number of photons, and the two photons of each
+    pair the same rail; the herald probability is herald_one per output
+    photon.
     """
-    m = rails.n_photons
+    if rails.n % 2 != 0:
+        raise LayoutError("rail register needs two rail qubits per photon")
+    m = rails.n // 2
+    pairs = [(rails.pattern >> 2 * (m - 1 - i)) & 0b11 for i in range(m)]
+    if any(pair not in (_SHIFTED, _ORIGINAL) for pair in pairs):
+        raise RailSubspaceError("a rail pair holds zero or two excitations")
     if m % 2 != 0:
         raise LayoutError("register conversion consumes photons in pairs; odd count")
     q = m // 2
-    pairs = rails.pairs()
     pol = 0
     for i in range(q):
         if pairs[2 * i] != pairs[2 * i + 1]:
@@ -96,16 +76,4 @@ def convert_register(rails: TwoBranchRails, spec: ConversionSpec) -> tuple[State
                 "need both on the shifted or both on the original rail"
             )
         pol = (pol << 1) | int(pairs[2 * i] == _ORIGINAL)
-    out = np.zeros(2**q, dtype=np.complex128)
-    out[pol] = rails.a
-    out[pol ^ (2**q - 1)] = rails.b
-    return StateVector(out, qubits(q, prefix="pol")), spec.herald_one**q
-
-
-def polarization_ghz(n: int) -> StateVector:
-    """(|H...H> + |V...V>)/sqrt(2) on n polarization qubits."""
-    if n < 1:
-        raise ValueError("need at least one photon")
-    amps = np.zeros(2**n, dtype=np.complex128)
-    amps[0] = amps[-1] = 1 / np.sqrt(2)
-    return StateVector(amps, qubits(n, prefix="pol"))
+    return TwoBranch(q, pol, rails.a, rails.b), spec.herald_one**q

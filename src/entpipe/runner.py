@@ -10,7 +10,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from .cat_code import CavitySpec, fc_logical_amplitudes, run_protected, start_protected
 from .config import PipelineConfig, serialize
 from .errors import ConfigError
-from .hilbert import StateVector, fidelity, qubits
+from .hilbert import fidelity
 from .photon_swap import (
     GaussianMode,
     SpectralGrid,
@@ -31,8 +31,8 @@ from .photon_swap import (
     register_swap,
     sweep_point,
 )
-from .polarization import ConversionSpec, convert_register, polarization_ghz
-from .spin_register import canonical_ghz, execute, is_ghz_class, plan_ghz
+from .polarization import ConversionSpec, convert_register
+from .spin_register import canonical_ghz, execute, ghz_branches, is_ghz_class, plan_ghz
 
 SCHEMA_TAG = "entpipe-report/1"
 _SIGMA_CAP = 999.0
@@ -331,7 +331,13 @@ def run_sweep(cfg: PipelineConfig) -> StageResult:
 # --------------------------------------------------------- pipeline stage
 
 def run_pipeline(cfg: PipelineConfig) -> StageResult:
-    """Run the full register-to-polarization chain."""
+    """Run the full register-to-polarization chain.
+
+    After the GHZ-class checks the executed register is one ``TwoBranch``
+    value, never a 2^n vector.  Storage keeps its pattern and takes the
+    stored chain's logical amplitudes, renormalised, as (a, b); the chain
+    starts from weights 1/sqrt(2), the GHZ register's.
+    """
     n = cfg.register.n_dots
     if n % 2 != 0:
         raise ConfigError(
@@ -343,6 +349,7 @@ def run_pipeline(cfg: PipelineConfig) -> StageResult:
     schedule, timing = plan_ghz(n, reg.j1_hz, reg.j2_hz)
     ghz_state = execute(schedule)
     fid_ghz = fidelity(ghz_state, canonical_ghz(n))
+    branches = ghz_branches(ghz_state)
 
     spec = CavitySpec(alpha=st.alpha, n_max=st.n_max, kappa=st.kappa)
     k = n - 1
@@ -353,18 +360,14 @@ def run_pipeline(cfg: PipelineConfig) -> StageResult:
     c0, c1 = fc_logical_amplitudes(chain)
     code_weight = abs(c0) ** 2 + abs(c1) ** 2
     fid_protect = chain.logical_fidelity()
-
-    amps = np.zeros(2**n, dtype=np.complex128)
-    amps[0] = c0 / math.sqrt(code_weight)
-    amps[-1] = c1 / math.sqrt(code_weight)
-    register = StateVector(amps, qubits(n))
+    register = replace(branches, a=c0 / math.sqrt(code_weight), b=c1 / math.sqrt(code_weight))
 
     p = cfg.swap.p_success
     p_val = _longtime_success(cfg) if isinstance(p, str) else float(p)
     rails, herald_swap = register_swap(register, p_val)
     conv = ConversionSpec(cfg.conversion.eta_bbo, cfg.conversion.detector_efficiency)
     pol, herald_conv = convert_register(rails, conv)
-    fid_final = code_weight * fidelity(pol, polarization_ghz(n // 2))
+    fid_final = code_weight * pol.ghz_fidelity()
 
     report = RunReport(
         stage="pipeline",

@@ -9,9 +9,9 @@ block; each absorption costs one ZZ interval plus one exchange interval.
 
 ``execute`` walks the schedule once and cuts it into groups: maximal runs of
 consecutive steps that together touch at most three dots (a step that
-touches no dot, a global phase, joins the current group, and a single step
-on more dots is a group of its own).  Each group is composed into one gate
-on its dots and applied to the register with one ``apply_local`` call.
+touches no dot, a global phase, joins the current group; ``Schedule``
+refuses a step on more than three dots).  Each group is composed into one
+gate on its dots and applied to the register with one ``apply_local`` call.
 The group gate is built from the steps relabelled to positions 0..k-1
 within the group, so groups that differ only in which dots they touch
 share one gate: a 10-dot plan applies 9 group gates (five Bell pairs, four
@@ -29,12 +29,12 @@ from math import pi
 
 import numpy as np
 
-from .errors import ScheduleError
-from .hilbert import StateVector, apply_local, qubits, read_only, schmidt_spectrum
+from .errors import LayoutError, NotGhzClassError, ScheduleError
+from .hilbert import StateVector, TwoBranch, apply_local, qubits, read_only, schmidt_spectrum
 
 _ALLOWED_PULSE_ANGLES = (pi / 2, pi)
 
-# Most dots a step group may touch together; a 3-dot group gate is 8x8.
+# Most dots one step, or a group of steps, may touch; a 3-dot group gate is 8x8.
 _GROUP_DOTS = 3
 
 # ZZ is diag(1, -1, -1, 1); SWAP exchanges the two dots' states.
@@ -144,7 +144,10 @@ class Schedule:
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
         for st in self.steps:
-            for dot in _step_dots(st):
+            dots = _step_dots(st)
+            if len(dots) > _GROUP_DOTS:
+                raise ScheduleError(f"step touches {len(dots)} dots; at most {_GROUP_DOTS}")
+            for dot in dots:
                 if not 0 <= dot < self.n_dots:
                     raise ScheduleError(f"step touches dot {dot} outside register of {self.n_dots}")
 
@@ -354,10 +357,7 @@ def execute(schedule: Schedule) -> StateVector:
     for dots, steps in _step_groups(schedule.steps):
         pos = {dot: i for i, dot in enumerate(dots)}
         key = tuple(_step_key(st, pos) for st in steps)
-        # A group wider than _GROUP_DOTS is one wide z-correction layer; its
-        # 2^k-square gate is built for the call and not kept in the memo.
-        build = _group_gate if len(dots) <= _GROUP_DOTS else _group_gate.__wrapped__
-        state = apply_local(state, build(key, len(dots)), dots)
+        state = apply_local(state, _group_gate(key, len(dots)), dots)
     return state
 
 
@@ -366,15 +366,15 @@ def _step_groups(steps):
     dots together number at most ``_GROUP_DOTS``, in schedule order.
 
     ``dots`` lists the group's dots in order of first touch.  A step that
-    touches no dot joins the current group; a step on more dots than
-    ``_GROUP_DOTS`` shares its group with no other dot-touching step.
+    touches no dot joins the current group; ``Schedule`` refuses a step on
+    more dots than ``_GROUP_DOTS``.
     """
     dots: list[int] = []
     run: list[ScheduleStep] = []
     for st in steps:
         step_dots = _step_dots(st)
         union = dots + [d for d in step_dots if d not in dots]
-        if dots and step_dots and len(union) > _GROUP_DOTS:
+        if len(union) > _GROUP_DOTS:
             yield tuple(dots), run
             dots, run = list(step_dots), []
         else:
@@ -523,6 +523,26 @@ def is_ghz_class(state: StateVector) -> bool:
         if near:
             return True
     return True
+
+
+def ghz_branches(state: StateVector) -> TwoBranch:
+    """The executed register as a|p> + b|~p>, after the GHZ-class checks.
+
+    A non-qubit layout raises LayoutError.  A state that is not two
+    complementary branches (``complementary_branches``; residue off them is
+    dropped only within the GHZ tolerance) raises NotGhzClassError, and so
+    does one that fails ``is_ghz_class`` (n > 1): a GHZ-class register with
+    more branches is refused too.
+    """
+    n = state.layout.n_subsystems
+    if state.layout.dims != (2,) * n:
+        raise LayoutError("register must be a qubit register")
+    branches = complementary_branches(state)
+    if branches is None:
+        raise NotGhzClassError("register is not two complementary computational branches")
+    if n > 1 and not is_ghz_class(state):
+        raise NotGhzClassError("register state is not GHZ-class")
+    return TwoBranch(n, *branches)
 
 
 def canonical_ghz(n: int) -> StateVector:

@@ -24,9 +24,10 @@ route replaced, kept as its oracles: the all-cuts GHZ-class check
 (``all_cuts_ghz_class``), the dot-to-rail transport on the full 4^n rail
 vector (``dense_register_swap``), the grouped-reshape conversion of that
 vector (``dense_convert_register``), the validated dense dual-rail state
-with its one-photon conversion (``DualRailState``, ``convert_one``), and
-the 4^n expansion of a ``TwoBranchRails`` value (``dense_rails``).  Only
-tests import this module.
+with its one-photon conversion (``DualRailState``, ``convert_one``), the
+2^n expansion of a ``hilbert.TwoBranch`` value (``dense_two_branch``) and
+the dense polarization GHZ state (``polarization_ghz``).  Only tests
+import this module.
 """
 from __future__ import annotations
 
@@ -37,8 +38,15 @@ import numpy as np
 import scipy.linalg
 
 from entpipe.errors import LayoutError, NotGhzClassError, RailSubspaceError, ScheduleError
-from entpipe.hilbert import StateVector, SubsystemLayout, apply_local, qubits, schmidt_spectrum
-from entpipe.polarization import _ORIGINAL, _SHIFTED, ConversionSpec, TwoBranchRails
+from entpipe.hilbert import (
+    StateVector,
+    SubsystemLayout,
+    TwoBranch,
+    apply_local,
+    qubits,
+    schmidt_spectrum,
+)
+from entpipe.polarization import _ORIGINAL, _SHIFTED, ConversionSpec
 from entpipe.spin_register import (
     _GHZ_TOL,
     Schedule,
@@ -303,13 +311,22 @@ def dense_register_swap(
     return StateVector(out, qubits(2 * n, prefix="r")), herald
 
 
-def dense_rails(rails: TwoBranchRails) -> StateVector:
-    """The 4^m rail vector of a two-branch register."""
-    m = rails.n_photons
-    amps = np.zeros(4**m, dtype=np.complex128)
-    amps[rails.pattern] = rails.a
-    amps[rails.pattern ^ (4**m - 1)] = rails.b
-    return StateVector(amps, qubits(2 * m, prefix="r"))
+def dense_two_branch(register: TwoBranch, prefix: str = "r") -> StateVector:
+    """The 2^n vector of a two-branch register (4^m for m rail photons)."""
+    n = register.n
+    amps = np.zeros(2**n, dtype=np.complex128)
+    amps[register.pattern] = register.a
+    amps[register.pattern ^ (2**n - 1)] = register.b
+    return StateVector(amps, qubits(n, prefix=prefix))
+
+
+def polarization_ghz(n: int) -> StateVector:
+    """(|H...H> + |V...V>)/sqrt(2) on n polarization qubits."""
+    if n < 1:
+        raise ValueError("need at least one photon")
+    amps = np.zeros(2**n, dtype=np.complex128)
+    amps[0] = amps[-1] = 1 / np.sqrt(2)
+    return StateVector(amps, qubits(n, prefix="pol"))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import entpipe.photon_swap
 import entpipe.runner
 from entpipe.cli import main
 from entpipe.config import default_config, serialize
+from entpipe.spin_register import plus_register
 
 
 @pytest.fixture(autouse=True)
@@ -641,6 +642,66 @@ def test_pipeline_memory_stays_two_branch():
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+
+
+@pytest.mark.parametrize("kappa", [0.0, 25000.0])
+@pytest.mark.parametrize("n_dots", [2, 4, 6, 8, 10])
+def test_pipeline_final_fidelity_is_the_storage_fidelity(n_dots, kappa):
+    """Swap and conversion carry the stored amplitudes unchanged, so the
+    final fidelity, code weight times the two-branch GHZ fidelity, is the
+    stored chain's logical fidelity to rounding (4 ulp)."""
+    cfg = default_config()
+    cfg = replace(
+        cfg,
+        register=replace(cfg.register, n_dots=n_dots),
+        storage=replace(cfg.storage, kappa=kappa),
+    )
+    fids = entpipe.runner.run_pipeline(cfg).report.fidelities
+    final, stored = fids["final_polarization"], fids["storage_logical"]
+    assert abs(final - stored) <= 4 * math.ulp(max(final, stored))
+
+
+def test_pipeline_refuses_a_register_that_is_not_ghz(tmp_path, monkeypatch, capsys):
+    # the schedule's state is swapped for the idle |+>^n register, which is
+    # not two complementary branches
+    monkeypatch.setattr(entpipe.runner, "execute", lambda schedule: plus_register(schedule.n_dots))
+    out = tmp_path / "out"
+    assert main(["pipeline", "--out", str(out)]) == 4
+    assert "[pipeline] NotGhzClassError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pipeline_builds_no_dense_state_after_the_ghz_fidelity(monkeypatch):
+    """From the executed register's GHZ fidelity on, the register is one
+    two-branch value through storage, swap and conversion: no StateVector
+    is built."""
+    from entpipe.hilbert import StateVector
+
+    after_ghz, built = [], []
+    real_fidelity = entpipe.runner.fidelity
+    real_post_init = StateVector.__post_init__
+
+    def fidelity(a, b):
+        value = real_fidelity(a, b)
+        after_ghz.append(True)
+        return value
+
+    def post_init(self):
+        if after_ghz:
+            built.append(self.layout.dims)
+        real_post_init(self)
+
+    monkeypatch.setattr(entpipe.runner, "fidelity", fidelity)
+    monkeypatch.setattr(StateVector, "__post_init__", post_init)
+    cfg = default_config()
+    cfg = replace(
+        cfg,
+        register=replace(cfg.register, n_dots=10),
+        storage=replace(cfg.storage, kappa=25000.0),
+        swap=replace(cfg.swap, p_success=0.95),
+    )
+    entpipe.runner.run_pipeline(cfg)
+    assert after_ghz == [True] and built == []
 
 
 def test_pipeline_rejects_odd_register(tmp_path, capsys):

@@ -12,12 +12,19 @@ from entpipe.errors import LayoutError, NormalizationError
 from entpipe.hilbert import (
     StateVector,
     SubsystemLayout,
+    TwoBranch,
     apply_local,
     fidelity,
     qubits,
     schmidt_spectrum,
 )
-from oracle_register import concat_layouts, embed_operator, moveaxis_apply_local, tensor_states
+from oracle_register import (
+    concat_layouts,
+    dense_two_branch,
+    embed_operator,
+    moveaxis_apply_local,
+    tensor_states,
+)
 
 
 def random_state(rng, dims):
@@ -153,3 +160,41 @@ def test_schmidt_rejects_improper_partition():
     with pytest.raises(LayoutError):
         schmidt_spectrum(psi, (0, 1))
 
+
+# ---------------------------------------------------------------- two branches
+
+def test_two_branch_validation():
+    s = 1 / np.sqrt(2)
+    reg = TwoBranch(3, 0b010, s, 1j * s)
+    assert (type(reg.a), type(reg.b)) == (complex, complex)
+    for n, pattern in ((0, 0), (3, -1), (3, 8), (2, 0b111)):
+        with pytest.raises(LayoutError):
+            TwoBranch(n, pattern, s, s)
+    with pytest.raises(NormalizationError):
+        TwoBranch(3, 0, 1.0, 1.0)
+    TwoBranch(3, 0, 1.0 + 5e-10, 0.0)  # inside the StateVector tolerance
+    with pytest.raises(NormalizationError):
+        TwoBranch(3, 0, 1.0 + 2e-9, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    bits=st.integers(0, 2**6 - 1),
+    weight=st.floats(0.0, 1.0),
+    phase=st.floats(-np.pi, np.pi),
+)
+def test_two_branch_ghz_fidelity_matches_dense_overlap(n, bits, weight, phase):
+    """Zero off the patterns 0 and 1..1; on them, the dense overlap with
+    canonical GHZ to 4 eps (equal bit for bit from three qubits up)."""
+    p = bits % 2**n
+    reg = TwoBranch(n, p, np.sqrt(weight), np.exp(1j * phase) * np.sqrt(1 - weight))
+    ghz = np.zeros(2**n, dtype=np.complex128)
+    ghz[0] = ghz[-1] = 1 / np.sqrt(2)
+    dense = fidelity(dense_two_branch(reg, "q"), StateVector(ghz, qubits(n)))
+    if p not in (0, 2**n - 1):
+        assert reg.ghz_fidelity() == 0.0 and dense == 0.0
+    else:
+        assert reg.ghz_fidelity() == pytest.approx(dense, rel=0, abs=4 * np.finfo(float).eps)
+        if n >= 3:
+            assert reg.ghz_fidelity() == dense

@@ -47,8 +47,8 @@ from entpipe.photon_swap import (
     sweep_point,
 )
 from entpipe.runner import _dimensionless_reference, run_swap, run_sweep
-from entpipe.spin_register import canonical_ghz, execute, plan_ghz
-from oracle_register import all_cuts_ghz_class, dense_rails
+from entpipe.spin_register import canonical_ghz, execute, ghz_branches, plan_ghz
+from oracle_register import all_cuts_ghz_class, dense_two_branch
 from oracle_swap import (
     AmplitudeState,
     StepSizeError,
@@ -654,12 +654,19 @@ def test_erfcx_coefficients_follow_weidemans_fft_recipe():
 
 
 # ------------------------------------------------------------ register swap
+# A dense register reaches the swap as the pipeline hands it over: through
+# ``ghz_branches``, which makes the GHZ-class checks and reads the two
+# branches, so the rejection and read-out cases below exercise it.
+
+
+def swap_register(state, p_success):
+    return register_swap(ghz_branches(state), p_success)
 
 
 def test_register_swap_single_plus():
     plus = StateVector(np.array([INV_SQRT2, INV_SQRT2]), qubits(1))
-    photons, herald = register_swap(plus, 0.95)
-    dense = dense_rails(photons)
+    photons, herald = swap_register(plus, 0.95)
+    dense = dense_two_branch(photons)
     assert dense.layout.dims == (2, 2)
     assert dense.amplitudes[0b10] == pytest.approx(INV_SQRT2)
     assert dense.amplitudes[0b01] == pytest.approx(INV_SQRT2)
@@ -667,9 +674,9 @@ def test_register_swap_single_plus():
 
 
 def test_register_swap_ghz3_herald():
-    photons, herald = register_swap(canonical_ghz(3), 0.95)
+    photons, herald = swap_register(canonical_ghz(3), 0.95)
     assert herald == pytest.approx(0.95**3, abs=1e-15)
-    dense = dense_rails(photons)
+    dense = dense_two_branch(photons)
     nz = np.nonzero(dense.amplitudes)[0]
     assert sorted(nz) == [0b010101, 0b101010]
     for idx in nz:
@@ -677,16 +684,16 @@ def test_register_swap_ghz3_herald():
 
 
 def test_register_swap_photonic_schmidt():
-    photons, _ = register_swap(canonical_ghz(3), 1.0)
+    photons, _ = swap_register(canonical_ghz(3), 1.0)
     for cut in ([0, 1], [0, 1, 2, 3], [2, 3]):
-        spec = np.sort(schmidt_spectrum(dense_rails(photons), cut))[::-1]
+        spec = np.sort(schmidt_spectrum(dense_two_branch(photons), cut))[::-1]
         assert spec[0] == pytest.approx(INV_SQRT2, abs=1e-10)
         assert spec[1] == pytest.approx(INV_SQRT2, abs=1e-10)
         assert np.all(spec[2:] < 1e-10)
 
 
 def test_register_swap_per_dot_successes():
-    _, herald = register_swap(canonical_ghz(2), [0.9, 0.5])
+    _, herald = swap_register(canonical_ghz(2), [0.9, 0.5])
     assert herald == pytest.approx(0.45, abs=1e-15)
 
 
@@ -694,14 +701,14 @@ def test_register_swap_rejects_non_ghz():
     w = np.zeros(8)
     w[1] = w[2] = w[4] = 1 / math.sqrt(3)
     with pytest.raises(NotGhzClassError):
-        register_swap(StateVector(w, qubits(3)), 0.9)
+        swap_register(StateVector(w, qubits(3)), 0.9)
     # GHZ class (a local unitary keeps every Schmidt spectrum), but four
     # branches rather than two complementary ones.
     hadamard = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
     rotated = apply_local(canonical_ghz(3), hadamard, (1,))
     assert all_cuts_ghz_class(rotated)
     with pytest.raises(NotGhzClassError):
-        register_swap(rotated, 0.9)
+        swap_register(rotated, 0.9)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 10])
@@ -710,7 +717,7 @@ def test_register_swap_reads_an_executed_schedule(n):
     register = execute(plan_ghz(n, 1e8, 1e8)[0])
     amps = register.amplitudes
     assert np.count_nonzero(amps) == 2**n
-    photons, herald = register_swap(register, 0.95)
+    photons, herald = swap_register(register, 0.95)
     assert photons.pattern == int("10" * n, 2)
     assert (photons.a, photons.b) == (amps[0], amps[-1])
     assert herald == pytest.approx(0.95**n, abs=1e-15)
@@ -723,24 +730,24 @@ def test_register_swap_third_branch_tolerance(eps, accepted):
     amps[0b0110] = eps
     register = StateVector(amps / np.linalg.norm(amps), qubits(4))
     if accepted:
-        photons, _ = register_swap(register, 0.95)
+        photons, _ = swap_register(register, 0.95)
         assert (photons.a, photons.b) == (register.amplitudes[0], register.amplitudes[-1])
     else:
         with pytest.raises(NotGhzClassError):
-            register_swap(register, 0.95)
+            swap_register(register, 0.95)
 
 
 def test_register_swap_rejects_bad_inputs():
     ghz = canonical_ghz(2)
     with pytest.raises(ValueError):
-        register_swap(ghz, 0.0)
+        swap_register(ghz, 0.0)
     with pytest.raises(ValueError):
-        register_swap(ghz, [0.9])
+        swap_register(ghz, [0.9])
     from entpipe.hilbert import SubsystemLayout
 
     qutrit = StateVector(np.array([1.0, 0, 0]), SubsystemLayout((3,), ("a",)))
     with pytest.raises(LayoutError):
-        register_swap(qutrit, 0.9)
+        swap_register(qutrit, 0.9)
 
 
 @settings(max_examples=25, deadline=None)
@@ -755,7 +762,7 @@ def test_register_swap_transports_amplitudes(phase_a, phase_b):
     amps = np.zeros(8, dtype=np.complex128)
     amps[0] = a
     amps[7] = b
-    photons, _ = register_swap(StateVector(amps, qubits(3)), 1.0)
-    dense = dense_rails(photons)
+    photons, _ = swap_register(StateVector(amps, qubits(3)), 1.0)
+    dense = dense_two_branch(photons)
     assert dense.amplitudes[0b101010] == a
     assert dense.amplitudes[0b010101] == b

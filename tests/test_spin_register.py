@@ -32,6 +32,7 @@ from entpipe.spin_register import (
     canonical_ghz,
     complementary_branches,
     execute,
+    ghz_branches,
     is_ghz_class,
     plan_ghz,
     plus_register,
@@ -287,7 +288,7 @@ def test_execute_makes_one_local_call_per_group(monkeypatch):
 @st.composite
 def random_schedules(draw):
     """Both coupling kinds on random pairs for random durations, pi/2 and pi
-    pulses at random axis phases, z-correction layers on 0-4 dots (none:
+    pulses at random axis phases, z-correction layers on 0-3 dots (none:
     a pure global-phase step)."""
     n = draw(st.integers(2, 6))
     dot = st.integers(0, n - 1)
@@ -300,7 +301,7 @@ def random_schedules(draw):
                               axis_phase=draw(phase))
             steps.append(ScheduleStep(0, pulse=pulse))
         elif what == "z":
-            dots = draw(st.lists(dot, max_size=min(4, n), unique=True))
+            dots = draw(st.lists(dot, max_size=min(3, n), unique=True))
             z = {d: draw(phase) for d in dots}
             steps.append(ScheduleStep(0, pulse=PulseSpec(z_corrections=z,
                                                           global_phase=draw(phase))))
@@ -323,7 +324,15 @@ def test_grouped_execute_matches_oracles_on_random_schedules(sch):
     assert [s for _, steps in groups for s in steps] == list(sch.steps)
     for dots, steps in groups:
         assert set(dots) == {d for s in steps for d in sr._step_dots(s)}
-        assert len(dots) <= 3 or sum(1 for s in steps if sr._step_dots(s)) == 1
+        assert len(dots) <= 3
+
+
+def test_schedule_refuses_a_step_on_more_than_three_dots():
+    wide = PulseSpec(z_corrections={d: 0.1 * d for d in range(4)})
+    with pytest.raises(ScheduleError):
+        Schedule((ScheduleStep(0, pulse=wide),), 4)
+    narrow = PulseSpec(z_corrections={d: 0.1 * d for d in range(3)})
+    assert len(Schedule((ScheduleStep(0, pulse=narrow),), 4).steps) == 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -414,6 +423,19 @@ def test_wide_support_ghz_check_matches_all_cuts(make, two_branch):
         full = state.amplitudes.size - 1
         assert (a, b) == (state.amplitudes[p], state.amplitudes[full ^ p]) and p < full ^ p
     assert is_ghz_class(state) == all_cuts_ghz_class(state)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_ghz_branches_reads_executed_plans(n):
+    """An executed canonical plan is handed on as pattern 0 and its entries
+    |0..0> and |1..1>; its GHZ fidelity equals the dense overlap bit for
+    bit at every coupling ratio."""
+    for j1, j2 in ((J1, J2), (1.0, 1.0), (2.5e7, 4e9), (3e9, 1e6)):
+        state = execute(plan_ghz(n, j1, j2)[0])
+        reg = ghz_branches(state)
+        assert (reg.n, reg.pattern) == (n, 0)
+        assert (reg.a, reg.b) == (state.amplitudes[0], state.amplitudes[-1])
+        assert reg.ghz_fidelity() == fidelity(state, canonical_ghz(n))
 
 
 def test_two_branch_ghz_check_takes_one_cut(monkeypatch):
