@@ -553,6 +553,8 @@ def brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100
 
 
 _TINY = 5e-324  # the smallest subnormal float
+# Absolute tolerance of the jump-time root, in seconds, at every kappa.
+_JUMP_XTOL = 1e-16
 
 
 def _jump_time(survival, remaining: float, at_end: float, r: float) -> float:
@@ -570,7 +572,7 @@ def _jump_time(survival, remaining: float, at_end: float, r: float) -> float:
     log_end = math.log(max(at_end, _TINY))
     return brentq(
         lambda x: (log_end if x == remaining else math.log(max(survival(x), _TINY))) - log_r,
-        0.0, remaining, xtol=1e-16, rtol=1e-14,
+        0.0, remaining, xtol=_JUMP_XTOL, rtol=1e-14,
     )
 
 
@@ -714,5 +716,10 @@ def run_protected(prefix: ProtectionPrefix, correct: bool = True) -> ProtectionR
     record = TrajectoryRecord(
         tuple(map(tuple, jumps)), tuple(map(tuple, outcomes)), tuple(meas_times), start.seed, fc
     )
-    record.validate(restored_each_round=correct)
+    try:
+        record.validate(restored_each_round=correct)
+    except ValueError as exc:  # a jump time rounded onto 0 or a round's end
+        raise ConvergenceError(
+            f"{exc} at kappa = {spec.kappa:g}: jump times unresolved at root tolerance {_JUMP_XTOL:g} s"
+        ) from exc
     return ProtectionResult(record.seed, correct, record, fc.logical_fidelity())

@@ -124,29 +124,21 @@ def _coerce(section: str, name: str, annotation: str, value, problems: list[str]
                 problems.append(f"{tag}: expected an integer, got {value!r}")
                 return None
         return value
-    if annotation == "float":
-        try:
-            return _finite(tag, float(value), problems)
-        except (TypeError, ValueError):
-            problems.append(f"{tag}: expected a number, got {value!r}")
-            return None
     if annotation == "str":
         if not isinstance(value, str):
             problems.append(f"{tag}: expected a string, got {value!r}")
             return None
         return value
-    # float-or-string union (swap success probability)
-    if isinstance(value, str):
+    # a float, or the float-or-string union (swap success probability)
+    if not isinstance(value, bool):  # float(True) would read 1.0
         try:
-            number = float(value)
-        except ValueError:
-            return value
-        return _finite(tag, number, problems)
-    try:
-        return _finite(tag, float(value), problems)
-    except (TypeError, ValueError):
-        problems.append(f"{tag}: expected a number or string, got {value!r}")
-        return None
+            return _finite(tag, float(value), problems)
+        except (TypeError, ValueError):
+            if isinstance(value, str) and annotation != "float":
+                return value
+    expected = "a number" if annotation == "float" else "a number or string"
+    problems.append(f"{tag}: expected {expected}, got {value!r}")
+    return None
 
 
 def parse_config(doc: dict) -> PipelineConfig:

@@ -136,13 +136,17 @@ class TwoBranch:
     def ghz_fidelity(self) -> float:
         """Fidelity with (|0..0> + |1..1>)/sqrt(2); 0.0 on any other pattern."""
         if self.pattern == 0:
-            x0, x1 = self.a, self.b
-        elif self.pattern == 2**self.n - 1:
-            x0, x1 = self.b, self.a
-        else:
-            return 0.0
-        s = 1 / np.sqrt(2)
-        return float(abs(x0.conjugate() * s + x1.conjugate() * s) ** 2)
+            return ghz_fidelity(self.a, self.b)
+        if self.pattern == 2**self.n - 1:
+            return ghz_fidelity(self.b, self.a)
+        return 0.0
+
+
+def ghz_fidelity(x0: complex, x1: complex) -> float:
+    """Fidelity with (|0..0> + |1..1>)/sqrt(2) of a normalized state whose
+    |0..0> and |1..1> entries are x0 and x1: no other entry enters."""
+    s = 1 / np.sqrt(2)
+    return float(abs(x0.conjugate() * s + x1.conjugate() * s) ** 2)
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -159,13 +163,22 @@ def apply_local(state: StateVector, op: np.ndarray, sites: Sequence[int]) -> Sta
     d_site = prod(dims[s] for s in sites)
     if op.shape != (d_site, d_site):
         raise LayoutError(f"operator shape {op.shape} does not match site dims {d_site}")
-    perm = sites + tuple(i for i in range(len(dims)) if i not in sites)
-    arr = state.amplitudes.reshape(dims).transpose(perm)
-    moved_shape = arr.shape
-    arr = op @ arr.reshape(d_site, -1)
-    inverse = sorted(range(len(perm)), key=perm.__getitem__)
-    arr = arr.reshape(moved_shape).transpose(inverse)
+    arr = apply_on_axes(state.amplitudes.reshape(dims), op, sites)
     return StateVector(arr.reshape(-1), state.layout)
+
+
+def apply_on_axes(arr: np.ndarray, op: np.ndarray, sites: tuple[int, ...]) -> np.ndarray:
+    """``op`` applied to the axes ``sites`` of ``arr`` (in the given order).
+
+    The leading axes of ``arr`` are subsystems; every axis outside ``sites``,
+    a trailing column axis included, rides along unchanged.
+    """
+    perm = sites + tuple(i for i in range(arr.ndim) if i not in sites)
+    arr = arr.transpose(perm)
+    moved_shape = arr.shape
+    arr = op @ arr.reshape(op.shape[0], -1)
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    return arr.reshape(moved_shape).transpose(inverse)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

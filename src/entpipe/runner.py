@@ -18,7 +18,7 @@ import numpy as np
 from .cat_code import CavitySpec, fc_logical_amplitudes, run_protected, start_protected
 from .config import PipelineConfig, serialize
 from .errors import ConfigError
-from .hilbert import fidelity
+from .hilbert import ghz_fidelity
 from .photon_swap import (
     GaussianMode,
     SpectralGrid,
@@ -32,7 +32,7 @@ from .photon_swap import (
     sweep_point,
 )
 from .polarization import ConversionSpec, convert_register
-from .spin_register import canonical_ghz, execute, ghz_branches, is_ghz_class, plan_ghz
+from .spin_register import execute, ghz_branches, is_ghz_class, plan_ghz
 
 SCHEMA_TAG = "entpipe-report/1"
 _SIGMA_CAP = 999.0
@@ -176,7 +176,7 @@ def run_ghz(cfg: PipelineConfig) -> StageResult:
     reg = cfg.register
     schedule, timing = plan_ghz(reg.n_dots, reg.j1_hz, reg.j2_hz)
     state = execute(schedule)
-    fid = fidelity(state, canonical_ghz(reg.n_dots))
+    fid = ghz_fidelity(state.amplitudes[0], state.amplitudes[-1])
     report = RunReport(
         stage="ghz",
         fidelities={"canonical_ghz": _unit_interval(fid)},
@@ -334,9 +334,10 @@ def run_pipeline(cfg: PipelineConfig) -> StageResult:
     """Run the full register-to-polarization chain.
 
     After the GHZ-class checks the executed register is one ``TwoBranch``
-    value, never a 2^n vector.  Storage keeps its pattern and takes the
-    stored chain's logical amplitudes, renormalised, as (a, b); the chain
-    starts from weights 1/sqrt(2), the GHZ register's.
+    value, never a 2^n vector, and its GHZ fidelity is read from that value.
+    Storage keeps its pattern and takes the stored chain's logical
+    amplitudes, renormalised, as (a, b); the chain starts from weights
+    1/sqrt(2), the GHZ register's.
     """
     n = cfg.register.n_dots
     if n % 2 != 0:
@@ -345,11 +346,14 @@ def run_pipeline(cfg: PipelineConfig) -> StageResult:
         )
     reg = cfg.register
     st = cfg.storage
+    p = cfg.swap.p_success
+    p_val = _longtime_success(cfg) if isinstance(p, str) else float(p)
+    if not p_val > 0:
+        raise ConfigError([f"swap.p_success: simulated per-dot success {p_val!r}, need > 0"])
 
     schedule, timing = plan_ghz(n, reg.j1_hz, reg.j2_hz)
-    ghz_state = execute(schedule)
-    fid_ghz = fidelity(ghz_state, canonical_ghz(n))
-    branches = ghz_branches(ghz_state)
+    branches = ghz_branches(execute(schedule))
+    fid_ghz = branches.ghz_fidelity()
 
     spec = CavitySpec(alpha=st.alpha, n_max=st.n_max, kappa=st.kappa)
     k = n - 1
@@ -362,8 +366,6 @@ def run_pipeline(cfg: PipelineConfig) -> StageResult:
     fid_protect = chain.logical_fidelity()
     register = replace(branches, a=c0 / math.sqrt(code_weight), b=c1 / math.sqrt(code_weight))
 
-    p = cfg.swap.p_success
-    p_val = _longtime_success(cfg) if isinstance(p, str) else float(p)
     rails, herald_swap = register_swap(register, p_val)
     conv = ConversionSpec(cfg.conversion.eta_bbo, cfg.conversion.detector_efficiency)
     pol, herald_conv = convert_register(rails, conv)

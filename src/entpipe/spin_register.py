@@ -30,7 +30,15 @@ from math import pi
 import numpy as np
 
 from .errors import LayoutError, NotGhzClassError, ScheduleError
-from .hilbert import StateVector, TwoBranch, apply_local, qubits, read_only, schmidt_spectrum
+from .hilbert import (
+    StateVector,
+    TwoBranch,
+    apply_local,
+    apply_on_axes,
+    qubits,
+    read_only,
+    schmidt_spectrum,
+)
 
 _ALLOWED_PULSE_ANGLES = (pi / 2, pi)
 
@@ -399,32 +407,26 @@ def _step_key(st: ScheduleStep, pos: dict[int, int]) -> tuple:
 @functools.lru_cache(maxsize=32)
 def _group_gate(key: tuple, k: int) -> np.ndarray:
     """The 2^k-square unitary of a group's steps (``_step_key`` tuples, in
-    schedule order) on group positions 0..k-1, memoised read-only."""
-    gate = np.eye(2**k, dtype=np.complex128)
+    schedule order) on group positions 0..k-1, memoised read-only.
+
+    The gate is built as a tensor with one axis per dot and a trailing
+    column axis, and each step multiplies it from the left on its dots.
+    """
+    gate = np.eye(2**k, dtype=np.complex128).reshape((2,) * k + (2**k,))
     for step in key:
         kind = step[0]
         if kind == "z":
             _, z_angles, global_phase = step
             gate *= np.exp(1j * global_phase)
             for i, phi in z_angles:
-                gate = _left_apply(gate, np.diag([1.0, np.exp(1j * phi)]), (i,), k)
+                gate = apply_on_axes(gate, np.diag([1.0, np.exp(1j * phi)]), (i,))
         elif kind == "pulse":
             _, sites, angle, axis_phase = step
-            gate = _left_apply(gate, rotation(angle, axis_phase), sites, k)
+            gate = apply_on_axes(gate, rotation(angle, axis_phase), sites)
         else:
             _, sites, strength, duration = step
-            gate = _left_apply(gate, _coupling_gate(kind, strength, duration), sites, k)
-    return read_only(gate)
-
-
-def _left_apply(gate: np.ndarray, op: np.ndarray, sites: tuple[int, ...], k: int) -> np.ndarray:
-    """op (acting on ``sites``, extended by identity) times a k-dot gate."""
-    perm = sites + tuple(i for i in range(k) if i not in sites) + (k,)
-    arr = gate.reshape((2,) * k + (2**k,)).transpose(perm)
-    moved_shape = arr.shape
-    arr = (op @ arr.reshape(op.shape[0], -1)).reshape(moved_shape)
-    inverse = sorted(range(k + 1), key=perm.__getitem__)
-    return arr.transpose(inverse).reshape(2**k, 2**k)
+            gate = apply_on_axes(gate, _coupling_gate(kind, strength, duration), sites)
+    return read_only(gate.reshape(2**k, 2**k))
 
 
 def _coupling_gate(kind: str, strength: float, duration: float) -> np.ndarray:
@@ -450,30 +452,6 @@ def bipartitions(n: int):
             yield part
 
 
-def complementary_branches(state: StateVector) -> tuple[int, complex, complex] | None:
-    """(p, a, b) when a qubit state is a|p> + b|~p>, else None.
-
-    ``p`` is the branch whose first qubit reads 0; ``~p`` flips every qubit.
-    A state with no amplitude off the two branches qualifies at any weights.
-    Amplitude off them (an executed schedule's rounding residue) is dropped
-    only when ``_near_two_branch`` holds, the bound ``is_ghz_class`` trusts;
-    a and b are then the entries p and ~p.
-    """
-    n = state.layout.n_subsystems
-    if state.layout.dims != (2,) * n:
-        return None
-    amps = state.amplitudes
-    support = np.flatnonzero(amps)
-    full = 2**n - 1
-    p = min(int(support[0]), full ^ int(support[0]))
-    if support.size > 2 or any(int(i) not in (p, full ^ p) for i in support):
-        if not _near_two_branch(state):
-            return None
-        p = int(np.argmax(np.abs(amps)))
-        p = min(p, full ^ p)
-    return p, complex(amps[p]), complex(amps[full ^ p])
-
-
 def _near_two_branch_bound(state: StateVector) -> float:
     """Bound on how far any cut's Schmidt values lie from the GHZ spectrum.
 
@@ -493,16 +471,6 @@ def _near_two_branch_bound(state: StateVector) -> float:
     return float(dev + np.linalg.norm(rest))
 
 
-def _near_two_branch(state: StateVector) -> bool:
-    """True when ``_near_two_branch_bound`` places every cut of a qubit state
-    inside ``_GHZ_TOL``, with ``_WEYL_MARGIN`` to spare for SVD rounding."""
-    n = state.layout.n_subsystems
-    return (
-        state.layout.dims == (2,) * n
-        and _near_two_branch_bound(state) <= _GHZ_TOL - _WEYL_MARGIN
-    )
-
-
 def is_ghz_class(state: StateVector) -> bool:
     """True when every bipartition has Schmidt spectrum (1/sqrt2, 1/sqrt2).
 
@@ -513,7 +481,10 @@ def is_ghz_class(state: StateVector) -> bool:
     """
     n = state.layout.n_subsystems
     target = 1 / np.sqrt(2)
-    near = _near_two_branch(state)
+    near = (
+        state.layout.dims == (2,) * n
+        and _near_two_branch_bound(state) <= _GHZ_TOL - _WEYL_MARGIN
+    )
     for part in bipartitions(n):
         sv = schmidt_spectrum(state, part)
         if abs(sv[0] - target) > _GHZ_TOL or abs(sv[1] - target) > _GHZ_TOL:
@@ -528,24 +499,25 @@ def is_ghz_class(state: StateVector) -> bool:
 def ghz_branches(state: StateVector) -> TwoBranch:
     """The executed register as a|p> + b|~p>, after the GHZ-class checks.
 
-    A non-qubit layout raises LayoutError.  A state that is not two
-    complementary branches (``complementary_branches``; residue off them is
-    dropped only within the GHZ tolerance) raises NotGhzClassError, and so
-    does one that fails ``is_ghz_class`` (n > 1): a GHZ-class register with
-    more branches is refused too.
+    ``p`` is the largest-modulus entry or its complement, whichever is
+    lower (its first qubit reads 0), and a and b are the entries p and ~p.
+    A non-qubit layout raises LayoutError.  Amplitude off p and ~p (an
+    executed schedule's rounding residue) is dropped only when
+    ``_near_two_branch_bound`` places every cut inside ``_GHZ_TOL``, the
+    bound ``is_ghz_class`` trusts; otherwise the state is not two
+    complementary branches and raises NotGhzClassError.  So does one that
+    fails ``is_ghz_class`` (n > 1), such as an unbalanced pair.
     """
     n = state.layout.n_subsystems
     if state.layout.dims != (2,) * n:
         raise LayoutError("register must be a qubit register")
-    branches = complementary_branches(state)
-    if branches is None:
+    amps = state.amplitudes
+    full = 2**n - 1
+    p = int(np.argmax(np.abs(amps)))
+    p = min(p, full ^ p)
+    on_branches = np.count_nonzero(amps) == np.count_nonzero(amps[[p, full ^ p]])
+    if not on_branches and _near_two_branch_bound(state) > _GHZ_TOL - _WEYL_MARGIN:
         raise NotGhzClassError("register is not two complementary computational branches")
     if n > 1 and not is_ghz_class(state):
         raise NotGhzClassError("register state is not GHZ-class")
-    return TwoBranch(n, *branches)
-
-
-def canonical_ghz(n: int) -> StateVector:
-    amps = np.zeros(2**n, dtype=np.complex128)
-    amps[0] = amps[-1] = 1 / np.sqrt(2)
-    return StateVector(amps, qubits(n))
+    return TwoBranch(n, p, amps[p], amps[full ^ p])

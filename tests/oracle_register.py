@@ -25,9 +25,10 @@ route replaced, kept as its oracles: the all-cuts GHZ-class check
 vector (``dense_register_swap``), the grouped-reshape conversion of that
 vector (``dense_convert_register``), the validated dense dual-rail state
 with its one-photon conversion (``DualRailState``, ``convert_one``), the
-2^n expansion of a ``hilbert.TwoBranch`` value (``dense_two_branch``) and
-the dense polarization GHZ state (``polarization_ghz``).  Only tests
-import this module.
+2^n expansion of a ``hilbert.TwoBranch`` value (``dense_two_branch``), and
+the dense GHZ states of the register (``canonical_ghz``) and of the
+polarization photons (``polarization_ghz``), whose overlaps the two-entry
+formula ``hilbert.ghz_fidelity`` replaced.  Only tests import this module.
 """
 from __future__ import annotations
 
@@ -318,6 +319,13 @@ def dense_two_branch(register: TwoBranch, prefix: str = "r") -> StateVector:
     amps[register.pattern] = register.a
     amps[register.pattern ^ (2**n - 1)] = register.b
     return StateVector(amps, qubits(n, prefix=prefix))
+
+
+def canonical_ghz(n: int) -> StateVector:
+    """(|0..0> + |1..1>)/sqrt(2) on n qubits."""
+    amps = np.zeros(2**n, dtype=np.complex128)
+    amps[0] = amps[-1] = 1 / np.sqrt(2)
+    return StateVector(amps, qubits(n))
 
 
 def polarization_ghz(n: int) -> StateVector:

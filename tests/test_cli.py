@@ -138,6 +138,25 @@ def test_non_finite_config_value_is_exit_2(tmp_path, capsys, stage, doc):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "stage, doc, problem",
+    [
+        ("protect", '{"storage": {"kappa": true}}', "storage.kappa: expected a number"),
+        ("swap", '{"swap": {"p_success": true}}', "swap.p_success: expected a number or string"),
+        ("swap", '{"swap": {"p_success": false}}', "swap.p_success: expected a number or string"),
+    ],
+    ids=["kappa_true", "p_success_true", "p_success_false"],
+)
+def test_json_boolean_number_is_exit_2(tmp_path, capsys, stage, doc, problem):
+    # float(True) is 1.0: a JSON boolean must not pass as a number
+    path = tmp_path / "cfg.json"
+    path.write_text(doc)
+    out = tmp_path / "out"
+    assert main([stage, "--config", str(path), "--out", str(out)]) == 2
+    assert problem in _single_config_error(capsys)
+    assert not out.exists()
+
+
 def test_non_finite_env_value_is_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("EP_STORAGE__KAPPA", "nan")
     assert main(["protect", "--out", str(tmp_path / "out")]) == 2
@@ -671,28 +690,36 @@ def test_pipeline_refuses_a_register_that_is_not_ghz(tmp_path, monkeypatch, caps
     assert not out.exists()
 
 
-def test_pipeline_builds_no_dense_state_after_the_ghz_fidelity(monkeypatch):
-    """From the executed register's GHZ fidelity on, the register is one
-    two-branch value through storage, swap and conversion: no StateVector
-    is built."""
+def _states_built_after_execute(monkeypatch, stage, cfg) -> list:
+    """Run a stage driver; return the layout of every StateVector built
+    after ``execute`` has returned the register."""
     from entpipe.hilbert import StateVector
 
-    after_ghz, built = [], []
-    real_fidelity = entpipe.runner.fidelity
+    executed, built = [], []
+    real_execute = entpipe.runner.execute
     real_post_init = StateVector.__post_init__
 
-    def fidelity(a, b):
-        value = real_fidelity(a, b)
-        after_ghz.append(True)
-        return value
+    def execute(schedule):
+        state = real_execute(schedule)
+        executed.append(True)
+        return state
 
     def post_init(self):
-        if after_ghz:
+        if executed:
             built.append(self.layout.dims)
         real_post_init(self)
 
-    monkeypatch.setattr(entpipe.runner, "fidelity", fidelity)
+    monkeypatch.setattr(entpipe.runner, "execute", execute)
     monkeypatch.setattr(StateVector, "__post_init__", post_init)
+    stage(cfg)
+    assert executed == [True]
+    return built
+
+
+def test_pipeline_builds_no_dense_state_after_the_ghz_fidelity(monkeypatch):
+    """From the executed register on, the register is one two-branch value
+    through the GHZ fidelity, storage, swap and conversion: no StateVector
+    (no dense GHZ reference either) is built."""
     cfg = default_config()
     cfg = replace(
         cfg,
@@ -700,8 +727,32 @@ def test_pipeline_builds_no_dense_state_after_the_ghz_fidelity(monkeypatch):
         storage=replace(cfg.storage, kappa=25000.0),
         swap=replace(cfg.swap, p_success=0.95),
     )
-    entpipe.runner.run_pipeline(cfg)
-    assert after_ghz == [True] and built == []
+    assert _states_built_after_execute(monkeypatch, entpipe.runner.run_pipeline, cfg) == []
+
+
+def test_ghz_stage_builds_no_dense_state_after_execute(monkeypatch):
+    """The ghz stage reads its GHZ fidelity from two entries of the executed
+    register and builds no dense GHZ reference."""
+    cfg = default_config()
+    cfg = replace(cfg, register=replace(cfg.register, n_dots=10))
+    assert _states_built_after_execute(monkeypatch, entpipe.runner.run_ghz, cfg) == []
+
+
+@pytest.mark.parametrize(
+    "swap",
+    [{"gamma2": 0.0}, {"gamma1": 0.0}, {"gamma2": 1e-320}],
+    ids=["gamma2_zero", "gamma1_zero", "gamma2_underflow"],
+)
+def test_pipeline_with_zero_simulated_success_is_exit_2(tmp_path, capsys, swap):
+    """A simulated per-dot success of 0 (one channel off, or P underflowing
+    to 0) is a config problem for the pipeline; the swap stage still runs."""
+    cfg = write_cfg(tmp_path, register={"n_dots": 4}, swap={**swap, "p_success": "simulate"})
+    out = tmp_path / "out"
+    assert main(["swap", "--config", str(cfg), "--out", str(out / "swap")]) == 0
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out / "pipeline")]) == 2
+    assert _single_config_error(capsys).startswith("config error: swap.p_success: ")
+    assert not (out / "pipeline").exists()
 
 
 def test_pipeline_rejects_odd_register(tmp_path, capsys):
@@ -832,6 +883,20 @@ def test_unconverged_jump_time_is_exit_3(tmp_path, monkeypatch, capsys):
     out = tmp_path / "out"
     assert main(["protect", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 3
     assert "[protect] did not converge: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_protect_at_extreme_loss_is_exit_3(tmp_path, capsys):
+    """At kappa = 1e13 the jump-time root's absolute tolerance (1e-16 s) is
+    a sizeable fraction of a jump time, and a root placed on a round's end
+    breaks the record check: reported as non-convergence in one line, with
+    no traceback."""
+    cfg = write_cfg(tmp_path, register={"n_dots": 8}, storage={"kappa": 1e13, "trajectories": 50})
+    out = tmp_path / "out"
+    assert main(["protect", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("[protect] did not converge: "), err
+    assert "kappa = 1e+13" in err[0] and "1e-16 s" in err[0]
     assert not out.exists()
 
 

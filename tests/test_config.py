@@ -61,6 +61,24 @@ def test_int_fields_reject_fractions():
 
 
 @pytest.mark.parametrize(
+    "section,key,value,problem",
+    [
+        ("storage", "kappa", True, "storage.kappa: expected a number, got True"),
+        ("swap", "p_success", True, "swap.p_success: expected a number or string, got True"),
+        ("swap", "p_success", False, "swap.p_success: expected a number or string, got False"),
+    ],
+    ids=["kappa_true", "p_success_true", "p_success_false"],
+)
+def test_booleans_are_not_numbers(section, key, value, problem):
+    # float(True) is 1.0; an int field already refuses a boolean
+    doc = serialize(default_config())
+    doc[section][key] = value
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.problems == [problem]
+
+
+@pytest.mark.parametrize(
     "section,key,value,needle",
     [
         ("register", "n_dots", 1, "n_dots"),

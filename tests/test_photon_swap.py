@@ -47,8 +47,8 @@ from entpipe.photon_swap import (
     sweep_point,
 )
 from entpipe.runner import _dimensionless_reference, run_swap, run_sweep
-from entpipe.spin_register import canonical_ghz, execute, ghz_branches, plan_ghz
-from oracle_register import all_cuts_ghz_class, dense_two_branch
+from entpipe.spin_register import execute, ghz_branches, plan_ghz
+from oracle_register import all_cuts_ghz_class, canonical_ghz, dense_two_branch
 from oracle_swap import (
     AmplitudeState,
     StepSizeError,

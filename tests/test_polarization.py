@@ -18,9 +18,10 @@ from entpipe.errors import LayoutError, RailSubspaceError
 from entpipe.hilbert import StateVector, TwoBranch, fidelity, qubits, schmidt_spectrum
 from entpipe.photon_swap import register_swap
 from entpipe.polarization import ConversionSpec, convert_register
-from entpipe.spin_register import canonical_ghz, ghz_branches
+from entpipe.spin_register import ghz_branches
 from oracle_register import (
     DualRailState,
+    canonical_ghz,
     convert_one,
     dense_convert_register,
     dense_register_swap,

@@ -19,6 +19,7 @@ from entpipe.hilbert import (
     StateVector,
     apply_local,
     fidelity,
+    ghz_fidelity,
     qubits,
     schmidt_spectrum,
 )
@@ -29,8 +30,6 @@ from entpipe.spin_register import (
     ScheduleStep,
     bipartitions,
     build_bell,
-    canonical_ghz,
-    complementary_branches,
     execute,
     ghz_branches,
     is_ghz_class,
@@ -43,6 +42,7 @@ import entpipe.spin_register
 from oracle_register import (
     all_cuts_ghz_class,
     canonical_correction,
+    canonical_ghz,
     dense_execute,
     heisenberg_matrix,
     ising_matrix,
@@ -384,11 +384,17 @@ def test_two_branch_ghz_check_matches_all_cuts(n, bits, delta, phase):
     amps[p] = np.sqrt(0.5 + delta)
     amps[p ^ (2**n - 1)] = np.exp(1j * phase) * np.sqrt(0.5 - delta)
     state = StateVector(amps, qubits(n))
-    first = min(p, p ^ (2**n - 1))
-    assert complementary_branches(state) == (
-        first, state.amplitudes[first], state.amplitudes[first ^ (2**n - 1)]
-    )
-    assert is_ghz_class(state) == all_cuts_ghz_class(state) == (abs(delta) < 1e-8)
+    ghz = abs(delta) < 1e-8
+    assert is_ghz_class(state) == all_cuts_ghz_class(state) == ghz
+    if ghz:
+        first = min(p, p ^ (2**n - 1))
+        reg = ghz_branches(state)
+        assert (reg.pattern, reg.a, reg.b) == (
+            first, state.amplitudes[first], state.amplitudes[first ^ (2**n - 1)]
+        )
+    else:  # an unbalanced pair is two branches, but not GHZ-class
+        with pytest.raises(NotGhzClassError, match="not GHZ-class"):
+            ghz_branches(state)
 
 
 def _rotated_ghz():
@@ -416,26 +422,35 @@ def test_wide_support_ghz_check_matches_all_cuts(make, two_branch):
     """An executed plan is two branches plus rounding residue on every entry."""
     state = make()
     assert np.count_nonzero(state.amplitudes) > 2
-    branches = complementary_branches(state)
-    assert (branches is not None) == two_branch
     if two_branch:
-        p, a, b = branches
-        full = state.amplitudes.size - 1
-        assert (a, b) == (state.amplitudes[p], state.amplitudes[full ^ p]) and p < full ^ p
+        reg = ghz_branches(state)
+        p, full = reg.pattern, state.amplitudes.size - 1
+        assert (reg.a, reg.b) == (state.amplitudes[p], state.amplitudes[full ^ p])
+        assert p < full ^ p
+    else:
+        with pytest.raises(NotGhzClassError, match="not two complementary"):
+            ghz_branches(state)
     assert is_ghz_class(state) == all_cuts_ghz_class(state)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_ghz_branches_reads_executed_plans(n):
-    """An executed canonical plan is handed on as pattern 0 and its entries
-    |0..0> and |1..1>; its GHZ fidelity equals the dense overlap bit for
-    bit at every coupling ratio."""
+    """An executed plan, canonical or raw, is handed on as its entries p and
+    ~p, and a canonical one as pattern 0.  The ghz stage's two-entry GHZ
+    fidelity equals the dense overlap bit for bit at every coupling ratio,
+    and on canonical plans so does the pipeline's, read from the two-branch
+    value."""
     for j1, j2 in ((J1, J2), (1.0, 1.0), (2.5e7, 4e9), (3e9, 1e6)):
-        state = execute(plan_ghz(n, j1, j2)[0])
-        reg = ghz_branches(state)
-        assert (reg.n, reg.pattern) == (n, 0)
-        assert (reg.a, reg.b) == (state.amplitudes[0], state.amplitudes[-1])
-        assert reg.ghz_fidelity() == fidelity(state, canonical_ghz(n))
+        for canonical in (True, False):
+            state = execute(plan_ghz(n, j1, j2, canonical=canonical)[0])
+            amps = state.amplitudes
+            dense = fidelity(state, canonical_ghz(n))
+            assert ghz_fidelity(amps[0], amps[-1]) == dense
+            reg = ghz_branches(state)
+            assert reg.n == n
+            assert (reg.a, reg.b) == (amps[reg.pattern], amps[reg.pattern ^ (2**n - 1)])
+            if canonical:
+                assert reg.pattern == 0 and reg.ghz_fidelity() == dense
 
 
 def test_two_branch_ghz_check_takes_one_cut(monkeypatch):
