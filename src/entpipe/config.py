@@ -17,7 +17,8 @@ from .photon_swap import horizon
 _FORMATS = ("csv", "json")
 # Largest Gamma/d, d/Gamma and horizon a conversion run may reach: every
 # time and rate ratio of the continuum form stays finite in float64 out to
-# the horizon, where the swap series and every sweep point end.
+# the horizon, where the swap series ends, and so does the long-time limit,
+# which reads Gamma/d alone.
 _RATE_RANGE = 1e305
 
 

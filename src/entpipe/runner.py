@@ -27,6 +27,7 @@ from .photon_swap import (
     continuum_probability,
     conversion_probability,
     horizon,
+    longtime_probability,
     propagate_static,
     register_swap,
     sweep_point,
@@ -262,30 +263,23 @@ def run_protect(cfg: PipelineConfig) -> StageResult:
 
 # ------------------------------------------------------------- swap stage
 
-def _swap_series(cfg: PipelineConfig):
-    """Conversion probability on 101 times out to the horizon, and node count."""
-    sw = cfg.swap
-    times = np.linspace(0.0, horizon(sw.d, sw.gamma1 + sw.gamma2), 101)
-    p, n_t = continuum_probability(sw.d, sw.gamma1, sw.gamma2, times)
-    return times, p, n_t
-
-
 def _longtime_success(cfg: PipelineConfig) -> float:
-    """Simulated per-dot conversion success: the swap series' last value."""
-    _, p, _ = _swap_series(cfg)
-    return float(p[-1])
+    """Simulated per-dot conversion success: the long-time limit of P."""
+    sw = cfg.swap
+    return longtime_probability(sw.d, sw.gamma1, sw.gamma2)
 
 
 def run_swap(cfg: PipelineConfig) -> StageResult:
     """Time-resolve the photon frequency conversion probability."""
     sw = cfg.swap
-    times, p, n_t = _swap_series(cfg)
+    times = np.linspace(0.0, horizon(sw.d, sw.gamma1 + sw.gamma2), 101)
+    p, n_t = continuum_probability(sw.d, sw.gamma1, sw.gamma2, times)
     t_end = float(times[-1])
     rows = [{"t": float(t), "p": float(pv)} for t, pv in zip(times, p)]
     discrepancy = closed_form_report(sw.gamma1, sw.gamma2, sw.d, t_end, float(p[-1]))
     report = RunReport(
         stage="swap",
-        heralds={"p_longtime": float(p[-1])},
+        heralds={"p_longtime": _longtime_success(cfg)},
         timing={"t_end_s": t_end},
         discrepancy=discrepancy,
         stats={"n_t": n_t},
@@ -324,7 +318,7 @@ def run_sweep(cfg: PipelineConfig) -> StageResult:
         stats={"points": len(rows)},
         config=_echo(cfg),
     )
-    fieldnames = ["d", "gamma", "p_longtime", "converged", "t_end", "n_t"]
+    fieldnames = ["d", "gamma", "p_longtime", "converged"]
     return StageResult(report, tables=[("sweep_surface", fieldnames, rows)])
 
 

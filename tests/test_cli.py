@@ -42,6 +42,11 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 # -------------------------------------------------------------- front end
 
 @pytest.mark.parametrize("argv", [[], ["bogus"]], ids=["no_stage", "unknown_stage"])
@@ -80,13 +85,13 @@ def test_flags_before_the_stage_write_the_same_bytes(tmp_path):
 def test_ghz_default_register(tmp_path):
     out = tmp_path / "out"
     assert main(["ghz", "--out", str(out)]) == 0
-    rep = json.load(open(out / "ghz_report.json"))
+    rep = read_json(out / "ghz_report.json")
     assert rep["schema"] == "entpipe-report/1"
     assert rep["stage"] == "ghz"
     assert rep["fidelities"]["canonical_ghz"] >= 1 - 1e-10
     assert rep["timing"]["interaction_steps"] == 3
     assert rep["stats"]["ghz_class"] == 1
-    dump = json.load(open(out / "ghz_state.json"))
+    dump = read_json(out / "ghz_state.json")
     assert len(dump["amplitudes"]) == 16
 
 
@@ -94,7 +99,7 @@ def test_ghz_two_dots_timing(tmp_path):
     cfg = write_cfg(tmp_path, register={"n_dots": 2})
     out = tmp_path / "out"
     assert main(["ghz", "--config", str(cfg), "--out", str(out)]) == 0
-    rep = json.load(open(out / "ghz_report.json"))
+    rep = read_json(out / "ghz_report.json")
     assert rep["fidelities"]["canonical_ghz"] >= 1 - 1e-10
     assert rep["timing"]["total_seconds"] == pytest.approx(7.853981633974483e-9, rel=1e-12)
 
@@ -212,7 +217,7 @@ def test_protect_lossless_both_arms_perfect(tmp_path):
     cfg = write_cfg(tmp_path, storage={"trajectories": 20})
     out = tmp_path / "out"
     assert main(["protect", "--config", str(cfg), "--out", str(out)]) == 0
-    rep = json.load(open(out / "protect_report.json"))
+    rep = read_json(out / "protect_report.json")
     assert rep["fidelities"]["corrected_mean"] == pytest.approx(1.0, abs=1e-8)
     assert rep["fidelities"]["uncorrected_mean"] == pytest.approx(1.0, abs=1e-8)
     rows = read_csv(out / "protect_trajectories.csv")
@@ -225,7 +230,7 @@ def test_protect_with_loss_shows_significant_gain(tmp_path):
     cfg = write_cfg(tmp_path, storage={"kappa": 25000.0, "trajectories": 1000})
     out = tmp_path / "out"
     assert main(["protect", "--config", str(cfg), "--out", str(out)]) == 0
-    rep = json.load(open(out / "protect_report.json"))
+    rep = read_json(out / "protect_report.json")
     assert rep["fidelities"]["corrected_mean"] > rep["fidelities"]["uncorrected_mean"]
     assert rep["stats"]["gain_sigma"] >= 3.0
     assert len(read_csv(out / "protect_trajectories.csv")) == 2000
@@ -275,7 +280,10 @@ def test_seed_flag_changes_trajectories(tmp_path):
 # windows (+-20 Gamma for the swap, +-12 Gamma for the sweep) sat
 # 2e-3..4e-3 above it.  The continuum P does not
 # depend on the rail splitting w2, so the split-rail series equals the
-# default one byte for byte.
+# default one byte for byte.  The sweep digest was re-pinned when each row
+# became the exact long-time limit (two erfcx values) in place of the
+# quadrature at the horizon, and lost its t_end and n_t columns: p_longtime
+# rose by at most 3.0e-6 on the pinned box.
 # The ghz digest and the pipeline's ghz fidelity were re-pinned when
 # execute began composing consecutive steps into one gate per group: the
 # 10-dot amplitudes moved by at most 3.1e-16 entrywise and the fidelity
@@ -322,7 +330,7 @@ def test_protect_high_loss_golden_values(tmp_path, n_dots, digest, jumps, fideli
     csv_path = out / "protect_trajectories.csv"
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
     assert sum(int(row["jumps"]) for row in read_csv(csv_path)) == jumps
-    rep = json.load(open(out / "protect_report.json"))
+    rep = read_json(out / "protect_report.json")
     assert rep["fidelities"] == fidelities
     assert rep["stats"] == {
         "cavities": n_dots - 1,
@@ -339,7 +347,7 @@ def test_pipeline_report_golden_values(tmp_path):
     )
     out = tmp_path / "out"
     assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
-    rep = json.load(open(out / "pipeline_report.json"))
+    rep = read_json(out / "pipeline_report.json")
     assert rep["fidelities"] == {
         "final_polarization": 0.9252139446595629,
         "ghz": 0.9999999999999991,
@@ -449,7 +457,7 @@ def test_sweep_surface_golden_digest(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "sweep_surface.csv").read_bytes()).hexdigest()
-    assert digest == "b5a779888f81b9e538e8f5b9ed93f538e4e4ca1c7b71ea459d4c3e18a3ef3410"
+    assert digest == "720cca86314efd0987f703ed7fa604f18db7583ec42b82c4cda843ffb5efc069"
 
 
 def test_sweep_report_discrepancy_golden_values(tmp_path):
@@ -461,7 +469,7 @@ def test_sweep_report_discrepancy_golden_values(tmp_path):
     )
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    rep = json.load(open(out / "sweep_report.json"))
+    rep = read_json(out / "sweep_report.json")
     assert rep["discrepancy"] == {
         "abs_diff": 96.6544466143938,
         "p_closed": 96.96488123978082,
@@ -475,15 +483,17 @@ def test_sweep_report_discrepancy_golden_values(tmp_path):
 def test_swap_series_and_discrepancy_report(tmp_path):
     out = tmp_path / "out"
     assert main(["swap", "--out", str(out)]) == 0
-    rep = json.load(open(out / "swap_report.json"))
+    rep = read_json(out / "swap_report.json")
     # the default swap is the sweep's (d, gamma) = (1, 1) point in units of 5e7
     p_sweep = entpipe.photon_swap.sweep_point(1.0, 1.0)["p_longtime"]
     assert rep["heralds"]["p_longtime"] == pytest.approx(p_sweep, abs=1e-12)
     assert rep["stats"]["n_t"] > 0
     assert set(rep["discrepancy"]) == {"params", "p_ode", "p_closed", "abs_diff"}
     assert rep["discrepancy"]["abs_diff"] > 0
-    # the comparison reuses the series' own long-time value, bit for bit
-    assert rep["discrepancy"]["p_ode"] == rep["heralds"]["p_longtime"]
+    # the comparison reads the series at its end, which trails the exact
+    # long-time limit by at most 8e-6
+    gap = rep["heralds"]["p_longtime"] - rep["discrepancy"]["p_ode"]
+    assert 0 <= gap <= 1e-5
     rows = read_csv(out / "swap_series.csv")
     assert len(rows) == 101
     assert float(rows[0]["p"]) == 0.0
@@ -503,7 +513,7 @@ def test_swap_without_decay_stays_zero(tmp_path):
     assert main(["swap", "--config", str(cfg), "--out", str(out)]) == 0
     rows = read_csv(out / "swap_series.csv")
     assert len(rows) == 101 and all(float(r["p"]) == 0.0 for r in rows)
-    assert json.load(open(out / "swap_report.json"))["stats"]["n_t"] == 0
+    assert read_json(out / "swap_report.json")["stats"]["n_t"] == 0
 
 
 def _reject_constant(name):
@@ -558,22 +568,22 @@ def test_sweep_small_box(tmp_path):
     rows = read_csv(out / "sweep_surface.csv")
     assert len(rows) == 4
     assert all(r["converged"] == "1" for r in rows)
-    rep = json.load(open(out / "sweep_report.json"))
+    rep = read_json(out / "sweep_report.json")
     assert rep["stats"] == {"points": 4}
     assert 0 < rep["heralds"]["surface_max"] <= 1
     assert set(rep["discrepancy"]) == {"params", "p_ode", "p_closed", "abs_diff"}
 
 
 def test_extreme_rate_sweep_box_runs(tmp_path):
-    # t_end reaches 4e300 at gamma_min: every row must stay finite and in [0, 1]
+    # Gamma / d reaches 1e-300 at gamma_min: every row must stay finite and in [0, 1]
     cfg = write_cfg(tmp_path, sweep={"gamma_min": 1e-300, "points_per_axis": 3})
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
     rows = read_csv(out / "sweep_surface.csv")
     assert len(rows) == 9 and all(r["converged"] == "1" for r in rows)
     for r in rows:
-        assert 0.0 <= float(r["p_longtime"]) <= 1.0
-        assert math.isfinite(float(r["t_end"]))
+        p = float(r["p_longtime"])
+        assert math.isfinite(p) and 0.0 <= p <= 1.0
 
 
 @pytest.mark.parametrize("box", [{"d_min": 1e-310}, {"gamma_max": 1e306},
@@ -595,7 +605,7 @@ def test_sweep_json_format(tmp_path):
     )
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out), "--format", "json"]) == 0
-    rows = json.load(open(out / "sweep_surface.json"))
+    rows = read_json(out / "sweep_surface.json")
     assert len(rows) == 4
     assert all(row["converged"] == 1 for row in rows)
 
@@ -610,7 +620,7 @@ def test_pipeline_ideal_run(tmp_path):
     )
     out = tmp_path / "out"
     assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
-    rep = json.load(open(out / "pipeline_report.json"))
+    rep = read_json(out / "pipeline_report.json")
     assert rep["fidelities"]["final_polarization"] >= 1 - 1e-9
     assert rep["heralds"]["total"] == pytest.approx(1.0)
     assert rep["stats"]["polarization_photons"] == 2
@@ -619,7 +629,7 @@ def test_pipeline_ideal_run(tmp_path):
 def test_pipeline_default_heralds_below_one(tmp_path):
     out = tmp_path / "out"
     assert main(["pipeline", "--out", str(out)]) == 0
-    rep = json.load(open(out / "pipeline_report.json"))
+    rep = read_json(out / "pipeline_report.json")
     assert 0 < rep["heralds"]["total"] < 1
     assert rep["heralds"]["total"] == pytest.approx(
         rep["heralds"]["swap"] * rep["heralds"]["conversion"]
@@ -631,9 +641,9 @@ def test_pipeline_simulated_success_is_the_swap_value(tmp_path):
     out = tmp_path / "out"
     assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
     assert main(["swap", "--config", str(cfg), "--out", str(out)]) == 0
-    pipe = json.load(open(out / "pipeline_report.json"))
+    pipe = read_json(out / "pipeline_report.json")
     p = pipe["stats"]["per_dot_success"]
-    assert p == json.load(open(out / "swap_report.json"))["heralds"]["p_longtime"]
+    assert p == read_json(out / "swap_report.json")["heralds"]["p_longtime"]
     assert pipe["heralds"]["swap"] == p ** pipe["stats"]["n_dots"]
 
 
@@ -776,7 +786,7 @@ def test_flag_beats_env_seed(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, storage={"trajectories": 3})
     out = tmp_path / "out"
     assert main(["protect", "--config", str(cfg), "--out", str(out), "--seed", "222"]) == 0
-    rep = json.load(open(out / "protect_report.json"))
+    rep = read_json(out / "protect_report.json")
     assert rep["config"]["run"]["base_seed"] == 222
 
 
@@ -784,7 +794,7 @@ def test_report_echoes_effective_config(tmp_path):
     cfg = write_cfg(tmp_path, register={"n_dots": 6})
     out = tmp_path / "out"
     assert main(["ghz", "--config", str(cfg), "--out", str(out)]) == 0
-    rep = json.load(open(out / "ghz_report.json"))
+    rep = read_json(out / "ghz_report.json")
     assert rep["config"]["register"]["n_dots"] == 6
     assert rep["config"]["run"]["out_dir"] == str(out)
     # pool size shapes scheduling only; leaving it out keeps reruns at any

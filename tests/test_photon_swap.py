@@ -44,6 +44,7 @@ from entpipe.photon_swap import (
     register_swap,
     static_generator,
     horizon,
+    longtime_probability,
     sweep_point,
 )
 from entpipe.runner import _dimensionless_reference, run_swap, run_sweep
@@ -437,12 +438,11 @@ def test_sweep_report_reference_matches_integrator_oracle():
 
 
 def test_sweep_point_converges():
+    # the exact limit has no run end and no node count
     row = sweep_point(1.0, 1.0)
+    assert set(row) == {"d", "gamma", "p_longtime", "converged"}
     assert row["converged"] == 1
     assert 0.0 <= row["p_longtime"] <= 1.0
-    assert 0 < row["n_t"] <= 1024  # quadrature nodes, far fewer than Krylov's grid
-    # plateau horizon covers the pulse passage and the emission decay
-    assert row["t_end"] >= 6.0
 
 
 def test_sweep_point_deterministic():
@@ -455,7 +455,7 @@ def test_sweep_point_matches_dynamic_route(small_dot, small_mode):
     row = sweep_point(1.0, 1.0)
     grid = grid_for_dot(small_dot, small_mode)
     dt = 0.9 / (20 * grid.span / (2 * math.pi))
-    traj = integrate_dynamics(small_dot, small_mode, grid, row["t_end"], dt, n_samples=5)
+    traj = integrate_dynamics(small_dot, small_mode, grid, horizon(1.0, 2.0), dt, n_samples=5)
     assert abs(swap_probability(traj)[-1] - row["p_longtime"]) < 5e-3
 
 
@@ -482,18 +482,18 @@ def test_sweep_surface_ordering():
 
 def test_plateau_gap_stays_below_tolerance_at_every_rate_ratio():
     # in u = d t the gap between P(0.9 t_end) and P(t_end) depends on
-    # r = Gamma / d alone, so one evaluation at the horizon settles every
-    # float64 box (the largest gap is 1.25e-5)
+    # r = Gamma / d alone, so the swap series' horizon settles every
+    # float64 box (the largest gap is 1.25e-5), and its end lies below the
+    # exact limit by less than 1e-5 (8.0e-6 at worst, near r = 0.2)
     ratios = np.concatenate((np.geomspace(1e-300, 1e300, 601), np.geomspace(1e-2, 1e2, 201)))
-    gaps = []
+    gaps, shortfalls = [], []
     for r in ratios:
         t = horizon(1.0, r)
         (p_late, p_end), _ = continuum_probability(1.0, r / 2, r / 2, [0.9 * t, t])
         gaps.append(abs(p_end - p_late))
+        shortfalls.append(longtime_probability(1.0, r / 2, r / 2) - p_end)
     assert max(gaps) < 2e-5
-    for r in ratios[::20]:
-        row = sweep_point(1.0, r / 2)
-        assert row["converged"] == 1 and row["t_end"] == horizon(1.0, r)
+    assert 0.0 <= min(shortfalls) and max(shortfalls) <= 1e-5
 
 
 # ---------------------------------------------------- continuum closed form
@@ -546,12 +546,11 @@ def test_krylov_converges_to_continuum_as_window_doubles(d, gamma):
     assert 0.4 <= gaps[1] / gaps[0] <= 0.6
 
 
-def test_sweep_point_is_continuum_at_its_horizon():
+def test_sweep_point_is_the_longtime_limit():
     row = sweep_point(0.7, 1.3)
-    t = row["t_end"]
-    assert t == horizon(0.7, 2.6)
-    (p,), n_t = continuum_probability(0.7, 1.3, 1.3, [t])
-    assert row["p_longtime"] == p and row["n_t"] == n_t
+    assert row["p_longtime"] == longtime_probability(0.7, 1.3, 1.3)
+    (p,), _ = continuum_probability(0.7, 1.3, 1.3, [horizon(0.7, 2.6)])
+    assert 0.0 <= row["p_longtime"] - p <= 1e-5
 
 
 # d / Gamma over 1e-6 .. 1e6, d over 1e-3 .. 1e3
@@ -618,6 +617,64 @@ def test_continuum_refuses_negative_or_nonfinite_times(times):
     # cumulative sum back to it (P = 44.36 at t = 1 for [-3, 1, 6])
     with pytest.raises(ValueError, match="finite and nonnegative"):
         continuum_probability(1.0, 1.0, 1.0, times)
+
+
+# ------------------------------------------------------- long-time limit
+
+
+def _scipy_longtime(d, g1, g2):
+    """The closed form with ``scipy.special.erfcx`` in place of Weideman's."""
+    g_tot = g1 + g2
+    r = g_tot / d
+    bracket = 2 * special.erfcx(r / math.sqrt(2)) - special.erfcx(r / 2) ** 2
+    return (g1 / g_tot) * (g2 / g_tot) * r * math.sqrt(math.pi / 2) * bracket
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(log_d=LOG_D, log_ratio=LOG_RATIO, split=st.floats(0.01, 0.99))
+def test_longtime_meets_the_quadrature_far_past_the_horizon(log_d, log_ratio, split):
+    d, g1, g2 = _rates(log_d, log_ratio, split)
+    (p,), _ = continuum_probability(d, g1, g2, [50 * horizon(d, g1 + g2)])
+    assert abs(longtime_probability(d, g1, g2) - p) <= 1e-13 * p
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_d=LOG_D, log_ratio=st.floats(-8.0, 8.0), split=st.floats(0.01, 0.99))
+def test_longtime_meets_scipy_erfcx(log_d, log_ratio, split):
+    d, g1, g2 = _rates(log_d, log_ratio, split)
+    assert abs(longtime_probability(d, g1, g2) - _scipy_longtime(d, g1, g2)) <= 1e-14
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_d=LOG_D, log_ratio=LOG_RATIO, split=st.floats(0.01, 0.99))
+def test_longtime_is_channel_symmetric_and_capped(log_d, log_ratio, split):
+    d, g1, g2 = _rates(log_d, log_ratio, split)
+    p = longtime_probability(d, g1, g2)
+    assert p == longtime_probability(d, g2, g1)
+    assert 0.0 <= p <= 2 * g1 * g2 / (g1 + g2) ** 2 <= 0.5
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_d=LOG_D, log_ratio=LOG_RATIO, log_scale=st.floats(-6.0, 6.0))
+def test_longtime_is_scale_invariant(log_d, log_ratio, log_scale):
+    d, g1, g2 = _rates(log_d, log_ratio)
+    s = 10.0**log_scale
+    assert abs(longtime_probability(d, g1, g2) - longtime_probability(s * d, s * g1, s * g2)) <= 1e-15
+
+
+@pytest.mark.parametrize("g1, g2", [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (5e7, 1e-320)])
+def test_longtime_is_zero_without_a_channel(g1, g2):
+    # gamma2 / Gamma underflows to 0 at 1e-320, so the pipeline still
+    # refuses a simulated success of 0
+    assert longtime_probability(5e7 if g1 or g2 else 1.0, g1, g2) == 0.0
+
+
+@pytest.mark.parametrize("args", [(0.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, -1.0, 1.0),
+                                  (1.0, 1.0, -1.0)])
+def test_longtime_validation(args):
+    with pytest.raises(ValueError):
+        longtime_probability(*args)
 
 
 @settings(max_examples=300, deadline=None)
