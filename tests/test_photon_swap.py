@@ -8,7 +8,8 @@ Krylov propagation of the oracle's two-rail generator (the merged-rail
 route), and against exact invariances (norm conservation, dimensionless
 rescaling, rail-splitting independence).  The continuum closed form is
 checked against a direct double integral and against Krylov as the window
-widens; its in-module ``erfcx`` is checked against ``scipy.special.erfcx``
+widens, and its exact long-time limit against the quadrature far past the
+horizon; its in-module ``erfcx`` is checked against ``scipy.special.erfcx``
 and its coefficient table against Weideman's FFT recipe.  The printed
 closed-form probability is exercised only as a recorded comparison, never
 as a reference.
@@ -667,7 +668,7 @@ def test_longtime_is_scale_invariant(log_d, log_ratio, log_scale):
 def test_longtime_is_zero_without_a_channel(g1, g2):
     # gamma2 / Gamma underflows to 0 at 1e-320, so the pipeline still
     # refuses a simulated success of 0
-    assert longtime_probability(5e7 if g1 or g2 else 1.0, g1, g2) == 0.0
+    assert longtime_probability(5e7, g1, g2) == 0.0
 
 
 @pytest.mark.parametrize("args", [(0.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, -1.0, 1.0),
