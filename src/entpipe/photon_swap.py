@@ -181,10 +181,23 @@ def expm_multiply(a: scipy.sparse.csr_matrix, v: np.ndarray) -> np.ndarray:
     call as its own span (``photon_swap.expm_multiply``, whose work counter
     reads ``a.nnz``); it stays until the tracer's spans move to the
     production routes (ROADMAP item 1).
+
+    scipy picks the Taylor degree and step count from a 1-norm estimate
+    whose probe vectors come from numpy's global RNG.  For most generators
+    the estimate does not depend on the probes, but rates near the float64
+    underflow (gamma ~ 1e-306) leave subnormal entries in the generator's
+    powers, the estimate turns on the probes, and the result's bytes with
+    it.  The call therefore runs under a fixed seed, and the caller's RNG
+    state is restored afterwards.
     """
     from scipy.sparse.linalg import expm_multiply
 
-    return expm_multiply(a, v)
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        return expm_multiply(a, v)
+    finally:
+        np.random.set_state(state)
 
 
 def static_generator(dot: ThreeLevelDot, grid: SpectralGrid) -> scipy.sparse.csr_matrix:

@@ -343,6 +343,7 @@ MERGE_TIMES = np.array([0.0, 1.5, 6.0])
 @example(d=1.0, gamma1=1.0, gamma2=0.0)
 @example(d=1.0, gamma1=0.0, gamma2=0.0)
 @example(d=1.0, gamma1=1.0, gamma2=0.3)
+@example(d=1.0, gamma1=1.2636481021462683e-306, gamma2=0.0)  # subnormal generator powers
 def test_merged_rails_match_two_rail_propagation(d, gamma1, gamma2):
     """At w2 = 0 the bright-rail route rebuilds both rails to within 1e-12 of
     Krylov propagation of the full two-rail generator, starts exactly at the
