@@ -31,18 +31,14 @@ read has a fixed outcome: its probability is exactly 1.0 or 0.0, and the
 projection onto the parity a cavity has returns the chain unchanged.
 
 Cost of the factored route for k cavities of dimension d.  A chain holds
-its columns as the rows of one read-only (m, d) table, m <= 2k distinct
-columns, and each cavity holds a row index into it per branch.  A fresh
-chain's table is the two code columns; drift maps each row to one decayed
-row, so a cavity gets a row of its own only when a loss or repump hits it.
-Drift, the survival function of a jump time and the flux of every jump
-channel read the table as it is stored: one array operation each, plus O(k)
-scalar work (products over the stored per-cavity norms).  Loss and repump
-write cavity j's new rows into one copy of the table, O(m d): a row no
-other cavity uses is overwritten, else j gets a row appended, so the table
-never holds a row that no cavity uses.  Each operation scales the branch
-weights to norm one before it builds the chain it returns, so it builds one
-chain.  A parity round is O(k) field reads.  A jump time is the root of
+its columns as the rows of one read-only (2k, d) table: row j is cavity j's
+branch-0 column and row k + j its branch-1 column.  Drift, the survival
+function of a jump time and the flux of every jump channel read the table
+as it is stored: one array operation each, plus O(k) scalar work (products
+over the stored row norms).  Loss and repump write cavity j's two rows into
+one copy of the table, O(k d).  Each operation scales the branch weights to
+norm one before it builds the chain it returns, so it builds one chain.  A
+parity round is O(k) field reads.  A jump time is the root of
 ln S(tau) = ln r, which Brent's method finds in about 6 survival
 evaluations per jump (7.7 on S(tau) - r): ln S is convex, and exactly
 linear when one decay rate is left.
@@ -242,14 +238,14 @@ class FactoredChain:
     targets all reduce to per-cavity vector work.  Protocol operations keep
     the form closed, which is what makes long chains tractable.
 
-    The distinct columns are the rows of ``table``, one read-only C-ordered
-    (m, d) complex array, and cavity j's columns are rows ``slot0[j]`` and
-    ``slot1[j]``.  Every row is used by some cavity, so m <= 2k.  No
-    operation writes a table in place: a derived chain that changes rows
-    holds a new table.  ``sq_norms0``/``sq_norms1`` hold each cavity's
-    squared column norm (``_sq_norms``); norms multiply them left to right
-    in cavity order, as ``np.prod`` over freshly computed norms would, so
-    the results are bit-identical to a from-scratch evaluation.
+    The columns are the rows of ``table``, one read-only C-ordered (2k, d)
+    complex array: cavity j's branch-0 column is row j and its branch-1
+    column row k + j.  No operation writes a table in place: a derived
+    chain that changes rows holds a new table.  ``sq_norms[i]`` is row i's
+    squared norm (``_sq_norms``); a branch's norm multiplies its k entries
+    left to right in cavity order, as ``np.prod`` over freshly computed
+    norms would, so the results are bit-identical to a from-scratch
+    evaluation.
 
     ``parity[j]`` is the photon-number parity both of cavity j's columns
     have: +1 (no odd amplitude) or -1 (no even amplitude).  The operation
@@ -264,33 +260,29 @@ class FactoredChain:
     weight1: complex
     spec: CavitySpec
     table: np.ndarray
-    slot0: tuple[int, ...]
-    slot1: tuple[int, ...]
-    sq_norms0: tuple[float, ...]
-    sq_norms1: tuple[float, ...]
+    sq_norms: tuple[float, ...]
     parity: tuple[int, ...]
 
     @property
     def k(self) -> int:
-        return len(self.slot0)
+        return len(self.parity)
 
     def norm_squared(self) -> float:
-        return _norm_squared(self.weight0, self.weight1, self.sq_norms0, self.sq_norms1)
+        return _norm_squared(self.weight0, self.weight1, self.sq_norms)
 
     def normalized(self) -> "FactoredChain":
         return FactoredChain(
-            *_unit_weights(self.weight0, self.weight1, self.sq_norms0, self.sq_norms1),
-            self.spec, self.table, self.slot0, self.slot1, self.sq_norms0, self.sq_norms1,
-            self.parity,
+            *_unit_weights(self.weight0, self.weight1, self.sq_norms),
+            self.spec, self.table, self.sq_norms, self.parity,
         )
 
     def state_vector(self) -> StateVector:
         d = self.spec.dim
         b0 = np.array([1.0], dtype=np.complex128)
         b1 = np.array([1.0], dtype=np.complex128)
-        for i0, i1 in zip(self.slot0, self.slot1):
-            b0 = np.kron(b0, self.table[i0])
-            b1 = np.kron(b1, self.table[i1])
+        for u, v in zip(self.table[: self.k], self.table[self.k :]):
+            b0 = np.kron(b0, u)
+            b1 = np.kron(b1, v)
         amps = np.concatenate([self.weight0 * b0, self.weight1 * b1])
         return StateVector.from_amplitudes(amps, SubsystemLayout((2,) + (d,) * self.k))
 
@@ -300,30 +292,32 @@ class FactoredChain:
         return float(abs(amp) ** 2)
 
 
-def _norm_squared(w0: complex, w1: complex, sq_norms0, sq_norms1) -> float:
-    """Squared norm of a chain: |w0|^2 prod sq_norms0 + |w1|^2 prod sq_norms1."""
-    return float(abs(w0) ** 2 * math.prod(sq_norms0) + abs(w1) ** 2 * math.prod(sq_norms1))
+def _norm_squared(w0: complex, w1: complex, sq_norms) -> float:
+    """Squared norm of a chain: |w0|^2 times the product of the first half
+    of ``sq_norms``, plus |w1|^2 times the product of the second half."""
+    k = len(sq_norms) // 2
+    return float(abs(w0) ** 2 * math.prod(sq_norms[:k]) + abs(w1) ** 2 * math.prod(sq_norms[k:]))
 
 
-def _unit_weights(w0: complex, w1: complex, sq_norms0, sq_norms1) -> tuple[complex, complex]:
+def _unit_weights(w0: complex, w1: complex, sq_norms) -> tuple[complex, complex]:
     """The branch weights scaled so that the chain they weight has norm one.
 
     Operations scale the weights before they build the chain they return,
     so each builds it once."""
-    scale = 1.0 / np.sqrt(_norm_squared(w0, w1, sq_norms0, sq_norms1))
+    scale = 1.0 / np.sqrt(_norm_squared(w0, w1, sq_norms))
     return w0 * scale, w1 * scale
 
 
 def _code_overlaps(fc: FactoredChain) -> tuple[complex, complex, float]:
     """Each branch's overlap with its nominal code product, and the chain norm.
 
-    One ``np.vdot`` per row a branch uses, multiplied in cavity order.
+    One ``np.vdot`` per row, multiplied in cavity order.
     """
     nrm = np.sqrt(fc.norm_squared())
+    k = fc.k
     out = []
-    for code, slots in zip(_code_columns(fc.spec.alpha, fc.spec.n_max), (fc.slot0, fc.slot1)):
-        ov = {i: np.vdot(code, fc.table[i]) for i in set(slots)}
-        out.append(np.prod([ov[i] for i in slots]))
+    for code, rows in zip(_code_columns(fc.spec.alpha, fc.spec.n_max), (fc.table[:k], fc.table[k:])):
+        out.append(np.prod([np.vdot(code, row) for row in rows]))
     return out[0], out[1], nrm
 
 
@@ -338,16 +332,20 @@ def fc_logical_amplitudes(fc: FactoredChain) -> tuple[complex, complex]:
 
 
 def factored_chain(spec: CavitySpec, k: int) -> FactoredChain:
-    """The fresh chain (|0> |C_a+>^k + |1> |C_ia+>^k) / sqrt(2): one table row
-    per code column, shared by every cavity."""
-    if k:
-        table = np.stack(_code_columns(spec.alpha, spec.n_max))
-    else:
-        table = np.empty((0, spec.dim), dtype=np.complex128)
-    norms = tuple(_sq_norms(table).tolist())
+    """The fresh chain (|0> |C_a+>^k + |1> |C_ia+>^k) / sqrt(2)."""
+    table = np.repeat(np.stack(_code_columns(spec.alpha, spec.n_max)), k, axis=0)
     return FactoredChain(
-        2**-0.5, 2**-0.5, spec, read_only(table), (0,) * k, (1,) * k,
-        norms[:1] * k, norms[1:] * k, (1,) * k,
+        2**-0.5, 2**-0.5, spec, read_only(table), tuple(_sq_norms(table).tolist()), (1,) * k
+    )
+
+
+def _renormalised(fc: FactoredChain, table: np.ndarray, parity: tuple[int, ...]) -> FactoredChain:
+    """``fc``'s weights on a new table, its rows normed in one reduction and
+    the weights scaled to norm one."""
+    sq_norms = tuple(_sq_norms(table).tolist())
+    return FactoredChain(
+        *_unit_weights(fc.weight0, fc.weight1, sq_norms), fc.spec, read_only(table), sq_norms,
+        parity,
     )
 
 
@@ -355,27 +353,11 @@ def _with_cavity(
     fc: FactoredChain, j: int, u: np.ndarray, v: np.ndarray, parity: int
 ) -> FactoredChain:
     """``fc`` with cavity j's columns set to (u, v) of the given parity,
-    renormalised; only j's norms are recomputed.
-
-    The new table is one copy of ``fc.table``: a row that no other cavity
-    uses is overwritten, and for one that others share j gets a row
-    appended.
+    renormalised: one copy of ``fc.table`` with rows j and k + j overwritten.
     """
-    k, n = fc.k, len(fc.table)
-    slots = list(fc.slot0 + fc.slot1)
-    for pos in (j, k + j):
-        if slots.count(slots[pos]) > 1:
-            slots[pos], n = n, n + 1
-    table = np.empty((n, fc.spec.dim), dtype=np.complex128)
-    table[: len(fc.table)] = fc.table
-    table[slots[j]], table[slots[k + j]] = u, v
-    s0, s1 = list(fc.sq_norms0), list(fc.sq_norms1)
-    s0[j], s1[j] = float(_sq_norms(u)), float(_sq_norms(v))
-    s0, s1 = tuple(s0), tuple(s1)
-    return FactoredChain(
-        *_unit_weights(fc.weight0, fc.weight1, s0, s1), fc.spec, read_only(table),
-        tuple(slots[:k]), tuple(slots[k:]), s0, s1, fc.parity[:j] + (parity,) + fc.parity[j + 1 :],
-    )
+    table = fc.table.copy()
+    table[j], table[fc.k + j] = u, v
+    return _renormalised(fc, table, fc.parity[:j] + (parity,) + fc.parity[j + 1 :])
 
 
 def fc_drift(fc: FactoredChain, tau: float) -> FactoredChain:
@@ -386,18 +368,12 @@ def fc_drift(fc: FactoredChain, tau: float) -> FactoredChain:
     so every cavity keeps its parity.
     """
     decay = np.exp(-fc.spec.kappa * tau * np.arange(fc.spec.dim) / 2)
-    table = read_only(fc.table * decay)
-    norm = _sq_norms(table).tolist().__getitem__
-    s0, s1 = tuple(map(norm, fc.slot0)), tuple(map(norm, fc.slot1))
-    return FactoredChain(
-        *_unit_weights(fc.weight0, fc.weight1, s0, s1), fc.spec, table, fc.slot0, fc.slot1,
-        s0, s1, fc.parity,
-    )
+    return _renormalised(fc, fc.table * decay, fc.parity)
 
 
 def fc_apply_loss(fc: FactoredChain, j: int) -> FactoredChain:
     """A photon lost from cavity j, renormalised; j's parity flips."""
-    u, v = _lower(fc.table[fc.slot0[j]]), _lower(fc.table[fc.slot1[j]])
+    u, v = _lower(fc.table[j]), _lower(fc.table[fc.k + j])
     return _with_cavity(fc, j, u, v, -fc.parity[j])
 
 
@@ -426,7 +402,7 @@ def fc_repump(fc: FactoredChain, j: int, decayed_alpha: complex) -> FactoredChai
     to zero, so a column with any even amplitude raises ``ValueError``.
     The repumped columns are even (the map's odd rows are exact zeros).
     """
-    u, v = fc.table[fc.slot0[j]], fc.table[fc.slot1[j]]
+    u, v = fc.table[j], fc.table[fc.k + j]
     if u[::2].any() or v[::2].any():
         raise ValueError(f"cavity {j} has even amplitude: only a cavity that read -1 is repumped")
     r = recovery_matrix(fc.spec, decayed_alpha)
@@ -436,19 +412,18 @@ def fc_repump(fc: FactoredChain, j: int, decayed_alpha: complex) -> FactoredChai
 def _fc_survival(fc: FactoredChain):
     """No-jump probability tau -> ||exp(-kappa tau n/2) psi||^2 of a normalized chain.
 
-    |u|^2 of the table's m <= 2k rows is taken once, so an evaluation is
-    one exponential, one row-sum and two products over the cavities.
+    |u|^2 of the table's 2k rows is taken once, so an evaluation is one
+    exponential, one row-sum and two products over the cavities.
     """
     weights = np.abs(fc.table) ** 2
     n = np.arange(fc.spec.dim)
     kappa = fc.spec.kappa
     w0, w1 = abs(fc.weight0) ** 2, abs(fc.weight1) ** 2
-    slot0, slot1 = fc.slot0, fc.slot1
+    k = fc.k
 
     def survival(tau: float) -> float:
         sums = (weights * np.exp(-kappa * tau * n)).sum(axis=1).tolist()
-        row = sums.__getitem__
-        return float(w0 * math.prod(map(row, slot0)) + w1 * math.prod(map(row, slot1)))
+        return float(w0 * math.prod(sums[:k]) + w1 * math.prod(sums[k:]))
 
     return survival
 
@@ -457,21 +432,21 @@ def _fc_jump_flux(fc: FactoredChain) -> np.ndarray:
     """Loss flux kappa <a^dag a> of every cavity, from the stored norms.
 
     ||a c||^2 = sum_n n |c_n|^2, so one weighted row sum over the table
-    gives every row's lowered weight (a row's sum does not depend on the
-    other rows, so cavities sharing a column get the flux that private
-    copies would).  Lowering cavity j scales each branch's weight by its
-    lowered weight over its stored norm.  A branch of weight zero (one of
-    its columns is zero) adds nothing and is left out, so no ratio divides
-    by a zero norm.
+    gives every row's lowered weight.  Lowering cavity j scales each
+    branch's weight by its row's lowered weight over its stored norm.  A
+    branch of weight zero (one of its columns is zero) adds nothing and is
+    left out, so no ratio divides by a zero norm.
     """
+    k = fc.k
     x = fc.table.view(np.float64)
     lowered = (x * x * _fock_weights(fc.spec.dim)).sum(axis=-1)
-    b0 = abs(fc.weight0) ** 2 * math.prod(fc.sq_norms0)
-    b1 = abs(fc.weight1) ** 2 * math.prod(fc.sq_norms1)
-    flux = np.zeros(fc.k)
-    for b, slots, sq_norms in ((b0, fc.slot0, fc.sq_norms0), (b1, fc.slot1, fc.sq_norms1)):
+    sq_norms = np.array(fc.sq_norms)
+    b0 = abs(fc.weight0) ** 2 * math.prod(fc.sq_norms[:k])
+    b1 = abs(fc.weight1) ** 2 * math.prod(fc.sq_norms[k:])
+    flux = np.zeros(k)
+    for b, rows in ((b0, slice(None, k)), (b1, slice(k, None))):
         if b:
-            flux += b * lowered[list(slots)] / np.array(sq_norms)
+            flux += b * lowered[rows] / sq_norms[rows]
     return fc.spec.kappa * flux / (b0 + b1)
 
 

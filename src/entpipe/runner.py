@@ -374,7 +374,7 @@ def run_pipeline(cfg: PipelineConfig) -> StageResult:
         },
         timing={
             "ghz_total_seconds": timing.total_seconds,
-            "storage_seconds": st.rounds * st.tau_syn if st.kappa > 0 else 0.0,
+            "storage_seconds": st.rounds * st.tau_syn,
         },
         heralds={
             "swap": herald_swap,

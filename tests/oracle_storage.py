@@ -515,8 +515,8 @@ def repump_correct(
 # ------------------------------------------------- factored protocol loop
 
 def chain_from_columns(weight0, weight1, branch0, branch1, spec: CavitySpec) -> FactoredChain:
-    """A chain holding the given per-cavity columns: one table row per
-    distinct array object, so cavities that pass one object share a row.
+    """A chain holding the given per-cavity columns: the table stacks the
+    branch-0 columns in cavity order, then the branch-1 columns.
 
     Each cavity's parity is scanned from its two columns: +1 when neither
     has odd amplitude, -1 when neither has even amplitude.  A cavity whose
@@ -524,14 +524,9 @@ def chain_from_columns(weight0, weight1, branch0, branch1, spec: CavitySpec) -> 
     operation makes one.
     """
     columns = tuple(branch0) + tuple(branch1)
-    index: dict[int, int] = {}
-    for c in columns:
-        index.setdefault(id(c), len(index))
-    table = np.empty((len(index), spec.dim), dtype=np.complex128)
-    for c in columns:
-        table[index[id(c)]] = c
-    slots = tuple(index[id(c)] for c in columns)
-    norms = _sq_norms(table).tolist()
+    table = np.empty((len(columns), spec.dim), dtype=np.complex128)
+    for i, c in enumerate(columns):
+        table[i] = c
     parity = []
     for j, (u, v) in enumerate(zip(branch0, branch1)):
         if not (u[1::2].any() or v[1::2].any()):
@@ -540,16 +535,15 @@ def chain_from_columns(weight0, weight1, branch0, branch1, spec: CavitySpec) -> 
             parity.append(-1)
         else:
             raise ValueError(f"cavity {j}'s columns have no common parity")
-    k = len(branch0)
     return FactoredChain(
-        weight0, weight1, spec, read_only(table), slots[:k], slots[k:],
-        tuple(norms[i] for i in slots[:k]), tuple(norms[i] for i in slots[k:]), tuple(parity),
+        weight0, weight1, spec, read_only(table), tuple(_sq_norms(table).tolist()), tuple(parity)
     )
 
 
-def branch_columns(fc: FactoredChain) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Each branch's per-cavity columns, as views of the chain's table rows."""
-    return tuple(fc.table[i] for i in fc.slot0), tuple(fc.table[i] for i in fc.slot1)
+def branch_columns(fc: FactoredChain) -> tuple[np.ndarray, np.ndarray]:
+    """Each branch's per-cavity columns: the first and the second k rows of
+    the chain's table, as views."""
+    return fc.table[: fc.k], fc.table[fc.k :]
 
 
 def project_parity_full(fc: FactoredChain, j: int, outcome: int) -> FactoredChain:

@@ -638,10 +638,9 @@ def test_run_makes_one_measurement_per_round(rounds):
 
 def _assert_same_chain(a, b):
     assert (a.weight0, a.weight1) == (b.weight0, b.weight1)
-    assert a.sq_norms0 == b.sq_norms0 and a.sq_norms1 == b.sq_norms1
+    assert a.sq_norms == b.sq_norms
     assert a.parity == b.parity
-    for u, v in zip(sum(branch_columns(a), ()), sum(branch_columns(b), ())):
-        assert np.array_equal(u, v)
+    assert np.array_equal(a.table, b.table)
 
 
 @settings(max_examples=40, deadline=None)
@@ -676,7 +675,7 @@ def test_repump_leaves_exact_even_columns(drift):
     assert fc_parity_probability(fc, 1) == 0.0
     assert fc_project_parity(fc, 1, -1) is fc
     fc = fc_repump(fc, 1, ALPHA * np.exp(-SPEC.kappa * drift / 2))
-    assert not fc.table[fc.slot0[1]][1::2].any() and not fc.table[fc.slot1[1]][1::2].any()
+    assert not fc.table[1][1::2].any() and not fc.table[fc.k + 1][1::2].any()
     assert fc.parity[1] == 1 and fc_parity_probability(fc, 1) == 1.0
     assert fc_project_parity(fc, 1, 1) is fc
 
@@ -784,18 +783,21 @@ def _assert_parity_field(fc):
     """Each cavity's parity field is the scanned parity of both of its rows."""
     assert len(fc.parity) == fc.k
     for j in range(fc.k):
-        got = (_parity_code(fc.table[fc.slot0[j]]), _parity_code(fc.table[fc.slot1[j]]))
+        got = (_parity_code(fc.table[j]), _parity_code(fc.table[fc.k + j]))
         assert got == (fc.parity[j], fc.parity[j])
 
 
 def _assert_table(fc):
-    """The column table holds only live rows, the parity field matches the
-    rows, and the chain holds its dataclass fields and nothing else."""
-    m = len(fc.table)
-    assert set(fc.slot0 + fc.slot1) == set(range(m)) and m <= 2 * fc.k
-    assert fc.table.shape == (m, fc.spec.dim) and fc.table.flags.c_contiguous
+    """The table is one read-only C-ordered (2k, d) array, the stored norms
+    are its rows' norms bit for bit, the parity field matches the rows, and
+    the chain holds its six dataclass fields and nothing else."""
+    assert fc.table.shape == (2 * fc.k, fc.spec.dim) and fc.table.flags.c_contiguous
+    assert not fc.table.flags.writeable
+    assert fc.sq_norms == tuple(cat_code._sq_norms(fc.table).tolist())
     _assert_parity_field(fc)
-    assert set(vars(fc)) == {f.name for f in dataclasses.fields(FactoredChain)}
+    fields = [f.name for f in dataclasses.fields(FactoredChain)]
+    assert fields == ["weight0", "weight1", "spec", "table", "sq_norms", "parity"]
+    assert set(vars(fc)) == set(fields)
 
 
 @settings(max_examples=40, deadline=None)
@@ -814,8 +816,7 @@ def test_factored_chain_stored_norms_track_columns(k, ops):
             assert recovery_matrix(SPEC, decayed) is r
         fc = _apply_op(fc, op)
         _assert_table(fc)
-        for cols, sq in zip(branch_columns(fc), (fc.sq_norms0, fc.sq_norms1)):
-            assert all(s == _sq(c) for c, s in zip(cols, sq))
+        assert fc.sq_norms == tuple(_sq(c) for c in fc.table)
         assert abs(fc.normalized().norm_squared() - 1.0) <= 1e-12
         # the incremental arithmetic repeats a from-scratch evaluation bit for bit
         assert fc.norm_squared() == _scratch_norm_squared(fc)
@@ -840,7 +841,7 @@ def _emptied_branch_chain():
     plus, rot = cat_code._code_columns(ALPHA, NMAX)
     odd = cat_column(1j * ALPHA, -1, NMAX)
     fc = chain_from_columns(2**-0.5, 2**-0.5, (np.zeros(NMAX + 1), plus), (odd, rot), SPEC)
-    assert fc.parity == (-1, 1) and fc.sq_norms0[0] == 0.0 and fc.sq_norms1[0] > 0
+    assert fc.parity == (-1, 1) and fc.sq_norms[0] == 0.0 and fc.sq_norms[2] > 0
     return fc
 
 
@@ -863,7 +864,7 @@ def test_repump_rejects_even_amplitude():
         fc_repump(emptied, 1, decayed)
     # an odd column with a zero partner is repumped: the zero column stays zero
     got = fc_repump(emptied, 0, ALPHA)
-    assert not got.table[got.slot0[0]].any() and not got.table[got.slot1[0]][1::2].any()
+    assert not got.table[0].any() and not got.table[got.k][1::2].any()
     # and a lost cavity, the protocol's case, is
     assert fc_parity_probability(fc_repump(fc_apply_loss(fc, 0), 0, decayed), 0) == 1.0
 
@@ -897,9 +898,9 @@ def test_chain_from_columns_refuses_mixed_or_disagreeing_cavities():
     for b0, b1 in (((plus,), (odd,)), ((mixed,), (mixed,)), ((plus, mixed), (rot, rot))):
         with pytest.raises(ValueError, match="no common parity"):
             chain_from_columns(2**-0.5, 2**-0.5, b0, b1, SPEC)
-    # one row per array object: cavity 1 passes ``odd`` on both branches
+    # the branch-0 columns, then the branch-1 columns, in cavity order
     fc = chain_from_columns(2**-0.5, 2**-0.5, (plus, odd), (rot, odd), SPEC)
-    assert fc.parity == (1, -1) and len(fc.table) == 3 and fc.slot0[1] == fc.slot1[1]
+    assert fc.parity == (1, -1) and np.array_equal(fc.table, np.stack([plus, odd, rot, odd]))
 
 
 def _one_copy_per_cavity(fc):
@@ -911,44 +912,28 @@ def _one_copy_per_cavity(fc):
 
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(1, 9), ops=st.lists(_ops(8), min_size=1, max_size=12))
-def test_shared_columns_match_one_copy_per_cavity(k, ops):
-    """Cavities sharing one column object evolve as private copies would, bit for bit."""
-    shared = factored_chain(SPEC, k)
+def test_chain_matches_one_built_from_copied_columns(k, ops):
+    """A chain evolves as one the oracle builds from copies of its columns, bit for bit."""
+    fc = factored_chain(SPEC, k)
     plus, rot = cat_code._code_columns(SPEC.alpha, SPEC.n_max)
-    # every cavity of a fresh chain holds the two rows that are the code columns
-    (i0,), (i1,) = set(shared.slot0), set(shared.slot1)
-    assert np.array_equal(shared.table[i0], plus) and np.array_equal(shared.table[i1], rot)
-    private = _one_copy_per_cavity(shared)
+    # a fresh chain's rows are the code columns: k of |C_a+>, then k of |C_ia+>
+    assert np.array_equal(fc.table, np.stack([plus] * k + [rot] * k))
+    copied = _one_copy_per_cavity(fc)
     for op in ops:
-        prev, prev_private = shared, private
-        before = (prev.table.tobytes(), prev_private.table.tobytes())
-        shared, private = _apply_op(shared, op), _apply_op(private, op)
+        prev, prev_copied = fc, copied
+        before = (prev.table.tobytes(), prev_copied.table.tobytes())
+        fc, copied = _apply_op(fc, op), _apply_op(copied, op)
         # no operation writes its source's table in place
-        assert (prev.table.tobytes(), prev_private.table.tobytes()) == before
-        assert not shared.table.flags.writeable and not private.table.flags.writeable
-        _assert_same_chain(shared, private)
-        _assert_table(shared)
-        assert np.array_equal(cat_code._fc_jump_flux(shared), cat_code._fc_jump_flux(private))
-        assert cat_code._fc_survival(shared)(0.05) == cat_code._fc_survival(private)(0.05)
-        for c in shared.table:
+        assert (prev.table.tobytes(), prev_copied.table.tobytes()) == before
+        assert not fc.table.flags.writeable and not copied.table.flags.writeable
+        _assert_same_chain(fc, copied)
+        _assert_table(fc)
+        assert np.array_equal(cat_code._fc_jump_flux(fc), cat_code._fc_jump_flux(copied))
+        assert cat_code._fc_survival(fc)(0.05) == cat_code._fc_survival(copied)(0.05)
+        for c in fc.table:
             assert not c.flags.writeable
             with pytest.raises(ValueError):
                 c[0] = 0.0
-    # drift maps each distinct column to one: the sharing survives it
-    drifted = fc_drift(shared, 0.01)
-    assert (drifted.slot0, drifted.slot1) == (shared.slot0, shared.slot1)
-    assert len(drifted.table) == len(shared.table)
-
-
-def test_resumed_chain_keeps_column_sharing():
-    # no jumps at kappa = 0: the prefix's chain holds the two code columns
-    spec = CavitySpec(ALPHA, NMAX, kappa=0.0)
-    prefix = start_protected(spec, 4, 0.1, 0.05, 6)
-    a = run_protected(prefix, correct=False).record.final_state
-    b = run_protected(prefix, correct=True).record.final_state
-    for fc in (a, b):
-        assert (fc.slot0, fc.slot1) == ((0,) * 4, (1,) * 4) and len(fc.table) == 2
-        assert not fc.table.flags.writeable
 
 
 @settings(max_examples=200, deadline=None)

@@ -673,6 +673,16 @@ def test_pipeline_memory_stays_two_branch():
     assert peak < 2e6
 
 
+def test_pipeline_storage_time_at_zero_loss_is_protects(tmp_path):
+    """Storage runs ``rounds * tau_syn`` at every kappa, kappa = 0 included."""
+    cfg = write_cfg(tmp_path, storage={"kappa": 0.0})
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["protect", "--config", str(cfg), "--out", str(out)]) == 0
+    got = read_json(out / "pipeline_report.json")["timing"]["storage_seconds"]
+    assert got == read_json(out / "protect_report.json")["timing"]["storage_seconds"] > 0
+
+
 @pytest.mark.parametrize("kappa", [0.0, 25000.0])
 @pytest.mark.parametrize("n_dots", [2, 4, 6, 8, 10])
 def test_pipeline_final_fidelity_is_the_storage_fidelity(n_dots, kappa):
