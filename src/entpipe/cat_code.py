@@ -42,10 +42,13 @@ parity round is O(k) field reads.  A jump time is the root of
 ln S(tau) = ln r, which Brent's method finds in about 6 survival
 evaluations per jump (7.7 on S(tau) - r): ln S is convex, and exactly
 linear when one decay rate is left.
-The corrected and uncorrected runs of a seed agree up to the first round
-that reads -1.  ``start_protected`` runs that prefix and returns it as a
-value, and ``run_protected`` runs either run's rest from it, so a pair
-costs the prefix once plus the two suffixes after it.
+A run is a whole number of syndrome rounds, one interval each, and both
+drivers step through them in one round loop.  The corrected and
+uncorrected runs of a seed agree up to the first round that reads -1.
+``start_protected`` runs the loop uncorrected up to that round, before its
+repump, and returns that prefix as a value; ``run_protected`` runs either
+arm's rest from it to the last round, so a pair costs the prefix once plus
+the two suffixes after it.
 
 Memoised per process, in bounded stores that fill on first use:
   - the nominal code columns per (alpha, n_max), 8 entries, which every
@@ -592,68 +595,86 @@ class ProtectionPrefix(NamedTuple):
     """The rounds that the corrected and the uncorrected run of a seed share.
 
     ``record`` holds the trajectory up to the first round that reads -1,
-    before its repump, or to the end when no round does: its
-    ``final_state`` is the chain there, and ``rng_state`` is the state of
-    the seed's generator there.  ``run_protected`` reads a prefix and
-    writes nothing into it, so one prefix starts both runs of a pair.
+    before its repump, or through all ``rounds`` rounds when no round
+    does: its ``final_state`` is the chain there, and ``rng_state`` is the
+    state of the seed's generator there.  ``run_protected`` reads a prefix
+    and writes nothing into it, so one prefix starts both runs of a pair.
 
     An immutable named tuple rather than a frozen dataclass: defining the
     class costs about 0.06 ms at import against 0.5 ms for the dataclass
     (Python 3.11, 2-core VM), and every CLI run pays it.
     """
 
-    spec: CavitySpec
-    duration: float
+    rounds: int
     syndrome_interval: float
     record: TrajectoryRecord
     rng_state: dict
 
 
-def _syndrome_round(
-    fc: FactoredChain, t: float, seg: float, rng: np.random.Generator, jumps: list, outcomes: list
-) -> tuple[FactoredChain, list[int]]:
-    """Loss from t over seg, then a parity read of every cavity.
+def _run_rounds(
+    start: TrajectoryRecord, rng: np.random.Generator, rounds: int, interval: float,
+    correct: bool, until_loss: bool,
+) -> TrajectoryRecord:
+    """The storage protocol's round loop, run on from ``start``.
 
-    Appends cavity j's jump times and outcome to ``jumps[j]`` and
-    ``outcomes[j]``; returns the chain and the round's outcomes.
+    Each pass first repumps, when ``correct``, every cavity that the last
+    round read -1.  It then stops once ``rounds`` rounds have run, or, with
+    ``until_loss``, once a round has read -1; otherwise it runs one round:
+    loss from t over the segment, then a parity read of every cavity.  t
+    sums the segments, and the last one ends at ``rounds * interval``.
+    Returns the record of the whole trajectory so far.
     """
-    fc, seg_jumps = fc_loss_segment(fc, seg, rng, t_offset=t)
-    syndrome = []
-    for j, u in enumerate(rng.random(fc.k).tolist()):  # the stream of k ``rng.random()`` calls
-        jumps[j].extend(seg_jumps[j])
-        syndrome.append(1 if u < fc_parity_probability(fc, j) else -1)
-        fc = fc_project_parity(fc, j, syndrome[j])
-        outcomes[j].append(syndrome[j])
-    return fc, syndrome
+    fc = start.final_state
+    spec = fc.spec
+    jumps, outcomes = list(map(list, start.jump_times)), list(map(list, start.parity_outcomes))
+    meas_times = list(start.measurement_times)
+    t = meas_times[-1] if meas_times else 0.0
+    syndrome = [o[-1] for o in outcomes] if meas_times else []
+    last_repump = np.zeros(fc.k)  # a prefix repumps no cavity
+    duration = rounds * interval
+    while True:
+        if correct:
+            for j, s in enumerate(syndrome):
+                if s == -1:
+                    decayed = spec.alpha * np.exp(-spec.kappa * (t - last_repump[j]) / 2)
+                    fc = fc_repump(fc, j, decayed)
+                    last_repump[j] = t
+        if len(meas_times) == rounds or (until_loss and -1 in syndrome):
+            break
+        seg = min(interval, duration - t)
+        fc, seg_jumps = fc_loss_segment(fc, seg, rng, t_offset=t)
+        syndrome = []
+        for j, u in enumerate(rng.random(fc.k).tolist()):  # the stream of k ``rng.random()`` calls
+            jumps[j].extend(seg_jumps[j])
+            syndrome.append(1 if u < fc_parity_probability(fc, j) else -1)
+            fc = fc_project_parity(fc, j, syndrome[j])
+            outcomes[j].append(syndrome[j])
+        t += seg
+        meas_times.append(t)
+    return TrajectoryRecord(
+        tuple(map(tuple, jumps)), tuple(map(tuple, outcomes)), tuple(meas_times), start.seed, fc
+    )
 
 
 def start_protected(
-    spec: CavitySpec, k: int, duration: float, syndrome_interval: float, seed: int
+    spec: CavitySpec, k: int, rounds: int, syndrome_interval: float, seed: int
 ) -> ProtectionPrefix:
     """The prefix that both runs of ``seed`` on a k-cavity chain share.
 
     Corrected and uncorrected runs consume identical random streams (the
     repump is deterministic) and first differ at the repump after a round
-    that reads -1, so the rounds up to that one run here, once per pair.
+    that reads -1, so the rounds up to that one run here, uncorrected, once
+    per pair.  ``rounds`` is the whole number of syndrome rounds in the
+    run, each ``syndrome_interval`` long.
     """
     if syndrome_interval <= 0:
         raise ValueError("syndrome interval must be positive")
+    if not (isinstance(rounds, (int, np.integer)) and rounds >= 0):
+        raise ValueError(f"round count must be a nonnegative integer, got {rounds!r}")
     rng = np.random.default_rng(seed)
-    fc, t = factored_chain(spec, k), 0.0
-    jumps, outcomes = [[] for _ in range(k)], [[] for _ in range(k)]
-    meas_times, syndrome = [], []
-    # t sums the intervals: a sum short of ``duration`` by rounding only
-    # must not start one more round
-    end = duration - 1e-9 * syndrome_interval
-    while t < end and -1 not in syndrome:
-        seg = min(syndrome_interval, duration - t)
-        fc, syndrome = _syndrome_round(fc, t, seg, rng, jumps, outcomes)
-        t += seg
-        meas_times.append(t)
-    record = TrajectoryRecord(
-        tuple(map(tuple, jumps)), tuple(map(tuple, outcomes)), tuple(meas_times), int(seed), fc
-    )
-    return ProtectionPrefix(spec, duration, syndrome_interval, record, rng.bit_generator.state)
+    empty = TrajectoryRecord(((),) * k, ((),) * k, (), int(seed), factored_chain(spec, k))
+    record = _run_rounds(empty, rng, rounds, syndrome_interval, correct=False, until_loss=True)
+    return ProtectionPrefix(rounds, syndrome_interval, record, rng.bit_generator.state)
 
 
 def run_protected(prefix: ProtectionPrefix, correct: bool = True) -> ProtectionResult:
@@ -665,36 +686,16 @@ def run_protected(prefix: ProtectionPrefix, correct: bool = True) -> ProtectionR
     so the result is the run from t = 0, bit for bit, and a shared seed
     yields a paired comparison.
     """
-    spec, start = prefix.spec, prefix.record
-    rng = np.random.default_rng(start.seed)
+    rng = np.random.default_rng(prefix.record.seed)
     rng.bit_generator.state = prefix.rng_state
-    fc = start.final_state
-    jumps, outcomes = list(map(list, start.jump_times)), list(map(list, start.parity_outcomes))
-    meas_times = list(start.measurement_times)
-    t = meas_times[-1] if meas_times else 0.0
-    syndrome = [o[-1] for o in outcomes] if meas_times else []
-    last_repump = np.zeros(fc.k)  # the prefix repumps no cavity
-    end = prefix.duration - 1e-9 * prefix.syndrome_interval
-    while True:
-        if correct:
-            for j, s in enumerate(syndrome):
-                if s == -1:
-                    decayed = spec.alpha * np.exp(-spec.kappa * (t - last_repump[j]) / 2)
-                    fc = fc_repump(fc, j, decayed)
-                    last_repump[j] = t
-        if not t < end:
-            break
-        seg = min(prefix.syndrome_interval, prefix.duration - t)
-        fc, syndrome = _syndrome_round(fc, t, seg, rng, jumps, outcomes)
-        t += seg
-        meas_times.append(t)
-    record = TrajectoryRecord(
-        tuple(map(tuple, jumps)), tuple(map(tuple, outcomes)), tuple(meas_times), start.seed, fc
+    record = _run_rounds(
+        prefix.record, rng, prefix.rounds, prefix.syndrome_interval, correct, until_loss=False
     )
     try:
         record.validate(restored_each_round=correct)
     except ValueError as exc:  # a jump time rounded onto 0 or a round's end
         raise ConvergenceError(
-            f"{exc} at kappa = {spec.kappa:g}: jump times unresolved at root tolerance {_JUMP_XTOL:g} s"
+            f"{exc} at kappa = {record.final_state.spec.kappa:g}: jump times unresolved at root "
+            f"tolerance {_JUMP_XTOL:g} s"
         ) from exc
-    return ProtectionResult(record.seed, correct, record, fc.logical_fidelity())
+    return ProtectionResult(record.seed, correct, record, record.final_state.logical_fidelity())

@@ -182,6 +182,16 @@ def _rates_in_range(d: float, g_tot: float) -> bool:
     )
 
 
+def _storage_time_finite(st: StorageConfig) -> bool:
+    """Whether the storage time rounds * tau_syn and kappa times it, as the
+    stages compute them, are finite floats."""
+    try:
+        duration = st.rounds * st.tau_syn
+    except OverflowError:  # a round count past float range
+        return False
+    return math.isfinite(duration) and math.isfinite(st.kappa * duration)
+
+
 def validate(cfg: PipelineConfig) -> list[str]:
     """Semantic checks across all sections; returns every problem found."""
     p: list[str] = []
@@ -206,6 +216,8 @@ def validate(cfg: PipelineConfig) -> list[str]:
         p.append("storage.tau_syn: syndrome interval must be positive")
     if st.rounds < 1:
         p.append("storage.rounds: need at least one syndrome round")
+    elif st.tau_syn > 0 and not _storage_time_finite(st):
+        p.append("storage: rounds * tau_syn and kappa * rounds * tau_syn must stay finite")
     if st.trajectories < 1:
         p.append("storage.trajectories: need at least one trajectory")
     sw = cfg.swap

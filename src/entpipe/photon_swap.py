@@ -180,7 +180,7 @@ def expm_multiply(a: scipy.sparse.csr_matrix, v: np.ndarray) -> np.ndarray:
     A module-level name so that the benchmark's tracer can wrap the Krylov
     call as its own span (``photon_swap.expm_multiply``, whose work counter
     reads ``a.nnz``); it stays until the tracer's spans move to the
-    production routes (ROADMAP item 1).
+    production routes (ROADMAP items 5 and 6).
 
     scipy picks the Taylor degree and step count from a 1-norm estimate
     whose probe vectors come from numpy's global RNG.  For most generators

@@ -228,7 +228,7 @@ def run_protect(cfg: PipelineConfig) -> StageResult:
     k = cfg.register.n_dots - 1
     duration = st.rounds * st.tau_syn
     tasks = [
-        (spec, k, duration, st.tau_syn, derive_seed(cfg.run.base_seed, i))
+        (spec, k, st.rounds, st.tau_syn, derive_seed(cfg.run.base_seed, i))
         for i in range(st.trajectories)
     ]
     pairs = parallel_map(_protect_pair, tasks, cfg.run.workers)
@@ -351,9 +351,7 @@ def run_pipeline(cfg: PipelineConfig) -> StageResult:
 
     spec = CavitySpec(alpha=st.alpha, n_max=st.n_max, kappa=st.kappa)
     k = n - 1
-    prefix = start_protected(
-        spec, k, st.rounds * st.tau_syn, st.tau_syn, derive_seed(cfg.run.base_seed, 0)
-    )
+    prefix = start_protected(spec, k, st.rounds, st.tau_syn, derive_seed(cfg.run.base_seed, 0))
     chain = run_protected(prefix, correct=True).record.final_state
     c0, c1 = fc_logical_amplitudes(chain)
     code_weight = abs(c0) ** 2 + abs(c1) ** 2

@@ -569,7 +569,7 @@ def project_parity_full(fc: FactoredChain, j: int, outcome: int) -> FactoredChai
 def run_protected_unshared(
     spec: CavitySpec,
     k: int,
-    duration: float,
+    rounds: int,
     syndrome_interval: float,
     seed,
     correct: bool = True,
@@ -578,8 +578,12 @@ def run_protected_unshared(
 
     Every parity round masks and no prefix is shared, so this is the
     reference for a run that ``cat_code.run_protected`` continues from a
-    ``start_protected`` prefix.
+    ``start_protected`` prefix.  The rounds end where the float sum of the
+    intervals reaches ``rounds * syndrome_interval``, up to a rounding
+    guard, not on a round count: the reference for the package's counted
+    loop.
     """
+    duration = rounds * syndrome_interval
     if syndrome_interval <= 0:
         raise ValueError("syndrome interval must be positive")
     rng = np.random.default_rng(seed)

@@ -172,7 +172,7 @@ def test_05_parity_outcomes_track_jump_counts(capsys):
     exceptions = 0
     outcomes_seen = 0
     for i in range(1000):
-        res = run_protected(start_protected(spec, 1, 4 * tau, tau, seed=20_000 + i), correct=True)
+        res = run_protected(start_protected(spec, 1, 4, tau, seed=20_000 + i), correct=True)
         rec = res.record
         for jumps, outs in zip(rec.jump_times, rec.parity_outcomes):
             prev = 0.0
@@ -200,7 +200,7 @@ def test_06_correction_gain_at_three_loss_strengths(capsys):
         diffs = np.empty(1000)
         for i in range(1000):
             seed = 50_000 + i
-            prefix = start_protected(spec, 3, duration, tau, seed)
+            prefix = start_protected(spec, 3, 4, tau, seed)
             cor = run_protected(prefix, correct=True)
             unc = run_protected(prefix, correct=False)
             diffs[i] = cor.final_logical_fidelity - unc.final_logical_fidelity

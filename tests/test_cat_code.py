@@ -471,7 +471,7 @@ def test_factored_matches_dense_route():
 
 
 def test_protected_run_records_are_consistent():
-    prefix = start_protected(SPEC, 2, 0.2, 0.05, 7)
+    prefix = start_protected(SPEC, 2, 4, 0.05, 7)
     res_c = run_protected(prefix, correct=True)
     res_u = run_protected(prefix, correct=False)
     res_c.record.validate(restored_each_round=True)
@@ -482,7 +482,7 @@ def test_protected_run_records_are_consistent():
 
 
 def test_record_validation_catches_tampering():
-    res = run_protected(start_protected(SPEC, 1, 0.2, 0.05, 11), correct=True)
+    res = run_protected(start_protected(SPEC, 1, 4, 0.05, 11), correct=True)
     rec = res.record
     if all(len(j) == 0 for j in rec.jump_times):
         flipped = tuple((-o[0],) + o[1:] for o in rec.parity_outcomes)
@@ -503,7 +503,7 @@ def test_record_validation_catches_tampering():
 def test_protection_gain_single_grid_point():
     diffs = []
     for s in range(300):
-        prefix = start_protected(SPEC, 2, 0.05, 0.05, s)
+        prefix = start_protected(SPEC, 2, 1, 0.05, s)
         rc = run_protected(prefix, correct=True)
         ru = run_protected(prefix, correct=False)
         diffs.append(rc.final_logical_fidelity - ru.final_logical_fidelity)
@@ -517,17 +517,17 @@ def test_factored_chain_and_record_compare_by_identity():
     a, b = factored_chain(SPEC, 2), factored_chain(SPEC, 2)
     assert a == a and a != b
     assert hash(a) == hash(a) != hash(b)
-    rec = run_protected(start_protected(SPEC, 2, 0.1, 0.05, 3)).record
+    rec = run_protected(start_protected(SPEC, 2, 2, 0.05, 3)).record
     same = TrajectoryRecord(
         rec.jump_times, rec.parity_outcomes, rec.measurement_times, rec.seed, rec.final_state
     )
     assert rec == same and hash(rec) == hash(same)
-    other = run_protected(start_protected(SPEC, 2, 0.1, 0.05, 3)).record
+    other = run_protected(start_protected(SPEC, 2, 2, 0.05, 3)).record
     assert rec != other
 
 
 def test_protected_scales_to_seven_cavities():
-    res = run_protected(start_protected(SPEC, 7, 0.1, 0.05, 42), correct=True)
+    res = run_protected(start_protected(SPEC, 7, 2, 0.05, 42), correct=True)
     assert 0.5 < res.final_logical_fidelity <= 1.0
     assert isinstance(res.record.final_state, FactoredChain)
 
@@ -544,21 +544,23 @@ def _trajectory(res):
 @given(
     k=st.integers(0, 7),
     kappa=st.sampled_from([0.0, 1.0, 8.0]),
-    rounds=st.integers(1, 3),
-    frac=st.sampled_from([0.0, 0.37]),
+    rounds=st.integers(0, 3),
     seed=st.integers(0, 2**32 - 1),
     first=st.booleans(),
 )
-def test_shared_pair_prefix_matches_unshared_runs(k, kappa, rounds, frac, seed, first):
+def test_shared_pair_prefix_matches_unshared_runs(k, kappa, rounds, seed, first):
     """Runs from one shared prefix equal runs from t = 0, in either order.
 
     From one ``start_protected`` prefix, three runs (``first``, then the
     other arm, then ``first`` again) each equal the masking oracle's run
     from t = 0 bit for bit, and the prefix compares equal before and after
-    them.  An ``np.int64`` seed runs as the int seed and records the int."""
+    them.  The oracle ends its rounds on the float sum of the intervals
+    and the package on the round count, so the two stops agree too.  An
+    ``np.int64`` seed and round count run as the ints, and the record
+    holds the int seed."""
     spec = CavitySpec(ALPHA, NMAX, kappa=kappa)
     interval = 0.05
-    args = (spec, k, interval * (rounds + frac), interval)
+    args = (spec, k, rounds, interval)
     ref = {c: _trajectory(run_protected_unshared(*args, seed, correct=c)) for c in (True, False)}
     prefix = start_protected(*args, seed)
     before = prefix._replace(rng_state=copy.deepcopy(prefix.rng_state))
@@ -566,7 +568,7 @@ def test_shared_pair_prefix_matches_unshared_runs(k, kappa, rounds, frac, seed, 
     for c in (first, not first, first):
         assert _trajectory(run_protected(prefix, correct=c)) == ref[c]
     assert prefix == before and prefix.record.final_state.table.tobytes() == table
-    wide = start_protected(*args, np.int64(seed))
+    wide = start_protected(spec, k, np.int64(rounds), interval, np.int64(seed))
     for c in (True, False):
         got = _trajectory(run_protected(wide, correct=c))
         assert got == ref[c] and type(got[3]) is int
@@ -588,8 +590,8 @@ def test_storage_runs_leave_module_state_unchanged():
     pair shares its prefix as a value, not through a module-level store."""
     spec = CavitySpec(ALPHA, NMAX, kappa=8.0)
     before = _module_state()
-    run_protected(start_protected(spec, 3, 0.2, 0.05, 7), correct=True)
-    runner._protect_pair((spec, 3, 0.2, 0.05, 8))
+    run_protected(start_protected(spec, 3, 4, 0.05, 7), correct=True)
+    runner._protect_pair((spec, 3, 4, 0.05, 8))
     assert _module_state() == before
 
 
@@ -620,7 +622,7 @@ def test_trajectory_columns_keep_definite_parity(k, kappa_t, rounds, correct, se
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cat_code, "fc_parity_probability", checked)
-        run_protected(start_protected(spec, k, interval * rounds, interval, seed), correct=correct)
+        run_protected(start_protected(spec, k, rounds, interval, seed), correct=correct)
     assert len(reads) == k * rounds
     assert set(reads) <= {0.0, 1.0}
 
@@ -629,11 +631,24 @@ def test_trajectory_columns_keep_definite_parity(k, kappa_t, rounds, correct, se
 def test_run_makes_one_measurement_per_round(rounds):
     """``rounds`` intervals of 0.1 sum to ``rounds * 0.1`` only to rounding;
     the run still ends after exactly ``rounds`` syndrome rounds."""
-    args = (CavitySpec(ALPHA, NMAX, kappa=0.01), 1, rounds * 0.1, 0.1, 3)
+    args = (CavitySpec(ALPHA, NMAX, kappa=0.01), 1, rounds, 0.1, 3)
     for res in (run_protected(start_protected(*args)), run_protected_unshared(*args)):
         times = res.record.measurement_times
         assert len(times) == rounds
         assert abs(times[-1] - rounds * 0.1) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "rounds, interval",
+    [(4, 0.0), (4, -0.05), (-1, 0.05), (2.5, 0.05), (float("nan"), 0.05)],
+    ids=["zero_interval", "negative_interval", "negative_rounds", "fractional_rounds", "nan_rounds"],
+)
+def test_start_protected_rejects_bad_schedule(rounds, interval):
+    """A run is a whole number of rounds of positive length.  The round
+    loop stops on its count of rounds run, which never equals -1 or 2.5:
+    unchecked, such a count would run zero-length rounds without end."""
+    with pytest.raises(ValueError):
+        start_protected(SPEC, 2, rounds, interval, 3)
 
 
 def _assert_same_chain(a, b):

@@ -162,6 +162,20 @@ def test_json_boolean_number_is_exit_2(tmp_path, capsys, stage, doc, problem):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stage", ["protect", "pipeline"])
+@pytest.mark.parametrize(
+    "storage", [{"tau_syn": 1e308}, {"kappa": 1e200, "tau_syn": 1e200}], ids=["time", "kappa_t"]
+)
+def test_storage_time_beyond_float_range_is_exit_2(tmp_path, capsys, stage, storage):
+    # an infinite storage time made the report non-JSON (exit 1); an infinite
+    # kappa * time gave NaN survival values under a numpy warning (exit 3)
+    cfg = write_cfg(tmp_path, storage=storage)
+    out = tmp_path / "out"
+    assert main([stage, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "kappa * rounds * tau_syn must stay finite" in _single_config_error(capsys)
+    assert not out.exists()
+
+
 def test_non_finite_env_value_is_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("EP_STORAGE__KAPPA", "nan")
     assert main(["protect", "--out", str(tmp_path / "out")]) == 2

@@ -87,6 +87,8 @@ def test_booleans_are_not_numbers(section, key, value, problem):
         ("storage", "alpha", -1.0, "alpha"),
         ("storage", "n_max", 3, "n_max"),
         ("storage", "tau_syn", 0.0, "tau_syn"),
+        ("storage", "tau_syn", 1e308, "rounds * tau_syn"),
+        pytest.param("storage", "rounds", 10**400, "rounds * tau_syn", id="storage-rounds-10**400"),
         ("storage", "rounds", 0, "rounds"),
         ("swap", "d", 0.0, "d"),
         ("swap", "p_success", 0.0, "p_success"),
