@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from .cat_code import required_levels
 from .errors import ConfigError
 from .photon_swap import horizon
+from .spin_register import ghz_timing
 
 _FORMATS = ("csv", "json")
 # Largest Gamma/d, d/Gamma and horizon a conversion run may reach: every
@@ -182,14 +183,30 @@ def _rates_in_range(d: float, g_tot: float) -> bool:
     )
 
 
-def _storage_time_finite(st: StorageConfig) -> bool:
-    """Whether the storage time rounds * tau_syn and kappa times it, as the
-    stages compute them, are finite floats."""
+def _storage_time_problem(st: StorageConfig) -> str | None:
+    """What leaves float range among the storage time rounds * tau_syn, kappa
+    times it, and kappa times it times n_max (the loss exponent at the top
+    Fock level), as the stages compute them; None when all are finite."""
     try:
         duration = st.rounds * st.tau_syn
     except OverflowError:  # a round count past float range
-        return False
-    return math.isfinite(duration) and math.isfinite(st.kappa * duration)
+        duration = math.inf
+    if not (math.isfinite(duration) and math.isfinite(st.kappa * duration)):
+        return "storage: rounds * tau_syn and kappa * rounds * tau_syn must stay finite"
+    if not math.isfinite(st.kappa * duration * st.n_max):
+        return "storage: kappa * rounds * tau_syn * n_max must stay finite"
+    return None
+
+
+def _register_timing_ok(reg: RegisterConfig) -> bool:
+    """Whether the GHZ plan's interval lengths are positive finite floats
+    and its total time is finite."""
+    timing = ghz_timing(reg.n_dots, reg.j1_hz, reg.j2_hz)
+    return (
+        0 < timing.ising_interval < math.inf
+        and 0 < timing.heisenberg_interval < math.inf
+        and math.isfinite(timing.total_seconds)
+    )
 
 
 def validate(cfg: PipelineConfig) -> list[str]:
@@ -202,6 +219,11 @@ def validate(cfg: PipelineConfig) -> list[str]:
         p.append("register.j1_hz: coupling must be positive")
     if reg.j2_hz <= 0:
         p.append("register.j2_hz: coupling must be positive")
+    elif reg.j1_hz > 0 and not _register_timing_ok(reg):
+        p.append(
+            "register: j1_hz and j2_hz must give positive finite coupling intervals "
+            "and a finite total GHZ time"
+        )
     st = cfg.storage
     if st.alpha <= 0:
         p.append("storage.alpha: cat amplitude must be positive")
@@ -216,8 +238,8 @@ def validate(cfg: PipelineConfig) -> list[str]:
         p.append("storage.tau_syn: syndrome interval must be positive")
     if st.rounds < 1:
         p.append("storage.rounds: need at least one syndrome round")
-    elif st.tau_syn > 0 and not _storage_time_finite(st):
-        p.append("storage: rounds * tau_syn and kappa * rounds * tau_syn must stay finite")
+    elif st.tau_syn > 0 and (problem := _storage_time_problem(st)):
+        p.append(problem)
     if st.trajectories < 1:
         p.append("storage.trajectories: need at least one trajectory")
     sw = cfg.swap

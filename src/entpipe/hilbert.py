@@ -76,7 +76,7 @@ class StateVector:
                 f"amplitude length {amps.shape[0]} != layout dimension {self.layout.total_dim}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:  # a NaN norm fails too
             raise NormalizationError(f"state norm {norm!r} deviates from 1 beyond {_NORM_TOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -130,7 +130,7 @@ class TwoBranch:
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
         norm = hypot(abs(self.a), abs(self.b))
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:  # a NaN norm fails too
             raise NormalizationError(f"state norm {norm!r} deviates from 1 beyond {_NORM_TOL}")
 
     def ghz_fidelity(self) -> float:

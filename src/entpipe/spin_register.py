@@ -7,6 +7,13 @@ n dots is entangled by preparing Bell pairs in parallel (one ZZ interval),
 then absorbing one pair (or the final unpaired dot) at a time into a growing
 block; each absorption costs one ZZ interval plus one exchange interval.
 
+The interval lengths, pi/(4 J2) for ZZ and pi/(8 J1) for exchange, are
+written once, in ``interval``; every coupling step is built by
+``_coupling`` from it.  The plan's wall clock is written once too, in closed
+form, by ``ghz_timing``, which ``plan_ghz`` returns and ``config.validate``
+reads to refuse couplings whose intervals or total time leave float range.
+The tests recount each plan's layers against it.
+
 ``execute`` walks the schedule once and cuts it into groups: maximal runs of
 consecutive steps that together touch at most three dots (a step that
 touches no dot, a global phase, joins the current group; ``Schedule``
@@ -81,7 +88,7 @@ def rotation(angle: float, axis_phase: float) -> np.ndarray:
 @dataclass(frozen=True)
 class CouplingSpec:
     kind: str  # "heisenberg" | "ising"
-    strength: float  # angular rate in Hz; interval durations use t = pi/(4 J) etc.
+    strength: float  # angular rate in Hz; one interval lasts ``interval(kind, strength)``
     pair: tuple[int, int]
 
     def __post_init__(self):
@@ -185,6 +192,29 @@ class TimingReport:
         )
 
 
+def interval(kind: str, strength: float) -> float:
+    """Length of one coupling interval: the ZZ phase reaches pi/4, the
+    exchange phase pi/8 (theta = strength * duration)."""
+    if kind == "ising":
+        return pi / (4 * strength)
+    return pi / (8 * strength)
+
+
+def ghz_timing(n: int, j1: float, j2: float) -> TimingReport:
+    """Closed-form wall clock of ``plan_ghz``'s n-dot schedule.
+
+    One ZZ layer prepares every Bell pair and each of the (n - 1) // 2
+    absorptions adds one ZZ and one exchange layer.  A 2-dot plan has no
+    exchange layer; its report still carries the exchange interval length.
+    """
+    return TimingReport(
+        t_ising_steps=(n + 1) // 2,
+        t_heisenberg_steps=(n - 1) // 2,
+        ising_interval=interval("ising", j2),
+        heisenberg_interval=interval("heisenberg", j1),
+    )
+
+
 def plus_register(n: int) -> StateVector:
     """|+>^n, the idle register configuration."""
     layout = qubits(n)
@@ -192,20 +222,42 @@ def plus_register(n: int) -> StateVector:
     return StateVector(amps, layout)
 
 
-def build_bell(j2: float, n_dots: int = 2, pair: tuple[int, int] = (0, 1)) -> Schedule:
-    """Schedule preparing (|00>+|11>)/sqrt(2) on ``pair`` from |+>|+>.
+def _coupling(layer: int, kind: str, strength: float, pair: tuple[int, int]) -> ScheduleStep:
+    """One coupling interval of ``kind`` on ``pair``."""
+    return ScheduleStep(
+        layer, coupling=CouplingSpec(kind, strength, pair), duration=interval(kind, strength)
+    )
 
-    One ZZ interval of pi/(4 J2) followed by a pi/2 rotation on the second
-    dot of the pair.  The interval and pulse leave a known overall phase of
-    -pi/4; a trailing phase step folds it away so later amplitude bookkeeping
-    stays exact.
+
+def _bell_steps(j2: float, pair: tuple[int, int]) -> list[ScheduleStep]:
+    """Steps preparing (|00>+|11>)/sqrt(2) on ``pair`` from |+>|+>.
+
+    One ZZ interval followed by a pi/2 rotation on the second dot of the
+    pair.  The interval and pulse leave a known overall phase of -pi/4; a
+    trailing phase step folds it away so later amplitude bookkeeping stays
+    exact.
     """
-    steps = (
-        ScheduleStep(0, coupling=CouplingSpec("ising", j2, pair), duration=pi / (4 * j2)),
+    return [
+        _coupling(0, "ising", j2, pair),
         ScheduleStep(0, pulse=PulseSpec(target=pair[1], angle=pi / 2, axis_phase=0.0)),
         ScheduleStep(0, pulse=PulseSpec(z_corrections={}, global_phase=pi / 4)),
-    )
-    return Schedule(steps, n_dots)
+    ]
+
+
+def build_bell(j2: float) -> Schedule:
+    """Two-dot schedule preparing (|00>+|11>)/sqrt(2) from |+>|+>."""
+    return Schedule(_bell_steps(j2, (0, 1)), 2)
+
+
+def _contact_steps(contact_a: int, dot: int, j2: float, layer: int) -> list[ScheduleStep]:
+    """ZZ interval on the contacts, then a -pi/2 phase correction on both."""
+    return [
+        _coupling(layer, "ising", j2, (contact_a, dot)),
+        ScheduleStep(
+            layer,
+            pulse=PulseSpec(z_corrections={contact_a: -pi / 2, dot: -pi / 2}, global_phase=pi / 4),
+        ),
+    ]
 
 
 def _merge_pair_steps(
@@ -225,27 +277,9 @@ def _merge_pair_steps(
     """
     partner = contact_b + 1
     steps = [
-        ScheduleStep(
-            layer,
-            coupling=CouplingSpec("ising", j2, (contact_a, contact_b)),
-            duration=pi / (4 * j2),
-        ),
-        ScheduleStep(
-            layer,
-            pulse=PulseSpec(
-                z_corrections={contact_a: -pi / 2, contact_b: -pi / 2},
-                global_phase=pi / 4,
-            ),
-        ),
-        ScheduleStep(
-            layer,
-            pulse=PulseSpec(target=partner, angle=pi, axis_phase=MERGE_AXIS_PHASE),
-        ),
-        ScheduleStep(
-            layer + 1,
-            coupling=CouplingSpec("heisenberg", j1, (contact_b, partner)),
-            duration=pi / (8 * j1),
-        ),
+        *_contact_steps(contact_a, contact_b, j2, layer),
+        ScheduleStep(layer, pulse=PulseSpec(target=partner, angle=pi, axis_phase=MERGE_AXIS_PHASE)),
+        _coupling(layer + 1, "heisenberg", j1, (contact_b, partner)),
     ]
     if canonicalize:
         steps.append(
@@ -266,22 +300,10 @@ def _attach_single_steps(
     budget charges every absorption one ZZ plus one exchange interval.
     """
     return [
-        ScheduleStep(
-            layer, coupling=CouplingSpec("ising", j2, (contact_a, lone)), duration=pi / (4 * j2)
-        ),
-        ScheduleStep(
-            layer,
-            pulse=PulseSpec(
-                z_corrections={contact_a: -pi / 2, lone: -pi / 2}, global_phase=pi / 4
-            ),
-        ),
+        *_contact_steps(contact_a, lone, j2, layer),
         ScheduleStep(layer, pulse=PulseSpec(target=lone, angle=pi / 2, axis_phase=-pi / 2)),
         ScheduleStep(layer, pulse=PulseSpec(z_corrections={lone: pi})),
-        ScheduleStep(
-            layer + 1,
-            coupling=CouplingSpec("heisenberg", j1, (contact_a, lone)),
-            duration=pi / (8 * j1),
-        ),
+        _coupling(layer + 1, "heisenberg", j1, (contact_a, lone)),
     ]
 
 
@@ -291,10 +313,12 @@ def plan_ghz(
     """Plan a GHZ schedule for n dots, pairing left to right.
 
     Pairs (0,1), (2,3), ... are Bell-prepared concurrently in the first
-    interval, then absorbed into the block anchored at dot 0 one at a time.
-    With ``canonical`` the executed schedule ends at (|0..0>+|1..1>)/sqrt(2)
-    exactly; without it the last absorption is left raw (one flipped dot and
-    a branch phase), which is what the local-correction search is for.
+    interval, then absorbed into the block anchored at dot 0 one at a time:
+    the pair starting at dot 2, 4, ..., and last the unpaired dot of an odd
+    register.  With ``canonical`` the executed schedule ends at
+    (|0..0>+|1..1>)/sqrt(2) exactly; without it the last absorption is left
+    raw (one flipped dot and a branch phase), which is what the
+    local-correction search is for.
     """
     if n < 2:
         raise ScheduleError("register needs at least two dots")
@@ -302,61 +326,22 @@ def plan_ghz(
         raise ScheduleError("coupling strengths must be positive")
     steps: list[ScheduleStep] = []
     for a in range(0, n - 1, 2):
-        bell = build_bell(j2, n_dots=n, pair=(a, a + 1))
-        steps.extend(bell.steps)
-    merges: list[tuple[int, ...]] = []
-    pos = 2
-    while pos < n:
-        merges.append((pos, pos + 1) if pos + 1 < n else (pos,))
-        pos += 2 if pos + 1 < n else 1
+        steps.extend(_bell_steps(j2, (a, a + 1)))
     layer = 1
     phase_acc = 0.0
-    for i, blk in enumerate(merges):
-        last = i == len(merges) - 1
-        if len(blk) == 2:
-            steps.extend(
-                _merge_pair_steps(0, blk[0], j1, j2, layer, canonicalize=canonical or not last)
-            )
+    for dot in range(2, n, 2):
+        if dot + 1 < n:
+            steps.extend(_merge_pair_steps(0, dot, j1, j2, layer, canonical or dot + 2 < n))
             phase_acc += _PAIR_ABSORB_PHASE
         else:
-            steps.extend(_attach_single_steps(0, blk[0], j1, j2, layer))
+            steps.extend(_attach_single_steps(0, dot, j1, j2, layer))
             phase_acc += _SINGLE_ABSORB_PHASE
         layer += 2
-    if canonical and merges:
+    if canonical and n > 2:
         steps.append(
             ScheduleStep(layer - 1, pulse=PulseSpec(z_corrections={}, global_phase=-phase_acc))
         )
-    schedule = Schedule(tuple(steps), n)
-    report = TimingReport(
-        t_ising_steps=(n + 1) // 2,
-        t_heisenberg_steps=(n - 1) // 2,
-        ising_interval=pi / (4 * j2),
-        heisenberg_interval=pi / (8 * j1),
-    )
-    counted = report_from_schedule(schedule)
-    if (counted.t_ising_steps, counted.t_heisenberg_steps) != (
-        report.t_ising_steps,
-        report.t_heisenberg_steps,
-    ):
-        raise ScheduleError("planned layer counts disagree with interval budget")
-    return schedule, report
-
-
-def report_from_schedule(schedule: Schedule) -> TimingReport:
-    """Recount coupling intervals per concurrency layer from the steps."""
-    layers: dict[tuple[int, str], float] = {}
-    for st in schedule.steps:
-        if st.coupling is None:
-            continue
-        key = (st.layer, st.coupling.kind)
-        if key in layers and abs(layers[key] - st.duration) > 1e-15:
-            raise ScheduleError("concurrent steps in one layer must share a duration")
-        layers[key] = st.duration
-    ising = [(lk, d) for (lk, kind), d in layers.items() if kind == "ising"]
-    heis = [(lk, d) for (lk, kind), d in layers.items() if kind == "heisenberg"]
-    i_dur = ising[0][1] if ising else 0.0
-    h_dur = heis[0][1] if heis else 0.0
-    return TimingReport(len(ising), len(heis), i_dur, h_dur)
+    return Schedule(steps, n), ghz_timing(n, j1, j2)
 
 
 def execute(schedule: Schedule) -> StateVector:

@@ -16,8 +16,11 @@ kept to check that the two agree bit for bit.
 
 The other helpers build test states and check them: product states
 (``tensor_states``), one block merge at a time (``merge_blocks``, which the
-dense storage oracle uses) and the phase-and-flip correction that takes a
-two-branch state to canonical GHZ (``canonical_correction``).
+dense storage oracle uses), the phase-and-flip correction that takes a
+two-branch state to canonical GHZ (``canonical_correction``) and the
+per-layer recount of a schedule's coupling intervals
+(``report_from_schedule``), which checks ``spin_register.plan_ghz``'s
+closed-form timing.
 
 The rest are the dense register routes that the two-branch production
 route replaced, kept as its oracles: the all-cuts GHZ-class check
@@ -52,6 +55,7 @@ from entpipe.spin_register import (
     _GHZ_TOL,
     Schedule,
     ScheduleStep,
+    TimingReport,
     _coupling_gate,
     _merge_pair_steps,
     bipartitions,
@@ -186,6 +190,27 @@ def dense_execute(schedule: Schedule) -> StateVector:
             u = rotation(st.pulse.angle, st.pulse.axis_phase)
             amps = embed_operator(layout, u, (st.pulse.target,)) @ amps
     return StateVector(amps, layout)
+
+
+def report_from_schedule(schedule: Schedule) -> TimingReport:
+    """Recount coupling intervals per concurrency layer from the steps.
+
+    Raises ScheduleError when two concurrent steps of one kind in one layer
+    differ in duration.  A kind with no layer reads an interval of 0.0.
+    """
+    layers: dict[tuple[int, str], float] = {}
+    for st in schedule.steps:
+        if st.coupling is None:
+            continue
+        key = (st.layer, st.coupling.kind)
+        if key in layers and abs(layers[key] - st.duration) > 1e-15:
+            raise ScheduleError("concurrent steps in one layer must share a duration")
+        layers[key] = st.duration
+    ising = [d for (_, kind), d in layers.items() if kind == "ising"]
+    heis = [d for (_, kind), d in layers.items() if kind == "heisenberg"]
+    return TimingReport(
+        len(ising), len(heis), ising[0] if ising else 0.0, heis[0] if heis else 0.0
+    )
 
 
 def merge_blocks(

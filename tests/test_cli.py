@@ -164,15 +164,41 @@ def test_json_boolean_number_is_exit_2(tmp_path, capsys, stage, doc, problem):
 
 @pytest.mark.parametrize("stage", ["protect", "pipeline"])
 @pytest.mark.parametrize(
-    "storage", [{"tau_syn": 1e308}, {"kappa": 1e200, "tau_syn": 1e200}], ids=["time", "kappa_t"]
+    "storage, problem",
+    [
+        ({"tau_syn": 1e308}, "kappa * rounds * tau_syn must stay finite"),
+        ({"kappa": 1e200, "tau_syn": 1e200}, "kappa * rounds * tau_syn must stay finite"),
+        ({"kappa": 1e307, "tau_syn": 1.0, "rounds": 1}, "kappa * rounds * tau_syn * n_max must"),
+    ],
+    ids=["time", "kappa_t", "kappa_t_n_max"],
 )
-def test_storage_time_beyond_float_range_is_exit_2(tmp_path, capsys, stage, storage):
+def test_storage_time_beyond_float_range_is_exit_2(tmp_path, capsys, stage, storage, problem):
     # an infinite storage time made the report non-JSON (exit 1); an infinite
-    # kappa * time gave NaN survival values under a numpy warning (exit 3)
+    # kappa * time gave NaN survival values under a numpy warning (exit 3);
+    # an infinite kappa * time * n_max overflowed the loss exponent of the
+    # top Fock level under numpy warnings and still exited 0
     cfg = write_cfg(tmp_path, storage=storage)
     out = tmp_path / "out"
     assert main([stage, "--config", str(cfg), "--out", str(out)]) == 2
-    assert "kappa * rounds * tau_syn must stay finite" in _single_config_error(capsys)
+    assert problem in _single_config_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["ghz", "pipeline"])
+@pytest.mark.parametrize(
+    "register",
+    [{"j2_hz": 1e-320}, {"j1_hz": 1e-320}, {"j2_hz": 1e308},
+     {"n_dots": 10, "j1_hz": 2.3e-309, "j2_hz": 5e-309}],
+    ids=["j2_tiny", "j1_tiny", "j2_huge", "total_inf"],
+)
+def test_register_timing_beyond_float_range_is_exit_2(tmp_path, capsys, stage, register):
+    # an infinite interval made NaN gates and an SVD traceback (exit 1), a
+    # zero one a planner error (exit 4), and an infinite total time a
+    # truncated, non-JSON ghz_report.json (exit 1)
+    cfg = write_cfg(tmp_path, register=register)
+    out = tmp_path / "out"
+    assert main([stage, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "register: j1_hz and j2_hz must give positive finite" in _single_config_error(capsys)
     assert not out.exists()
 
 

@@ -84,12 +84,23 @@ def test_booleans_are_not_numbers(section, key, value, problem):
         ("register", "n_dots", 1, "n_dots"),
         ("register", "n_dots", 11, "n_dots"),
         ("register", "j1_hz", 0.0, "j1_hz"),
+        ("register", "j1_hz", 1e-320, "coupling intervals"),
+        ("register", "j2_hz", 1e-320, "coupling intervals"),
+        ("register", "j2_hz", 1e308, "coupling intervals"),
+        pytest.param(
+            "register", None, {"n_dots": 10, "j1_hz": 2.3e-309, "j2_hz": 5e-309},
+            "total GHZ time", id="register-total_time_inf",
+        ),
         ("storage", "alpha", -1.0, "alpha"),
         ("storage", "n_max", 3, "n_max"),
         ("storage", "tau_syn", 0.0, "tau_syn"),
         ("storage", "tau_syn", 1e308, "rounds * tau_syn"),
         pytest.param("storage", "rounds", 10**400, "rounds * tau_syn", id="storage-rounds-10**400"),
         ("storage", "rounds", 0, "rounds"),
+        pytest.param(
+            "storage", None, {"kappa": 1e307, "tau_syn": 1.0, "rounds": 1},
+            "kappa * rounds * tau_syn * n_max", id="storage-kappa_t_n_max",
+        ),
         ("swap", "d", 0.0, "d"),
         ("swap", "p_success", 0.0, "p_success"),
         ("swap", "p_success", "guess", "p_success"),
@@ -101,8 +112,9 @@ def test_booleans_are_not_numbers(section, key, value, problem):
     ],
 )
 def test_semantic_validation(section, key, value, needle):
+    # a row with key None sets several keys of the section at once
     doc = serialize(default_config())
-    doc[section][key] = value
+    doc[section].update(value if key is None else {key: value})
     with pytest.raises(ConfigError) as err:
         parse_config(doc)
     assert any(needle in p for p in err.value.problems)

@@ -44,6 +44,12 @@ def test_state_norm_validation():
     layout = qubits(1)
     with pytest.raises(NormalizationError):
         StateVector(np.array([1.0, 1.0], dtype=complex), layout)
+    # a NaN norm fails every ordering test, so the guard must not read "> tol"
+    for bad in ([np.nan, 0.0], [np.inf, 0.0], [1.0, np.nan]):
+        with pytest.raises(NormalizationError):
+            StateVector(np.array(bad, dtype=complex), layout)
+    with pytest.raises(NormalizationError):
+        StateVector(np.array([np.nan, 0, 0, 0]), qubits(2))
     ok = StateVector.from_amplitudes(np.array([1.0, 1.0]), layout)
     assert np.allclose(np.abs(ok.amplitudes), [2**-0.5, 2**-0.5])
 
@@ -175,6 +181,9 @@ def test_two_branch_validation():
     TwoBranch(3, 0, 1.0 + 5e-10, 0.0)  # inside the StateVector tolerance
     with pytest.raises(NormalizationError):
         TwoBranch(3, 0, 1.0 + 2e-9, 0.0)
+    for a, b in ((float("nan"), 0.0), (1.0, float("nan")), (float("inf"), 0.0), (0.0, -np.inf)):
+        with pytest.raises(NormalizationError):
+            TwoBranch(2, 0, a, b)
 
 
 @settings(max_examples=60, deadline=None)

@@ -35,7 +35,6 @@ from entpipe.spin_register import (
     is_ghz_class,
     plan_ghz,
     plus_register,
-    report_from_schedule,
     rotation,
 )
 import entpipe.spin_register
@@ -47,6 +46,7 @@ from oracle_register import (
     heisenberg_matrix,
     ising_matrix,
     merge_blocks,
+    report_from_schedule,
     step_execute,
     tensor_states,
 )
@@ -558,13 +558,33 @@ def test_total_time_same_decade_as_hundred_ns_per_dot(n):
 
 
 def test_report_recount_matches_plan():
-    sch, rep = plan_ghz(7, J1, J2)
-    rec = report_from_schedule(sch)
-    assert (rec.t_ising_steps, rec.t_heisenberg_steps) == (
-        rep.t_ising_steps,
-        rep.t_heisenberg_steps,
+    # the plan's closed-form report against a per-layer recount of its steps;
+    # an interval is compared only where the plan has a layer of that kind
+    for j1, j2 in ((J1, J2), (3.7e7, 1.9e8)):
+        for n in range(2, 13):
+            for canonical in (True, False):
+                sch, rep = plan_ghz(n, j1, j2, canonical=canonical)
+                rec = report_from_schedule(sch)
+                assert (rec.t_ising_steps, rec.t_heisenberg_steps) == (
+                    rep.t_ising_steps,
+                    rep.t_heisenberg_steps,
+                )
+                assert rec.ising_interval == rep.ising_interval == pi / (4 * j2)
+                if n > 2:
+                    assert rec.heisenberg_interval == rep.heisenberg_interval
+                else:
+                    assert rec.t_heisenberg_steps == 0
+                    assert rep.heisenberg_interval == pi / (8 * j1)
+                assert rec.total_seconds == rep.total_seconds
+
+
+def test_report_recount_refuses_unequal_concurrent_durations():
+    steps = (
+        ScheduleStep(0, coupling=CouplingSpec("ising", J2, (0, 1)), duration=1e-8),
+        ScheduleStep(0, coupling=CouplingSpec("ising", J2, (2, 3)), duration=2e-8),
     )
-    assert rec.total_seconds == pytest.approx(rep.total_seconds, rel=1e-14)
+    with pytest.raises(ScheduleError, match="share a duration"):
+        report_from_schedule(Schedule(steps, 4))
 
 
 # ---------------------------------------------------------------- validation
