@@ -83,12 +83,23 @@ class StateVector:
 
     @classmethod
     def from_amplitudes(cls, raw, layout: SubsystemLayout) -> "StateVector":
-        """Build a state from unnormalized amplitudes (explicit normalization)."""
+        """Build a state from unnormalized amplitudes (explicit normalization).
+
+        The vector is first divided by its largest real or imaginary part in
+        modulus, so its norm neither underflows nor overflows: any finite
+        nonzero vector normalizes.  NaN or inf entries raise
+        ``NormalizationError`` before any arithmetic.
+        """
         raw = np.asarray(raw, dtype=np.complex128).reshape(-1)
-        norm = np.linalg.norm(raw)
-        if norm == 0.0:
+        if not np.all(np.isfinite(raw)):
+            raise NormalizationError("cannot normalize a non-finite amplitude vector")
+        parts = raw.view(np.float64)
+        peak = np.max(np.abs(parts), initial=0.0)
+        if peak == 0.0:
             raise NormalizationError("cannot normalize an all-zero amplitude vector")
-        return cls(raw / norm, layout)
+        # real division: a complex one by a subnormal peak forms 1 / peak
+        scaled = (parts / peak).view(np.complex128)
+        return cls(scaled / np.linalg.norm(scaled), layout)
 
     @classmethod
     def basis(cls, layout: SubsystemLayout, index: int | Sequence[int]) -> "StateVector":

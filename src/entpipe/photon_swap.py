@@ -25,17 +25,20 @@ t = 6) of the continuum discretized on a uniform frequency grid with
 trapezoid weights.  On degenerate rails (w2 = 0) only the bright rail
 couples, so its state is the n_k + 1 amplitudes of that rail and the
 excited emitter, written in the static-coefficient form obtained by folding
-the rotating-frame phase factors into the amplitudes: a sparse
-time-independent generator applied by Krylov propagation
-(``propagate_static``), from which both rails are rebuilt in closed form.
-Its P sits O(Gamma / window) above the continuum form (about 4e-3 at
-+-12 Gamma).  It stays until the benchmark's tracer no longer needs its
-spans; ``tests/oracle_swap.py`` keeps the Krylov sweep loop, the two-rail
-generator and the adaptive-integrator routes as the oracles of both routes.
-This reference is the module's only use of scipy (``scipy.sparse`` and
-``scipy.sparse.linalg``): ``_arrowhead`` and ``expm_multiply`` import them on
-first use, so importing the package, and every stage but ``sweep``, leaves
-them unloaded.
+the rotating-frame phase factors into the amplitudes.  Weighted by the
+square roots of the quadrature weights, these amplitudes evolve under a
+sparse, time-independent, skew-Hermitian generator, whose spectrum lies on
+the imaginary axis; a Chebyshev expansion of its exponential propagates them
+(``propagate_static``), and both rails are rebuilt from them in closed form.
+The expansion's degree follows from a bound on the Bessel coefficients, so
+the propagation draws no random numbers and reads no global state.  Its P
+sits O(Gamma / window) above the continuum form (about 4e-3 at +-12 Gamma).
+It stays until the benchmark's tracer no longer needs its spans;
+``tests/oracle_swap.py`` keeps the Krylov sweep loop, the two-rail generator
+and the adaptive-integrator routes as the oracles of both routes.  This
+reference is the module's only use of scipy (``scipy.sparse``, for the
+generator's CSR matrix): ``_arrowhead`` imports it on first use, so
+importing the package, and every stage but ``sweep``, leaves it unloaded.
 
 The printed closed-form emission probability is also evaluated verbatim for
 comparison reports; it contains a growing exponential and is never used as a
@@ -174,35 +177,72 @@ def _arrowhead(diag: np.ndarray, col: np.ndarray, row: np.ndarray) -> scipy.spar
     return m
 
 
-def expm_multiply(a: scipy.sparse.csr_matrix, v: np.ndarray) -> np.ndarray:
-    """``scipy.sparse.linalg.expm_multiply(a, v)``, imported on the first call.
+def _chebyshev_coefficients(r: float) -> np.ndarray:
+    """i^k J_k(r) for k = 0..K: the Chebyshev coefficients of e^{i r x} on [-1, 1].
 
-    A module-level name so that the benchmark's tracer can wrap the Krylov
-    call as its own span (``photon_swap.expm_multiply``, whose work counter
-    reads ``a.nnz``); it stays until the tracer's spans move to the
-    production routes (ROADMAP items 5 and 6).
+    The degree K is the first at which the discarded tail
+    2 sum_{k>K} |J_k(r)| is at most 2^-53, bounded by Kapteyn's inequality
+    (DLMF section 10.14): for k > r, |J_k(r)| <= e^{F(k)} with
+    F(k) = k (ln z + s - ln(1 + s)), z = r / k and s = sqrt(1 - z^2).  F is
+    concave with slope ln z - ln(1 + s), so the tail past K is at most
+    e^{F(K+1)} / (1 - e^{F'(K+1)}).  K is r + O(r^(1/3)).  The
+    coefficients themselves cannot set K: they level off at a noise floor of
+    about r eps.
 
-    scipy picks the Taylor degree and step count from a 1-norm estimate
-    whose probe vectors come from numpy's global RNG.  For most generators
-    the estimate does not depend on the probes, but rates near the float64
-    underflow (gamma ~ 1e-306) leave subnormal entries in the generator's
-    powers, the estimate turns on the probes, and the result's bytes with
-    it.  The call therefore runs under a fixed seed, and the caller's RNG
-    state is restored afterwards.
+    The coefficients are one FFT of e^{i r cos theta} on 2K + 2 points (the
+    Jacobi-Anger expansion, whose k-th Fourier coefficient is i^k J_k(r) for
+    every integer k), so no Bessel routine is needed.  Bin k <= K also
+    collects the terms of index k + 2j(K + 1) and 2j(K + 1) - k, j != 0, all
+    of which lie beyond K.
     """
-    from scipy.sparse.linalg import expm_multiply
+    k = math.floor(r)
+    while r > 0:
+        z = r / (k + 1)
+        s = math.sqrt((1 - z) * (1 + z))
+        g = math.log(z) + s - math.log1p(s)
+        if 2 * math.exp((k + 1) * g) <= -math.expm1(g - s) * 2.0**-53:
+            break
+        k += 1
+    n = 2 * k + 2
+    f = np.exp(1j * r * np.cos(2 * math.pi / n * np.arange(n)))
+    return np.fft.fft(f)[: k + 1] / n
 
-    state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        return expm_multiply(a, v)
-    finally:
-        np.random.set_state(state)
+
+def expm_multiply(a: scipy.sparse.csr_matrix, v: np.ndarray, radius: float) -> np.ndarray:
+    """exp(a) v for a skew-Hermitian ``a`` with spectral radius at most ``radius``.
+
+    A Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
+    (1984)): X = -i a / radius is Hermitian with its spectrum in [-1, 1], and
+    exp(a) = e^{i radius X} = sum_k (2 - [k = 0]) i^k J_k(radius) T_k(X).  The
+    vectors T_k(X) v follow the three-term recurrence
+    T_{k+1}(X) v = 2 X T_k(X) v - T_{k-1}(X) v, one product ``a @ w`` per
+    degree.  As ||T_k(X)|| <= 1, the result is within 2^-53 ||v|| of
+    exp(a) v before rounding; it depends on its inputs alone.
+
+    A module-level name so that the benchmark's tracer can wrap the
+    propagation as its own span (``photon_swap.expm_multiply``, whose work
+    counter reads ``a.nnz`` and the 1-norm of ``a``); it stays until the
+    tracer's spans move to the production routes (ROADMAP items 5 and 6).
+    """
+    c = _chebyshev_coefficients(radius)
+    out = c[0] * v
+    if c.size == 1:
+        return out
+    step = a * (-2j / radius)  # 2X
+    prev, cur = v, 0.5 * (step @ v)
+    out += 2 * c[1] * cur
+    for ck in 2 * c[2:]:
+        nxt = step @ cur
+        nxt -= prev
+        out += ck * nxt
+        prev, cur = cur, nxt
+    return out
 
 
 def static_generator(dot: ThreeLevelDot, grid: SpectralGrid) -> scipy.sparse.csr_matrix:
-    """Bright-rail generator for phase-folded amplitudes u = g e^{i t delta}.
+    """Bright-rail generator in quadrature-weighted phase-folded amplitudes.
 
+    Phase folding takes the rails to u = g e^{i t delta}:
     du1/dt = i delta u1 - b1 u3; du2/dt = i delta' u2 - b2 u3;
     du3/dt = sum_k w_k (b1 u1 + b2 u2).  Moduli match the rotating frame
     pointwise, so probabilities agree between the two frames.
@@ -211,26 +251,32 @@ def static_generator(dot: ThreeLevelDot, grid: SpectralGrid) -> scipy.sparse.csr
     B = c1 u1 + c2 u2, c = (b1, b2) / b, the equations close as
     dB/dt = i delta B - b u3 and du3/dt = sum_k w_k b B, with
     b = hypot(b1, b2), while the dark amplitude c1 u2 - c2 u1 evolves
-    freely.  The generator is (n_k + 1)-dimensional over (B, u3).  Split
-    rails (w2 > 0) raise ``ValueError``; ``tests/oracle_swap.py`` keeps
-    their two-rail generator.
+    freely.  In the weighted amplitudes (sqrt(w_k) B_k, u3) the generator is
+    [[i delta, -b sqrt(w)], [b sqrt(w)^T, 0]], (n_k + 1)-dimensional and
+    skew-Hermitian bit for bit: both couplings are the same floats, one of
+    them negated.  Split rails (w2 > 0) raise ``ValueError``;
+    ``tests/oracle_swap.py`` keeps their two-rail generator.
     """
     if dot.w2 != 0:
         raise ValueError("only degenerate rails (w2 = 0) merge into one bright rail")
     delta, _ = detunings(dot, grid)
-    b = math.hypot(*_rail_couplings(dot))
-    return _arrowhead(1j * delta, np.full(grid.n_k, -b), b * grid.weights)
+    coupling = math.hypot(*_rail_couplings(dot)) * np.sqrt(grid.weights)
+    return _arrowhead(1j * delta, -coupling, coupling)
 
 
 def propagate_static(
     dot: ThreeLevelDot, mode: GaussianMode, grid: SpectralGrid, times: np.ndarray
 ) -> np.ndarray:
-    """Phase-folded amplitudes (u1, u2, u3) at the requested times (Krylov).
+    """Phase-folded amplitudes (u1, u2, u3) at the requested times.
 
     Rows have the two-rail layout of 2 n_k + 1 amplitudes.  The bright
-    amplitude B is propagated from c1 f, and with the free part
-    F = f e^{i delta t} and R = B - c1 F the rails are u1 = F + c1 R and
-    u2 = c2 R: both rails are exactly (f, 0) at t = 0, where R vanishes.
+    amplitude B is propagated from c1 f by ``expm_multiply``, weighted by
+    sqrt(w) as ``static_generator`` takes it and unweighted for each row.
+    The generator's spectral radius is at most max |delta| + b sqrt(span)
+    (Weyl's inequality: the diagonal plus the coupling vector, whose 2-norm
+    is b sqrt(sum w) = b sqrt(span)).  With the free part F = f e^{i delta t}
+    and R = B - c1 F the rails are u1 = F + c1 R and u2 = c2 R: both rails
+    are exactly (f, 0) at t = 0, where R vanishes.
 
     Raises ``GridError`` when the last time lies beyond half the grid's
     recurrence time, and ``ValueError`` on split rails (w2 > 0).
@@ -242,18 +288,24 @@ def propagate_static(
     b = math.hypot(b1, b2)
     c1, c2 = (b1 / b, b2 / b) if b > 0 else (1.0, 0.0)
     m = static_generator(dot, grid)
-    y = np.zeros(m.shape[0], dtype=np.complex128)
-    y[:n] = c1 * f
-    states = np.empty((len(times), m.shape[0]), dtype=np.complex128)
+    delta, _ = detunings(dot, grid)
+    radius = float(np.max(np.abs(delta))) + b * math.sqrt(grid.span)
+    sqrt_w = np.sqrt(grid.weights)
+    row = np.zeros(n + 1, dtype=np.complex128)
+    row[:n] = c1 * f
+    y = row.copy()
+    y[:n] *= sqrt_w
+    states = np.empty((len(times), n + 1), dtype=np.complex128)
     prev_t = 0.0
     for i, t in enumerate(times):
         if t < prev_t:
             raise ValueError("times must be nondecreasing")
         if t > prev_t:
-            y = expm_multiply(m * (t - prev_t), y)
+            y = expm_multiply(m * (t - prev_t), y, radius * (t - prev_t))
+            row = y.copy()
+            row[:n] /= sqrt_w
             prev_t = t
-        states[i] = y
-    delta, _ = detunings(dot, grid)
+        states[i] = row
     free = f * np.exp(1j * np.outer(times, delta))
     residual = states[:, :n] - c1 * free
     out = np.empty((len(times), 2 * n + 1), dtype=np.complex128)

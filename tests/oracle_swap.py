@@ -2,12 +2,12 @@
 
 The swap stage and the sweep evaluate the continuum closed form.
 ``krylov_sweep_point`` is the plateau loop that computed the sweep before,
-by Krylov propagation on a uniform frequency grid sized by
+by propagation on a uniform frequency grid (``propagate_static``) sized by
 ``grid_points_for``; its values converge to the closed form as the
 spectral window widens, so it serves as the closed form's oracle.
 
 The sweep report's fixed reference point propagates the merged-rail
-static-coefficient generator by Krylov.  This module keeps two independent
+static-coefficient generator by a Chebyshev expansion.  This module keeps two independent
 integrations of the same amplitude equations with
 ``scipy.integrate.solve_ivp``: the rotating frame with explicit phase
 factors, and the static-coefficient (lab) frame.  The lab frame uses

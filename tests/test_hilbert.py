@@ -3,6 +3,8 @@
 Local operators are checked against full-space embeddings; structure
 properties (norms, composition, Schmidt data) run as hypothesis properties.
 """
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,32 @@ def test_state_norm_validation():
         StateVector(np.array([np.nan, 0, 0, 0]), qubits(2))
     ok = StateVector.from_amplitudes(np.array([1.0, 1.0]), layout)
     assert np.allclose(np.abs(ok.amplitudes), [2**-0.5, 2**-0.5])
+
+
+def test_from_amplitudes_refuses_non_finite_vectors_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ([np.nan, 1.0], [np.inf, 0.0], [1.0, -np.inf], [complex(0.0, np.nan), 1.0]):
+            with pytest.raises(NormalizationError, match="non-finite"):
+                StateVector.from_amplitudes(np.array(bad), qubits(1))
+        with pytest.raises(NormalizationError, match="all-zero"):
+            StateVector.from_amplitudes(np.zeros(2), qubits(1))
+
+
+@pytest.mark.parametrize(
+    "raw, expected",
+    [
+        ([1e-320, 0.0], [1.0, 0.0]),  # subnormal: its squared norm underflows to 0
+        ([5e-324, -5e-324], [2**-0.5, -(2**-0.5)]),
+        ([1e200, 1e200], [2**-0.5, 2**-0.5]),  # its squared norm overflows
+        ([complex(1e308, 1e308), 0.0], [complex(2**-0.5, 2**-0.5), 0.0]),  # |a| overflows
+    ],
+)
+def test_from_amplitudes_normalizes_every_finite_nonzero_vector(raw, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = StateVector.from_amplitudes(np.array(raw), qubits(1))
+    assert np.allclose(state.amplitudes, expected, rtol=0, atol=1e-15)
 
 
 def test_basis_state_digits():

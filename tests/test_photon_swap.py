@@ -24,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply
 
+from entpipe import photon_swap
 from entpipe.config import default_config
 from entpipe.errors import GridError, LayoutError, NotGhzClassError
 from entpipe.hilbert import StateVector, apply_local, qubits, schmidt_spectrum
@@ -33,6 +34,8 @@ from entpipe.photon_swap import (
     ThreeLevelDot,
     _ERFCX_COEFFS,
     _ERFCX_L,
+    _arrowhead,
+    _chebyshev_coefficients,
     _cumulative_panels,
     _time_panels,
     closed_form_emission,
@@ -327,7 +330,9 @@ def test_merged_rail_generator_dimension(small_dot, small_grid):
     assert m.shape == (n + 1, n + 1)
     # the grid's centre point sits on resonance, so its diagonal is not stored
     assert m.nnz == 3 * n - 1
-    assert m[n, 0] == pytest.approx(math.sqrt(2 / (2 * math.pi)) * small_grid.weights[0])
+    assert m[n, 0] == pytest.approx(math.sqrt(2 / (2 * math.pi) * small_grid.weights[0]))
+    # skew-Hermitian bit for bit: each coupling is stored once and negated once
+    assert (m.conj().T != -m).nnz == 0
 
 
 MERGE_GRID = SpectralGrid(CENTER - 18.0, CENTER + 18.0, 385)
@@ -364,6 +369,69 @@ def test_merged_rails_match_two_rail_propagation(d, gamma1, gamma2):
     m = two_rail_generator(dot, MERGE_GRID)
     for row, t in zip(amps, MERGE_TIMES):
         assert np.max(np.abs(row - expm_multiply(m * t, y0))) <= 1e-12
+
+
+# ------------------------------------------------------ Chebyshev propagator
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(64, 160),
+    lo=st.floats(-50.0, 0.0),
+    width=st.floats(1.0, 80.0),
+    b=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+    log_r=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=64, lo=-10.0, width=20.0, b=0.0, log_r=0.0, seed=1)
+@example(n=160, lo=-3.0, width=60.0, b=2.0, log_r=3.0, seed=2)  # off-centre, r = 1e3
+@example(n=100, lo=-1.0, width=2.0, b=5.0, log_r=-3.0, seed=3)
+def test_chebyshev_propagator_matches_oracles(n, lo, width, b, log_r, seed):
+    """exp(a) v on random skew-Hermitian arrowheads [[i delta, -c], [c^T, 0]]
+    (grids off the resonance too, closed couplings, r = radius * t from 1e-3
+    to 1e3) agrees with the eigendecomposition of the Hermitian i^-1 a and
+    with scipy's Taylor method to 1e-12, and keeps the norm to 1e-13.
+    Above r = 100 the Taylor method itself strays from the eigendecomposition
+    by up to 3e-12 (on 1000 random cases, against 1.5e-13 for the expansion),
+    so there only the eigendecomposition is the oracle."""
+    rng = np.random.default_rng(seed)
+    delta = np.linspace(lo, lo + width, n)
+    coupling = b * np.sqrt(rng.uniform(0.1, 1.0, n))
+    m = _arrowhead(1j * delta, -coupling, coupling)
+    assert (m.conj().T != -m).nnz == 0
+    radius = float(np.max(np.abs(delta))) + float(np.linalg.norm(coupling))
+    t = 10.0**log_r / radius
+    v = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    v /= np.linalg.norm(v)
+    got = photon_swap.expm_multiply(m * t, v, radius * t)
+    lam, vecs = np.linalg.eigh(-1j * (m * t).toarray())
+    exact = vecs @ (np.exp(1j * lam) * (vecs.conj().T @ v))
+    assert np.max(np.abs(got - exact)) <= 1e-12
+    if log_r <= 2.0:
+        assert np.max(np.abs(got - expm_multiply(m * t, v))) <= 1e-12
+    assert abs(np.linalg.norm(got) - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("r", [0.0, 1e-3, 0.5, 1.0, 7.0, 10.0, 167.45, 1e3])
+def test_chebyshev_coefficients_are_bessel_values(r):
+    """The FFT gives i^k J_k(r) to 1e-13, and the Bessel tail the degree
+    leaves out, 2 sum_{k>K} |J_k(r)|, is below 2^-53."""
+    c = _chebyshev_coefficients(r)
+    k = np.arange(c.size)
+    assert np.max(np.abs(c - 1j**k * special.jv(k, r))) <= 1e-13
+    tail = special.jv(np.arange(c.size, c.size + 400), r)
+    assert 2 * np.sum(np.abs(tail)) < 2.0**-53
+    # the degree grows as r + O(r^(1/3)), far below the 1-norm's Taylor count
+    assert c.size - 1 <= r + 12 * r ** (1 / 3) + 12
+
+
+def test_reference_propagation_leaves_global_rng_alone(small_dot, small_mode, small_grid):
+    np.random.seed(12345)
+    before = np.random.get_state()
+    propagate_static(small_dot, small_mode, small_grid, np.array([0.0, 1.5, 6.0]))
+    after = np.random.get_state()
+    assert before[0] == after[0] and np.array_equal(before[1], after[1])
+    assert before[2:] == after[2:]
 
 
 # ------------------------------------------------------- printed closed form
