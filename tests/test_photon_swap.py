@@ -3,10 +3,12 @@
 The discretized amplitude equations, integrated by the adaptive-solver
 oracles of ``oracle_swap``, are checked against an independently written
 fixed-step Runge-Kutta integrator at four times the resolution; the sweep
-report's Krylov reference route is checked against those oracles, against
-Krylov propagation of the oracle's two-rail generator (the merged-rail
+report's grid reference route is checked against those oracles, against
+scipy's propagation of the oracle's two-rail generator (the merged-rail
 route), and against exact invariances (norm conservation, dimensionless
-rescaling, rail-splitting independence).  The continuum closed form is
+rescaling, rail-splitting independence); its Chebyshev propagator is
+checked against an eigendecomposition and scipy's Taylor method, and its
+coefficients against scipy's Bessel function.  The continuum closed form is
 checked against a direct double integral and against Krylov as the window
 widens, and its exact long-time limit against the quadrature far past the
 horizon; its in-module ``erfcx`` is checked against ``scipy.special.erfcx``
