@@ -90,7 +90,7 @@ class StateVector:
         nonzero vector normalizes.  NaN or inf entries raise
         ``NormalizationError`` before any arithmetic.
         """
-        raw = np.asarray(raw, dtype=np.complex128).reshape(-1)
+        raw = np.ascontiguousarray(raw, dtype=np.complex128).reshape(-1)
         if not np.all(np.isfinite(raw)):
             raise NormalizationError("cannot normalize a non-finite amplitude vector")
         parts = raw.view(np.float64)

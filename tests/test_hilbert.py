@@ -79,7 +79,10 @@ def test_from_amplitudes_normalizes_every_finite_nonzero_vector(raw, expected):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         state = StateVector.from_amplitudes(np.array(raw), qubits(1))
+        # a strided view normalizes too
+        strided = StateVector.from_amplitudes(np.repeat(np.array(raw, complex), 2)[::2], qubits(1))
     assert np.allclose(state.amplitudes, expected, rtol=0, atol=1e-15)
+    assert np.array_equal(strided.amplitudes, state.amplitudes)
 
 
 def test_basis_state_digits():
