@@ -32,16 +32,22 @@ projection onto the parity a cavity has returns the chain unchanged.
 
 Cost of the factored route for k cavities of dimension d.  A chain holds
 its columns as the rows of one read-only (2k, d) table: row j is cavity j's
-branch-0 column and row k + j its branch-1 column.  Drift, the survival
-function of a jump time and the flux of every jump channel read the table
-as it is stored: one array operation each, plus O(k) scalar work (products
-over the stored row norms).  Loss and repump write cavity j's two rows into
-one copy of the table, O(k d).  Each operation scales the branch weights to
-norm one before it builds the chain it returns, so it builds one chain.  A
-parity round is O(k) field reads.  A jump time is the root of
-ln S(tau) = ln r, which Brent's method finds in about 6 survival
-evaluations per jump (7.7 on S(tau) - r): ln S is convex, and exactly
-linear when one decay rate is left.
+branch-0 column and row k + j its branch-1 column.  A loss segment
+(``fc_loss_segment``) keeps its weights, table, row norms and parities in
+locals and builds one chain when it ends.  Each waiting time drifts the
+table in one broadcast multiply into a fresh table, O(k d); a jump reads
+every channel's flux from that table in one weighted row sum, draws the
+cavity from k Python floats, and lowers the cavity's two rows of it in
+place, so only those two are normed again.  The survival function of a
+jump time is one exponential, one product and one row sum per evaluation,
+written into work arrays that the segment allocates once, plus O(k)
+scalar work (products over the row norms).  A repump writes cavity j's
+two rows into one copy of the table, O(k d), and scales the branch
+weights to norm one before it builds the one chain it returns.  A parity
+round is O(k) field reads.  A jump time is the root of ln S(tau) = ln r,
+which Brent's method finds in about 6 survival evaluations per jump (7.7
+on S(tau) - r): ln S is convex, and exactly linear when one decay rate is
+left.
 A run is a whole number of syndrome rounds, one interval each, and both
 drivers step through them in one round loop.  The corrected and
 uncorrected runs of a seed agree up to the first round that reads -1.
@@ -53,12 +59,15 @@ the two suffixes after it.
 Memoised per process, in bounded stores that fill on first use:
   - the nominal code columns per (alpha, n_max), 8 entries, which every
     fresh chain's table copies;
-  - the Fock weights n of the jump flux per dimension, 8 entries;
+  - the Fock factors of the loss kernel per dimension (n, sqrt(n) and n
+    per float pair), 8 entries;
   - the repump map per (spec, decayed amplitude), 32 entries.
 """
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -148,13 +157,18 @@ class TrajectoryRecord:
 
         With ``restored_each_round`` the baseline resets to even after every
         round (the correcting protocol repumps each -1 cavity); without it
-        the measured parity itself carries forward as the baseline.
+        the measured parity itself carries forward as the baseline.  A round
+        from t0 to t1 counts the jumps at t0 < t <= t1 (t0 = 0 for the
+        first), found by bisection in each cavity's jumps, sorted once.
         """
         for jumps, outcomes in zip(self.jump_times, self.parity_outcomes):
+            jumps = sorted(jumps)
             prev = 0.0
             base = 1
             for t_meas, out in zip(self.measurement_times, outcomes):
-                n = sum(1 for t in jumps if prev < t <= t_meas)
+                n = 0
+                if jumps and prev < t_meas:
+                    n = bisect.bisect_right(jumps, t_meas) - bisect.bisect_right(jumps, prev)
                 if base * (-1) ** n != out:
                     raise ValueError("parity outcome inconsistent with jump count")
                 base = 1 if restored_each_round else out
@@ -204,10 +218,18 @@ def _code_columns(alpha: complex, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return read_only(cat_column(alpha, 1, n_max)), read_only(cat_column(1j * alpha, 1, n_max))
 
 
+class _Fock(NamedTuple):
+    """Per-dimension Fock factors of the loss kernel, read-only."""
+
+    n: np.ndarray  # the photon number n of each entry, as floats
+    root: np.ndarray  # sqrt(n) for n >= 1: the annihilation operator's entries
+    pairs: np.ndarray  # n for each float of a column viewed as float64 pairs
+
+
 @functools.lru_cache(maxsize=8)
-def _fock_weights(dim: int) -> np.ndarray:
-    """n for each float of a (dim,) complex column viewed as float64 pairs."""
-    return read_only(np.repeat(np.arange(dim, dtype=float), 2))
+def _fock(dim: int) -> _Fock:
+    n = np.arange(dim, dtype=float)
+    return _Fock(read_only(n), read_only(np.sqrt(n[1:])), read_only(np.repeat(n, 2)))
 
 
 def _sq_norms(a: np.ndarray) -> np.ndarray:
@@ -221,17 +243,6 @@ def _sq_norms(a: np.ndarray) -> np.ndarray:
     return (x * x).sum(axis=-1)
 
 
-def _lower(col: np.ndarray) -> np.ndarray:
-    """Annihilation operator on one Fock column as a shifted multiply.
-
-    Equal, bit for bit, to the dense annihilation matrix times ``col``: each
-    output entry of that product has one nonzero term.
-    """
-    out = np.zeros(col.shape, dtype=np.complex128)
-    out[:-1] = np.sqrt(np.arange(1, col.shape[0], dtype=float)) * col[1:]
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class FactoredChain:
     """Two-branch product chain: w0|0> prod u_j + w1|1> prod v_j.
@@ -243,8 +254,11 @@ class FactoredChain:
 
     The columns are the rows of ``table``, one read-only C-ordered (2k, d)
     complex array: cavity j's branch-0 column is row j and its branch-1
-    column row k + j.  No operation writes a table in place: a derived
-    chain that changes rows holds a new table.  ``sq_norms[i]`` is row i's
+    column row k + j.  No chain's table is written once the chain is built:
+    a derived chain that changes rows holds a new table.  Of the protocol's
+    operations two build chains: a loss segment builds one at its end, on the table it
+    drifted and lowered in place, and a repump builds one on a copy with
+    two rows overwritten.  ``sq_norms[i]`` is row i's
     squared norm (``_sq_norms``); a branch's norm multiplies its k entries
     left to right in cavity order, as ``np.prod`` over freshly computed
     norms would, so the results are bit-identical to a from-scratch
@@ -307,7 +321,7 @@ def _unit_weights(w0: complex, w1: complex, sq_norms) -> tuple[complex, complex]
 
     Operations scale the weights before they build the chain they return,
     so each builds it once."""
-    scale = 1.0 / np.sqrt(_norm_squared(w0, w1, sq_norms))
+    scale = 1.0 / math.sqrt(_norm_squared(w0, w1, sq_norms))
     return w0 * scale, w1 * scale
 
 
@@ -342,42 +356,20 @@ def factored_chain(spec: CavitySpec, k: int) -> FactoredChain:
     )
 
 
-def _renormalised(fc: FactoredChain, table: np.ndarray, parity: tuple[int, ...]) -> FactoredChain:
-    """``fc``'s weights on a new table, its rows normed in one reduction and
-    the weights scaled to norm one."""
-    sq_norms = tuple(_sq_norms(table).tolist())
-    return FactoredChain(
-        *_unit_weights(fc.weight0, fc.weight1, sq_norms), fc.spec, read_only(table), sq_norms,
-        parity,
-    )
-
-
 def _with_cavity(
     fc: FactoredChain, j: int, u: np.ndarray, v: np.ndarray, parity: int
 ) -> FactoredChain:
     """``fc`` with cavity j's columns set to (u, v) of the given parity,
-    renormalised: one copy of ``fc.table`` with rows j and k + j overwritten.
+    renormalised: one copy of ``fc.table`` with rows j and k + j overwritten,
+    its rows normed in one reduction and the weights scaled to norm one.
     """
     table = fc.table.copy()
     table[j], table[fc.k + j] = u, v
-    return _renormalised(fc, table, fc.parity[:j] + (parity,) + fc.parity[j + 1 :])
-
-
-def fc_drift(fc: FactoredChain, tau: float) -> FactoredChain:
-    """No-jump evolution over tau, renormalised.
-
-    The table decays in one broadcast multiply and its rows are normed in
-    one reduction.  Decay scales every Fock amplitude by a positive factor,
-    so every cavity keeps its parity.
-    """
-    decay = np.exp(-fc.spec.kappa * tau * np.arange(fc.spec.dim) / 2)
-    return _renormalised(fc, fc.table * decay, fc.parity)
-
-
-def fc_apply_loss(fc: FactoredChain, j: int) -> FactoredChain:
-    """A photon lost from cavity j, renormalised; j's parity flips."""
-    u, v = _lower(fc.table[j]), _lower(fc.table[fc.k + j])
-    return _with_cavity(fc, j, u, v, -fc.parity[j])
+    sq_norms = tuple(_sq_norms(table).tolist())
+    return FactoredChain(
+        *_unit_weights(fc.weight0, fc.weight1, sq_norms), fc.spec, read_only(table), sq_norms,
+        fc.parity[:j] + (parity,) + fc.parity[j + 1 :],
+    )
 
 
 def fc_parity_probability(fc: FactoredChain, j: int) -> float:
@@ -412,60 +404,104 @@ def fc_repump(fc: FactoredChain, j: int, decayed_alpha: complex) -> FactoredChai
     return _with_cavity(fc, j, r @ u, r @ v, 1)
 
 
-def _fc_survival(fc: FactoredChain):
-    """No-jump probability tau -> ||exp(-kappa tau n/2) psi||^2 of a normalized chain.
+def _survival_scratch(k: int, dim: int) -> tuple[np.ndarray, ...]:
+    """Work arrays of ``_fc_survival`` for a (2k, dim) table: the weights
+    |u|^2, the decay factors, the weighted terms and the row sums."""
+    return np.empty((2 * k, dim)), np.empty(dim), np.empty((2 * k, dim)), np.empty(2 * k)
+
+
+def _fc_survival(table: np.ndarray, w0: complex, w1: complex, kappa: float, scratch):
+    """No-jump probability tau -> ||exp(-kappa tau n/2) psi||^2 of the normalized
+    chain with branch weights (w0, w1) on ``table``.
 
     |u|^2 of the table's 2k rows is taken once, so an evaluation is one
-    exponential, one row-sum and two products over the cavities.
+    exponential, one row-sum and two products over the cavities.  The
+    weights and every evaluation's arrays live in ``scratch``
+    (``_survival_scratch``), so no evaluation allocates, and a survival
+    built later on the same scratch overwrites this one's weights.
     """
-    weights = np.abs(fc.table) ** 2
-    n = np.arange(fc.spec.dim)
-    kappa = fc.spec.kappa
-    w0, w1 = abs(fc.weight0) ** 2, abs(fc.weight1) ** 2
-    k = fc.k
+    weights, decay, terms, sums = scratch
+    np.abs(table, out=weights)
+    np.square(weights, out=weights)
+    n = _fock(table.shape[1]).n
+    w0, w1 = abs(w0) ** 2, abs(w1) ** 2
+    k = len(table) // 2
 
     def survival(tau: float) -> float:
-        sums = (weights * np.exp(-kappa * tau * n)).sum(axis=1).tolist()
-        return float(w0 * math.prod(sums[:k]) + w1 * math.prod(sums[k:]))
+        np.multiply(-kappa * tau, n, out=decay)
+        np.exp(decay, out=decay)
+        np.multiply(weights, decay, out=terms)
+        rows = np.add.reduce(terms, axis=1, out=sums).tolist()
+        return float(w0 * math.prod(rows[:k]) + w1 * math.prod(rows[k:]))
 
     return survival
 
 
-def _fc_jump_flux(fc: FactoredChain) -> np.ndarray:
-    """Loss flux kappa <a^dag a> of every cavity, from the stored norms.
+def _jump_flux(
+    table: np.ndarray, w0: complex, w1: complex, sq_norms: list[float], kappa: float
+) -> list[float]:
+    """Loss flux kappa <a^dag a> of every cavity of a normalized chain.
 
     ||a c||^2 = sum_n n |c_n|^2, so one weighted row sum over the table
     gives every row's lowered weight.  Lowering cavity j scales each
     branch's weight by its row's lowered weight over its stored norm.  A
     branch of weight zero (one of its columns is zero) adds nothing and is
-    left out, so no ratio divides by a zero norm.
+    left out, so no ratio divides by a zero norm.  The k fluxes are Python
+    floats, each from the operations numpy would apply to it in an array.
     """
-    k = fc.k
-    x = fc.table.view(np.float64)
-    lowered = (x * x * _fock_weights(fc.spec.dim)).sum(axis=-1)
-    sq_norms = np.array(fc.sq_norms)
-    b0 = abs(fc.weight0) ** 2 * math.prod(fc.sq_norms[:k])
-    b1 = abs(fc.weight1) ** 2 * math.prod(fc.sq_norms[k:])
-    flux = np.zeros(k)
-    for b, rows in ((b0, slice(None, k)), (b1, slice(k, None))):
+    k = len(sq_norms) // 2
+    x = table.view(np.float64)
+    lowered = (x * x * _fock(table.shape[1]).pairs).sum(axis=-1).tolist()
+    b0 = abs(w0) ** 2 * math.prod(sq_norms[:k])
+    b1 = abs(w1) ** 2 * math.prod(sq_norms[k:])
+    flux = [0.0] * k
+    for b, off in ((b0, 0), (b1, k)):
         if b:
-            flux += b * lowered[rows] / sq_norms[rows]
-    return fc.spec.kappa * flux / (b0 + b1)
+            flux = [f + b * lowered[off + j] / sq_norms[off + j] for j, f in enumerate(flux)]
+    total = b0 + b1
+    return [kappa * f / total for f in flux]
 
 
-def _jump_cavity(flux: np.ndarray, u: float) -> int:
+def _pairwise_sum(values) -> float:
+    """``np.add.reduce`` of a float64 vector, in numpy's order: 0.0 plus the
+    pairwise sum, which adds fewer than 8 entries in turn and more in 8
+    interleaved partial sums (numpy's ``pairwise_sum``, blocks of 128)."""
+    n = len(values)
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return 0.0 + (_pairwise_sum(values[:half]) + _pairwise_sum(values[half:]))
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    r = list(values[:8])
+    i = 8
+    while i < n - n % 8:
+        for lane in range(8):
+            r[lane] += values[i + lane]
+        i += 8
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in values[i:]:
+        total += v
+    return 0.0 + total
+
+
+def _jump_cavity(flux: list[float], u: float) -> int:
     """``rng.choice(len(flux), p=flux / flux.sum())`` for the draw u = ``rng.random()``.
 
-    numpy's own steps (cumulative sum, rescaled by its last entry, then a
-    right-sided search), so the index is the same.  A flux that is not
-    finite, is negative or sums to zero raises ``ConvergenceError``.
+    numpy's own steps in Python floats (a pairwise total, the cumulative
+    sum of the shares, rescaled by its last entry, then a right-sided
+    search), so the index is the same.  A flux that is not finite, is
+    negative or sums to zero raises ``ConvergenceError``.
     """
-    total = flux.sum()
-    if not (np.isfinite(total) and total > 0 and (flux >= 0).all()):
-        raise ConvergenceError(f"jump flux {flux.tolist()} is not a distribution")
-    cdf = (flux / total).cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(u, side="right"))
+    total = _pairwise_sum(flux)
+    if not (math.isfinite(total) and total > 0 and min(flux) >= 0):
+        raise ConvergenceError(f"jump flux {list(flux)} is not a distribution")
+    cdf = list(itertools.accumulate(f / total for f in flux))
+    last = cdf[-1]
+    return bisect.bisect_right([c / last for c in cdf], u)
 
 
 def brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
@@ -561,26 +597,46 @@ def fc_loss_segment(
 
     ``fc`` must be normalised: the survival function reads its weights as
     probabilities.  The chain returned is normalised too.
+
+    The segment's state lives in locals and one chain is built at its end.
+    Each draw drifts the table to the jump time or to the end: one broadcast
+    multiply into a fresh table, its rows normed in one reduction, the
+    weights scaled to norm one.  Decay scales every Fock amplitude by a
+    positive factor, so every cavity keeps its parity.  A jump reads its
+    flux from that table and lowers cavity j's two rows in place, so only
+    those two are normed again, and j's parity flips.
     """
     t = 0.0
-    jumps: list[list[float]] = [[] for _ in range(fc.k)]
-    if fc.spec.kappa == 0 or fc.k == 0:
+    k = fc.k
+    jumps: list[list[float]] = [[] for _ in range(k)]
+    kappa = fc.spec.kappa
+    if kappa == 0 or k == 0 or not duration > 0:
         return fc, jumps
+    fock = _fock(fc.spec.dim)
+    scratch = _survival_scratch(k, fc.spec.dim)
+    w0, w1, table = fc.weight0, fc.weight1, fc.table
+    sq_norms, parity = list(fc.sq_norms), list(fc.parity)
     while t < duration:
         r = rng.random()
         remaining = duration - t
-        survival = _fc_survival(fc)
+        survival = _fc_survival(table, w0, w1, kappa, scratch)
         at_end = survival(remaining)
+        tau = remaining if at_end >= r else _jump_time(survival, remaining, at_end, r)
+        table = table * np.exp(-kappa * tau * fock.n / 2)
+        sq_norms = _sq_norms(table).tolist()
+        w0, w1 = _unit_weights(w0, w1, sq_norms)
         if at_end >= r:
-            fc = fc_drift(fc, remaining)
             break
-        tau_star = _jump_time(survival, remaining, at_end, r)
-        fc = fc_drift(fc, tau_star)
-        t += tau_star
-        j = _jump_cavity(_fc_jump_flux(fc), rng.random())
-        fc = fc_apply_loss(fc, j)
+        t += tau
+        j = _jump_cavity(_jump_flux(table, w0, w1, sq_norms, kappa), rng.random())
+        rows = table[j::k]  # cavity j's branch-0 and branch-1 rows, a view
+        rows[:, :-1] = fock.root * rows[:, 1:]
+        rows[:, -1] = 0.0
+        sq_norms[j], sq_norms[k + j] = _sq_norms(rows).tolist()
+        parity[j] = -parity[j]
+        w0, w1 = _unit_weights(w0, w1, sq_norms)
         jumps[j].append(t_offset + t)
-    return fc, jumps
+    return FactoredChain(w0, w1, fc.spec, read_only(table), tuple(sq_norms), tuple(parity)), jumps
 
 
 @dataclass(frozen=True)
@@ -612,7 +668,7 @@ class ProtectionPrefix(NamedTuple):
 
 
 def _run_rounds(
-    start: TrajectoryRecord, rng: np.random.Generator, rounds: int, interval: float,
+    start: TrajectoryRecord, rng: np.random.Generator | None, rounds: int, interval: float,
     correct: bool, until_loss: bool,
 ) -> TrajectoryRecord:
     """The storage protocol's round loop, run on from ``start``.
@@ -622,7 +678,8 @@ def _run_rounds(
     ``until_loss``, once a round has read -1; otherwise it runs one round:
     loss from t over the segment, then a parity read of every cavity.  t
     sums the segments, and the last one ends at ``rounds * interval``.
-    Returns the record of the whole trajectory so far.
+    Returns the record of the whole trajectory so far.  ``rng`` is read only
+    when a round runs, so it may be None when ``start`` has every round.
     """
     fc = start.final_state
     spec = fc.spec
@@ -686,8 +743,10 @@ def run_protected(prefix: ProtectionPrefix, correct: bool = True) -> ProtectionR
     so the result is the run from t = 0, bit for bit, and a shared seed
     yields a paired comparison.
     """
-    rng = np.random.default_rng(prefix.record.seed)
-    rng.bit_generator.state = prefix.rng_state
+    rng = None  # a prefix that ran every round leaves no draw to make
+    if len(prefix.record.measurement_times) < prefix.rounds:
+        rng = np.random.default_rng(prefix.record.seed)
+        rng.bit_generator.state = prefix.rng_state
     record = _run_rounds(
         prefix.record, rng, prefix.rounds, prefix.syndrome_interval, correct, until_loss=False
     )

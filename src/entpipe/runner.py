@@ -352,10 +352,10 @@ def run_pipeline(cfg: PipelineConfig) -> StageResult:
     spec = CavitySpec(alpha=st.alpha, n_max=st.n_max, kappa=st.kappa)
     k = n - 1
     prefix = start_protected(spec, k, st.rounds, st.tau_syn, derive_seed(cfg.run.base_seed, 0))
-    chain = run_protected(prefix, correct=True).record.final_state
-    c0, c1 = fc_logical_amplitudes(chain)
+    protected = run_protected(prefix, correct=True)
+    c0, c1 = fc_logical_amplitudes(protected.record.final_state)
     code_weight = abs(c0) ** 2 + abs(c1) ** 2
-    fid_protect = chain.logical_fidelity()
+    fid_protect = protected.final_logical_fidelity
     register = replace(branches, a=c0 / math.sqrt(code_weight), b=c1 / math.sqrt(code_weight))
 
     rails, herald_swap = register_swap(register, p_val)

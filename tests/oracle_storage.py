@@ -17,9 +17,17 @@ scanned from them (``chain_from_columns``); and the
 full-unitary repump that completes the code-space map by Gram-Schmidt
 (``recovery_unitary``), the reference for the package's rank-2 map on the
 code space.
+
+Last, it keeps the factored loss segment one chain operation at a time
+(``loss_segment_by_ops``): drift (``fc_drift``), the numpy jump flux
+(``fc_jump_flux``) and cavity draw (``jump_cavity_numpy``), and the loss
+(``fc_apply_loss``), each building its chain, with a survival function
+that allocates its arrays (``fc_survival``).  ``cat_code.fc_loss_segment``
+fuses these steps and must match them bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +38,10 @@ from entpipe.cat_code import (
     FactoredChain,
     ProtectionResult,
     TrajectoryRecord,
+    _fock,
+    _jump_time,
     _lowdin,
+    _norm_squared,
     _sq_norms,
     cat_column,
     coherent_column,
@@ -627,3 +638,111 @@ def run_protected_unshared(
         record=record,
         final_logical_fidelity=fc.logical_fidelity(),
     )
+
+
+# ------------------------------------------- factored loss, op by op
+
+def renormalised(fc: FactoredChain, table: np.ndarray, parity: tuple[int, ...]) -> FactoredChain:
+    """``fc``'s weights on a new table, its rows normed in one reduction and
+    the weights scaled by numpy's 1 / sqrt of the chain's squared norm."""
+    sq_norms = tuple(_sq_norms(table).tolist())
+    scale = 1.0 / np.sqrt(_norm_squared(fc.weight0, fc.weight1, sq_norms))
+    return FactoredChain(
+        fc.weight0 * scale, fc.weight1 * scale, fc.spec, read_only(table), sq_norms, parity
+    )
+
+
+def fc_drift(fc: FactoredChain, tau: float) -> FactoredChain:
+    """No-jump evolution over tau, renormalised: one broadcast multiply into
+    a new table.  Every cavity keeps its parity."""
+    decay = np.exp(-fc.spec.kappa * tau * np.arange(fc.spec.dim) / 2)
+    return renormalised(fc, fc.table * decay, fc.parity)
+
+
+def lower(col: np.ndarray) -> np.ndarray:
+    """Annihilation operator on one Fock column as a shifted multiply.
+
+    Equal, bit for bit, to the dense annihilation matrix times ``col``: each
+    output entry of that product has one nonzero term.
+    """
+    out = np.zeros(col.shape, dtype=np.complex128)
+    out[:-1] = np.sqrt(np.arange(1, col.shape[0], dtype=float)) * col[1:]
+    return out
+
+
+def fc_apply_loss(fc: FactoredChain, j: int) -> FactoredChain:
+    """A photon lost from cavity j, renormalised; j's parity flips."""
+    table = fc.table.copy()
+    table[j], table[fc.k + j] = lower(fc.table[j]), lower(fc.table[fc.k + j])
+    return renormalised(fc, table, fc.parity[:j] + (-fc.parity[j],) + fc.parity[j + 1 :])
+
+
+def fc_survival(fc: FactoredChain):
+    """No-jump probability tau -> ||exp(-kappa tau n/2) psi||^2 of a
+    normalized chain, each evaluation in fresh arrays."""
+    weights = np.abs(fc.table) ** 2
+    n = np.arange(fc.spec.dim)
+    kappa = fc.spec.kappa
+    w0, w1 = abs(fc.weight0) ** 2, abs(fc.weight1) ** 2
+    k = fc.k
+
+    def survival(tau: float) -> float:
+        sums = (weights * np.exp(-kappa * tau * n)).sum(axis=1).tolist()
+        return float(w0 * math.prod(sums[:k]) + w1 * math.prod(sums[k:]))
+
+    return survival
+
+
+def fc_jump_flux(fc: FactoredChain) -> np.ndarray:
+    """Loss flux kappa <a^dag a> of every cavity as a numpy array, from one
+    weighted row sum over the table and the stored norms; a branch of
+    weight zero is left out."""
+    k = fc.k
+    x = fc.table.view(np.float64)
+    lowered = (x * x * _fock(fc.spec.dim).pairs).sum(axis=-1)
+    sq_norms = np.array(fc.sq_norms)
+    b0 = abs(fc.weight0) ** 2 * math.prod(fc.sq_norms[:k])
+    b1 = abs(fc.weight1) ** 2 * math.prod(fc.sq_norms[k:])
+    flux = np.zeros(k)
+    for b, rows in ((b0, slice(None, k)), (b1, slice(k, None))):
+        if b:
+            flux += b * lowered[rows] / sq_norms[rows]
+    return fc.spec.kappa * flux / (b0 + b1)
+
+
+def jump_cavity_numpy(flux: np.ndarray, u: float) -> int:
+    """``rng.choice(len(flux), p=flux / flux.sum())`` for the draw u, in numpy's
+    array steps: cumulative sum, rescaled by its last entry, right-sided search."""
+    total = flux.sum()
+    if not (np.isfinite(total) and total > 0 and (flux >= 0).all()):
+        raise ConvergenceError(f"jump flux {flux.tolist()} is not a distribution")
+    cdf = (flux / total).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(u, side="right"))
+
+
+def loss_segment_by_ops(
+    fc: FactoredChain, duration: float, rng: np.random.Generator, t_offset: float = 0.0
+) -> tuple[FactoredChain, list[list[float]]]:
+    """``cat_code.fc_loss_segment`` one chain operation at a time: per draw,
+    a survival function, then drift; per jump, the flux, the draw and the
+    loss, each building its own chain."""
+    t = 0.0
+    jumps: list[list[float]] = [[] for _ in range(fc.k)]
+    if fc.spec.kappa == 0 or fc.k == 0:
+        return fc, jumps
+    while t < duration:
+        r = rng.random()
+        remaining = duration - t
+        survival = fc_survival(fc)
+        at_end = survival(remaining)
+        if at_end >= r:
+            fc = fc_drift(fc, remaining)
+            break
+        tau_star = _jump_time(survival, remaining, at_end, r)
+        fc = fc_drift(fc, tau_star)
+        t += tau_star
+        j = jump_cavity_numpy(fc_jump_flux(fc), rng.random())
+        fc = fc_apply_loss(fc, j)
+        jumps[j].append(t_offset + t)
+    return fc, jumps

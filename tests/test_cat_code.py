@@ -25,8 +25,7 @@ from entpipe.cat_code import (
     cat_column,
     coherent_column,
     factored_chain,
-    fc_apply_loss,
-    fc_drift,
+    fc_loss_segment,
     fc_parity_probability,
     fc_project_parity,
     fc_repump,
@@ -64,7 +63,13 @@ from oracle_storage import (
     encode,
     encode_unitary,
     extend_chain,
+    fc_apply_loss,
+    fc_drift,
+    fc_jump_flux,
+    fc_survival,
+    jump_cavity_numpy,
     logical_fidelity,
+    loss_segment_by_ops,
     loss_trajectory,
     mean_photon,
     no_jump_drift,
@@ -500,6 +505,49 @@ def test_record_validation_catches_tampering():
             bad.validate(restored_each_round=True)
 
 
+def _outcomes_round_by_round(jumps, meas_times, restored, outcomes=None):
+    """Each round's parity from the jumps at prev < t <= t_meas, counted anew
+    per round; with ``outcomes``, whether those pass the record check."""
+    got, prev, base = [], 0.0, 1
+    for i, t_meas in enumerate(meas_times):
+        out = base * (-1) ** sum(1 for t in jumps if prev < t <= t_meas)
+        if outcomes is not None and outcomes[i] != out:
+            return False
+        got.append(out)
+        base = 1 if restored else out
+        prev = t_meas
+    return tuple(got) if outcomes is None else True
+
+
+_TIMES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), st.floats(-1.0, 4.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    jumps=st.lists(st.lists(_TIMES, max_size=6), min_size=1, max_size=3),
+    meas_times=st.lists(_TIMES, min_size=1, max_size=5),
+    restored=st.booleans(),
+    flip=st.one_of(st.none(), st.tuples(st.integers(0, 2), st.integers(0, 4))),
+)
+def test_record_check_counts_each_round_as_a_round_by_round_count(
+    jumps, meas_times, restored, flip
+):
+    """Jumps sorted once and bisected per round give each round's count, also
+    for unsorted jumps, jumps at 0 or on a round's end, and unordered rounds."""
+    outcomes = [list(_outcomes_round_by_round(js, meas_times, restored)) for js in jumps]
+    if flip is not None:
+        j, i = flip[0] % len(jumps), flip[1] % len(meas_times)
+        outcomes[j][i] = -outcomes[j][i]
+    rec = TrajectoryRecord(
+        tuple(map(tuple, jumps)), tuple(map(tuple, outcomes)), tuple(meas_times), 0, None
+    )
+    if all(_outcomes_round_by_round(js, meas_times, restored, o) for js, o in zip(jumps, outcomes)):
+        rec.validate(restored_each_round=restored)
+    else:
+        with pytest.raises(ValueError, match="inconsistent"):
+            rec.validate(restored_each_round=restored)
+
+
 def test_protection_gain_single_grid_point():
     diffs = []
     for s in range(300):
@@ -572,6 +620,25 @@ def test_shared_pair_prefix_matches_unshared_runs(k, kappa, rounds, seed, first)
     for c in (True, False):
         got = _trajectory(run_protected(wide, correct=c))
         assert got == ref[c] and type(got[3]) is int
+
+
+def test_run_after_a_prefix_of_every_round_builds_no_generator(monkeypatch):
+    """No draw is left after such a prefix: the runs build no generator and
+    still equal the unshared ones, the corrected arm's last repump included."""
+    args = (SPEC, 2, 1, 0.5)
+    seeds = range(12)
+    ref = {(s, c): _trajectory(run_protected_unshared(*args, s, correct=c))
+           for s in seeds for c in (True, False)}
+    prefixes = {s: start_protected(*args, s) for s in seeds}
+    assert any(-1 in o for p in prefixes.values() for o in p.record.parity_outcomes)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run with no round left built a generator")
+
+    monkeypatch.setattr(cat_code.np.random, "default_rng", refuse)
+    for (s, c), want in ref.items():
+        assert len(prefixes[s].record.measurement_times) == 1
+        assert _trajectory(run_protected(prefixes[s], correct=c)) == want
 
 
 def _module_state() -> dict:
@@ -755,6 +822,17 @@ def _parity_code(c):
     return 1 if not c[1::2].any() else (-1 if not c[::2].any() else 0)
 
 
+def _survival(fc):
+    """The package's survival function of a chain, on work arrays of its own."""
+    scratch = cat_code._survival_scratch(fc.k, fc.spec.dim)
+    return cat_code._fc_survival(fc.table, fc.weight0, fc.weight1, fc.spec.kappa, scratch)
+
+
+def _flux(fc):
+    """The package's jump flux of a chain, as Python floats."""
+    return cat_code._jump_flux(fc.table, fc.weight0, fc.weight1, list(fc.sq_norms), fc.spec.kappa)
+
+
 def _scratch_survival(fc, tau):
     decay = np.exp(-fc.spec.kappa * tau * np.arange(fc.spec.dim))
     branch0, branch1 = branch_columns(fc)
@@ -841,12 +919,13 @@ def test_factored_chain_stored_norms_track_columns(k, ops):
             assert got == (1.0 if fc.parity[j] == 1 else 0.0) and abs(got - scratch) <= 1e-15
         # each flux is a ratio to the stored norm: bit for bit with fresh
         # norms, and the dense product over the other norms to rounding
-        flux = cat_code._fc_jump_flux(fc)
+        flux = fc_jump_flux(fc)
         assert np.array_equal(flux, _scratch_ratio_flux(fc))
         assert np.allclose(flux, _scratch_flux(fc), rtol=1e-14, atol=0)
-        survival = cat_code._fc_survival(fc)
+        assert _flux(fc) == flux.tolist()
+        survival, allocating = _survival(fc), fc_survival(fc)
         for tau in (0.0, 0.01, 0.2):
-            assert survival(tau) == _scratch_survival(fc, tau)
+            assert survival(tau) == _scratch_survival(fc, tau) == allocating(tau)
         _assert_table(fc)
 
 
@@ -862,11 +941,12 @@ def _emptied_branch_chain():
 
 def test_jump_flux_leaves_out_an_emptied_branch():
     fc = _emptied_branch_chain()
-    flux = cat_code._fc_jump_flux(fc)
+    flux = fc_jump_flux(fc)
     assert np.isfinite(flux).all() and (flux > 0).all()
     assert np.array_equal(flux, _scratch_ratio_flux(fc))
     assert np.allclose(flux, _scratch_flux(fc), rtol=1e-14, atol=0)
-    assert cat_code._jump_cavity(flux, 0.5) in (0, 1)
+    assert _flux(fc) == flux.tolist()
+    assert cat_code._jump_cavity(_flux(fc), 0.5) == jump_cavity_numpy(flux, 0.5) in (0, 1)
 
 
 def test_repump_rejects_even_amplitude():
@@ -943,12 +1023,58 @@ def test_chain_matches_one_built_from_copied_columns(k, ops):
         assert not fc.table.flags.writeable and not copied.table.flags.writeable
         _assert_same_chain(fc, copied)
         _assert_table(fc)
-        assert np.array_equal(cat_code._fc_jump_flux(fc), cat_code._fc_jump_flux(copied))
-        assert cat_code._fc_survival(fc)(0.05) == cat_code._fc_survival(copied)(0.05)
+        assert _flux(fc) == _flux(copied)
+        assert _survival(fc)(0.05) == _survival(copied)(0.05)
         for c in fc.table:
             assert not c.flags.writeable
             with pytest.raises(ValueError):
                 c[0] = 0.0
+
+
+def _same_segment(fc, duration, seed, t_offset):
+    """The fused segment and the op-by-op loop from one chain and seed: the
+    same jumps, chain bytes and generator state; the source is not written."""
+    before = fc.table.tobytes()
+    rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, got_jumps = fc_loss_segment(fc, duration, rngs[0], t_offset)
+    want, want_jumps = loss_segment_by_ops(fc, duration, rngs[1], t_offset)
+    assert fc.table.tobytes() == before
+    assert got_jumps == want_jumps
+    assert got.table.tobytes() == want.table.tobytes()
+    assert np.array([got.weight0, got.weight1]).tobytes() == np.array(
+        [want.weight0, want.weight1]
+    ).tobytes()
+    assert got.sq_norms == want.sq_norms and got.parity == want.parity
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    _assert_table(got)
+    return got_jumps
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.integers(1, 9),
+    ops=st.lists(_ops(8), max_size=6),
+    kappa=st.sampled_from([1.0, 25000.0, 1e6]),
+    kappa_t=st.floats(0.0, 1.0),
+    t_offset=st.sampled_from([0.0, 0.25]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fused_loss_segment_matches_the_op_by_op_loop(k, ops, kappa, kappa_t, t_offset, seed):
+    """Bit for bit, on chains of 1 to 9 cavities: from 8 cavities on, numpy
+    sums the flux pairwise, and the fused draw must keep that order."""
+    fc = factored_chain(SPEC, k)
+    for op in ops:
+        fc = _apply_op(fc, op)
+    fc = dataclasses.replace(fc, spec=CavitySpec(ALPHA, NMAX, kappa=kappa))
+    _same_segment(fc, kappa_t / kappa, seed, t_offset)
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 9])
+def test_fused_loss_segment_matches_the_op_by_op_loop_through_jumps(k):
+    """Seeded segments long enough for several jumps each."""
+    spec = CavitySpec(ALPHA, NMAX, kappa=25000.0)
+    jumps = [_same_segment(factored_chain(spec, k), 4e-5, seed, 1e-6) for seed in range(12)]
+    assert sum(len(js) for run in jumps for js in run) >= 12 * k
 
 
 @settings(max_examples=200, deadline=None)
@@ -979,9 +1105,35 @@ def test_sq_norms_of_table_rows_equal_single_columns(re, im, log_scale, stride):
     seed=st.integers(0, 2**63 - 1),
 )
 def test_jump_cavity_matches_numpy_choice(flux, seed):
-    flux = np.array(flux)
-    want = np.random.default_rng(seed).choice(len(flux), p=flux / flux.sum())
-    assert cat_code._jump_cavity(flux, np.random.default_rng(seed).random()) == want
+    array = np.array(flux)
+    want = np.random.default_rng(seed).choice(len(flux), p=array / array.sum())
+    u = np.random.default_rng(seed).random()
+    assert cat_code._jump_cavity(flux, u) == jump_cavity_numpy(array, u) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(flux=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=9))
+def test_jump_cavity_matches_numpy_at_every_step_of_its_distribution(flux):
+    """Draws on and just below each cumulative share: a last-bit change in
+    the total or a share moves the index at one of them."""
+    array = np.array(flux)
+    cdf = (array / array.sum()).cumsum()
+    cdf /= cdf[-1]
+    for step in cdf[:-1].tolist():
+        for u in (step, math.nextafter(step, 0.0)):
+            assert cat_code._jump_cavity(flux, u) == jump_cavity_numpy(array, u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e300, 1e300)), max_size=300
+    )
+)
+def test_pairwise_sum_is_numpy_sum_bit_for_bit(values):
+    """numpy sums 8 or more entries pairwise; the scalar total keeps its order."""
+    got, want = cat_code._pairwise_sum(values), np.array(values, dtype=float).sum()
+    assert np.float64(got).tobytes() == want.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -990,7 +1142,9 @@ def test_jump_cavity_matches_numpy_choice(flux, seed):
 )
 def test_jump_flux_that_is_no_distribution_is_convergence_error(flux):
     with pytest.raises(ConvergenceError, match="not a distribution"):
-        cat_code._jump_cavity(np.array(flux), 0.5)
+        cat_code._jump_cavity(flux, 0.5)
+    with pytest.raises(ConvergenceError, match="not a distribution"):
+        jump_cavity_numpy(np.array(flux), 0.5)
 
 
 # ------------------------------------------------------------- Brent root
@@ -1039,7 +1193,7 @@ def test_brentq_matches_scipy_on_chain_survival():
     fc = fc_apply_loss(fc_drift(factored_chain(SPEC, 3), 0.05), 1)
     fc = fc_repump(fc_project_parity(fc, 1, -1), 1, ALPHA * np.exp(-0.025))
     for chain in (factored_chain(SPEC, 1), factored_chain(SPEC, 7), fc.normalized()):
-        survival = cat_code._fc_survival(chain)
+        survival = _survival(chain)
         for _ in range(20):
             remaining = float(rng.uniform(0.01, 0.5))
             r = float(rng.uniform(survival(remaining), 1.0))
@@ -1065,7 +1219,7 @@ def test_log_space_jump_time_matches_scipy_on_the_linear_form(k, ops, remaining,
     fc = factored_chain(SPEC, k)
     for op in ops:
         fc = _apply_op(fc, op)
-    survival = cat_code._fc_survival(fc)
+    survival = _survival(fc)
     at_end = survival(remaining)
     r = at_end + level * (1.0 - at_end)
     assume(at_end < r < survival(0.0))
@@ -1079,7 +1233,7 @@ def test_jump_time_of_an_underflowing_survival_is_finite():
     kappa tau = 1e4 the survival is 0.0: the log is clamped there, and the
     root is where S falls to r."""
     fc = fc_apply_loss(factored_chain(CavitySpec(ALPHA, NMAX, kappa=1e4), 3), 1)
-    survival = cat_code._fc_survival(fc)
+    survival = _survival(fc)
     assert survival(1.0) == 0.0
     tau = cat_code._jump_time(survival, 1.0, 0.0, 0.5)
     want = scipy_brentq(lambda x: survival(x) - 0.5, 0.0, 1.0, xtol=1e-16, rtol=1e-14)
