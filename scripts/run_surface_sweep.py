@@ -2,8 +2,9 @@
 """Map the long-time conversion probability over a (bandwidth, rate) box.
 
 Writes the surface as CSV and prints the maximum plus the closed-form
-comparison at the fixed reference point d = gamma = 1, t = 6.  All quantities here are dimensionless; the
-defaults reproduce the standard 20x20 box over [0.1, 10]^2.
+comparison at the fixed reference point d = gamma = 1, t = 6.  All
+quantities here are dimensionless; the defaults reproduce the standard
+20x20 box over [0.1, 10]^2, which is one closed-form pass in one process.
 """
 import argparse
 import os
@@ -36,7 +37,6 @@ def main() -> int:
     ap.add_argument("--d-max", type=float, default=10.0)
     ap.add_argument("--gamma-min", type=float, default=0.1)
     ap.add_argument("--gamma-max", type=float, default=10.0)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", default="runs/surface")
     args = ap.parse_args()
 
@@ -49,7 +49,7 @@ def main() -> int:
             gamma_min=args.gamma_min, gamma_max=args.gamma_max,
             points_per_axis=args.points,
         ),
-        run=replace(cfg.run, workers=args.workers, out_dir=args.out),
+        run=replace(cfg.run, out_dir=args.out),
     )
     problems = validate(cfg) or _output_problems(Path(args.out))
     if problems:

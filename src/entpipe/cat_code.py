@@ -75,7 +75,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, NullStateError, TruncationError
-from .hilbert import StateVector, SubsystemLayout, read_only
+from .hilbert import read_only
 
 
 def required_levels(alpha: complex) -> int:
@@ -292,16 +292,6 @@ class FactoredChain:
             *_unit_weights(self.weight0, self.weight1, self.sq_norms),
             self.spec, self.table, self.sq_norms, self.parity,
         )
-
-    def state_vector(self) -> StateVector:
-        d = self.spec.dim
-        b0 = np.array([1.0], dtype=np.complex128)
-        b1 = np.array([1.0], dtype=np.complex128)
-        for u, v in zip(self.table[: self.k], self.table[self.k :]):
-            b0 = np.kron(b0, u)
-            b1 = np.kron(b1, v)
-        amps = np.concatenate([self.weight0 * b0, self.weight1 * b1])
-        return StateVector.from_amplitudes(amps, SubsystemLayout((2,) + (d,) * self.k))
 
     def logical_fidelity(self) -> float:
         ov0, ov1, nrm = _code_overlaps(self)

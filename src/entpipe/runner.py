@@ -217,10 +217,6 @@ def _protect_pair(args) -> tuple[dict, dict]:
     return tuple(rows)
 
 
-def _sweep_point(args) -> dict:
-    return sweep_point(*args)
-
-
 def run_protect(cfg: PipelineConfig) -> StageResult:
     """Run paired protected/unprotected storage trajectories."""
     st = cfg.storage
@@ -301,12 +297,20 @@ def _dimensionless_reference() -> tuple:
 
 
 def run_sweep(cfg: PipelineConfig) -> StageResult:
-    """Map long-time conversion probability over a parameter box."""
+    """Map long-time conversion probability over a parameter box.
+
+    The box is one broadcast ``sweep_point`` call in this process, whatever
+    the worker count: its rows run d outer, gamma inner.
+    """
     sv = cfg.sweep
     d_vals = np.geomspace(sv.d_min, sv.d_max, sv.points_per_axis)
     g_vals = np.geomspace(sv.gamma_min, sv.gamma_max, sv.points_per_axis)
-    points = [(float(d), float(g)) for d in d_vals for g in g_vals]  # d outer, gamma inner
-    rows = parallel_map(_sweep_point, points, cfg.run.workers)
+    d_box, g_box = np.meshgrid(d_vals, g_vals, indexing="ij")  # d outer, gamma inner
+    box = sweep_point(d_box.ravel(), g_box.ravel())
+    rows = [
+        {"d": d, "gamma": g, "p_longtime": p, "converged": box["converged"]}
+        for d, g, p in zip(box["d"].tolist(), box["gamma"].tolist(), box["p_longtime"].tolist())
+    ]
     surface_max = max(r["p_longtime"] for r in rows)
     dot, mode, grid, t = _dimensionless_reference()
     p_ref = conversion_probability(grid, propagate_static(dot, mode, grid, np.array([t])))

@@ -244,11 +244,6 @@ def _bell_steps(j2: float, pair: tuple[int, int]) -> list[ScheduleStep]:
     ]
 
 
-def build_bell(j2: float) -> Schedule:
-    """Two-dot schedule preparing (|00>+|11>)/sqrt(2) from |+>|+>."""
-    return Schedule(_bell_steps(j2, (0, 1)), 2)
-
-
 def _contact_steps(contact_a: int, dot: int, j2: float, layer: int) -> list[ScheduleStep]:
     """ZZ interval on the contacts, then a -pi/2 phase correction on both."""
     return [

@@ -14,9 +14,10 @@ fast path's axis bookkeeping are checked against an independent route.
 (axes moved by ``np.moveaxis`` rather than one transpose and its inverse),
 kept to check that the two agree bit for bit.
 
-The other helpers build test states and check them: product states
-(``tensor_states``), one block merge at a time (``merge_blocks``, which the
-dense storage oracle uses), the phase-and-flip correction that takes a
+The other helpers build test states and check them: the two-dot Bell
+schedule (``build_bell``), product states (``tensor_states``), one block
+merge at a time (``merge_blocks``, which the dense storage oracle uses),
+the phase-and-flip correction that takes a
 two-branch state to canonical GHZ (``canonical_correction``) and the
 per-layer recount of a schedule's coupling intervals
 (``report_from_schedule``), which checks ``spin_register.plan_ghz``'s
@@ -56,6 +57,7 @@ from entpipe.spin_register import (
     Schedule,
     ScheduleStep,
     TimingReport,
+    _bell_steps,
     _coupling_gate,
     _merge_pair_steps,
     bipartitions,
@@ -162,6 +164,11 @@ def apply_step(state: StateVector, st: ScheduleStep) -> StateVector:
             out = apply_local(out, gate, (dot,))
         return out
     return apply_local(state, rotation(p.angle, p.axis_phase), (p.target,))
+
+
+def build_bell(j2: float) -> Schedule:
+    """Two-dot schedule preparing (|00>+|11>)/sqrt(2) from |+>|+>."""
+    return Schedule(_bell_steps(j2, (0, 1)), 2)
 
 
 def step_execute(schedule: Schedule) -> StateVector:

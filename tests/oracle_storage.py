@@ -13,7 +13,8 @@ that always masks (``project_parity_full``) and a trajectory that runs every
 round itself (``run_protected_unshared``), the references for the parity
 field's projection and for the pair prefix that ``cat_code.start_protected``
 shares; the chain built from per-cavity columns with each cavity's parity
-scanned from them (``chain_from_columns``); and the
+scanned from them (``chain_from_columns``); the dense state of a chain
+(``state_vector``); and the
 full-unitary repump that completes the code-space map by Gram-Schmidt
 (``recovery_unitary``), the reference for the package's rank-2 map on the
 code space.
@@ -549,6 +550,17 @@ def chain_from_columns(weight0, weight1, branch0, branch1, spec: CavitySpec) -> 
     return FactoredChain(
         weight0, weight1, spec, read_only(table), tuple(_sq_norms(table).tolist()), tuple(parity)
     )
+
+
+def state_vector(fc: FactoredChain) -> StateVector:
+    """The chain's dense state: w0 |0> (x) branch-0 columns + w1 |1> (x) branch-1."""
+    b0 = np.array([1.0], dtype=np.complex128)
+    b1 = np.array([1.0], dtype=np.complex128)
+    for u, v in zip(*branch_columns(fc)):
+        b0 = np.kron(b0, u)
+        b1 = np.kron(b1, v)
+    amps = np.concatenate([fc.weight0 * b0, fc.weight1 * b1])
+    return StateVector.from_amplitudes(amps, SubsystemLayout((2,) + (fc.spec.dim,) * fc.k))
 
 
 def branch_columns(fc: FactoredChain) -> tuple[np.ndarray, np.ndarray]:

@@ -36,12 +36,11 @@ from entpipe.runner import run_pipeline, run_sweep
 from entpipe.spin_register import (
     Schedule,
     bipartitions,
-    build_bell,
     execute,
     is_ghz_class,
     plan_ghz,
 )
-from oracle_register import canonical_correction, dense_execute, ising_matrix
+from oracle_register import build_bell, canonical_correction, dense_execute, ising_matrix
 from oracle_storage import decode, encode
 from oracle_swap import integrate_dynamics, swap_probability
 

@@ -79,6 +79,7 @@ from oracle_storage import (
     recovery_unitary,
     repump_correct,
     run_protected_unshared,
+    state_vector,
     vacuum,
 )
 
@@ -452,26 +453,26 @@ def test_truncation_stability_of_reported_fidelity():
 def test_factored_matches_dense_route():
     fc = factored_chain(SPEC, 2)
     full = chain_state(SPEC, 2)
-    assert fidelity(fc.state_vector(), full) == pytest.approx(1.0, abs=1e-12)
+    assert fidelity(state_vector(fc), full) == pytest.approx(1.0, abs=1e-12)
 
     fc = fc_drift(fc, 0.07)
     full = no_jump_drift(full, [SPEC.kappa, SPEC.kappa], 0.07)
-    assert fidelity(fc.state_vector(), full) == pytest.approx(1.0, abs=1e-11)
+    assert fidelity(state_vector(fc), full) == pytest.approx(1.0, abs=1e-11)
 
     fc = fc_apply_loss(fc, 1)
     full = apply_loss(full, 1)
-    assert fidelity(fc.state_vector(), full) == pytest.approx(1.0, abs=1e-11)
+    assert fidelity(state_vector(fc), full) == pytest.approx(1.0, abs=1e-11)
 
     p_fc = fc_parity_probability(fc, 1)
     out, full, p_full = parity_measure(full, 1)
     assert out == -1 and abs(p_fc - (1 - p_full)) < 1e-10
     fc = fc_project_parity(fc, 1, out)
-    assert fidelity(fc.state_vector(), full) == pytest.approx(1.0, abs=1e-11)
+    assert fidelity(state_vector(fc), full) == pytest.approx(1.0, abs=1e-11)
 
     dec = ALPHA * np.exp(-SPEC.kappa * 0.07 / 2)
     fc = fc_repump(fc, 1, dec)
     full = repump_correct(full, [1, -1], SPEC, [dec, dec])
-    assert fidelity(fc.state_vector(), full) == pytest.approx(1.0, abs=1e-11)
+    assert fidelity(state_vector(fc), full) == pytest.approx(1.0, abs=1e-11)
     assert abs(fc.logical_fidelity() - logical_fidelity(full, SPEC)) < 1e-10
 
 

@@ -16,7 +16,10 @@ and its coefficient table against Weideman's FFT recipe.  The printed
 closed-form probability is exercised only as a recorded comparison, never
 as a reference.
 """
+import concurrent.futures
 import math
+import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +29,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply
 
-from entpipe import photon_swap
+from entpipe import photon_swap, runner
 from entpipe.config import default_config
 from entpipe.errors import GridError, LayoutError, NotGhzClassError
 from entpipe.hilbert import StateVector, apply_local, qubits, schmidt_spectrum
@@ -39,6 +42,7 @@ from entpipe.photon_swap import (
     _arrowhead,
     _chebyshev_coefficients,
     _cumulative_panels,
+    _secular_radius,
     _time_panels,
     closed_form_emission,
     closed_form_report,
@@ -391,7 +395,7 @@ def test_merged_rails_match_two_rail_propagation(d, gamma1, gamma2):
 def test_chebyshev_propagator_matches_oracles(n, lo, width, b, log_r, seed):
     """exp(a) v on random skew-Hermitian arrowheads [[i delta, -c], [c^T, 0]]
     (grids off the resonance too, closed couplings, r = radius * t from 1e-3
-    to 1e3) agrees with the eigendecomposition of the Hermitian i^-1 a and
+    to 1e3, the radius from Weyl's bound and from the secular one) agrees with the eigendecomposition of the Hermitian i^-1 a and
     with scipy's Taylor method to 1e-12, and keeps the norm to 1e-13.
     Above r = 100 the Taylor method itself strays from the eigendecomposition
     by up to 3e-12 (on 1000 random cases, against 1.5e-13 for the expansion),
@@ -401,17 +405,20 @@ def test_chebyshev_propagator_matches_oracles(n, lo, width, b, log_r, seed):
     coupling = b * np.sqrt(rng.uniform(0.1, 1.0, n))
     m = _arrowhead(1j * delta, -coupling, coupling)
     assert (m.conj().T != -m).nnz == 0
-    radius = float(np.max(np.abs(delta))) + float(np.linalg.norm(coupling))
-    t = 10.0**log_r / radius
+    delta_max = float(np.max(np.abs(delta)))
+    weyl = delta_max + float(np.linalg.norm(coupling))
+    secular = _secular_radius(delta_max, float(np.linalg.norm(coupling)))
     v = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
     v /= np.linalg.norm(v)
-    got = photon_swap.expm_multiply(m * t, v, radius * t)
-    lam, vecs = np.linalg.eigh(-1j * (m * t).toarray())
-    exact = vecs @ (np.exp(1j * lam) * (vecs.conj().T @ v))
-    assert np.max(np.abs(got - exact)) <= 1e-12
-    if log_r <= 2.0:
-        assert np.max(np.abs(got - expm_multiply(m * t, v))) <= 1e-12
-    assert abs(np.linalg.norm(got) - 1.0) <= 1e-13
+    for radius in (weyl, secular):
+        t = 10.0**log_r / radius
+        got = photon_swap.expm_multiply(m * t, v, radius * t)
+        lam, vecs = np.linalg.eigh(-1j * (m * t).toarray())
+        exact = vecs @ (np.exp(1j * lam) * (vecs.conj().T @ v))
+        assert np.max(np.abs(got - exact)) <= 1e-12
+        if log_r <= 2.0:
+            assert np.max(np.abs(got - expm_multiply(m * t, v))) <= 1e-12
+        assert abs(np.linalg.norm(got) - 1.0) <= 1e-13
 
 
 @pytest.mark.parametrize("r", [0.0, 1e-3, 0.5, 1.0, 7.0, 10.0, 167.45, 1e3])
@@ -425,6 +432,52 @@ def test_chebyshev_coefficients_are_bessel_values(r):
     assert 2 * np.sum(np.abs(tail)) < 2.0**-53
     # the degree grows as r + O(r^(1/3)), far below the 1-norm's Taylor count
     assert c.size - 1 <= r + 12 * r ** (1 / 3) + 12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 120),
+    lo=st.floats(-60.0, 60.0),
+    width=st.floats(0.0, 80.0),
+    b=st.one_of(st.just(0.0), st.floats(1e-3, 30.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, lo=3.0, width=0.0, b=2.0, seed=1)  # one point: the bound is attained
+@example(n=64, lo=-10.0, width=20.0, b=0.0, seed=2)  # closed channel: both bounds are m
+@example(n=80, lo=5.0, width=40.0, b=4.0, seed=3)  # grid off the resonance
+@example(n=100, lo=0.0, width=0.0, b=7.0, seed=4)  # on resonance: both bounds are ||c||
+@example(n=1, lo=8.670127079471805e-178, width=0.0, b=0.0, seed=0)  # m^2 would underflow
+def test_secular_radius_bounds_the_arrowhead_spectrum(n, lo, width, b, seed):
+    """The secular bound lies between the arrowhead's spectral radius (to
+    eigvalsh's rounding, 1e-12 relative) and Weyl's bound m + ||c||."""
+    rng = np.random.default_rng(seed)
+    delta = np.linspace(lo, lo + width, n)
+    coupling = b * np.sqrt(rng.uniform(0.1, 1.0, n))
+    a = _arrowhead(1j * delta, -coupling, coupling)
+    top = float(np.max(np.abs(np.linalg.eigvalsh(-1j * a.toarray()))))
+    delta_max = float(np.max(np.abs(delta)))
+    secular = _secular_radius(delta_max, float(np.linalg.norm(coupling)))
+    assert top <= secular * (1 + 1e-12)
+    assert secular <= delta_max + float(np.linalg.norm(coupling))
+    if n == 1:
+        assert secular == pytest.approx(top, rel=1e-12)
+
+
+def test_reference_radius_and_degree():
+    """At the sweep's reference point the secular bound reads 24.62 against a
+    true radius of 24.0003 and Weyl's 27.91, and the degree falls 233 -> 210."""
+    dot, mode, grid, t = _dimensionless_reference()
+    delta = dot.w1 - grid.points
+    b = math.hypot(math.sqrt(dot.gamma1 / (2 * math.pi)), math.sqrt(dot.gamma2 / (2 * math.pi)))
+    delta_max = float(np.max(np.abs(delta)))
+    secular = _secular_radius(delta_max, b * math.sqrt(grid.span))
+    weyl = delta_max + b * math.sqrt(grid.span)
+    top = float(np.max(np.abs(np.linalg.eigvalsh(-1j * static_generator(dot, grid).toarray()))))
+    assert top == pytest.approx(24.0003, abs=1e-4) and top <= secular
+    assert secular == pytest.approx(24.6206, abs=1e-4)
+    assert weyl == pytest.approx(27.9088, abs=1e-4)
+    assert _chebyshev_coefficients(secular * t).size - 1 == 210
+    assert _chebyshev_coefficients(weyl * t).size - 1 == 233
 
 
 def test_reference_propagation_leaves_global_rng_alone(small_dot, small_mode, small_grid):
@@ -536,6 +589,80 @@ def test_sweep_point_validation():
         sweep_point(0.0, 1.0)
     with pytest.raises(ValueError):
         sweep_point(1.0, -2.0)
+    with pytest.raises(ValueError):
+        sweep_point(np.array([1.0, 0.0]), 1.0)
+
+
+# Box edges as powers of ten: any d and gamma in [1e-152, 1e152] keep the
+# rate ratios 2 gamma / d and d / (2 gamma) inside the config's 1e305.
+LOG_EDGE = st.floats(-152.0, 152.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(d_edges=st.tuples(LOG_EDGE, LOG_EDGE), g_edges=st.tuples(LOG_EDGE, LOG_EDGE),
+       points=st.integers(2, 12))
+@example(d_edges=(-152.0, 152.0), g_edges=(152.0, -152.0), points=5)  # both ratios near 1e304
+@example(d_edges=(-1.0, 1.0), g_edges=(-1.0, 1.0), points=20)  # the default box
+def test_sweep_box_equals_scalar_points_bit_for_bit(d_edges, g_edges, points):
+    """One broadcast ``sweep_point`` over a box gives every scalar
+    ``longtime_probability`` bit for bit, and ``run_sweep`` writes the rows
+    of the per-point loop it replaced: d outer, gamma inner."""
+    d_vals = np.geomspace(*(10.0**e for e in d_edges), points)
+    g_vals = np.geomspace(*(10.0**e for e in g_edges), points)
+    d_box, g_box = np.meshgrid(d_vals, g_vals, indexing="ij")
+    box = sweep_point(d_box, g_box)
+    assert box["p_longtime"].shape == (points, points)
+    for i, d in enumerate(d_vals.tolist()):
+        for j, g in enumerate(g_vals.tolist()):
+            assert box["p_longtime"][i, j] == longtime_probability(d, g, g)
+    lo, hi = sorted(10.0**e for e in d_edges), sorted(10.0**e for e in g_edges)
+    if lo[0] < lo[1] and hi[0] < hi[1]:
+        cfg = default_config()
+        cfg = replace(cfg, sweep=replace(cfg.sweep, d_min=lo[0], d_max=lo[1], gamma_min=hi[0],
+                                         gamma_max=hi[1], points_per_axis=points))
+        rows = run_sweep(cfg).tables[0][2]
+        d_vals = np.geomspace(lo[0], lo[1], points)
+        g_vals = np.geomspace(hi[0], hi[1], points)
+        assert rows == [sweep_point(d, g) for d in d_vals.tolist() for g in g_vals.tolist()]
+
+
+def test_longtime_array_with_uncoupled_entries_is_zero_without_warning():
+    d = np.array([1.0, 2.0, 0.5, 3.0, 5e7])
+    g1 = np.array([0.0, 1.0, 0.0, 2.0, 5e7])
+    g2 = np.array([0.0, 2.0, 3.0, 0.0, 1e-320])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = longtime_probability(d, g1, g2)
+    assert p.tolist() == [longtime_probability(*x) for x in zip(d, g1, g2)]
+    assert p[[0, 2, 3, 4]].tolist() == [0.0] * 4 and p[1] > 0
+    assert not np.signbit(p).any()
+    assert isinstance(longtime_probability(1.0, 1.0, 1.0), float)
+
+
+def test_one_sweep_is_one_erfcx_call_and_no_pool(monkeypatch):
+    """A whole box is one ``sweep_point`` call and one ``erfcx`` pass, and
+    the sweep starts no process pool even at two workers."""
+    calls = {"erfcx": 0, "sweep_point": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the sweep started a process pool")
+
+    monkeypatch.setattr(photon_swap, "erfcx", counted("erfcx", photon_swap.erfcx))
+    monkeypatch.setattr(runner, "sweep_point", counted("sweep_point", runner.sweep_point))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    cfg = default_config()
+    cfg = replace(cfg, run=replace(cfg.run, workers=2))
+    result = run_sweep(cfg)
+    assert result.report.stats["points"] == cfg.sweep.points_per_axis**2 == 400
+    assert calls == {"erfcx": 1, "sweep_point": 1}
 
 
 def test_sweep_surface_ordering():

@@ -29,7 +29,6 @@ from entpipe.spin_register import (
     Schedule,
     ScheduleStep,
     bipartitions,
-    build_bell,
     execute,
     ghz_branches,
     is_ghz_class,
@@ -40,6 +39,7 @@ from entpipe.spin_register import (
 import entpipe.spin_register
 from oracle_register import (
     all_cuts_ghz_class,
+    build_bell,
     canonical_correction,
     canonical_ghz,
     dense_execute,
