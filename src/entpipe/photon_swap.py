@@ -17,10 +17,11 @@ no quadrature: it is two erfcx values (``longtime_probability``), which
 every sweep point, the swap report and the pipeline's simulated success
 read.  It broadcasts, so a sweep evaluates its whole (d, gamma) box in one
 ``sweep_point`` call and one erfcx pass, each value equal to its scalar
-call bit for bit.  P depends only on gamma1, gamma2 and d, not on the transition
-frequencies: a resonant pulse couples only the bright combination of the
-two rails to the emitter (the even/odd decomposition of Shen & Fan, PRL 95,
-213001 (2005)), so the configuration carries no frequencies.
+call bit for bit.  P depends only on gamma1, gamma2 and d, not on the
+transition frequencies: a resonant pulse couples only the bright
+combination of the two rails to the emitter (the even/odd decomposition of
+Shen & Fan, PRL 95, 213001 (2005)), so the configuration carries no
+frequencies.
 
 The sweep report also carries one fixed reference propagation (d = gamma = 1,
 t = 6) of the continuum discretized on a uniform frequency grid with
@@ -35,8 +36,8 @@ the imaginary axis; a Chebyshev expansion of its exponential propagates them
 The expansion's degree follows from a bound on the Bessel coefficients at
 the generator's spectral radius, which the arrowhead's secular equation
 bounds (``_secular_radius``), so the propagation draws no random numbers
-and reads no global state.  Its P
-sits O(Gamma / window) above the continuum form (about 4e-3 at +-12 Gamma).
+and reads no global state.  Its P sits O(Gamma / window) above the
+continuum form (about 4e-3 at +-12 Gamma).
 It stays until the benchmark's tracer no longer needs its spans;
 ``tests/oracle_swap.py`` keeps the Krylov sweep loop, the two-rail generator
 and the adaptive-integrator routes as the oracles of both routes.  This
@@ -590,15 +591,17 @@ def longtime_probability(d, gamma1, gamma2):
     )
     if np.any(d <= 0) or np.any(gamma1 < 0) or np.any(gamma2 < 0):
         raise ValueError("need a positive bandwidth and nonnegative rates")
+    shape = d.shape
+    d, gamma1, gamma2 = d.ravel(), gamma1.ravel(), gamma2.ravel()
     g_tot = gamma1 + gamma2
-    r = (g_tot / d).ravel()
+    r = g_tot / d
     full, mixed = erfcx(np.concatenate((r / math.sqrt(2), r / 2))).reshape(2, -1)
     bracket = 2 * full - mixed * mixed
     # an uncoupled entry (Gamma = 0) has r = 0 and weights 0, not 0 / 0
-    coupled = g_tot.ravel() > 0
-    w1 = np.divide(gamma1.ravel(), g_tot.ravel(), out=np.zeros(r.shape), where=coupled)
-    w2 = np.divide(gamma2.ravel(), g_tot.ravel(), out=np.zeros(r.shape), where=coupled)
-    p = (w1 * w2 * r * math.sqrt(math.pi / 2) * bracket).reshape(g_tot.shape)
+    coupled = g_tot > 0
+    w1 = np.divide(gamma1, g_tot, out=np.zeros(r.shape), where=coupled)
+    w2 = np.divide(gamma2, g_tot, out=np.zeros(r.shape), where=coupled)
+    p = (w1 * w2 * r * math.sqrt(math.pi / 2) * bracket).reshape(shape)
     return float(p) if p.ndim == 0 else p
 
 
