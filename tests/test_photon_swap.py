@@ -395,8 +395,9 @@ def test_merged_rails_match_two_rail_propagation(d, gamma1, gamma2):
 def test_chebyshev_propagator_matches_oracles(n, lo, width, b, log_r, seed):
     """exp(a) v on random skew-Hermitian arrowheads [[i delta, -c], [c^T, 0]]
     (grids off the resonance too, closed couplings, r = radius * t from 1e-3
-    to 1e3, the radius from Weyl's bound and from the secular one) agrees with the eigendecomposition of the Hermitian i^-1 a and
-    with scipy's Taylor method to 1e-12, and keeps the norm to 1e-13.
+    to 1e3, the radius from Weyl's bound and from the secular one) agrees
+    with the eigendecomposition of the Hermitian i^-1 a and with scipy's
+    Taylor method to 1e-12, and keeps the norm to 1e-13.
     Above r = 100 the Taylor method itself strays from the eigendecomposition
     by up to 3e-12 (on 1000 random cases, against 1.5e-13 for the expansion),
     so there only the eigendecomposition is the oracle."""
@@ -406,8 +407,8 @@ def test_chebyshev_propagator_matches_oracles(n, lo, width, b, log_r, seed):
     m = _arrowhead(1j * delta, -coupling, coupling)
     assert (m.conj().T != -m).nnz == 0
     delta_max = float(np.max(np.abs(delta)))
-    weyl = delta_max + float(np.linalg.norm(coupling))
-    secular = _secular_radius(delta_max, float(np.linalg.norm(coupling)))
+    norm = float(np.linalg.norm(coupling))
+    weyl, secular = delta_max + norm, _secular_radius(delta_max, norm)
     v = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
     v /= np.linalg.norm(v)
     for radius in (weyl, secular):
