@@ -272,12 +272,10 @@ def run_swap(cfg: PipelineConfig) -> StageResult:
     p, n_t = continuum_probability(sw.d, sw.gamma1, sw.gamma2, times)
     t_end = float(times[-1])
     rows = [{"t": float(t), "p": float(pv)} for t, pv in zip(times, p)]
-    discrepancy = closed_form_report(sw.gamma1, sw.gamma2, sw.d, t_end, float(p[-1]))
     report = RunReport(
         stage="swap",
         heralds={"p_longtime": _longtime_success(cfg)},
         timing={"t_end_s": t_end},
-        discrepancy=discrepancy,
         stats={"n_t": n_t},
         config=_echo(cfg),
     )

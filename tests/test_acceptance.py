@@ -294,12 +294,14 @@ def test_08_conversion_probability_surface(capsys):
     if mx >= 0.9:
         note = f"max={mx:.3f} meets 0.9"
     else:
-        # documented outcome: the printed closed form disagrees with the
-        # integrated dynamics, and the surface tops out well below 0.9; the
-        # discrepancy report carries the numbers
+        # documented outcome: the surface tops out near 0.5 because the
+        # pulse enters at its peak (the half-pulse convention, ROADMAP item
+        # 1).  The printed closed form is not the cause: with its missing
+        # decay factor e^{-Gamma t''} restored it is that same half-pulse
+        # continuum form, and abs_diff is the grid reference's window bias
         note = (
-            f"max={mx:.3f} below 0.9; closed-form gap {disc['abs_diff']:.3g} "
-            "documented"
+            f"max={mx:.3f} below 0.9 (half pulse); grid window bias "
+            f"{disc['abs_diff']:.3g} documented"
         )
     _finish(capsys, 8, "full surface sweep", t0, 60.0, fails, note)
 

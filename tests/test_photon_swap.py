@@ -13,8 +13,9 @@ checked against a direct double integral and against Krylov as the window
 widens, and its exact long-time limit against the quadrature far past the
 horizon; its in-module ``erfcx`` is checked against ``scipy.special.erfcx``
 and its coefficient table against Weideman's FFT recipe.  The printed
-closed-form probability is exercised only as a recorded comparison, never
-as a reference.
+closed-form probability is checked through scipy's trapezoid rules: taken
+verbatim it leaves [0, 1], and with its missing decay factor restored it
+meets the continuum form that the sweep report's comparison reads.
 """
 import concurrent.futures
 import math
@@ -39,12 +40,13 @@ from entpipe.photon_swap import (
     ThreeLevelDot,
     _ERFCX_COEFFS,
     _ERFCX_L,
+    _GL_NODES,
+    _GL_WEIGHTS,
     _arrowhead,
     _chebyshev_coefficients,
     _cumulative_panels,
     _secular_radius,
     _time_panels,
-    closed_form_emission,
     closed_form_report,
     continuum_probability,
     conversion_probability,
@@ -494,11 +496,11 @@ def test_reference_propagation_leaves_global_rng_alone(small_dot, small_mode, sm
 
 
 def test_closed_form_zero_without_both_channels():
-    assert closed_form_emission(1.0, 0.0, 1.0, 6.0) == 0.0
+    assert closed_form_report(1.0, 0.0, 1.0, 6.0, 0.0)["p_closed"] == 0.0
 
 
 def _scipy_closed_form(gamma1, gamma2, d, t):
-    """The printed formula through scipy.integrate's trapezoid rules."""
+    """The printed formula, verbatim, through scipy.integrate's trapezoid rules."""
     g = gamma1 + gamma2
     tpp = np.linspace(0.0, t, 2001)
     inner = integrate.cumulative_trapezoid(
@@ -509,11 +511,23 @@ def _scipy_closed_form(gamma1, gamma2, d, t):
     ))
 
 
+def _scipy_restored_closed_form(gamma1, gamma2, d, t):
+    """The printed formula with its outer decay factor e^{-Gamma t''} restored:
+    |a(s)|^2 = e^{-Gamma s} |int_0^s psi e^{Gamma t'/2} dt'|^2."""
+    g = gamma1 + gamma2
+    tpp = np.linspace(0.0, t, 200_001)
+    inner = integrate.cumulative_trapezoid(
+        np.exp(-d**2 * tpp**2 / 4 + g * tpp / 2), tpp, initial=0.0
+    )
+    return float(integrate.trapezoid(
+        gamma1 * gamma2 * d / math.sqrt(2 * math.pi) * np.exp(-g * tpp) * np.abs(inner) ** 2, tpp
+    ))
+
+
 def _default_swap_point():
-    """The swap stage's report point at the default config: (gamma1, gamma2, d, t)."""
+    """The swap stage's last series point at the default config: (gamma1, gamma2, d, t)."""
     sw = default_config().swap
-    t_end = run_swap(default_config()).report.discrepancy["params"]["t"]
-    return sw.gamma1, sw.gamma2, sw.d, t_end
+    return sw.gamma1, sw.gamma2, sw.d, horizon(sw.d, sw.gamma1 + sw.gamma2)
 
 
 def _sweep_reference_point():
@@ -524,27 +538,27 @@ def _sweep_reference_point():
 @pytest.mark.parametrize(
     "point", [_default_swap_point, _sweep_reference_point], ids=["default_swap", "sweep_reference"]
 )
-def test_closed_form_equals_scipy_trapezoid(point):
+def test_closed_form_report_meets_restored_trapezoid(point):
+    """The reported closed form is the printed one with the decay factor
+    restored; taken verbatim, the printed formula leaves [0, 1]."""
     args = point()
-    p = closed_form_emission(*args)
-    assert p is not None and p == _scipy_closed_form(*args)
+    p_closed = closed_form_report(*args, p_ode=0.0)["p_closed"]
+    assert 0.0 <= p_closed <= 1.0
+    assert abs(p_closed - _scipy_restored_closed_form(*args)) <= 1e-10
+    assert _scipy_closed_form(*args) > 1.0
 
 
-def test_closed_form_none_where_exponential_overflows():
-    # exp(Gamma t / 2) = exp(6000) leaves float64
-    assert closed_form_emission(1000.0, 1000.0, 1.0, 6.0) is None
-
-
-def test_closed_form_report(small_dot, small_mode, small_grid):
-    amps = propagate_static(small_dot, small_mode, small_grid, np.array([6.0]))
-    p_ode = float(conversion_probability(small_grid, amps)[0])
-    rep = closed_form_report(small_dot.gamma1, small_dot.gamma2, small_mode.d, 6.0, p_ode)
+def test_closed_form_report():
+    dot, mode, grid, t = _dimensionless_reference()
+    p_ode = float(conversion_probability(grid, propagate_static(dot, mode, grid, np.array([t])))[0])
+    (p_continuum,), _ = continuum_probability(mode.d, dot.gamma1, dot.gamma2, [t])
+    rep = closed_form_report(dot.gamma1, dot.gamma2, mode.d, t, p_ode)
     assert set(rep) == {"params", "p_ode", "p_closed", "abs_diff"}
     assert rep["params"] == {"gamma1": 1.0, "gamma2": 1.0, "d": 1.0, "t": 6.0}
-    assert rep["p_ode"] == p_ode and 0.0 <= p_ode <= 1.0
-    assert rep["abs_diff"] == pytest.approx(abs(rep["p_ode"] - rep["p_closed"]))
-    # the printed formula's growing exponential has left physical range
-    assert rep["p_closed"] > 1.0
+    assert rep["p_ode"] == p_ode and rep["p_closed"] == p_continuum
+    # what is left is the grid reference's window bias, O(Gamma / window)
+    assert rep["abs_diff"] == abs(p_ode - p_continuum)
+    assert 1e-3 < rep["abs_diff"] < 1e-2
 
 
 def test_sweep_report_reference_matches_integrator_oracle():
@@ -643,7 +657,8 @@ def test_longtime_array_with_uncoupled_entries_is_zero_without_warning():
 
 def test_one_sweep_is_one_erfcx_call_and_no_pool(monkeypatch):
     """A whole box is one ``sweep_point`` call and one ``erfcx`` pass, and
-    the sweep starts no process pool even at two workers."""
+    the sweep starts no process pool even at two workers.  The report's
+    closed form at its reference point is one more ``erfcx`` pass."""
     calls = {"erfcx": 0, "sweep_point": 0}
 
     def counted(name, fn):
@@ -663,7 +678,7 @@ def test_one_sweep_is_one_erfcx_call_and_no_pool(monkeypatch):
     cfg = replace(cfg, run=replace(cfg.run, workers=2))
     result = run_sweep(cfg)
     assert result.report.stats["points"] == cfg.sweep.points_per_axis**2 == 400
-    assert calls == {"erfcx": 1, "sweep_point": 1}
+    assert calls == {"erfcx": 2, "sweep_point": 1}
 
 
 def test_sweep_surface_ordering():
@@ -908,6 +923,12 @@ def test_erfcx_coefficients_follow_weidemans_fft_recipe():
     a = np.real(np.fft.fft(np.fft.fftshift(f))) / (2 * m)
     assert _ERFCX_L == math.sqrt(n / math.sqrt(2))
     assert np.max(np.abs(a[1 : n + 1] - _ERFCX_COEFFS)) <= 4 * np.finfo(float).eps
+
+
+def test_gauss_legendre_table_is_numpys_rule():
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(_GL_NODES, nodes) and np.array_equal(_GL_WEIGHTS, weights)
+    assert not _GL_NODES.flags.writeable and not _GL_WEIGHTS.flags.writeable
 
 
 # ------------------------------------------------------------ register swap
