@@ -25,8 +25,8 @@ frequencies.
 
 The sweep report also carries one fixed reference propagation (d = gamma = 1,
 t = 6) of the continuum discretized on a uniform frequency grid (weights
-dk, halved at the two ends).  On degenerate rails (w2 = 0) only the bright rail
-couples, so its state is the n_k + 1 amplitudes of that rail and the
+dk, halved at the two ends).  On degenerate rails (w2 = 0) only the bright
+rail couples, so its state is the n_k + 1 amplitudes of that rail and the
 excited emitter, written in the static-coefficient form obtained by folding
 the rotating-frame phase factors into the amplitudes.  Weighted by the
 square roots of the quadrature weights, these amplitudes evolve under a
