@@ -303,7 +303,8 @@ def apply_env(cfg: PipelineConfig, environ) -> PipelineConfig:
     EP_<SECTION>__<FIELD> reaches any field.  Without an EP_* key ``cfg``
     itself is returned.
     """
-    overrides = {key: raw for key, raw in environ.items() if key.startswith("EP_")}
+    # iterate keys: os.environ decodes a value only when it is read
+    overrides = {key: environ[key] for key in environ if key.startswith("EP_")}
     if not overrides:
         return cfg
     doc = serialize(cfg)

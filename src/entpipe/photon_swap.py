@@ -29,14 +29,16 @@ dk, halved at the two ends).  On degenerate rails (w2 = 0) only the bright
 rail couples, so its state is the n_k + 1 amplitudes of that rail and the
 excited emitter, written in the static-coefficient form obtained by folding
 the rotating-frame phase factors into the amplitudes.  Weighted by the
-square roots of the quadrature weights, these amplitudes evolve under a
-sparse, time-independent, skew-Hermitian generator, whose spectrum lies on
-the imaginary axis; a Chebyshev expansion of its exponential propagates them
-(``propagate_static``), and both rails are rebuilt from them in closed form.
-The expansion's degree follows from a bound on the Bessel coefficients at
-the generator's spectral radius, which the arrowhead's secular equation
-bounds (``_secular_radius``), so the propagation draws no random numbers
-and reads no global state.  Its P sits O(Gamma / window) above the
+square roots of the quadrature weights, and with the emitter amplitude
+multiplied by -i, these amplitudes evolve as d/dt = i G under a sparse,
+time-independent, real symmetric G, from a real start.  A Chebyshev
+expansion of e^{i G t} propagates them (``propagate_static``): its vectors
+are real and shared by every requested time, so one real recurrence gives
+all rows, and both rails are rebuilt from them in closed form.  The
+expansion's degree follows from a bound on the Bessel coefficients at the
+generator's spectral radius, which the arrowhead's secular equation bounds
+(``_secular_radius``), so the propagation draws no random numbers and reads
+no global state.  Its P sits O(Gamma / window) above the
 continuum form (about 4e-3 at +-12 Gamma): ``closed_form_report`` records
 that window bias against the printed closed form, which is the continuum
 form once its missing decay factor is restored.
@@ -157,7 +159,8 @@ def _arrowhead(diag: np.ndarray, col: np.ndarray, row: np.ndarray) -> scipy.spar
 
     Each photon row holds its diagonal and its emitter entry; the emitter row
     holds every photon column.  Zero entries (a grid point on resonance, a
-    closed channel) and the emitter's diagonal are not stored.
+    closed channel) and the emitter's diagonal are not stored.  The dtype is
+    that of the inputs: real inputs give a real matrix.
     """
     import scipy.sparse
 
@@ -167,7 +170,7 @@ def _arrowhead(diag: np.ndarray, col: np.ndarray, row: np.ndarray) -> scipy.spar
     indices[0 : 2 * n : 2] = photons
     indices[1 : 2 * n : 2] = n
     indices[2 * n :] = photons
-    data = np.empty(3 * n, dtype=np.complex128)
+    data = np.empty(3 * n, dtype=np.result_type(diag, col, row))
     data[0 : 2 * n : 2] = diag
     data[1 : 2 * n : 2] = col
     data[2 * n :] = row
@@ -209,11 +212,11 @@ def _chebyshev_coefficients(r: float) -> np.ndarray:
 
 
 def _secular_radius(delta_max: float, coupling: float) -> float:
-    """Spectral radius bound of the arrowhead [[i delta, -u], [u^H, 0]].
+    """Spectral radius bound of the symmetric arrowhead [[diag(delta), -u], [-u^T, 0]].
 
     ``delta_max`` is m = max |delta| and ``coupling`` is ||u||.  An
-    eigenvalue i lambda with |lambda| > m solves the secular equation
-    lambda = sum_k |u_k|^2 / (lambda - delta_k), whose right side is at
+    eigenvalue lambda with |lambda| > m solves the secular equation
+    lambda = sum_k u_k^2 / (lambda - delta_k), whose right side is at
     most ||u||^2 / (|lambda| - m) in modulus.  So
     |lambda| (|lambda| - m) <= ||u||^2, and |lambda| is at most the
     positive root (m + sqrt(m^2 + 4 ||u||^2)) / 2, formed with ``hypot`` so
@@ -224,41 +227,54 @@ def _secular_radius(delta_max: float, coupling: float) -> float:
     return (delta_max + math.hypot(delta_max, 2 * coupling)) / 2
 
 
-def expm_multiply(a: scipy.sparse.csr_matrix, v: np.ndarray, radius: float) -> np.ndarray:
-    """exp(a) v for a skew-Hermitian ``a`` with spectral radius at most ``radius``.
+def expm_multiply(
+    g: scipy.sparse.csr_matrix, w: np.ndarray, radius: float, times: np.ndarray
+) -> np.ndarray:
+    """Rows exp(i g t) w, one per t in ``times``, for a real symmetric ``g`` and a real ``w``.
 
-    A Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
-    (1984)): X = -i a / radius is Hermitian with its spectrum in [-1, 1], and
-    exp(a) = e^{i radius X} = sum_k (2 - [k = 0]) i^k J_k(radius) T_k(X).  The
-    vectors T_k(X) v follow the three-term recurrence
-    T_{k+1}(X) v = 2 X T_k(X) v - T_{k-1}(X) v, one product ``a @ w`` per
-    degree.  As ||T_k(X)|| <= 1, the result is within 2^-53 ||v|| of
-    exp(a) v before rounding; it depends on its inputs alone.  The degree
-    is ``radius`` + O(radius^(1/3)), so a tighter bound saves products:
-    ``propagate_static`` passes the secular bound (``_secular_radius``).
+    ``radius`` bounds the spectral radius of ``g``.  A Chebyshev expansion
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)): X = g / radius
+    has its spectrum in [-1, 1], and
+    exp(i g t) = sum_k (2 - [k = 0]) i^k J_k(radius t) T_k(X).  The vectors
+    T_k(X) w are real and do not depend on t, so one three-term recurrence
+    T_{k+1}(X) w = 2 X T_k(X) w - T_{k-1}(X) w, up to the degree of the
+    largest time, serves every time: each degree is one real product
+    ``step @ cur``, one subtraction and one real update of the rows, whose
+    coefficient i^k J_k is real at even k and imaginary at odd k.  Times
+    may come in any order and repeat; a time below the largest gets zero
+    coefficients past its own degree.  As ||T_k(X)|| <= 1, each row is
+    within 2^-53 ||w|| of exp(i g t) w before rounding; it depends on its
+    inputs alone.  The degree is radius t + O((radius t)^(1/3)), so a
+    tighter bound saves products: ``propagate_static`` passes the secular
+    bound (``_secular_radius``).
 
     A module-level name so that the benchmark's tracer can wrap the
     propagation as its own span (``photon_swap.expm_multiply``, whose work
-    counter reads ``a.nnz`` and the 1-norm of ``a``); it stays until the
+    counter reads ``g.nnz`` and the 1-norm of ``g``); it stays until the
     tracer's spans move to the production routes (ROADMAP items 5 and 6).
     """
-    c = _chebyshev_coefficients(radius)
-    out = c[0] * v
-    if c.size == 1:
-        return out
-    step = a * (-2j / radius)  # 2X
-    prev, cur = v, 0.5 * (step @ v)
-    out += 2 * c[1] * cur
-    for ck in 2 * c[2:]:
-        nxt = step @ cur
-        nxt -= prev
-        out += ck * nxt
-        prev, cur = cur, nxt
-    return out
+    coeffs = [_chebyshev_coefficients(radius * t) for t in times]
+    degree = max((c.size for c in coeffs), default=1) - 1
+    s = np.zeros((degree + 1, len(coeffs), 1))  # s[k]: degree k's factor per row
+    for j, c in enumerate(coeffs):
+        s[: c.size, j, 0] = np.where(np.arange(c.size) % 2, c.imag, c.real)
+    s[1:] *= 2
+    acc = np.zeros((2, len(coeffs), w.size))  # even-degree and odd-degree sums
+    acc[0] = s[0] * w
+    if degree > 0:
+        step = g * (2 / radius)  # 2X
+        prev, cur = w, 0.5 * (step @ w)
+        acc[1] += s[1] * cur
+        for k in range(2, degree + 1):
+            nxt = step @ cur
+            nxt -= prev
+            acc[k & 1] += s[k] * nxt
+            prev, cur = cur, nxt
+    return acc[0] + 1j * acc[1]
 
 
 def static_generator(dot: ThreeLevelDot, grid: SpectralGrid) -> scipy.sparse.csr_matrix:
-    """Bright-rail generator in quadrature-weighted phase-folded amplitudes.
+    """Real bright-rail generator G in quadrature-weighted phase-folded amplitudes.
 
     Phase folding takes the rails to u = g e^{i t delta}:
     du1/dt = i delta u1 - b1 u3; du2/dt = i delta' u2 - b2 u3;
@@ -269,17 +285,17 @@ def static_generator(dot: ThreeLevelDot, grid: SpectralGrid) -> scipy.sparse.csr
     B = c1 u1 + c2 u2, c = (b1, b2) / b, the equations close as
     dB/dt = i delta B - b u3 and du3/dt = sum_k w_k b B, with
     b = hypot(b1, b2), while the dark amplitude c1 u2 - c2 u1 evolves
-    freely.  In the weighted amplitudes (sqrt(w_k) B_k, u3) the generator is
-    [[i delta, -b sqrt(w)], [b sqrt(w)^T, 0]], (n_k + 1)-dimensional and
-    skew-Hermitian bit for bit: both couplings are the same floats, one of
-    them negated.  Split rails (w2 > 0) raise ``ValueError``;
+    freely.  In the weighted amplitudes (sqrt(w_k) B_k, -i u3) they read
+    d/dt = i G with G = [[diag(delta), -b sqrt(w)], [-b sqrt(w)^T, 0]],
+    (n_k + 1)-dimensional, real and symmetric bit for bit: both couplings
+    are the same floats.  Split rails (w2 > 0) raise ``ValueError``;
     ``tests/oracle_swap.py`` keeps their two-rail generator.
     """
     if dot.w2 != 0:
         raise ValueError("only degenerate rails (w2 = 0) merge into one bright rail")
     delta, _ = detunings(dot, grid)
-    coupling = math.hypot(*_rail_couplings(dot)) * np.sqrt(grid.weights)
-    return _arrowhead(1j * delta, -coupling, coupling)
+    coupling = -math.hypot(*_rail_couplings(dot)) * np.sqrt(grid.weights)
+    return _arrowhead(delta, coupling, coupling)
 
 
 def propagate_static(
@@ -287,52 +303,46 @@ def propagate_static(
 ) -> np.ndarray:
     """Phase-folded amplitudes (u1, u2, u3) at the requested times.
 
-    Rows have the two-rail layout of 2 n_k + 1 amplitudes.  The bright
-    amplitude B is propagated from c1 f by ``expm_multiply``, weighted by
-    sqrt(w) as ``static_generator`` takes it and unweighted for each row.
-    The generator's spectral radius is at most the arrowhead's secular
-    bound (``_secular_radius``) from max |delta| and the coupling vector's
-    2-norm, b sqrt(sum w) = b sqrt(span).  At the sweep's reference point
-    the bound reads 24.62 against a true radius of 24.0003, where Weyl's
-    max |delta| + b sqrt(span) read 27.91, so the Chebyshev degree is 210
-    where Weyl's bound made it 233.  With the free part F = f e^{i delta t}
-    and R = B - c1 F the rails are u1 = F + c1 R and u2 = c2 R: both rails
-    are exactly (f, 0) at t = 0, where R vanishes.
+    Rows have the two-rail layout of 2 n_k + 1 amplitudes, one row per
+    time; times may come in any order and repeat.  The weighted amplitudes
+    (sqrt(w) B, -i u3) start at the real vector (c1 f sqrt(w), 0) and are
+    propagated under ``static_generator``'s G by one ``expm_multiply`` pass
+    for all times.  The generator's spectral radius is at most the
+    arrowhead's secular bound (``_secular_radius``) from max |delta| and
+    the coupling vector's 2-norm, b sqrt(sum w) = b sqrt(span).  At the
+    sweep's reference point the bound reads 24.62 against a true radius of
+    24.0003, where Weyl's max |delta| + b sqrt(span) read 27.91, so the
+    Chebyshev degree is 210 where Weyl's bound made it 233.  With the free
+    part F = f e^{i delta t} and R = B - c1 F, formed weighted and then
+    unweighted, the rails are u1 = F + c1 R and u2 = c2 R: both rails are
+    exactly (f, 0) at t = 0, where R vanishes.
 
-    Raises ``GridError`` when the last time lies beyond half the grid's
-    recurrence time, and ``ValueError`` on split rails (w2 > 0).
+    Raises ``ValueError`` on a negative or non-finite time and on split
+    rails (w2 > 0), and ``GridError`` when the largest time lies beyond
+    half the grid's recurrence time.
     """
-    _validate_recurrence(grid, max(times, default=0.0))
-    f = gaussian_mode(mode, grid)
+    times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        raise ValueError("times must be finite and nonnegative")
+    _validate_recurrence(grid, float(times.max(initial=0.0)))
+    f = gaussian_mode(mode, grid).real
     n = grid.n_k
     b1, b2 = _rail_couplings(dot)
     b = math.hypot(b1, b2)
     c1, c2 = (b1 / b, b2 / b) if b > 0 else (1.0, 0.0)
-    m = static_generator(dot, grid)
+    g = static_generator(dot, grid)
     delta, _ = detunings(dot, grid)
     radius = _secular_radius(float(np.max(np.abs(delta))), b * math.sqrt(grid.span))
     sqrt_w = np.sqrt(grid.weights)
-    row = np.zeros(n + 1, dtype=np.complex128)
-    row[:n] = c1 * f
-    y = row.copy()
-    y[:n] *= sqrt_w
-    states = np.empty((len(times), n + 1), dtype=np.complex128)
-    prev_t = 0.0
-    for i, t in enumerate(times):
-        if t < prev_t:
-            raise ValueError("times must be nondecreasing")
-        if t > prev_t:
-            y = expm_multiply(m * (t - prev_t), y, radius * (t - prev_t))
-            row = y.copy()
-            row[:n] /= sqrt_w
-            prev_t = t
-        states[i] = row
-    free = f * np.exp(1j * np.outer(times, delta))
-    residual = states[:, :n] - c1 * free
+    start = np.zeros(n + 1)
+    start[:n] = c1 * f * sqrt_w
+    y = expm_multiply(g, start, radius, times)
+    phase = np.exp(1j * np.outer(times, delta))
+    residual = (y[:, :n] - start[:n] * phase) / sqrt_w
     out = np.empty((len(times), 2 * n + 1), dtype=np.complex128)
-    out[:, :n] = free + c1 * residual
+    out[:, :n] = f * phase + c1 * residual
     out[:, n : 2 * n] = c2 * residual
-    out[:, 2 * n] = states[:, n]
+    out[:, 2 * n] = 1j * y[:, n]
     return out
 
 
