@@ -398,13 +398,14 @@ def test_merged_rails_match_two_rail_propagation(d, gamma1, gamma2):
 def test_chebyshev_propagator_matches_oracles(n, lo, width, b, log_r, seed):
     """exp(i g t) v on random real symmetric arrowheads
     [[diag(delta), -c], [-c^T, 0]] with real starts (grids off the resonance
-    too, closed couplings, r = radius * t up to 1e-3 to 1e3, the radius from
-    Weyl's bound and from the secular one), several times per call (t = 0,
-    a repeated time, unsorted), agrees with the eigendecomposition of g and
-    with scipy's Taylor method to 1e-12, and keeps the norm to 1e-13.
-    Above r = 100 the Taylor method itself strays from the eigendecomposition
-    by up to 3e-12 (on 1000 random cases, against 1.5e-13 for the expansion),
-    so there only the eigendecomposition is the oracle."""
+    too, closed couplings, the largest r = radius * t from 1e-3 to 1e3, the
+    radius from Weyl's bound and from the secular one), several times per
+    call (t = 0, a repeated time, unsorted), agrees with the
+    eigendecomposition of g and with scipy's Taylor method to 1e-12, and
+    keeps the norm to 1e-13.  Above r = 100 the Taylor method itself strays
+    from the eigendecomposition by up to 3e-12 (on 1000 random cases, against
+    1.5e-13 for the expansion), so there only the eigendecomposition is the
+    oracle."""
     rng = np.random.default_rng(seed)
     delta = np.linspace(lo, lo + width, n)
     coupling = -b * np.sqrt(rng.uniform(0.1, 1.0, n))
